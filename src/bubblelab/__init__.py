@@ -19,6 +19,7 @@ from .errors import (
     BubbleLabError,
     DegenerateRegressor,
     FiniteHorizonSingularity,
+    IngestError,
     InsufficientHistory,
     InvalidConfig,
     MalformedRow,
@@ -54,6 +55,7 @@ from .series import (
     ExperimentParams,
     PriceSeries,
     ReturnSeries,
+    Series,
     Window,
     discrete_returns,
     excess_series,

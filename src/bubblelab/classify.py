@@ -11,7 +11,7 @@ growth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import NonPositiveExcess, NoValidCells
@@ -60,9 +60,7 @@ class BubbleVerdict:
                 if self.bubble_window
                 else None
             ),
-            "rational_fit": (
-                self.rational_fit.to_json_dict() if self.rational_fit else None
-            ),
+            "rational_fit": asdict(self.rational_fit) if self.rational_fit else None,
             "price_grid": grid_summary(self.price_grid) if self.price_grid else None,
             "return_grid": grid_summary(self.return_grid) if self.return_grid else None,
             "thresholds": {

@@ -19,13 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import classify_series
-from .errors import (
-    BubbleLabError,
-    InvalidConfig,
-    MalformedRow,
-    NonContiguousTime,
-    OutOfRange,
-)
+from .errors import BubbleLabError, IngestError, InvalidConfig
 from .growth import table2, table2_csv
 from .market import AgentSpec, SimConfig, run
 from .regression import MODEL_PRICE, MODEL_RETURN
@@ -44,6 +38,14 @@ EXIT_CONFIG = 2
 EXIT_INGEST = 3
 EXIT_COMPUTE = 4
 
+# Exception classes -> exit code; the first matching row wins, so
+# UnicodeDecodeError (a ValueError) counts as an ingestion error.
+_EXIT_CODES = (
+    (InvalidConfig, EXIT_CONFIG),
+    ((IngestError, UnicodeDecodeError, OSError), EXIT_INGEST),
+    ((BubbleLabError, ValueError, ArithmeticError), EXIT_COMPUTE),
+)
+
 _PARAM_KEYS = {
     "r": ("r", float),
     "D": ("dividend", float),
@@ -52,28 +54,6 @@ _PARAM_KEYS = {
     "n_traders": ("n_traders", int),
     "p_min": ("p_min", float),
     "p_max": ("p_max", float),
-}
-
-# Converters for values read from a key=value config file; flags given on
-# the command line always win over file values.
-_CONFIG_TYPES = {
-    "outdir": str,
-    "input": str,
-    "seed": int,
-    "min_window": int,
-    "theta": float,
-    "confidence": str,
-    "params": str,
-    "horizon": int,
-    "agents": str,
-    "noise_sigma": float,
-    "mistrade_prob": float,
-    "initial_prices": str,
-    "steps": int,
-    "a1": float,
-    "a2": float,
-    "b2": float,
-    "window": str,
 }
 
 
@@ -174,17 +154,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _write_grids(args, excess, outdir: Path, prefix: str) -> dict:
+    """Sweep both models over the whole series and write each grid as
+    ``<prefix><model>_grid.csv``, holding one grid at a time; returns the
+    grid summaries by model."""
+    one_sided = args.confidence == "one-sided"
+    summaries = {}
+    for model in (MODEL_PRICE, MODEL_RETURN):
+        grid = sweep(excess, model, min_window=args.min_window, one_sided=one_sided)
+        _write(outdir / f"{prefix}{model}_grid.csv", grid_to_csv(grid))
+        summaries[model] = grid_summary(grid)
+        del grid  # free it before the next sweep builds its own
+    return summaries
+
+
 def cmd_sweep(args) -> int:
     params = parse_params(args.params)
     series, _ = load_csv(args.input, params)
     excess = excess_series(series, params)
-    one_sided = args.confidence == "one-sided"
     outdir = _outdir(args)
     summary = {"input": str(args.input), "t0": series.t0, "n": len(series)}
-    for model, filename in ((MODEL_PRICE, "price_grid.csv"), (MODEL_RETURN, "return_grid.csv")):
-        grid = sweep(excess, model, min_window=args.min_window, one_sided=one_sided)
-        _write(outdir / filename, grid_to_csv(grid))
-        summary[model] = grid_summary(grid)
+    summary.update(_write_grids(args, excess, outdir, ""))
     _write(outdir / "sweep_summary.json", json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 
@@ -258,14 +248,7 @@ def cmd_plotdata(args) -> int:
         lines.append(f"{rets.t0 + i},{r_cur:.17g},{r_nxt:.17g},{r_cur:.17g}")
     _write(outdir / "plot_returns.csv", "\n".join(lines) + "\n")
 
-    excess = excess_series(series, params)
-    one_sided = args.confidence == "one-sided"
-    for model, filename in (
-        (MODEL_PRICE, "plot_price_grid.csv"),
-        (MODEL_RETURN, "plot_return_grid.csv"),
-    ):
-        grid = sweep(excess, model, min_window=args.min_window, one_sided=one_sided)
-        _write(outdir / filename, grid_to_csv(grid))
+    _write_grids(args, excess_series(series, params), outdir, "plot_")
     return EXIT_OK
 
 
@@ -364,6 +347,14 @@ def _apply_config_file(commands, argv) -> None:
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
+    # Converters come from the subcommands' own options, so a file value
+    # parses exactly like the same flag would.
+    types = {
+        action.dest: action.type or str
+        for sub in commands.values()
+        for action in sub._actions
+        if action.dest not in ("help", "config")
+    }
     defaults = {}
     with open(known.config, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -374,10 +365,10 @@ def _apply_config_file(commands, argv) -> None:
                 raise InvalidConfig(f"{known.config}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise InvalidConfig(f"{known.config}:{lineno}: unknown key {key!r}")
             try:
-                defaults[key] = _CONFIG_TYPES[key](val.strip())
+                defaults[key] = types[key](val.strip())
             except ValueError:
                 raise InvalidConfig(
                     f"{known.config}:{lineno}: bad value for {key!r}"
@@ -389,32 +380,27 @@ def _apply_config_file(commands, argv) -> None:
             sub.set_defaults(**relevant)
 
 
+def _report(exc: Exception) -> int:
+    """Print ``exc`` and return its exit code; re-raise what no row of
+    the exit-code table covers."""
+    for classes, code in _EXIT_CODES:
+        if isinstance(exc, classes):
+            print(f"error: {exc}", file=sys.stderr)
+            return code
+    raise exc
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, commands = build_parser()
     try:
         _apply_config_file(commands, argv)
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
-    except (InvalidConfig, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, InvalidConfig) else EXIT_INGEST
-
-    try:
-        return args.func(args)
-    except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MalformedRow, NonContiguousTime, OutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    except (BubbleLabError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    except Exception as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,9 @@
 
 The CLI maps these onto exit codes: configuration problems, ingestion
 problems, and computation problems each get their own code.
+``IngestError`` is the base of the three ingestion errors (malformed row,
+non-contiguous time, out-of-range value); each carries the 1-based
+``line`` of the input file it refers to.
 """
 
 
@@ -17,28 +20,25 @@ class InsufficientHistory(BubbleLabError):
     """An agent rule needs more past prices than are available."""
 
 
-class MalformedRow(BubbleLabError):
+class IngestError(BubbleLabError):
+    """An input file could not be read into a series; ``line`` is the
+    1-based line of the file the message refers to."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+class MalformedRow(IngestError):
     """A CSV row could not be parsed."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
-
-class NonContiguousTime(BubbleLabError):
+class NonContiguousTime(IngestError):
     """The time column of a CSV does not advance by exactly one."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
-
-class OutOfRange(BubbleLabError):
-    """A price lies outside the admissible [p_min, p_max] band."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class OutOfRange(IngestError):
+    """A price or forecast lies outside the admissible [p_min, p_max] band."""
 
 
 class NonPositiveExcess(BubbleLabError):

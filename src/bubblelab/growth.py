@@ -112,8 +112,8 @@ def iterate_noisy(
     model: GrowthModel, steps: int, sigma: float, seed: int
 ) -> ExcessSeries:
     """Iterate with Gaussian noise of std-dev ``sigma`` on each log-growth."""
-    if sigma < 0:
-        raise InvalidConfig(f"noise std-dev must be non-negative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidConfig(f"noise std-dev must be finite and non-negative, got {sigma}")
     rng = random.Random(seed)
     return iterate(model, steps, noise=lambda: rng.gauss(0.0, sigma))
 

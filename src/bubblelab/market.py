@@ -131,8 +131,11 @@ class SimConfig:
             raise InvalidConfig(
                 f"mis-trade probability must lie in [0, 1], got {self.mistrade_prob}"
             )
-        if self.return_noise_sigma < 0:
-            raise InvalidConfig("forecast noise std-dev must be non-negative")
+        if not (math.isfinite(self.return_noise_sigma) and self.return_noise_sigma >= 0):
+            raise InvalidConfig(
+                "forecast noise std-dev must be finite and non-negative, "
+                f"got {self.return_noise_sigma}"
+            )
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in 64 bits")
         if len(self.initial_prices) != 2:
@@ -280,13 +283,14 @@ def run(config: SimConfig) -> SimResult:
     lo = (params.p_min + params.dividend) / (1.0 + params.r)
     hi = (params.p_max + params.dividend) / (1.0 + params.r)
 
-    history: List[float] = list(config.initial_prices)
+    last_two = config.initial_prices
     n_agents = len(config.agents)
     forecasts: List[List[float]] = [[] for _ in range(n_agents)]
     prices: List[float] = []
 
     for i in range(config.horizon):
-        past = PriceSeries(-2, tuple(history))
+        # every rule reads at most the last two prices, ending at t = i - 1
+        past = PriceSeries(i - 2, last_two)
         period_forecasts = []
         for h, spec in enumerate(config.agents):
             f = agent_forecast(spec, past, params, rng)
@@ -301,7 +305,7 @@ def run(config: SimConfig) -> SimResult:
                 f"clearing price {p} escaped [{lo}, {hi}] at period {i}"
             )
         prices.append(p)
-        history.append(p)
+        last_two = (last_two[1], p)
 
     payoffs: List[List[Optional[float]]] = []
     for h in range(n_agents):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateRegressor, NonPositiveExcess, TooFewPoints
-from .series import ExcessSeries, PriceSeries, Window
+from .series import ExcessSeries, PriceSeries, Window, log_growth
 from .studentt import t_quantile
 
 MODEL_PRICE = "price"
@@ -47,21 +47,6 @@ class OlsFit:
     df: int
     r2: float
     perfect: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "a": self.a,
-            "b": self.b,
-            "se_a": self.se_a,
-            "se_b": self.se_b,
-            "a_lower": self.a_lower,
-            "b_lower": self.b_lower,
-            "n": self.n,
-            "df": self.df,
-            "r2": self.r2,
-            "perfect": self.perfect,
-        }
 
 
 def ols2(
@@ -132,22 +117,6 @@ def ols2(
     )
 
 
-def _window_slice(excess: ExcessSeries, window: Window) -> list:
-    """Excess values on [start, end], checked strictly positive."""
-    if window.start < excess.t0 or window.end > excess.t_end:
-        raise ValueError(
-            f"window [{window.start}, {window.end}] outside series range "
-            f"[{excess.t0}, {excess.t_end}]"
-        )
-    lo = excess.offset(window.start)
-    hi = excess.offset(window.end)
-    vals = excess.values[lo : hi + 1]
-    for i, v in enumerate(vals):
-        if v <= 0:
-            raise NonPositiveExcess(window.start + i)
-    return list(vals)
-
-
 def fit_price_model(
     excess: ExcessSeries, window: Window, one_sided: bool = False
 ) -> OlsFit:
@@ -157,9 +126,9 @@ def fit_price_model(
     (start, end]; a positive slope means the growth rate itself grows
     with the price level.
     """
-    vals = _window_slice(excess, window)
+    vals = excess.window_values(window)
+    ys = log_growth(vals, window.start)
     xs = vals[:-1]
-    ys = [math.log(vals[i + 1] / vals[i]) for i in range(len(vals) - 1)]
     if len(xs) < 3:
         raise TooFewPoints(f"window yields {len(xs)} pairs, need 3")
     return ols2(xs, ys, model=MODEL_PRICE, one_sided=one_sided)
@@ -174,8 +143,7 @@ def fit_return_model(
     so a window of the same length yields one fewer observation; only
     data inside [start, end] is touched.
     """
-    vals = _window_slice(excess, window)
-    g = [math.log(vals[i + 1] / vals[i]) for i in range(len(vals) - 1)]
+    g = log_growth(excess.window_values(window), window.start)
     xs = g[:-1]
     ys = g[1:]
     if len(xs) < 3:
@@ -203,16 +171,6 @@ class RationalBubbleFit:
         """True when the whole confidence interval lies above r."""
         return self.rate_lower > r
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "scale": self.scale,
-            "anchor": self.anchor,
-            "rate_lower": self.rate_lower,
-            "rate_upper": self.rate_upper,
-            "ols": self.ols.to_json_dict(),
-        }
-
 
 def fit_rational_bubble(
     prices: PriceSeries,
@@ -226,15 +184,10 @@ def fit_rational_bubble(
     deviation scale at t = 0.  Every price in the window must exceed the
     anchor (default: the fundamental under standard parameters).
     """
-    if window.start < prices.t0 or window.end > prices.t_end:
-        raise ValueError(
-            f"window [{window.start}, {window.end}] outside series range "
-            f"[{prices.t0}, {prices.t_end}]"
-        )
     ts = list(range(window.start, window.end + 1))
     devs = []
-    for t in ts:
-        d = prices.at(t) - anchor
+    for t, p in zip(ts, prices.window_values(window)):
+        d = p - anchor
         if d <= 0:
             raise NonPositiveExcess(t, f"price at t={t} does not exceed anchor {anchor}")
         devs.append(math.log(d))

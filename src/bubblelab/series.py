@@ -41,6 +41,10 @@ class ExperimentParams:
     p_max: float = 1000.0
 
     def __post_init__(self):
+        for name in ("r", "dividend", "p_min", "p_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
         if not self.r > 0:
             raise InvalidConfig(f"interest rate must be positive, got {self.r}")
         if self.dividend < 0:
@@ -51,7 +55,7 @@ class ExperimentParams:
             raise InvalidConfig(
                 f"price band is empty: [{self.p_min}, {self.p_max}]"
             )
-        pf = self.dividend / self.r
+        pf = self.fundamental
         if not (self.p_min <= pf <= self.p_max):
             raise InvalidConfig(
                 f"fundamental price {pf} outside [{self.p_min}, {self.p_max}]"
@@ -69,30 +73,29 @@ class ExperimentParams:
 
 def fundamental_price(params: ExperimentParams) -> float:
     """Equilibrium price dividend/r (60 under default parameters)."""
-    if not params.r > 0:
-        raise InvalidConfig("interest rate must be positive")
-    return params.dividend / params.r
-
-
-def _check_values(values: Sequence[float], what: str) -> tuple:
-    vals = tuple(float(v) for v in values)
-    if len(vals) < 1:
-        raise InvalidConfig(f"{what} needs at least one value")
-    for i, v in enumerate(vals):
-        if not math.isfinite(v):
-            raise InvalidConfig(f"{what} has non-finite value at offset {i}")
-    return vals
+    return params.fundamental
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """Realized prices on a contiguous integer time index starting at t0."""
+class Series:
+    """Finite values on a contiguous integer time index starting at t0.
+
+    Holds realized prices, or excess prices (prices minus the fundamental,
+    the state variable of the feedback models); ``PriceSeries`` and
+    ``ExcessSeries`` are two names for this one type.
+    """
 
     t0: int
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.values, "price series"))
+        vals = tuple(float(v) for v in self.values)
+        if not vals:
+            raise InvalidConfig("series needs at least one value")
+        for i, v in enumerate(vals):
+            if not math.isfinite(v):
+                raise InvalidConfig(f"series has non-finite value at offset {i}")
+        object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -110,36 +113,23 @@ class PriceSeries:
     def at(self, t: int) -> float:
         return self.values[self.offset(t)]
 
+    def window_values(self, window: Window) -> tuple:
+        """Values on the inclusive [start, end] window, which must lie
+        inside the series."""
+        if window.start < self.t0 or window.end > self.t_end:
+            raise ValueError(
+                f"window [{window.start}, {window.end}] outside series range "
+                f"[{self.t0}, {self.t_end}]"
+            )
+        return self.values[window.start - self.t0 : window.end - self.t0 + 1]
 
-@dataclass(frozen=True)
-class ExcessSeries:
-    """Prices minus the fundamental; the state variable of the feedback models."""
-
-    t0: int
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.values, "excess series"))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def t_end(self) -> int:
-        return self.t0 + len(self.values) - 1
-
-    def offset(self, t: int) -> int:
-        if not (self.t0 <= t <= self.t_end):
-            raise ValueError(f"t={t} outside series range [{self.t0}, {self.t_end}]")
-        return t - self.t0
-
-    def at(self, t: int) -> float:
-        return self.values[self.offset(t)]
-
-    def to_prices(self, params: ExperimentParams) -> PriceSeries:
-        """Shift back above the fundamental, yielding a plain price series."""
+    def to_prices(self, params: ExperimentParams) -> Series:
+        """Shift an excess series back above the fundamental."""
         pf = params.fundamental
-        return PriceSeries(self.t0, tuple(v + pf for v in self.values))
+        return Series(self.t0, tuple(v + pf for v in self.values))
+
+
+PriceSeries = ExcessSeries = Series
 
 
 DISCRETE = "discrete"
@@ -183,7 +173,7 @@ class Window:
 
 def excess_series(prices: PriceSeries, params: ExperimentParams) -> ExcessSeries:
     """Subtract the fundamental price from every observation."""
-    pf = fundamental_price(params)
+    pf = params.fundamental
     return ExcessSeries(prices.t0, tuple(v - pf for v in prices.values))
 
 
@@ -206,21 +196,24 @@ def discrete_returns(series) -> ReturnSeries:
     return ReturnSeries(series.t0 + 1, rets, DISCRETE)
 
 
-def log_excess_returns(excess: ExcessSeries) -> ReturnSeries:
-    """Natural-log growth rates log(excess[t]/excess[t-1]).
+def log_growth(values: Sequence[float], t0: int) -> list:
+    """Natural-log growth rates log(v[i+1]/v[i]) of values starting at t0.
 
-    Defined only while the excess price stays strictly positive; a zero or
+    Defined only while every value is strictly positive; a zero or
     negative value raises NonPositiveExcess naming the first offending
-    time index (the window lies outside a bubble regime).
+    time index t0 + i (the values lie outside a bubble regime).
     """
-    vals = excess.values
-    if len(vals) < 2:
-        raise InvalidConfig("need at least two observations for returns")
-    for i, v in enumerate(vals):
+    for i, v in enumerate(values):
         if v <= 0:
-            raise NonPositiveExcess(excess.t0 + i)
-    rets = tuple(math.log(vals[i + 1] / vals[i]) for i in range(len(vals) - 1))
-    return ReturnSeries(excess.t0 + 1, rets, LOG_EXCESS)
+            raise NonPositiveExcess(t0 + i)
+    return [math.log(values[i + 1] / values[i]) for i in range(len(values) - 1)]
+
+
+def log_excess_returns(excess: ExcessSeries) -> ReturnSeries:
+    """Natural-log growth rates log(excess[t]/excess[t-1]); see log_growth."""
+    if len(excess) < 2:
+        raise InvalidConfig("need at least two observations for returns")
+    return ReturnSeries(excess.t0 + 1, log_growth(excess.values, excess.t0), LOG_EXCESS)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +275,12 @@ def load_csv(
                 lineno,
                 f"price {p} outside [{params.p_min}, {params.p_max}]",
             )
+        for h, v in enumerate(fvals, start=1):
+            if not (params.p_min <= v <= params.p_max):
+                raise OutOfRange(
+                    lineno,
+                    f"forecast h{h} {v} outside [{params.p_min}, {params.p_max}]",
+                )
         times.append(t)
         prices.append(p)
         for col, v in zip(forecasts, fvals):

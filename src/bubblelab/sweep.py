@@ -10,7 +10,7 @@ inside its own window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import (
@@ -122,7 +122,7 @@ def significant_fraction(grid: SweepGrid) -> float:
 def triangular_cell_count(
     start_range: Tuple[int, int], end_range: Tuple[int, int], min_window: int
 ) -> int:
-    """Closed-form count of admissible windows, for shape checks."""
+    """Count of admissible windows, for shape checks."""
     total = 0
     for s in range(start_range[0], start_range[1] + 1):
         first_e = max(end_range[0], s + min_window - 1)
@@ -175,7 +175,7 @@ def grid_summary(grid: SweepGrid) -> dict:
         summary["best_window"] = {
             "start": best_key[0],
             "end": best_key[1],
-            "fit": best.to_json_dict(),
+            "fit": asdict(best),
         }
     else:
         summary["best_window"] = None

@@ -1,14 +1,81 @@
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from bubblelab import GrowthModel, iterate, write_csv
 from bubblelab.cli import main
 
 GOLDEN_TABLE2 = Path(__file__).parent / "data" / "table2_golden.csv"
+
+# Pinned CLI runs: each case runs in a fresh working directory holding a
+# copy of cli_golden/inputs, with --outdir out.  cli_golden/<case> holds the
+# expected exit_code, stdout, stderr and every file under out/, byte for byte.
+# Regenerate with `PYTHONPATH=src python tests/test_cli.py`, only when an output
+# change is intended.
+GOLDEN_CLI = Path(__file__).parent / "data" / "cli_golden"
+GOLDEN_CASES = {
+    "simulate_bubble": ("simulate", "--horizon", "25"),
+    "simulate_noise": ("simulate", "--agents", "noise", "--seed", "11", "--noise-sigma",
+                       "0.02", "--mistrade-prob", "0.05", "--horizon", "30"),
+    "simulate_rational": ("simulate", "--agents", "rational", "--horizon", "20"),
+    "simulate_fundamentalist": ("simulate", "--agents", "fundamentalist", "--horizon", "10"),
+    "sweep_two_sided": ("sweep", "--input", "inputs/feedback.csv"),
+    "sweep_one_sided": ("sweep", "--input", "inputs/crash.csv", "--confidence", "one-sided",
+                        "--min-window", "7"),
+    "classify_detected": ("classify", "--input", "inputs/feedback.csv"),
+    "classify_window": ("classify", "--input", "inputs/crash.csv", "--window", "3,18"),
+    "classify_config": ("classify", "--input", "inputs/crash.csv",
+                        "--config", "inputs/classify.cfg"),
+    "plotdata_forecasts": ("plotdata", "--input", "inputs/forecasts.csv"),
+    "plotdata_plain": ("plotdata", "--input", "inputs/crash.csv"),
+    "table2_short": ("table2", "--steps", "5"),
+    "error_config": ("simulate", "--params", "r=0"),
+    "error_ingest": ("sweep", "--input", "inputs/malformed.csv"),
+    "error_compute": ("plotdata", "--input", "inputs/zeros.csv"),
+}
+
+
+def _run_golden_case(case, workdir):
+    """Run one pinned case in ``workdir``; returns the observed
+    ``{relative name: bytes}`` map in the layout of cli_golden/<case>."""
+    shutil.copytree(GOLDEN_CLI / "inputs", workdir / "inputs")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*GOLDEN_CASES[case], "--outdir", "out"])
+    finally:
+        os.chdir(cwd)
+    observed = {
+        "exit_code": f"{code}\n".encode(),
+        "stdout": out.getvalue().encode(),
+        "stderr": err.getvalue().encode(),
+    }
+    for path in sorted((workdir / "out").rglob("*")):
+        if path.is_file():
+            observed[path.relative_to(workdir).as_posix()] = path.read_bytes()
+    return observed
+
+
+def _write_golden():
+    import tempfile
+
+    for case in GOLDEN_CASES:
+        target = GOLDEN_CLI / case
+        shutil.rmtree(target, ignore_errors=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in _run_golden_case(case, Path(tmp)).items():
+                (target / name).parent.mkdir(parents=True, exist_ok=True)
+                (target / name).write_bytes(data)
 
 
 def run_cli(*argv):
@@ -84,6 +151,14 @@ class TestSimulate:
         assert code == 2
         code = run_cli("simulate", "--params", "bogus=1", "--outdir", str(tmp_path))
         assert code == 2
+
+    def test_non_finite_inputs_are_config_errors(self, tmp_path, capsys):
+        for flags in (("--params", "r=inf"), ("--params", "p_max=inf"),
+                      ("--noise-sigma", "nan"), ("--noise-sigma", "inf")):
+            code = run_cli("simulate", *flags, "--outdir", str(tmp_path))
+            assert code == 2, flags
+        assert not (tmp_path / "simulation.json").exists()
+        capsys.readouterr()
 
 
 class TestSweepCommand:
@@ -321,6 +396,18 @@ class TestConfigAndEnvironment:
         assert run_cli("simulate", "--config", str(cfg),
                        "--outdir", str(tmp_path)) == 2
 
+    def test_undecodable_files_are_ingest_errors(self, tmp_path, capsys):
+        # Latin-1 bytes that are not valid UTF-8, once as data, once as config
+        raw = tmp_path / "latin1.csv"
+        raw.write_bytes("t,price\n0,60.00\n# caf\xe9\n".encode("latin-1"))
+        assert run_cli("sweep", "--input", str(raw), "--outdir", str(tmp_path)) == 3
+        assert "codec can't decode" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# caf\xe9\nhorizon = 7\n".encode("latin-1"))
+        assert run_cli("simulate", "--config", str(cfg), "--outdir", str(tmp_path)) == 3
+        assert "codec can't decode" in capsys.readouterr().err
+        assert not (tmp_path / "simulation.csv").exists()
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BUBBLELAB_OUTDIR", str(tmp_path / "envout"))
         assert run_cli("table2") == 0
@@ -339,6 +426,19 @@ class TestConfigAndEnvironment:
         )
         assert proc.returncode == 0
         assert (tmp_path / "table2.csv").exists()
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_cli_output_matches_golden(self, case, tmp_path):
+        expected = {
+            path.relative_to(GOLDEN_CLI / case).as_posix(): path.read_bytes()
+            for path in sorted((GOLDEN_CLI / case).rglob("*")) if path.is_file()
+        }
+        observed = _run_golden_case(case, tmp_path)
+        assert sorted(observed) == sorted(expected)
+        for name, data in expected.items():
+            assert observed[name] == data, f"{case}/{name} differs"
 
 
 class TestPipelineClosure:
@@ -368,3 +468,7 @@ class TestPipelineClosure:
             payload.pop("input")
             summaries.append(payload)
         assert summaries[0] == summaries[1]
+
+
+if __name__ == "__main__":
+    _write_golden()

@@ -136,6 +136,13 @@ class TestIterateNoisy:
         clean = iterate(model, 20)
         assert one.values != clean.values
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.01])
+    def test_bad_sigma_is_config_error(self, sigma):
+        # a NaN sigma used to surface as a FiniteHorizonSingularity
+        model = GrowthModel.price_feedback(math.log(1.09), 1e-4, 60.0)
+        with pytest.raises(InvalidConfig, match="std-dev"):
+            iterate_noisy(model, 5, sigma=sigma, seed=0)
+
     def test_zero_sigma_matches_deterministic(self):
         model = GrowthModel.return_feedback(0.02, 0.6, initial_log_return=0.05)
         assert iterate_noisy(model, 15, 0.0, seed=1).values == iterate(model, 15).values

@@ -164,6 +164,11 @@ class TestSimConfig:
         with pytest.raises(InvalidConfig):
             _config(agents, seed=-1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.01])
+    def test_bad_return_noise_sigma(self, sigma):
+        with pytest.raises(InvalidConfig, match="std-dev"):
+            _config([AgentSpec.fundamentalist()] * 6, return_noise_sigma=sigma)
+
 
 class TestRun:
     def test_fundamentalists_hold_the_fixed_point(self):

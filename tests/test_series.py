@@ -43,6 +43,13 @@ class TestExperimentParams:
         with pytest.raises(InvalidConfig):
             ExperimentParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["r", "dividend", "p_min", "p_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_rejected(self, name, value):
+        # r=inf used to pass with fundamental 0
+        with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
+            ExperimentParams(**{name: value})
+
     def test_clamp(self):
         p = ExperimentParams()
         assert p.clamp(-5.0) == 0.0
@@ -220,6 +227,14 @@ class TestCsv:
         assert len(forecasts) == 2
         assert forecasts[0] == (61.0, 65.0)
         assert forecasts[1] == (59.0, 67.0)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-1.00", "1200.00"])
+    def test_forecast_outside_band_reports_line(self, tmp_path, bad):
+        path = tmp_path / "fc.csv"
+        path.write_text(f"t,price,h1,h2\n0,60.00,61.00,59.00\n1,66.00,65.00,{bad}\n")
+        with pytest.raises(OutOfRange, match="forecast h2") as exc:
+            load_csv(path)
+        assert exc.value.line == 3
 
     def test_write_load_write_is_identity(self, tmp_path):
         series = PriceSeries(4, (60.0, 66.123456, 72.6, 955.2380952))
