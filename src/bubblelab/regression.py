@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
-from .errors import DegenerateRegressor, NonPositiveExcess, TooFewPoints
+from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints
 from .series import ExcessSeries, PriceSeries, Window, log_growth
 from .studentt import t_quantile
 
@@ -49,27 +49,29 @@ class OlsFit:
     perfect: bool = False
 
 
-def ols2(
-    x: Sequence[float],
-    y: Sequence[float],
-    model: str = MODEL_PRICE,
-    one_sided: bool = False,
-) -> OlsFit:
-    """Least-squares estimate of y = a + b*x with homoskedastic errors.
+def _scaled_ints(values) -> Tuple[list, int]:
+    """Exact integer images of finite floats on one power-of-two scale.
 
-    Residual variance uses n-2 degrees of freedom; the lower confidence
-    bounds subtract t(0.975, df) standard errors (t(0.95, df) when
-    ``one_sided`` is set).
+    Returns ``(ints, p)`` with ``values[i] == ints[i] / 2**p`` exactly:
+    every finite float is k * 2**e, so nothing is rounded.  A NaN or an
+    infinity raises InvalidConfig.
     """
-    n = len(x)
-    if n != len(y):
-        raise TooFewPoints(f"x and y lengths differ: {n} vs {len(y)}")
-    if n < 3:
-        raise TooFewPoints(f"need at least 3 points for a two-parameter fit, got {n}")
+    ratios = []
+    for v in values:
+        if not math.isfinite(v):
+            raise InvalidConfig(f"regression data must be finite, got {v}")
+        ratios.append(v.as_integer_ratio())
+    p = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (p + 1 - den.bit_length()) for num, den in ratios], p
 
-    x = [float(v) for v in x]
-    y = [float(v) for v in y]
-    xmax, xmin = max(x), min(x)
+
+def _require_pairs(n: int) -> None:
+    if n < 3:
+        raise TooFewPoints(f"window yields {n} pairs, need 3")
+
+
+def _check_spread(xmin: float, xmax: float) -> None:
+    """Reject a regressor whose float spread is a few ulps of its size."""
     spread = xmax - xmin
     scale = max(abs(xmax), abs(xmin), 1.0)
     if spread <= _DEGENERACY_ULPS * sys.float_info.epsilon * scale:
@@ -77,27 +79,59 @@ def ols2(
             f"regressor spread {spread:g} is indistinguishable from constant"
         )
 
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
-    sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
-    b = sxy / sxx
-    a = mean_y - b * mean_x
 
-    residuals = [yi - a - b * xi for xi, yi in zip(x, y)]
-    ssr = math.fsum(e * e for e in residuals)
-    sst = math.fsum((yi - mean_y) ** 2 for yi in y)
+def _fit_moments(
+    model: str,
+    n: int,
+    sx: int,
+    sy: int,
+    sxx: int,
+    sxy: int,
+    syy: int,
+    px: int,
+    py: int,
+    one_sided: bool,
+) -> OlsFit:
+    """The OLS kernel: an ``OlsFit`` from the exact moments of the scaled
+    data X = x * 2**px, Y = y * 2**py (sums of X, Y, X*X, X*Y, Y*Y over n
+    pairs; the regressor must not be constant).
+
+    Every quantity is an exact rational until its one rounding to float
+    (int / int true division is correctly rounded): the slope b, then the
+    intercept a from the rounded b, then the standard errors and r2 from
+    the exact residual sum of squares of the rounded (a, b).  The result
+    therefore depends only on the pairs, not on the scale or on the order
+    in which the moments were summed.
+    """
+    cxx = n * sxx - sx * sx  # n * sum((x - mean x)^2) * 4**px
+    cxy = n * sxy - sx * sy
+    cyy = n * syy - sy * sy
+    b = (cxy << px) / (cxx << py)
+    bn, bd = b.as_integer_ratio()
+    pb = bd.bit_length() - 1
+    a = ((sy << (px + pb)) - (bn * sx << py)) / (n << (px + py + pb))
+    an, ad = a.as_integer_ratio()
+    pa = ad.bit_length() - 1
+    # Each residual y - a - b*x is (Y*2**k - v - w*X) / 2**q in integers;
+    # ssr is the sum of their squares times 4**q, expanded in the moments.
+    q = max(py, pa, pb + px)
+    k = q - py
+    v = an << (q - pa)
+    w = bn << (q - pb - px)
+    ssr = (
+        (((syy << k) - 2 * (v * sy + w * sxy)) << k)
+        + v * (n * v + 2 * w * sx)
+        + w * w * sxx
+    )
     df = n - 2
-
-    if ssr <= 0.0:
-        ssr = 0.0
-    s2 = ssr / df
-    se_b = math.sqrt(s2 / sxx)
-    se_a = math.sqrt(s2 * math.fsum(xi * xi for xi in x) / (n * sxx))
-
-    if sst > 0.0:
-        r2 = 1.0 - ssr / sst
-        r2 = min(max(r2, 0.0), 1.0)
+    den = df * cxx << 2 * q
+    se_a = math.sqrt(ssr * sxx / den)
+    se_b = math.sqrt((ssr * n << 2 * px) / den)
+    if cyy:
+        sst = cyy << 2 * q  # n * sum((y - mean y)^2) * 4**(q + py)
+        r2 = (sst - (ssr * n << 2 * py)) / sst
+        if r2 < 0.0:  # rounded (a, b) can fit worse than the mean
+            r2 = 0.0
     else:
         r2 = 1.0  # constant response fitted exactly
 
@@ -113,7 +147,43 @@ def ols2(
         n=n,
         df=df,
         r2=r2,
-        perfect=(ssr == 0.0),
+        perfect=(ssr == 0),
+    )
+
+
+def ols2(
+    x: Sequence[float],
+    y: Sequence[float],
+    model: str = MODEL_PRICE,
+    one_sided: bool = False,
+) -> OlsFit:
+    """Least-squares estimate of y = a + b*x with homoskedastic errors.
+
+    Residual variance uses n-2 degrees of freedom; the lower confidence
+    bounds subtract t(0.975, df) standard errors (t(0.95, df) when
+    ``one_sided`` is set).  Non-finite data raises InvalidConfig.
+    """
+    n = len(x)
+    if n != len(y):
+        raise TooFewPoints(f"x and y lengths differ: {n} vs {len(y)}")
+    if n < 3:
+        raise TooFewPoints(f"need at least 3 points for a two-parameter fit, got {n}")
+
+    x = [float(v) for v in x]
+    xs, px = _scaled_ints(x)
+    ys, py = _scaled_ints([float(v) for v in y])
+    _check_spread(min(x), max(x))
+    return _fit_moments(
+        model,
+        n,
+        sum(xs),
+        sum(ys),
+        sum(v * v for v in xs),
+        sum(v * w for v, w in zip(xs, ys)),
+        sum(w * w for w in ys),
+        px,
+        py,
+        one_sided,
     )
 
 
@@ -129,8 +199,7 @@ def fit_price_model(
     vals = excess.window_values(window)
     ys = log_growth(vals, window.start)
     xs = vals[:-1]
-    if len(xs) < 3:
-        raise TooFewPoints(f"window yields {len(xs)} pairs, need 3")
+    _require_pairs(len(xs))
     return ols2(xs, ys, model=MODEL_PRICE, one_sided=one_sided)
 
 
@@ -146,8 +215,7 @@ def fit_return_model(
     g = log_growth(excess.window_values(window), window.start)
     xs = g[:-1]
     ys = g[1:]
-    if len(xs) < 3:
-        raise TooFewPoints(f"window yields {len(xs)} pairs, need 3")
+    _require_pairs(len(xs))
     return ols2(xs, ys, model=MODEL_RETURN, one_sided=one_sided)
 
 

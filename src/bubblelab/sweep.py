@@ -10,6 +10,7 @@ inside its own window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -19,8 +20,16 @@ from .errors import (
     NoValidCells,
     TooFewPoints,
 )
-from .regression import MODEL_PRICE, MODEL_RETURN, OlsFit, fit_price_model, fit_return_model
-from .series import MIN_WINDOW, ExcessSeries, Window
+from .regression import (
+    MODEL_PRICE,
+    MODEL_RETURN,
+    OlsFit,
+    _check_spread,
+    _fit_moments,
+    _require_pairs,
+    _scaled_ints,
+)
+from .series import MIN_WINDOW, ExcessSeries, log_growth
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,7 @@ class SweepGrid:
         return sum(1 for c in self.cells.values() if isinstance(c, OlsFit))
 
 
-_FITTERS = {MODEL_PRICE: fit_price_model, MODEL_RETURN: fit_return_model}
+_LAGS = {MODEL_PRICE: 0, MODEL_RETURN: 1}
 
 
 def sweep(
@@ -65,12 +74,17 @@ def sweep(
     Bounds default to the full series span.  Per-window errors (windows
     crossing non-positive excess prices, degenerate regressors, too few
     points) become invalid-cell markers rather than failing the sweep.
+
+    Each cell equals ``fit_price_model``/``fit_return_model`` on its
+    window, bit for bit, but costs O(1): for a fixed start the window
+    grows one point at a time, updating exact moment sums that the shared
+    OLS kernel turns into a fit, so a grid costs O(N^2) rather than O(N^3).
     """
-    if model not in _FITTERS:
-        raise ValueError(f"model must be one of {sorted(_FITTERS)}, got {model!r}")
+    if model not in _LAGS:
+        raise ValueError(f"model must be one of {sorted(_LAGS)}, got {model!r}")
     if min_window < MIN_WINDOW:
         raise ValueError(f"min_window must be at least {MIN_WINDOW}")
-    fitter = _FITTERS[model]
+    lag = _LAGS[model]
     s_lo, s_hi = start_range if start_range is not None else (excess.t0, excess.t_end)
     e_lo, e_hi = end_range if end_range is not None else (excess.t0, excess.t_end)
     if s_lo < excess.t0 or e_hi > excess.t_end:
@@ -79,14 +93,57 @@ def sweep(
             f"[{excess.t0}, {excess.t_end}]"
         )
 
+    # Only values inside [s_lo, e_hi] are ever part of a window.
+    vals = excess.values[s_lo - excess.t0 : e_hi - excess.t0 + 1]
     cells: Dict[Tuple[int, int], Cell] = {}
-    for s in range(s_lo, s_hi + 1):
-        first_e = max(e_lo, s + min_window - 1)
-        for e in range(first_e, e_hi + 1):
-            try:
-                cells[(s, e)] = fitter(excess, Window(s, e), one_sided=one_sided)
-            except (NonPositiveExcess, TooFewPoints, DegenerateRegressor) as exc:
-                cells[(s, e)] = InvalidCell(type(exc).__name__, str(exc))
+    run0 = s_lo
+    while run0 <= s_hi:
+        # Values are strictly positive from run0 up to (excluding) t = bad;
+        # for every start in that run, a window reaching bad fails there.
+        bad = run0
+        while bad <= e_hi and vals[bad - s_lo] > 0:
+            bad += 1
+        blocked = InvalidCell("NonPositiveExcess", str(NonPositiveExcess(bad)))
+        run_end = min(max(bad, run0 + 1), s_hi + 1)
+        if bad - 1 >= max(e_lo, run0 + min_window - 1):
+            # some window inside the run is long enough: fit them all from
+            # one log growth and one integer image of the run
+            run = vals[run0 - s_lo : bad - s_lo]
+            g = log_growth(run, run0)
+            xf, yf = (g[:-1], g[1:]) if lag else (run[:-1], g)
+            xs, px = _scaled_ints(xf)
+            ys, py = _scaled_ints(yf)
+        for s in range(run0, run_end):
+            first_e = max(e_lo, s + min_window - 1)
+            n = sx = sy = sxx = sxy = syy = 0
+            xmin, xmax = math.inf, -math.inf
+            j = s - run0  # next pair to add: cell (s, e) holds pairs s .. e-1-lag
+            for e in range(first_e, e_hi + 1):
+                if e >= bad:
+                    cells[(s, e)] = blocked
+                    continue
+                while j < e - lag - run0:
+                    x, y, xv = xs[j], ys[j], xf[j]
+                    n += 1
+                    sx += x
+                    sy += y
+                    sxx += x * x
+                    sxy += x * y
+                    syy += y * y
+                    if xv < xmin:
+                        xmin = xv
+                    if xv > xmax:
+                        xmax = xv
+                    j += 1
+                try:
+                    _require_pairs(n)
+                    _check_spread(xmin, xmax)
+                    cells[(s, e)] = _fit_moments(
+                        model, n, sx, sy, sxx, sxy, syy, px, py, one_sided
+                    )
+                except (TooFewPoints, DegenerateRegressor) as exc:
+                    cells[(s, e)] = InvalidCell(type(exc).__name__, str(exc))
+        run0 = run_end
     return SweepGrid(
         model=model,
         start_range=(s_lo, s_hi),
