@@ -11,10 +11,11 @@ growth.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .errors import NonPositiveExcess, NoValidCells
+from .errors import InvalidConfig, NonPositiveExcess, NoValidCells
 from .regression import MODEL_PRICE, MODEL_RETURN, RationalBubbleFit, fit_rational_bubble
 from .series import MIN_WINDOW, ExperimentParams, PriceSeries, Window, excess_series
 from .sweep import SweepGrid, grid_summary, significant_fraction, sweep
@@ -136,7 +137,10 @@ def classify_series(
     wins the anchoring label, provided it reaches ``theta``.  Ties break
     toward price anchoring (the lower-lag model).  An explicit ``window``
     overrides detection, letting callers reproduce published windows.
+    A non-finite ``theta`` raises InvalidConfig.
     """
+    if not math.isfinite(theta):
+        raise InvalidConfig(f"theta must be finite, got {theta}")
     win = window if window is not None else detect_bubble_window(
         prices, params, min_window=min_window
     )

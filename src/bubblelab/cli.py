@@ -347,13 +347,14 @@ def _apply_config_file(commands, argv) -> None:
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return
-    # Converters come from the subcommands' own options, so a file value
-    # parses exactly like the same flag would.
-    types = {
-        action.dest: action.type or str
+    # Options come from the subcommands' own actions, so a file value
+    # parses and is checked exactly like the same flag would be.  A
+    # required option must be given as a flag, so it is no config key.
+    actions = {
+        action.dest: action
         for sub in commands.values()
         for action in sub._actions
-        if action.dest not in ("help", "config")
+        if action.dest not in ("help", "config") and not action.required
     }
     defaults = {}
     with open(known.config, encoding="utf-8") as fh:
@@ -365,14 +366,21 @@ def _apply_config_file(commands, argv) -> None:
                 raise InvalidConfig(f"{known.config}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in types:
+            if key not in actions:
                 raise InvalidConfig(f"{known.config}:{lineno}: unknown key {key!r}")
+            action = actions[key]
             try:
-                defaults[key] = types[key](val.strip())
+                value = (action.type or str)(val.strip())
             except ValueError:
                 raise InvalidConfig(
                     f"{known.config}:{lineno}: bad value for {key!r}"
                 ) from None
+            if action.choices and value not in action.choices:
+                raise InvalidConfig(
+                    f"{known.config}:{lineno}: {key!r} must be one of "
+                    f"{', '.join(action.choices)}, got {value!r}"
+                )
+            defaults[key] = value
     for sub in commands.values():
         known_dests = {action.dest for action in sub._actions}
         relevant = {k: v for k, v in defaults.items() if k in known_dests}

@@ -179,12 +179,20 @@ def significant_fraction(grid: SweepGrid) -> float:
 def triangular_cell_count(
     start_range: Tuple[int, int], end_range: Tuple[int, int], min_window: int
 ) -> int:
-    """Count of admissible windows, for shape checks."""
-    total = 0
-    for s in range(start_range[0], start_range[1] + 1):
-        first_e = max(end_range[0], s + min_window - 1)
-        if first_e <= end_range[1]:
-            total += end_range[1] - first_e + 1
+    """Count of admissible windows, for shape checks.
+
+    Starts up to ``e0 - min_window + 1`` may end anywhere in the end
+    range; each later start loses one end, down to the last start that
+    still fits a window.
+    """
+    (s0, s1), (e0, e1) = start_range, end_range
+    if e1 < e0:
+        return 0
+    flat = e0 - min_window + 1
+    total = max(0, min(s1, flat) - s0 + 1) * (e1 - e0 + 1)
+    lo, hi = max(s0, flat + 1), min(s1, e1 - min_window + 1)
+    if lo <= hi:  # start s has e1 - min_window + 2 - s ends
+        total += (hi - lo + 1) * (2 * (e1 - min_window + 2) - lo - hi) // 2
     return total
 
 

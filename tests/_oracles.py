@@ -2,13 +2,16 @@
 
 Deliberately implemented along different numerical routes than the
 package: the t CDF by direct quadrature of the density (no incomplete
-beta, no gamma function), and least squares by derivative-free descent
-on the raw sum of squared residuals (no normal equations).
+beta, no gamma function), least squares by derivative-free descent on
+the raw sum of squared residuals (no normal equations) and by centred
+sums over ``fractions.Fraction`` (no integer moments), and window counts
+by a loop (no closed form).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def t_cdf_quadrature(x: float, df: int, panels: int = 20000) -> float:
@@ -103,3 +106,25 @@ def brute_force_ols(xs, ys):
         a = parabola_vertex(lambda aa: ssr(aa, b), a, h)
         b = parabola_vertex(lambda bb: ssr(a, bb), b, h)
     return a, b
+
+
+def triangular_cell_count_loop(start_range, end_range, min_window):
+    """Admissible windows counted one start at a time."""
+    total = 0
+    for s in range(start_range[0], start_range[1] + 1):
+        first_e = max(end_range[0], s + min_window - 1)
+        if first_e <= end_range[1]:
+            total += end_range[1] - first_e + 1
+    return total
+
+
+def exact_ols(xs, ys):
+    """Least-squares (a, b) as exact fractions: b from the centred normal
+    equation over the rationals, then a from b rounded to a float (the
+    rounding order the package documents)."""
+    fx = [Fraction(v) for v in xs]
+    fy = [Fraction(v) for v in ys]
+    n = len(fx)
+    mx, my = sum(fx) / n, sum(fy) / n
+    b = sum((x - mx) * (y - my) for x, y in zip(fx, fy)) / sum((x - mx) ** 2 for x in fx)
+    return my - Fraction(float(b)) * mx, b

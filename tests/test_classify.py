@@ -7,6 +7,7 @@ from bubblelab import (
     EXPERIMENT_GROUP_WINDOWS,
     ExperimentParams,
     GrowthModel,
+    InvalidConfig,
     PriceSeries,
     Window,
     classify_series,
@@ -145,6 +146,14 @@ class TestClassifySeries:
         assert base.label == "anchoring_on_price"
         strict = classify_series(prices, PARAMS, theta=1.01)
         assert strict.label == "rational_exponential"
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_is_config_error(self, theta):
+        # with theta=nan both "fraction < theta" tests were false, so any
+        # bubble came out anchoring_on_price
+        prices = _prices_from_model(GrowthModel.exponential(math.log(1.1), 60.0), 20)
+        with pytest.raises(InvalidConfig):
+            classify_series(prices, PARAMS, theta=theta)
 
     def test_verdict_json_contents(self):
         model = GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0)

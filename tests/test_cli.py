@@ -290,6 +290,13 @@ class TestClassifyCommand:
         assert run_cli("classify", "--input", str(inp), "--window", "7,99",
                        "--outdir", str(tmp_path)) == 2
 
+    def test_non_finite_theta_is_config_error(self, tmp_path, capsys):
+        inp = _anchored_exponential_csv(tmp_path / "prices.csv")
+        assert run_cli("classify", "--input", str(inp), "--theta", "nan",
+                       "--outdir", str(tmp_path)) == 2
+        assert "theta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
+
 
 class TestTable2Command:
     def test_default_matches_golden_file(self, tmp_path):
@@ -395,6 +402,27 @@ class TestConfigAndEnvironment:
         cfg.write_text("frobnicate = 1\n")
         assert run_cli("simulate", "--config", str(cfg),
                        "--outdir", str(tmp_path)) == 2
+
+    def test_config_value_outside_choices_is_config_error(self, tmp_path, capsys):
+        # set_defaults skips argparse's choices check; this used to run
+        # two-sided and exit 0
+        inp = _feedback_prices_csv(tmp_path / "prices.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("confidence = bogus\n")
+        assert run_cli("sweep", "--input", str(inp), "--config", str(cfg),
+                       "--outdir", str(tmp_path)) == 2
+        assert "'confidence' must be one of" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_summary.json").exists()
+
+    def test_config_cannot_name_a_required_option(self, tmp_path, capsys):
+        # --input is required on the command line, so a config value for
+        # it could never take effect
+        inp = _feedback_prices_csv(tmp_path / "prices.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {inp}\n")
+        assert run_cli("sweep", "--input", str(inp), "--config", str(cfg),
+                       "--outdir", str(tmp_path)) == 2
+        assert "unknown key 'input'" in capsys.readouterr().err
 
     def test_undecodable_files_are_ingest_errors(self, tmp_path, capsys):
         # Latin-1 bytes that are not valid UTF-8, once as data, once as config

@@ -80,6 +80,14 @@ class TestOls2:
         with pytest.raises(TooFewPoints):
             ols2([1.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_is_config_error(self, bad):
+        # NaN used to give an all-NaN fit and inf a DegenerateRegressor
+        with pytest.raises(InvalidConfig):
+            ols2([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InvalidConfig):
+            ols2([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0])
+
     def test_lower_bounds_use_t_quantile(self):
         rng = random.Random(9)
         xs = [rng.gauss(0, 1) for _ in range(10)]

@@ -22,6 +22,8 @@ from bubblelab import (
     triangular_cell_count,
 )
 
+from _oracles import triangular_cell_count_loop
+
 
 def _feedback_excess(steps=26):
     return iterate(GrowthModel.price_feedback(math.log(1.09), 1e-4, 60.0), steps)
@@ -34,6 +36,14 @@ class TestSweepShape:
         assert len(grid.cells) == 136
         assert triangular_cell_count((7, 26), (7, 26), 5) == 136
         assert all(e - s + 1 >= 5 for (s, e) in grid.cells)
+
+    @pytest.mark.parametrize("min_window", [5, 6, 9])
+    @pytest.mark.parametrize("start_range", [(0, 20), (3, 9), (12, 18), (7, 6), (-4, 2)])
+    @pytest.mark.parametrize("end_range", [(0, 20), (5, 14), (10, 10), (15, 30), (9, 4)])
+    def test_triangular_count_matches_loop(self, start_range, end_range, min_window):
+        assert triangular_cell_count(start_range, end_range, min_window) == (
+            triangular_cell_count_loop(start_range, end_range, min_window)
+        )
 
     def test_full_span_default(self):
         excess = _feedback_excess(20)
