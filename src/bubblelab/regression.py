@@ -65,11 +65,6 @@ def _scaled_ints(values) -> Tuple[list, int]:
     return [num << (p + 1 - den.bit_length()) for num, den in ratios], p
 
 
-def _require_pairs(n: int) -> None:
-    if n < 3:
-        raise TooFewPoints(f"window yields {n} pairs, need 3")
-
-
 def _check_spread(xmin: float, xmax: float) -> None:
     """Reject a regressor whose float spread is a few ulps of its size."""
     spread = xmax - xmin
@@ -199,7 +194,8 @@ def fit_price_model(
     vals = excess.window_values(window)
     ys = log_growth(vals, window.start)
     xs = vals[:-1]
-    _require_pairs(len(xs))
+    if len(xs) < 3:
+        raise TooFewPoints(f"window yields {len(xs)} pairs, need 3")
     return ols2(xs, ys, model=MODEL_PRICE, one_sided=one_sided)
 
 
@@ -215,7 +211,8 @@ def fit_return_model(
     g = log_growth(excess.window_values(window), window.start)
     xs = g[:-1]
     ys = g[1:]
-    _require_pairs(len(xs))
+    if len(xs) < 3:
+        raise TooFewPoints(f"window yields {len(xs)} pairs, need 3")
     return ols2(xs, ys, model=MODEL_RETURN, one_sided=one_sided)
 
 

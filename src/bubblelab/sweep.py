@@ -18,7 +18,6 @@ from .errors import (
     DegenerateRegressor,
     NonPositiveExcess,
     NoValidCells,
-    TooFewPoints,
 )
 from .regression import (
     MODEL_PRICE,
@@ -26,7 +25,6 @@ from .regression import (
     OlsFit,
     _check_spread,
     _fit_moments,
-    _require_pairs,
     _scaled_ints,
 )
 from .series import MIN_WINDOW, ExcessSeries, log_growth
@@ -135,13 +133,13 @@ def sweep(
                     if xv > xmax:
                         xmax = xv
                     j += 1
+                # n >= 3 (see MIN_WINDOW), so no cell has TooFewPoints
                 try:
-                    _require_pairs(n)
                     _check_spread(xmin, xmax)
                     cells[(s, e)] = _fit_moments(
                         model, n, sx, sy, sxx, sxy, syy, px, py, one_sided
                     )
-                except (TooFewPoints, DegenerateRegressor) as exc:
+                except DegenerateRegressor as exc:
                     cells[(s, e)] = InvalidCell(type(exc).__name__, str(exc))
         run0 = run_end
     return SweepGrid(

@@ -22,6 +22,7 @@ from bubblelab import (
     fit_return_model,
     ols2,
     sweep,
+    triangular_cell_count,
 )
 
 from _oracles import exact_ols
@@ -93,10 +94,23 @@ def test_ols2_rejects_non_finite_data(data, bad, in_x, draw):
     st.integers(min_value=-5, max_value=5),
     st.sampled_from(["price", "return"]),
     st.sampled_from([5, 6]),
+    st.data(),
 )
-def test_every_sweep_cell_equals_the_standalone_fit(values, t0, model, min_window):
+def test_every_sweep_cell_equals_the_standalone_fit(values, t0, model, min_window, draw):
     excess = ExcessSeries(t0, tuple(values))
-    grid = sweep(excess, model, min_window=min_window)
+    t_end = excess.t_end
+    bounds = {}
+    if draw.draw(st.booleans()):  # sub-ranges instead of the full span
+        s_lo = draw.draw(st.integers(t0, t_end))
+        e_hi = draw.draw(st.integers(t0, t_end))
+        bounds = {
+            "start_range": (s_lo, draw.draw(st.integers(s_lo - 1, t_end + 2))),
+            "end_range": (draw.draw(st.integers(t0 - 2, e_hi + 1)), e_hi),
+        }
+    grid = sweep(excess, model, min_window=min_window, **bounds)
+    assert len(grid.cells) == triangular_cell_count(
+        grid.start_range, grid.end_range, min_window
+    )
     for (s, e), cell in grid.cells.items():
         assert cell == _standalone(model, excess, Window(s, e))
 
