@@ -149,8 +149,8 @@ class TestClassifySeries:
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta_is_config_error(self, theta):
-        # with theta=nan both "fraction < theta" tests were false, so any
-        # bubble came out anchoring_on_price
+        # with theta=nan both "fraction < theta" tests are false, so any
+        # bubble would be labelled anchoring_on_price
         prices = _prices_from_model(GrowthModel.exponential(math.log(1.1), 60.0), 20)
         with pytest.raises(InvalidConfig):
             classify_series(prices, PARAMS, theta=theta)

@@ -404,8 +404,8 @@ class TestConfigAndEnvironment:
                        "--outdir", str(tmp_path)) == 2
 
     def test_config_value_outside_choices_is_config_error(self, tmp_path, capsys):
-        # set_defaults skips argparse's choices check; this used to run
-        # two-sided and exit 0
+        # set_defaults skips argparse's choices check, so a bogus value
+        # would silently run two-sided
         inp = _feedback_prices_csv(tmp_path / "prices.csv")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("confidence = bogus\n")

@@ -82,7 +82,7 @@ class TestOls2:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_data_is_config_error(self, bad):
-        # NaN used to give an all-NaN fit and inf a DegenerateRegressor
+        # not an all-NaN fit (NaN), nor a DegenerateRegressor (inf)
         with pytest.raises(InvalidConfig):
             ols2([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(InvalidConfig):
