@@ -156,11 +156,12 @@ def ols2(
 
     Residual variance uses n-2 degrees of freedom; the lower confidence
     bounds subtract t(0.975, df) standard errors (t(0.95, df) when
-    ``one_sided`` is set).  Non-finite data raises InvalidConfig.
+    ``one_sided`` is set).  Non-finite data, or x and y of different
+    lengths, raise InvalidConfig.
     """
     n = len(x)
     if n != len(y):
-        raise TooFewPoints(f"x and y lengths differ: {n} vs {len(y)}")
+        raise InvalidConfig(f"x and y lengths differ: {n} vs {len(y)}")
     if n < 3:
         raise TooFewPoints(f"need at least 3 points for a two-parameter fit, got {n}")
 

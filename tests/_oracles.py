@@ -6,12 +6,18 @@ beta, no gamma function), least squares by derivative-free descent on
 the raw sum of squared residuals (no normal equations) and by centred
 sums over ``fractions.Fraction`` (no integer moments), and window counts
 by a loop (no closed form).
+
+``t_quantile_reference`` is the exception: it is the package's original
+bisection of ``t_cdf``, kept verbatim because it defines the float that
+``t_quantile`` must return.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from bubblelab import t_cdf
 
 
 def t_cdf_quadrature(x: float, df: int, panels: int = 20000) -> float:
@@ -116,6 +122,29 @@ def triangular_cell_count_loop(start_range, end_range, min_window):
         if first_e <= end_range[1]:
             total += end_range[1] - first_e + 1
     return total
+
+
+def t_quantile_reference(p: float, df: int) -> float:
+    """The t quantile by plain bisection of the package's ``t_cdf``: the
+    definition ``t_quantile`` reproduces bit for bit."""
+    if p == 0.5:
+        return 0.0
+    if p < 0.5:
+        return -t_quantile_reference(1.0 - p, df)
+    lo, hi = 0.0, 1.0
+    while t_cdf(hi, df) < p:
+        hi *= 2.0
+        if hi > 1e300:
+            raise ArithmeticError("quantile bracket expansion failed")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if t_cdf(mid, df) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def exact_ols(xs, ys):

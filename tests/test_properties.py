@@ -22,10 +22,12 @@ from bubblelab import (
     fit_return_model,
     ols2,
     sweep,
+    t_cdf,
+    t_quantile,
     triangular_cell_count,
 )
 
-from _oracles import exact_ols
+from _oracles import exact_ols, t_quantile_reference
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -47,6 +49,10 @@ def xy_data(draw, min_size=3, max_size=25):
     xs = draw(st.lists(finite, min_size=n, max_size=n))
     ys = draw(st.lists(finite, min_size=n, max_size=n))
     return xs, ys
+
+
+probability = st.floats(min_value=1e-6, max_value=1 - 1e-6, exclude_min=True, exclude_max=True)
+degrees_of_freedom = st.integers(min_value=1, max_value=5000)
 
 
 def _standalone(model, excess, window):
@@ -130,3 +136,15 @@ def test_data_outside_a_window_has_no_effect(values, model, draw):
     a = sweep(ExcessSeries(0, tuple(values)), model).cells[(s, e)]
     b = sweep(ExcessSeries(0, tuple(perturbed)), model).cells[(s, e)]
     assert a == b
+
+
+@PROPERTY
+@given(probability, degrees_of_freedom)
+def test_t_quantile_equals_the_reference_bisection(p, df):
+    assert t_quantile(p, df) == t_quantile_reference(p, df)
+
+
+@PROPERTY
+@given(probability, degrees_of_freedom)
+def test_t_quantile_inverts_t_cdf(p, df):
+    assert abs(t_cdf(t_quantile(p, df), df) - p) <= 1e-10

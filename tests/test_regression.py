@@ -88,6 +88,11 @@ class TestOls2:
         with pytest.raises(InvalidConfig):
             ols2([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0])
 
+    def test_length_mismatch_is_config_error(self):
+        # a caller error, not a window too short to fit
+        with pytest.raises(InvalidConfig, match="lengths differ: 3 vs 2"):
+            ols2([1.0, 2.0, 3.0], [1.0, 2.0])
+
     def test_lower_bounds_use_t_quantile(self):
         rng = random.Random(9)
         xs = [rng.gauss(0, 1) for _ in range(10)]

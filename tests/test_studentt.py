@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
-from bubblelab import regularized_incomplete_beta, t_cdf, t_quantile
+from bubblelab import regularized_incomplete_beta, studentt, t_cdf, t_quantile
 
-from _oracles import t_cdf_quadrature, t_quantile_bisect
+from _oracles import t_cdf_quadrature, t_quantile_bisect, t_quantile_reference
 
 
 class TestIncompleteBeta:
@@ -27,6 +29,15 @@ class TestIncompleteBeta:
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [(2.0, 3.0, math.nan), (math.nan, 3.0, 0.5), (2.0, math.nan, 0.5), (math.inf, 3.0, 0.5)],
+    )
+    def test_non_finite_arguments_are_domain_errors(self, a, b, x):
+        # not an ArithmeticError from a continued fraction that never converges
+        with pytest.raises(ValueError):
+            regularized_incomplete_beta(a, b, x)
+
 
 class TestTCdf:
     def test_symmetry_at_zero(self):
@@ -46,6 +57,10 @@ class TestTCdf:
             t_cdf(1.0, 0)
         with pytest.raises(ValueError):
             t_cdf(1.0, 2.5)
+
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            t_cdf(math.nan, 5)
 
 
 class TestTQuantile:
@@ -76,6 +91,29 @@ class TestTQuantile:
             for p in (0.9, 0.95, 0.975, 0.99):
                 q = t_quantile(p, df)
                 assert t_cdf(q, df) == pytest.approx(p, abs=1e-8)
+
+    def test_equals_reference_bisection(self):
+        # every df a sweep of up to 400 points asks for, both confidences
+        for df in range(1, 401):
+            for p in (0.95, 0.975, 0.05, 0.025):
+                assert t_quantile(p, df) == t_quantile_reference(p, df), (p, df)
+
+    def test_cold_quantile_cdf_evaluations(self, monkeypatch):
+        # each t_cdf(x != 0) call runs the continued fraction exactly once
+        calls = 0
+        betacf = studentt._betacf
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return betacf(*args)
+
+        monkeypatch.setattr(studentt, "_betacf", counting)
+        t_quantile.cache_clear()
+        dfs = range(1, 201)
+        for df in dfs:
+            t_quantile(0.975, df)
+        assert calls / len(dfs) <= 24
 
     def test_domain(self):
         with pytest.raises(ValueError):
