@@ -54,7 +54,6 @@ from .series import (
     ExcessSeries,
     ExperimentParams,
     PriceSeries,
-    ReturnSeries,
     Series,
     Window,
     discrete_returns,

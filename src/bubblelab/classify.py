@@ -137,10 +137,13 @@ def classify_series(
     wins the anchoring label, provided it reaches ``theta``.  Ties break
     toward price anchoring (the lower-lag model).  An explicit ``window``
     overrides detection, letting callers reproduce published windows.
-    A non-finite ``theta`` raises InvalidConfig.
+    A non-finite ``theta`` or a ``min_window`` below MIN_WINDOW raises
+    InvalidConfig, whatever the window.
     """
     if not math.isfinite(theta):
         raise InvalidConfig(f"theta must be finite, got {theta}")
+    if min_window < MIN_WINDOW:
+        raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
     win = window if window is not None else detect_bubble_window(
         prices, params, min_window=min_window
     )

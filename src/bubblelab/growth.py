@@ -76,11 +76,8 @@ class GrowthModel:
 
 
 def _step_log_growth(model: GrowthModel, level: float, prev_g: float) -> float:
-    if model.variant == PRICE_FEEDBACK:
-        return model.a + model.b * level
-    if model.variant == RETURN_FEEDBACK:
-        return model.a + model.b * prev_g
-    return model.a + model.b * level  # exponential: b is 0, same arithmetic path
+    # the exponential variant is price feedback with b = 0
+    return model.a + model.b * (prev_g if model.variant == RETURN_FEEDBACK else level)
 
 
 def iterate(model: GrowthModel, steps: int, noise=None) -> ExcessSeries:

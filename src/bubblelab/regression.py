@@ -21,6 +21,11 @@ MODEL_PRICE = "price"
 MODEL_RETURN = "return"
 MODEL_RATIONAL = "rational"
 
+# Lag of each feedback model's regressor behind the log growth it
+# explains: the price model regresses g[t] on excess[t-1], the return
+# model on g[t-1].
+_LAGS = {MODEL_PRICE: 0, MODEL_RETURN: 1}
+
 # Regressor spread below a few ulps of its own magnitude carries no
 # information; treat it as constant rather than dividing by noise.
 _DEGENERACY_ULPS = 32.0
@@ -183,6 +188,18 @@ def ols2(
     )
 
 
+def _pairs(model: str, values: Sequence[float], t0: int) -> Tuple[Sequence, list]:
+    """The (x, y) pairs ``model`` regresses on ``values`` starting at t0.
+
+    y is the log growth g[t] = log(v[t]/v[t-1]).  The price model's x is
+    the level v[t-1]; the return model's x is g[t-1], one lag further
+    back, so it yields one pair fewer.
+    """
+    g = log_growth(values, t0)
+    lag = _LAGS[model]
+    return (g if lag else values)[:-1], g[lag:]
+
+
 def fit_price_model(
     excess: ExcessSeries, window: Window, one_sided: bool = False
 ) -> OlsFit:
@@ -192,11 +209,7 @@ def fit_price_model(
     (start, end]; a positive slope means the growth rate itself grows
     with the price level.
     """
-    vals = excess.window_values(window)
-    ys = log_growth(vals, window.start)
-    xs = vals[:-1]
-    if len(xs) < 3:
-        raise TooFewPoints(f"window yields {len(xs)} pairs, need 3")
+    xs, ys = _pairs(MODEL_PRICE, excess.window_values(window), window.start)
     return ols2(xs, ys, model=MODEL_PRICE, one_sided=one_sided)
 
 
@@ -209,11 +222,7 @@ def fit_return_model(
     so a window of the same length yields one fewer observation; only
     data inside [start, end] is touched.
     """
-    g = log_growth(excess.window_values(window), window.start)
-    xs = g[:-1]
-    ys = g[1:]
-    if len(xs) < 3:
-        raise TooFewPoints(f"window yields {len(xs)} pairs, need 3")
+    xs, ys = _pairs(MODEL_RETURN, excess.window_values(window), window.start)
     return ols2(xs, ys, model=MODEL_RETURN, one_sided=one_sided)
 
 

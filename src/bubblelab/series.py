@@ -104,15 +104,6 @@ class Series:
     def t_end(self) -> int:
         return self.t0 + len(self.values) - 1
 
-    def offset(self, t: int) -> int:
-        """Position of absolute time t inside the series."""
-        if not (self.t0 <= t <= self.t_end):
-            raise ValueError(f"t={t} outside series range [{self.t0}, {self.t_end}]")
-        return t - self.t0
-
-    def at(self, t: int) -> float:
-        return self.values[self.offset(t)]
-
     def window_values(self, window: Window) -> tuple:
         """Values on the inclusive [start, end] window, which must lie
         inside the series."""
@@ -130,27 +121,6 @@ class Series:
 
 
 PriceSeries = ExcessSeries = Series
-
-
-DISCRETE = "discrete"
-LOG_EXCESS = "log_excess"
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Period returns; ``kind`` distinguishes discrete from log-excess returns."""
-
-    t0: int
-    values: tuple
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (DISCRETE, LOG_EXCESS):
-            raise InvalidConfig(f"unknown return kind {self.kind!r}")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -177,11 +147,12 @@ def excess_series(prices: PriceSeries, params: ExperimentParams) -> ExcessSeries
     return ExcessSeries(prices.t0, tuple(v - pf for v in prices.values))
 
 
-def discrete_returns(series) -> ReturnSeries:
-    """Per-period discrete returns value[t]/value[t-1] - 1.
+def discrete_returns(series: Series) -> Series:
+    """Per-period discrete returns value[t]/value[t-1] - 1, from t0 + 1.
 
     Works on price or excess series alike; every value must be strictly
-    positive for the ratio to be meaningful.
+    positive for the ratio to be meaningful, and a return that leaves the
+    float range raises InvalidConfig.
     """
     vals = series.values
     if len(vals) < 2:
@@ -193,7 +164,7 @@ def discrete_returns(series) -> ReturnSeries:
                 "discrete returns need strictly positive levels"
             )
     rets = tuple(vals[i + 1] / vals[i] - 1.0 for i in range(len(vals) - 1))
-    return ReturnSeries(series.t0 + 1, rets, DISCRETE)
+    return Series(series.t0 + 1, rets)
 
 
 def log_growth(values: Sequence[float], t0: int) -> list:
@@ -201,19 +172,28 @@ def log_growth(values: Sequence[float], t0: int) -> list:
 
     Defined only while every value is strictly positive; a zero or
     negative value raises NonPositiveExcess naming the first offending
-    time index t0 + i (the values lie outside a bubble regime).
+    time index t0 + i (the values lie outside a bubble regime).  A ratio
+    that underflows to 0 or overflows to inf raises InvalidConfig naming
+    the time t0 + i + 1 of its growth rate.
     """
     for i, v in enumerate(values):
         if v <= 0:
             raise NonPositiveExcess(t0 + i)
-    return [math.log(values[i + 1] / values[i]) for i in range(len(values) - 1)]
+    ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
+    for i, q in enumerate(ratios):
+        if not 0.0 < q < math.inf:
+            raise InvalidConfig(
+                f"growth ratio at t={t0 + i + 1} is outside the float range"
+            )
+    return [math.log(q) for q in ratios]
 
 
-def log_excess_returns(excess: ExcessSeries) -> ReturnSeries:
-    """Natural-log growth rates log(excess[t]/excess[t-1]); see log_growth."""
+def log_excess_returns(excess: ExcessSeries) -> Series:
+    """Natural-log growth rates log(excess[t]/excess[t-1]) from t0 + 1;
+    see log_growth."""
     if len(excess) < 2:
         raise InvalidConfig("need at least two observations for returns")
-    return ReturnSeries(excess.t0 + 1, log_growth(excess.values, excess.t0), LOG_EXCESS)
+    return Series(excess.t0 + 1, log_growth(excess.values, excess.t0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +201,13 @@ def log_excess_returns(excess: ExcessSeries) -> ReturnSeries:
 # ---------------------------------------------------------------------------
 
 
-def load_csv(
-    path,
-    params: Optional[ExperimentParams] = None,
-    time_col: str = "t",
-    price_col: str = "price",
-):
+def load_csv(path, params: Optional[ExperimentParams] = None):
     """Read a price series, plus per-trader forecast columns when present.
+
+    The header is fixed, ``t,price[,h1..hH]``: a ``t`` and a ``price``
+    column plus optional forecast columns ``h1``, ``h2``, ...  Rows must
+    advance t by one, and prices and forecasts must lie in the
+    ``[p_min, p_max]`` band of ``params``.
 
     Returns ``(PriceSeries, forecasts)`` where ``forecasts`` is a tuple of
     per-trader tuples (one per h1..hH column, aligned with the series) or
@@ -240,10 +220,10 @@ def load_csv(
         raise MalformedRow(1, "empty file")
 
     header = [c.strip() for c in lines[0].split(",")]
-    if time_col not in header or price_col not in header:
-        raise MalformedRow(1, f"header must name {time_col!r} and {price_col!r} columns")
-    t_idx = header.index(time_col)
-    p_idx = header.index(price_col)
+    if "t" not in header or "price" not in header:
+        raise MalformedRow(1, "header must name 't' and 'price' columns")
+    t_idx = header.index("t")
+    p_idx = header.index("price")
     fc_idx = []
     h = 1
     while f"h{h}" in header:

@@ -16,18 +16,19 @@ from typing import Dict, Optional, Tuple, Union
 
 from .errors import (
     DegenerateRegressor,
+    InvalidConfig,
     NonPositiveExcess,
     NoValidCells,
 )
 from .regression import (
-    MODEL_PRICE,
-    MODEL_RETURN,
+    _LAGS,
     OlsFit,
     _check_spread,
     _fit_moments,
+    _pairs,
     _scaled_ints,
 )
-from .series import MIN_WINDOW, ExcessSeries, log_growth
+from .series import MIN_WINDOW, ExcessSeries
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,6 @@ class SweepGrid:
         return sum(1 for c in self.cells.values() if isinstance(c, OlsFit))
 
 
-_LAGS = {MODEL_PRICE: 0, MODEL_RETURN: 1}
-
-
 def sweep(
     excess: ExcessSeries,
     model: str,
@@ -70,8 +68,8 @@ def sweep(
     """Fit ``model`` on every admissible window within the given bounds.
 
     Bounds default to the full series span.  Per-window errors (windows
-    crossing non-positive excess prices, degenerate regressors, too few
-    points) become invalid-cell markers rather than failing the sweep.
+    crossing non-positive excess prices, degenerate regressors) become
+    invalid-cell markers rather than failing the sweep.
 
     Each cell equals ``fit_price_model``/``fit_return_model`` on its
     window, bit for bit, but costs O(1): for a fixed start the window
@@ -81,7 +79,7 @@ def sweep(
     if model not in _LAGS:
         raise ValueError(f"model must be one of {sorted(_LAGS)}, got {model!r}")
     if min_window < MIN_WINDOW:
-        raise ValueError(f"min_window must be at least {MIN_WINDOW}")
+        raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
     lag = _LAGS[model]
     s_lo, s_hi = start_range if start_range is not None else (excess.t0, excess.t_end)
     e_lo, e_hi = end_range if end_range is not None else (excess.t0, excess.t_end)
@@ -105,10 +103,8 @@ def sweep(
         run_end = min(max(bad, run0 + 1), s_hi + 1)
         if bad - 1 >= max(e_lo, run0 + min_window - 1):
             # some window inside the run is long enough: fit them all from
-            # one log growth and one integer image of the run
-            run = vals[run0 - s_lo : bad - s_lo]
-            g = log_growth(run, run0)
-            xf, yf = (g[:-1], g[1:]) if lag else (run[:-1], g)
+            # one set of pairs and one integer image of the run
+            xf, yf = _pairs(model, vals[run0 - s_lo : bad - s_lo], run0)
             xs, px = _scaled_ints(xf)
             ys, py = _scaled_ints(yf)
         for s in range(run0, run_end):

@@ -155,6 +155,13 @@ class TestClassifySeries:
         with pytest.raises(InvalidConfig):
             classify_series(prices, PARAMS, theta=theta)
 
+    def test_min_window_below_five_is_config_error(self):
+        # the detected window [2, 4] is too short even for min_window=3,
+        # so the bad setting must be caught before the length test
+        prices = PriceSeries(0, (60.0, 61.0, 62.0, 63.0, 64.0))
+        with pytest.raises(InvalidConfig, match="min_window"):
+            classify_series(prices, PARAMS, min_window=3)
+
     def test_verdict_json_contents(self):
         model = GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0)
         prices = _prices_from_model(model, 20, sigma=0.01, seed=1)

@@ -100,6 +100,17 @@ def _anchored_exponential_csv(path, steps=20):
     return path
 
 
+def _extreme_prices_csv(path, first):
+    # prices that leave the float range in one step; written as text since
+    # write_csv would round 1e-300 to 0.00.  Needs --params D=0,p_max=1e308.
+    rows = [f"{t},{p}" for t, p in enumerate((*first, 1.0, 2.0, 3.0, 4.0))]
+    path.write_text("t,price\n" + "\n".join(rows) + "\n")
+    return path
+
+
+EXTREME_PARAMS = ("--params", "D=0,p_max=1e308")
+
+
 def _geometric_prices_csv(path, steps=20):
     # prices themselves grow at a constant rate: returns sit on the diagonal;
     # written at full precision since cent-rounding breaks exact geometry
@@ -238,6 +249,15 @@ class TestSweepCommand:
         n_wide = len((wide / "price_grid.csv").read_text().strip().split("\n")) - 1
         n_narrow = len((narrow / "price_grid.csv").read_text().strip().split("\n")) - 1
         assert n_narrow < n_wide
+
+    @pytest.mark.parametrize("first", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_growth_ratio_outside_float_range_is_config_error(
+        self, first, tmp_path, capsys
+    ):
+        inp = _extreme_prices_csv(tmp_path / "prices.csv", first)
+        assert run_cli("sweep", "--input", str(inp), *EXTREME_PARAMS,
+                       "--outdir", str(tmp_path)) == 2
+        assert "growth ratio at t=1" in capsys.readouterr().err
 
 
 class TestClassifyCommand:
@@ -378,6 +398,14 @@ class TestPlotdataCommand:
         assert (tmp_path / "plot_price_grid.csv").exists()
         assert (tmp_path / "plot_return_grid.csv").exists()
 
+    def test_non_finite_return_is_config_error(self, tmp_path, capsys):
+        # 1e300 / 1e-300 - 1 overflows to inf, which no row may carry
+        inp = _extreme_prices_csv(tmp_path / "prices.csv", (1e-300, 1e300))
+        assert run_cli("plotdata", "--input", str(inp), *EXTREME_PARAMS,
+                       "--outdir", str(tmp_path)) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "plot_returns.csv").exists()
+
 
 class TestConfigAndEnvironment:
     def test_config_file_supplies_defaults(self, tmp_path):
@@ -435,6 +463,13 @@ class TestConfigAndEnvironment:
         assert run_cli("simulate", "--config", str(cfg), "--outdir", str(tmp_path)) == 3
         assert "codec can't decode" in capsys.readouterr().err
         assert not (tmp_path / "simulation.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "classify", "plotdata"])
+    def test_min_window_below_five_is_config_error(self, command, tmp_path, capsys):
+        inp = _feedback_prices_csv(tmp_path / "prices.csv")
+        assert run_cli(command, "--input", str(inp), "--min-window", "3",
+                       "--outdir", str(tmp_path)) == 2
+        assert "min_window must be at least 5" in capsys.readouterr().err
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BUBBLELAB_OUTDIR", str(tmp_path / "envout"))

@@ -11,15 +11,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bubblelab import (
+    BubbleLabError,
     DegenerateRegressor,
     ExcessSeries,
     InvalidCell,
     InvalidConfig,
     NonPositiveExcess,
+    Series,
     TooFewPoints,
     Window,
+    discrete_returns,
     fit_price_model,
     fit_return_model,
+    log_excess_returns,
     ols2,
     sweep,
     t_cdf,
@@ -148,3 +152,24 @@ def test_t_quantile_equals_the_reference_bisection(p, df):
 @given(probability, degrees_of_freedom)
 def test_t_quantile_inverts_t_cdf(p, df):
     assert abs(t_cdf(t_quantile(p, df), df) - p) <= 1e-10
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([discrete_returns, log_excess_returns]),
+)
+def test_returns_are_a_finite_series(values, t0, returns):
+    # ratios of positive floats may underflow to 0 or overflow to inf
+    try:
+        rets = returns(Series(t0, tuple(values)))
+    except BubbleLabError:
+        return
+    assert isinstance(rets, Series)
+    assert rets.t0 == t0 + 1 and len(rets) == len(values) - 1
+    assert all(math.isfinite(v) for v in rets.values)

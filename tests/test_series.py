@@ -12,6 +12,7 @@ from bubblelab import (
     NonPositiveExcess,
     OutOfRange,
     PriceSeries,
+    Series,
     Window,
     discrete_returns,
     excess_series,
@@ -111,7 +112,7 @@ class TestDiscreteReturns:
     def test_ten_percent_step(self):
         rets = discrete_returns(PriceSeries(0, (100.0, 110.0)))
         assert rets.values[0] == pytest.approx(0.10, abs=1e-12)
-        assert rets.t0 == 1 and rets.kind == "discrete"
+        assert rets.t0 == 1 and isinstance(rets, Series)
 
     def test_constant_series(self):
         rets = discrete_returns(PriceSeries(0, (60.0, 60.0, 60.0)))
@@ -131,7 +132,7 @@ class TestLogExcessReturns:
     def test_no_growth(self):
         rets = log_excess_returns(ExcessSeries(0, (60.0, 60.0)))
         assert rets.values == (0.0,)
-        assert rets.kind == "log_excess"
+        assert isinstance(rets, Series)
 
     def test_ln_one_point_one(self):
         rets = log_excess_returns(ExcessSeries(0, (60.0, 66.0)))

@@ -7,6 +7,7 @@ from bubblelab import (
     ExcessSeries,
     GrowthModel,
     InvalidCell,
+    InvalidConfig,
     NoValidCells,
     OlsFit,
     Window,
@@ -64,6 +65,10 @@ class TestSweepShape:
         with pytest.raises(ValueError):
             sweep(excess, "nonsense")
 
+    def test_min_window_below_five_is_config_error(self):
+        with pytest.raises(InvalidConfig, match="min_window"):
+            sweep(_feedback_excess(10), "price", min_window=3)
+
 
 class TestSweepCells:
     def test_noise_free_feedback_recovers_b_everywhere(self):
@@ -113,6 +118,14 @@ class TestSweepCells:
         assert grid.n_valid() == 0
         kinds = {c.error_kind for c in grid.cells.values()}
         assert kinds == {"DegenerateRegressor"}
+
+    @pytest.mark.parametrize("model", ["price", "return"])
+    @pytest.mark.parametrize("first", [(1e200, 1e-200), (1e-200, 1e200)])
+    def test_growth_ratio_outside_float_range_names_t(self, first, model):
+        # 1e-200 / 1e200 underflows to 0 and 1e200 / 1e-200 overflows
+        excess = ExcessSeries(0, (*first, 1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(InvalidConfig, match="t=1"):
+            sweep(excess, model)
 
 
 class TestSignificance:
