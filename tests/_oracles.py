@@ -4,8 +4,8 @@ Deliberately implemented along different numerical routes than the
 package: the t CDF by direct quadrature of the density (no incomplete
 beta, no gamma function), least squares by derivative-free descent on
 the raw sum of squared residuals (no normal equations) and by centred
-sums over ``fractions.Fraction`` (no integer moments), and window counts
-by a loop (no closed form).
+and residual-by-residual sums over ``fractions.Fraction`` (no integer
+moments), and window counts by a loop (no closed form).
 
 ``t_quantile_reference`` is the exception: it is the package's original
 bisection of ``t_cdf``, kept verbatim because it defines the float that
@@ -157,3 +157,27 @@ def exact_ols(xs, ys):
     mx, my = sum(fx) / n, sum(fy) / n
     b = sum((x - mx) * (y - my) for x, y in zip(fx, fy)) / sum((x - mx) ** 2 for x in fx)
     return my - Fraction(float(b)) * mx, b
+
+
+def exact_fit_stats(xs, ys, a, b):
+    """Squared standard errors, r2 and the perfect flag of the float fit
+    (a, b), from its residual sum of squares summed residual by residual
+    over the rationals.
+
+    Returns ``(se_a2, se_b2, r2, perfect)``: the squared standard errors
+    as exact fractions, r2 rounded once and clamped at 0 (1.0 for a
+    constant response).
+    """
+    fx = [Fraction(v) for v in xs]
+    fy = [Fraction(v) for v in ys]
+    fa, fb = Fraction(a), Fraction(b)
+    n = len(fx)
+    df = n - 2
+    ssr = sum((y - fa - fb * x) ** 2 for x, y in zip(fx, fy))
+    mx, my = sum(fx) / n, sum(fy) / n
+    sxx = sum((x - mx) ** 2 for x in fx)
+    syy = sum((y - my) ** 2 for y in fy)
+    se_a2 = ssr * sum(x * x for x in fx) / (n * df * sxx)
+    se_b2 = ssr / (df * sxx)
+    r2 = max(0.0, float(1 - ssr / syy)) if syy else 1.0
+    return se_a2, se_b2, r2, ssr == 0

@@ -7,7 +7,7 @@ same examples and leaves no files behind.
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubblelab import (
@@ -31,7 +31,7 @@ from bubblelab import (
     triangular_cell_count,
 )
 
-from _oracles import exact_ols, t_quantile_reference
+from _oracles import exact_fit_stats, exact_ols, t_quantile_reference
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -53,6 +53,21 @@ def xy_data(draw, min_size=3, max_size=25):
     xs = draw(st.lists(finite, min_size=n, max_size=n))
     ys = draw(st.lists(finite, min_size=n, max_size=n))
     return xs, ys
+
+
+@st.composite
+def near_line_data(draw, min_size=3, max_size=12):
+    """Small-integer x and y within 1/8 of a line on a grid of eighths.
+
+    The fitted intercept is then often far smaller than the grid, so its
+    float needs more fractional bits than the slope and the data
+    together: the case where the kernel scales its residual sum up to
+    the intercept's bits."""
+    n = draw(st.integers(min_value=min_size, max_value=max_size))
+    xs = [float(v) for v in draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))]
+    b = draw(st.integers(-400, 400)) / 8
+    offsets = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    return xs, [b * x + k / 8 for x, k in zip(xs, offsets)]
 
 
 probability = st.floats(min_value=1e-6, max_value=1 - 1e-6, exclude_min=True, exclude_max=True)
@@ -81,6 +96,38 @@ def test_ols2_slope_and_intercept_are_correctly_rounded(data):
     assert fit.a == float(a_exact)
     assert all(math.isfinite(v) for v in (fit.se_a, fit.se_b, fit.r2))
     assert 0.0 <= fit.r2 <= 1.0
+
+
+@PROPERTY
+@given(st.one_of(xy_data(), near_line_data()))
+@example(([0.0, 1.0, 2.0], [0.0, 0.125, 0.125]))  # a = 1/48, b = 1/16
+def test_ols2_standard_errors_and_r2_are_correctly_rounded(data):
+    xs, ys = data
+    try:
+        fit = ols2(xs, ys)
+    except DegenerateRegressor:
+        assume(False)
+    se_a2, se_b2, r2, perfect = exact_fit_stats(xs, ys, fit.a, fit.b)
+    assert fit.se_a == math.sqrt(float(se_a2))
+    assert fit.se_b == math.sqrt(float(se_b2))
+    assert fit.r2 == r2
+    assert fit.perfect == perfect
+
+
+def test_intercept_finer_than_slope_and_data_is_exact():
+    # the data sit on eighths (2**3), b = 1/16 needs 4 more bits, but
+    # a = 1/48 needs far more than 3 + 4 fractional bits
+    xs, ys = [0.0, 1.0, 2.0], [0.0, 0.125, 0.125]
+    fit = ols2(xs, ys)
+    assert (fit.a, fit.b) == (1 / 48, 1 / 16)
+    assert fit.a.as_integer_ratio()[1] > 2 ** (3 + 4)
+    se_a2, se_b2, r2, perfect = exact_fit_stats(xs, ys, fit.a, fit.b)
+    assert (fit.se_a, fit.se_b, fit.r2) == (
+        math.sqrt(float(se_a2)),
+        math.sqrt(float(se_b2)),
+        r2,
+    )
+    assert not fit.perfect
 
 
 @PROPERTY
@@ -121,6 +168,47 @@ def test_every_sweep_cell_equals_the_standalone_fit(values, t0, model, min_windo
     assert len(grid.cells) == triangular_cell_count(
         grid.start_range, grid.end_range, min_window
     )
+    for (s, e), cell in grid.cells.items():
+        assert cell == _standalone(model, excess, Window(s, e))
+
+
+@st.composite
+def flat_then_varying(draw):
+    """Positive excess values built from segments, some of which make a
+    regressor constant or only a few ulps wide: a repeated level, a level
+    jittered by ulps (flat for the price model), or a geometric run
+    (constant or ulp-wide log growth for the return model).  Windows that
+    start in such a segment are degenerate up to some end and vary once
+    they reach the next segment."""
+    values = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        m = draw(st.integers(min_value=2, max_value=8))
+        c = draw(st.floats(min_value=1e-3, max_value=1e3))
+        kind = draw(st.sampled_from(["level", "ulps", "geometric", "free"]))
+        if kind == "level":
+            values += [c] * m
+        elif kind == "ulps":
+            for k in draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)):
+                v = c
+                for _ in range(abs(k)):
+                    v = math.nextafter(v, math.copysign(math.inf, k))
+                values.append(v)
+        elif kind == "geometric":
+            r = draw(st.sampled_from([2.0, 1.1, 1.05, 0.9]))
+            values += [c * r**i for i in range(m)]
+        else:
+            values += draw(
+                st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=m, max_size=m)
+            )
+    assume(len(values) >= 5)
+    return values
+
+
+@PROPERTY
+@given(flat_then_varying(), st.sampled_from(["price", "return"]))
+def test_sweep_degenerate_cells_match_standalone_fits(values, model):
+    excess = ExcessSeries(0, tuple(values))
+    grid = sweep(excess, model)
     for (s, e), cell in grid.cells.items():
         assert cell == _standalone(model, excess, Window(s, e))
 
