@@ -12,8 +12,11 @@ class BubbleLabError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidConfig(BubbleLabError):
-    """Parameters or run configuration violate an invariant."""
+class InvalidConfig(BubbleLabError, ValueError):
+    """Parameters or run configuration violate an invariant.
+
+    Also a ``ValueError``, so callers that catch the built-in error for a
+    bad argument keep working."""
 
 
 class InsufficientHistory(BubbleLabError):

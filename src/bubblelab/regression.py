@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence, Tuple
 
 from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints
@@ -31,7 +32,7 @@ _LAGS = {MODEL_PRICE: 0, MODEL_RETURN: 1}
 _DEGENERACY_ULPS = 32.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OlsFit:
     """Result of a simple linear regression y = a + b*x.
 
@@ -54,20 +55,21 @@ class OlsFit:
     perfect: bool = False
 
 
-def _scaled_ints(values) -> Tuple[list, int]:
+def _scaled_ints(xs, ys) -> Tuple[list, list, int]:
     """Exact integer images of finite floats on one power-of-two scale.
 
-    Returns ``(ints, p)`` with ``values[i] == ints[i] / 2**p`` exactly:
-    every finite float is k * 2**e, so nothing is rounded.  A NaN or an
-    infinity raises InvalidConfig.
+    Returns ``(xi, yi, p)`` with ``xs[i] == xi[i] / 2**p`` and
+    ``ys[i] == yi[i] / 2**p`` exactly: every finite float is k * 2**e, so
+    nothing is rounded.  A NaN or an infinity raises InvalidConfig.
     """
     ratios = []
-    for v in values:
+    for v in chain(xs, ys):
         if not math.isfinite(v):
             raise InvalidConfig(f"regression data must be finite, got {v}")
         ratios.append(v.as_integer_ratio())
     p = max(den.bit_length() for _, den in ratios) - 1
-    return [num << (p + 1 - den.bit_length()) for num, den in ratios], p
+    ints = [num << (p + 1 - den.bit_length()) for num, den in ratios]
+    return ints[: len(xs)], ints[len(xs) :], p
 
 
 def _check_spread(xmin: float, xmax: float) -> None:
@@ -88,48 +90,52 @@ def _fit_moments(
     sxx: int,
     sxy: int,
     syy: int,
-    px: int,
-    py: int,
+    p: int,
     one_sided: bool,
 ) -> OlsFit:
     """The OLS kernel: an ``OlsFit`` from the exact moments of the scaled
-    data X = x * 2**px, Y = y * 2**py (sums of X, Y, X*X, X*Y, Y*Y over n
+    data X = x * 2**p, Y = y * 2**p (sums of X, Y, X*X, X*Y, Y*Y over n
     pairs; the regressor must not be constant).
 
     Every quantity is an exact rational until its one rounding to float
     (int / int true division is correctly rounded): the slope b, then the
     intercept a from the rounded b, then the standard errors and r2 from
-    the exact residual sum of squares of the rounded (a, b).  The result
-    therefore depends only on the pairs, not on the scale or on the order
-    in which the moments were summed.
+    the exact residual sum of squares of the rounded (a, b).  All of them
+    are formed from the centred sums n*Sxx - Sx**2 (and likewise for xy
+    and yy), in which the common scale cancels.  The result therefore
+    depends only on the pairs, not on the scale or on the order in which
+    the moments were summed.
     """
-    cxx = n * sxx - sx * sx  # n * sum((x - mean x)^2) * 4**px
+    cxx = n * sxx - sx * sx  # n * sum((x - mean x)^2) * 4**p
     cxy = n * sxy - sx * sy
     cyy = n * syy - sy * sy
-    b = (cxy << px) / (cxx << py)
+    b = cxy / cxx
     bn, bd = b.as_integer_ratio()
     pb = bd.bit_length() - 1
-    a = ((sy << (px + pb)) - (bn * sx << py)) / (n << (px + py + pb))
+    anum = (sy << pb) - bn * sx  # n * a * 2**q before rounding
+    q = p + pb
+    a = anum / (n << q)
     an, ad = a.as_integer_ratio()
-    pa = ad.bit_length() - 1
-    # Each residual y - a - b*x is (Y*2**k - v - w*X) / 2**q in integers;
-    # ssr is the sum of their squares times 4**q, expanded in the moments.
-    q = max(py, pa, pb + px)
-    k = q - py
-    v = an << (q - pa)
-    w = bn << (q - pb - px)
-    ssr = (
-        (((syy << k) - 2 * (v * sy + w * sxy)) << k)
-        + v * (n * v + 2 * w * sx)
-        + w * w * sxx
-    )
+    # nssr = n * ssr * 4**q, with the residuals of the rounded (a, b) on
+    # the grid 2**-q: the centred part (cyy, cxy, cxx) plus r**2, where r
+    # is the exact remainder of rounding the intercept.  When a needs
+    # finer bits than the grid, refine the grid to a's.
+    nssr = (cyy << 2 * pb) - (bn * cxy << (pb + 1)) + bn * bn * cxx
+    k = ad.bit_length() - 1 - q
+    if k > 0:
+        r = (anum << k) - n * an
+        nssr = (nssr << 2 * k) + r * r
+        q += k
+    else:
+        r = anum - (n * an << -k)
+        nssr += r * r
     df = n - 2
-    den = df * cxx << 2 * q
-    se_a = math.sqrt(ssr * sxx / den)
-    se_b = math.sqrt((ssr * n << 2 * px) / den)
+    den = df * cxx << 2 * (q - p)  # df * n * sum((x - mean x)^2) * 4**q
+    se_a = math.sqrt(nssr * sxx / (n * den << 2 * p))
+    se_b = math.sqrt(nssr / den)
     if cyy:
-        sst = cyy << 2 * q  # n * sum((y - mean y)^2) * 4**(q + py)
-        r2 = (sst - (ssr * n << 2 * py)) / sst
+        sst = cyy << 2 * (q - p)  # n * sum((y - mean y)^2) * 4**q
+        r2 = (sst - nssr) / sst
         if r2 < 0.0:  # rounded (a, b) can fit worse than the mean
             r2 = 0.0
     else:
@@ -137,17 +143,7 @@ def _fit_moments(
 
     tq = t_quantile(0.95 if one_sided else 0.975, df)
     return OlsFit(
-        model=model,
-        a=a,
-        b=b,
-        se_a=se_a,
-        se_b=se_b,
-        a_lower=a - tq * se_a,
-        b_lower=b - tq * se_b,
-        n=n,
-        df=df,
-        r2=r2,
-        perfect=(ssr == 0),
+        model, a, b, se_a, se_b, a - tq * se_a, b - tq * se_b, n, df, r2, nssr == 0
     )
 
 
@@ -171,8 +167,7 @@ def ols2(
         raise TooFewPoints(f"need at least 3 points for a two-parameter fit, got {n}")
 
     x = [float(v) for v in x]
-    xs, px = _scaled_ints(x)
-    ys, py = _scaled_ints([float(v) for v in y])
+    xs, ys, p = _scaled_ints(x, [float(v) for v in y])
     _check_spread(min(x), max(x))
     return _fit_moments(
         model,
@@ -182,8 +177,7 @@ def ols2(
         sum(v * v for v in xs),
         sum(v * w for v, w in zip(xs, ys)),
         sum(w * w for w in ys),
-        px,
-        py,
+        p,
         one_sided,
     )
 

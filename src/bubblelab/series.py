@@ -108,7 +108,7 @@ class Series:
         """Values on the inclusive [start, end] window, which must lie
         inside the series."""
         if window.start < self.t0 or window.end > self.t_end:
-            raise ValueError(
+            raise InvalidConfig(
                 f"window [{window.start}, {window.end}] outside series range "
                 f"[{self.t0}, {self.t_end}]"
             )

@@ -77,14 +77,14 @@ def sweep(
     OLS kernel turns into a fit, so a grid costs O(N^2) rather than O(N^3).
     """
     if model not in _LAGS:
-        raise ValueError(f"model must be one of {sorted(_LAGS)}, got {model!r}")
+        raise InvalidConfig(f"model must be one of {sorted(_LAGS)}, got {model!r}")
     if min_window < MIN_WINDOW:
         raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
     lag = _LAGS[model]
     s_lo, s_hi = start_range if start_range is not None else (excess.t0, excess.t_end)
     e_lo, e_hi = end_range if end_range is not None else (excess.t0, excess.t_end)
     if s_lo < excess.t0 or e_hi > excess.t_end:
-        raise ValueError(
+        raise InvalidConfig(
             f"sweep bounds [{s_lo}, {e_hi}] outside series range "
             f"[{excess.t0}, {excess.t_end}]"
         )
@@ -105,38 +105,48 @@ def sweep(
             # some window inside the run is long enough: fit them all from
             # one set of pairs and one integer image of the run
             xf, yf = _pairs(model, vals[run0 - s_lo : bad - s_lo], run0)
-            xs, px = _scaled_ints(xf)
-            ys, py = _scaled_ints(yf)
+            xs, ys, p = _scaled_ints(xf, yf)
+        else:  # no window of the run is long enough to fit
+            xs = ys = xf = ()
+        last = min(bad, e_hi + 1)  # ends from here on are blocked
         for s in range(run0, run_end):
             first_e = max(e_lo, s + min_window - 1)
             n = sx = sy = sxx = sxy = syy = 0
             xmin, xmax = math.inf, -math.inf
-            j = s - run0  # next pair to add: cell (s, e) holds pairs s .. e-1-lag
-            for e in range(first_e, e_hi + 1):
-                if e >= bad:
-                    cells[(s, e)] = blocked
+            # A window that grows by a point widens its regressor's spread
+            # at least as much as its scale max(|x|, 1), so once the spread
+            # exceeds 32 ulps of the scale it does so for every longer
+            # window from the same start: check only until the first pass.
+            spread_ok = False
+            # pair j (counted from run0) is the last pair of the cell that
+            # ends at e = run0 + j + 1 + lag; cell (s, e) holds pairs from s
+            lo = s - run0
+            for e, x, y, xv in zip(range(s + lag + 1, last), xs[lo:], ys[lo:], xf[lo:]):
+                n += 1
+                sx += x
+                sy += y
+                sxx += x * x
+                sxy += x * y
+                syy += y * y
+                if xv < xmin:
+                    xmin = xv
+                if xv > xmax:
+                    xmax = xv
+                if e < first_e:
                     continue
-                while j < e - lag - run0:
-                    x, y, xv = xs[j], ys[j], xf[j]
-                    n += 1
-                    sx += x
-                    sy += y
-                    sxx += x * x
-                    sxy += x * y
-                    syy += y * y
-                    if xv < xmin:
-                        xmin = xv
-                    if xv > xmax:
-                        xmax = xv
-                    j += 1
+                if not spread_ok:
+                    try:
+                        _check_spread(xmin, xmax)
+                    except DegenerateRegressor as exc:
+                        cells[(s, e)] = InvalidCell(type(exc).__name__, str(exc))
+                        continue
+                    spread_ok = True
                 # n >= 3 (see MIN_WINDOW), so no cell has TooFewPoints
-                try:
-                    _check_spread(xmin, xmax)
-                    cells[(s, e)] = _fit_moments(
-                        model, n, sx, sy, sxx, sxy, syy, px, py, one_sided
-                    )
-                except DegenerateRegressor as exc:
-                    cells[(s, e)] = InvalidCell(type(exc).__name__, str(exc))
+                cells[(s, e)] = _fit_moments(
+                    model, n, sx, sy, sxx, sxy, syy, p, one_sided
+                )
+            for e in range(max(first_e, bad), e_hi + 1):
+                cells[(s, e)] = blocked
         run0 = run_end
     return SweepGrid(
         model=model,

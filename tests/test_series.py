@@ -177,6 +177,16 @@ class TestWindow:
             Window(3, 6)
         Window(3, 7)  # exactly five points is fine
 
+    @pytest.mark.parametrize("window", [Window(-1, 5), Window(2, 11), Window(-3, 12)])
+    def test_window_outside_series_is_config_error(self, window):
+        series = Series(0, tuple(float(v) for v in range(1, 12)))
+        with pytest.raises(InvalidConfig, match="outside series range"):
+            series.window_values(window)
+        assert series.window_values(Window(0, 10)) == series.values
+
+    def test_config_error_is_also_a_value_error(self):
+        assert issubclass(InvalidConfig, ValueError)
+
 
 class TestCsv:
     def test_direct_parse(self, tmp_path):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -68,6 +70,17 @@ class TestSweepShape:
     def test_min_window_below_five_is_config_error(self):
         with pytest.raises(InvalidConfig, match="min_window"):
             sweep(_feedback_excess(10), "price", min_window=3)
+
+    def test_unknown_model_is_config_error(self):
+        with pytest.raises(
+            InvalidConfig, match=r"model must be one of \['price', 'return'\], got 'nonsense'"
+        ):
+            sweep(_feedback_excess(10), "nonsense")
+
+    @pytest.mark.parametrize("bounds", [((-1, 10), (0, 10)), ((0, 10), (0, 12))])
+    def test_bounds_outside_series_are_config_error(self, bounds):
+        with pytest.raises(InvalidConfig, match=r"sweep bounds \[-?\d+, \d+\] outside series range \[0, 10\]"):
+            sweep(_feedback_excess(10), "price", *bounds)
 
 
 class TestSweepCells:
@@ -216,3 +229,34 @@ class TestOlsFitImmutability:
         _, fit = grid.valid_items()[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             fit.b = 0.0
+
+    def _fit(self):
+        return sweep(_feedback_excess(10), "return").valid_items()[0][1]
+
+    def test_no_attribute_can_be_added_or_removed(self):
+        fit = self._fit()
+        assert not hasattr(fit, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del fit.a
+        # a slotted frozen dataclass on Python 3.11 reports a new name with
+        # TypeError rather than FrozenInstanceError; either way none is added
+        with pytest.raises((AttributeError, TypeError)):
+            fit.extra = 1
+        assert not hasattr(fit, "extra")
+
+    def test_asdict_keeps_field_order(self):
+        assert list(dataclasses.asdict(self._fit())) == [
+            "model", "a", "b", "se_a", "se_b", "a_lower", "b_lower", "n", "df", "r2",
+            "perfect",
+        ]
+
+    def test_pickle_and_copy_round_trip(self):
+        fit = self._fit()
+        for clone in (pickle.loads(pickle.dumps(fit)), copy.copy(fit), copy.deepcopy(fit)):
+            assert clone == fit and type(clone) is OlsFit
+
+    def test_replace_builds_a_new_fit(self):
+        fit = self._fit()
+        other = dataclasses.replace(fit, b=fit.b + 1.0)
+        assert other.b == fit.b + 1.0 and other.a == fit.a
+        assert other != fit
