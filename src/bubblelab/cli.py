@@ -188,9 +188,10 @@ def cmd_classify(args) -> int:
         if len(parts) != 2:
             raise InvalidConfig(f"--window needs start,end, got {args.window!r}")
         try:
-            window = Window(int(parts[0]), int(parts[1]))
+            start, end = int(parts[0]), int(parts[1])
         except ValueError:
             raise InvalidConfig(f"bad --window value {args.window!r}") from None
+        window = Window(start, end)
     if window is not None and not (
         series.t0 <= window.start and window.end <= series.t_end
     ):

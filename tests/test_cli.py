@@ -310,6 +310,15 @@ class TestClassifyCommand:
         assert run_cli("classify", "--input", str(inp), "--window", "7,99",
                        "--outdir", str(tmp_path)) == 2
 
+    def test_short_window_reports_its_length(self, tmp_path, capsys):
+        inp = _feedback_prices_csv(tmp_path / "prices.csv")
+        assert run_cli("classify", "--input", str(inp), "--window", "7,9",
+                       "--outdir", str(tmp_path)) == 2
+        assert "window [7, 9] shorter than 5 points" in capsys.readouterr().err
+        assert run_cli("classify", "--input", str(inp), "--window", "7,x",
+                       "--outdir", str(tmp_path)) == 2
+        assert "bad --window value '7,x'" in capsys.readouterr().err
+
     def test_non_finite_theta_is_config_error(self, tmp_path, capsys):
         inp = _anchored_exponential_csv(tmp_path / "prices.csv")
         assert run_cli("classify", "--input", str(inp), "--theta", "nan",
