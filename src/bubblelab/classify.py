@@ -137,13 +137,15 @@ def classify_series(
     wins the anchoring label, provided it reaches ``theta``.  Ties break
     toward price anchoring (the lower-lag model).  An explicit ``window``
     overrides detection, letting callers reproduce published windows.
-    A non-finite ``theta`` or a ``min_window`` below MIN_WINDOW raises
-    InvalidConfig, whatever the window.
+    A non-finite ``theta``, a ``min_window`` below MIN_WINDOW or an
+    explicit ``window`` outside the series raises InvalidConfig.
     """
     if not math.isfinite(theta):
         raise InvalidConfig(f"theta must be finite, got {theta}")
     if min_window < MIN_WINDOW:
         raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
+    if window is not None:
+        prices.window_values(window)  # raises InvalidConfig outside the series
     win = window if window is not None else detect_bubble_window(
         prices, params, min_window=min_window
     )

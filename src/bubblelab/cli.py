@@ -49,9 +49,7 @@ _EXIT_CODES = (
 _PARAM_KEYS = {
     "r": ("r", float),
     "D": ("dividend", float),
-    "dividend": ("dividend", float),
     "H": ("n_traders", int),
-    "n_traders": ("n_traders", int),
     "p_min": ("p_min", float),
     "p_max": ("p_max", float),
 }
@@ -102,14 +100,14 @@ def _build_agents(preset: str, params: ExperimentParams) -> tuple:
     raise InvalidConfig(f"unknown agent preset {preset!r}")
 
 
-def _parse_pair(text: str, what: str) -> tuple:
+def _parse_pair(text: str, what: str, conv=float) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise InvalidConfig(f"{what} needs two comma-separated values, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return conv(parts[0]), conv(parts[1])
     except ValueError:
-        raise InvalidConfig(f"bad {what}: {text!r}") from None
+        raise InvalidConfig(f"bad {what} value {text!r}") from None
 
 
 def _outdir(args) -> Path:
@@ -182,23 +180,7 @@ def cmd_sweep(args) -> int:
 def cmd_classify(args) -> int:
     params = parse_params(args.params)
     series, _ = load_csv(args.input, params)
-    window = None
-    if args.window:
-        parts = [p.strip() for p in args.window.split(",")]
-        if len(parts) != 2:
-            raise InvalidConfig(f"--window needs start,end, got {args.window!r}")
-        try:
-            start, end = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InvalidConfig(f"bad --window value {args.window!r}") from None
-        window = Window(start, end)
-    if window is not None and not (
-        series.t0 <= window.start and window.end <= series.t_end
-    ):
-        raise InvalidConfig(
-            f"--window [{window.start}, {window.end}] outside series range "
-            f"[{series.t0}, {series.t_end}]"
-        )
+    window = Window(*_parse_pair(args.window, "--window", int)) if args.window else None
     verdict = classify_series(
         series,
         params,
@@ -214,8 +196,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    if args.steps < 0:
-        raise InvalidConfig(f"steps must be non-negative, got {args.steps}")
     rows = table2(steps=args.steps, a1=args.a1, a2=args.a2, b2=args.b2)
     outdir = _outdir(args)
     _write(outdir / "table2.csv", table2_csv(rows))
@@ -261,7 +241,10 @@ def cmd_plotdata(args) -> int:
 def build_parser():
     """Returns the top-level parser plus the per-subcommand parsers
     (config-file defaults must be set on the subparsers directly:
-    argparse subparsers re-parse into a fresh namespace)."""
+    argparse subparsers re-parse into a fresh namespace).  Each subcommand
+    takes exactly the options it reads: ``common`` ones everywhere, the
+    ``market`` constants where a series or a run needs them, and the
+    ``fitting`` options where both feedback models are swept."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--outdir",
@@ -269,19 +252,19 @@ def build_parser():
         help="output directory (default: $BUBBLELAB_OUTDIR or the current directory)",
     )
     common.add_argument("--config", default=None, help="key=value defaults file")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument(
+    market = argparse.ArgumentParser(add_help=False, parents=[common])
+    market.add_argument("--params", default="",
+                        help="market constant overrides, e.g. r=0.05,D=3,H=6")
+    fitting = argparse.ArgumentParser(add_help=False, parents=[market])
+    fitting.add_argument("--input", required=True, help="price series CSV")
+    fitting.add_argument(
         "--min-window", type=int, default=MIN_WINDOW, dest="min_window",
         help="smallest calibration window in price points",
     )
-    common.add_argument("--theta", type=float, default=0.2,
-                        help="significant-fraction threshold for the anchoring labels")
-    common.add_argument(
+    fitting.add_argument(
         "--confidence", choices=("two-sided", "one-sided"), default="two-sided",
         help="interpretation of the 95%% lower confidence bounds",
     )
-    common.add_argument("--params", default="",
-                        help="market constant overrides, e.g. r=0.05,D=3,H=6")
 
     parser = argparse.ArgumentParser(
         prog="bubblelab",
@@ -291,8 +274,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[market],
                        help="run the forecasting market and write its series")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--horizon", type=int, default=50, help="number of simulated periods")
     p.add_argument("--agents", default="bubble",
                    choices=("fundamentalist", "rational", "bubble", "noise"),
@@ -306,15 +290,15 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
     commands["simulate"] = p
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[fitting],
                        help="fit both feedback models on every window of a series")
-    p.add_argument("--input", required=True, help="price series CSV")
     p.set_defaults(func=cmd_sweep)
     commands["sweep"] = p
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[fitting],
                        help="label a series per the bubble taxonomy")
-    p.add_argument("--input", required=True, help="price series CSV")
+    p.add_argument("--theta", type=float, default=0.2,
+                   help="significant-fraction threshold for the anchoring labels")
     p.add_argument("--window", default="",
                    help="explicit start,end bubble window (skips detection)")
     p.set_defaults(func=cmd_classify)
@@ -332,9 +316,8 @@ def build_parser():
     p.set_defaults(func=cmd_table2)
     commands["table2"] = p
 
-    p = sub.add_parser("plotdata", parents=[common],
+    p = sub.add_parser("plotdata", parents=[fitting],
                        help="emit plot-ready CSVs for a series")
-    p.add_argument("--input", required=True, help="price series CSV")
     p.set_defaults(func=cmd_plotdata)
     commands["plotdata"] = p
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InsufficientHistory, InvalidConfig
@@ -183,7 +183,10 @@ def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> floa
         raise InvalidConfig(
             f"expected {params.n_traders} forecasts, got {len(forecasts)}"
         )
-    mean = math.fsum(forecasts) / len(forecasts)
+    try:
+        mean = math.fsum(forecasts) / len(forecasts)
+    except OverflowError:  # the exact sum leaves the float range; the mean cannot
+        mean = math.fsum(f / len(forecasts) for f in forecasts)
     raw = (mean + params.dividend) / (1.0 + params.r)
     return params.clamp(raw)
 
@@ -214,6 +217,14 @@ def inject_mistrade(
     return params.clamp(forecast * factor)
 
 
+def _exp(x: float) -> float:
+    """``math.exp``, with +inf past the float range instead of OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def agent_forecast(
     spec: AgentSpec,
     history: PriceSeries,
@@ -226,7 +237,8 @@ def agent_forecast(
     the feedback term frozen at the last observed state; the feedback
     rules drop back to the fundamental price whenever the excess prices
     they need are not strictly positive.  The result is clipped to the
-    admissible band.
+    admissible band, so an extrapolation past the float range gives the
+    band edge it points to.
     """
     pf = params.fundamental
     target = history.t_end + 2  # the period being predicted
@@ -239,7 +251,11 @@ def agent_forecast(
         draw = rng.gauss(0.0, spec.sigma) if spec.sigma > 0 else 0.0
         raw = pf + draw
     elif spec.kind == RATIONAL_BUBBLE:
-        raw = spec.scale * (1.0 + spec.rate) ** target + spec.anchor
+        try:
+            raw = spec.scale * (1.0 + spec.rate) ** target + spec.anchor
+        except OverflowError:  # |1 + rate| > 1; a negative base alternates in sign
+            growth = math.inf if spec.rate > 0 or target % 2 == 0 else -math.inf
+            raw = spec.scale * growth + spec.anchor if spec.scale else spec.anchor
     elif spec.kind == NAIVE:
         if len(history) < 2:
             raise InsufficientHistory("naive rule needs two past prices")
@@ -249,7 +265,7 @@ def agent_forecast(
             raise InsufficientHistory("price anchoring needs one past price")
         excess = history.values[-1] - pf
         if excess > 0:
-            raw = pf + excess * math.exp(2.0 * (spec.a + spec.b * excess))
+            raw = pf + excess * _exp(2.0 * (spec.a + spec.b * excess))
         else:
             raw = pf
     elif spec.kind == RETURN_ANCHOR:
@@ -261,7 +277,7 @@ def agent_forecast(
             g = math.log(exc_last / exc_prev)
             g1 = spec.a + spec.b * g
             g2 = spec.a + spec.b * g1
-            raw = pf + exc_last * math.exp(g1 + g2)
+            raw = pf + exc_last * _exp(g1 + g2)
         else:
             raw = pf
     else:  # pragma: no cover - guarded by AgentSpec validation
@@ -324,13 +340,7 @@ def run(config: SimConfig) -> SimResult:
         "return_noise_sigma": config.return_noise_sigma,
         "mistrade_prob": config.mistrade_prob,
         "initial_prices": list(config.initial_prices),
-        "params": {
-            "r": params.r,
-            "dividend": params.dividend,
-            "n_traders": params.n_traders,
-            "p_min": params.p_min,
-            "p_max": params.p_max,
-        },
+        "params": asdict(params),
         "agents": [spec.describe() for spec in config.agents],
     }
     return SimResult(

@@ -139,6 +139,18 @@ class TestClassifySeries:
         verdict = classify_series(prices, PARAMS, window=Window(5, 10))
         assert verdict.label == "too_short"
 
+    @pytest.mark.parametrize("start, end", [(100, 104), (10, 30), (-3, 12)])
+    def test_explicit_window_outside_series_is_config_error(self, start, end):
+        # [100, 104] is shorter than min_window + 2, so without an up-front
+        # range check it would be labelled too_short
+        prices = _prices_from_model(GrowthModel.exponential(math.log(1.1), 60.0), 19)
+        assert (prices.t0, prices.t_end) == (0, 19)
+        with pytest.raises(
+            InvalidConfig,
+            match=rf"window \[{start}, {end}\] outside series range \[0, 19\]",
+        ):
+            classify_series(prices, PARAMS, window=Window(start, end))
+
     def test_theta_threshold_moves_the_boundary(self):
         model = GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0)
         prices = _prices_from_model(model, 20, sigma=0.01, seed=2)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bubblelab import GrowthModel, iterate, write_csv
-from bubblelab.cli import main
+from bubblelab.cli import build_parser, main
 
 GOLDEN_TABLE2 = Path(__file__).parent / "data" / "table2_golden.csv"
 
@@ -76,6 +76,36 @@ def _write_golden():
             for name, data in _run_golden_case(case, Path(tmp)).items():
                 (target / name).parent.mkdir(parents=True, exist_ok=True)
                 (target / name).write_bytes(data)
+
+
+# The options each subcommand reads, and so accepts.
+_COMMON_FLAGS = {"--outdir", "--config"}
+_FITTING_FLAGS = _COMMON_FLAGS | {"--params", "--input", "--min-window", "--confidence"}
+SUBCOMMAND_FLAGS = {
+    "simulate": _COMMON_FLAGS | {"--params", "--seed", "--horizon", "--agents",
+                                 "--noise-sigma", "--mistrade-prob", "--initial-prices"},
+    "sweep": _FITTING_FLAGS,
+    "classify": _FITTING_FLAGS | {"--theta", "--window"},
+    "table2": _COMMON_FLAGS | {"--steps", "--a1", "--a2", "--b2"},
+    "plotdata": _FITTING_FLAGS,
+}
+
+# (subcommand, flag, value) for options a subcommand used to accept and ignore
+UNREAD_FLAGS = [
+    ("simulate", "--min-window", "7"),
+    ("simulate", "--theta", "0.5"),
+    ("simulate", "--confidence", "one-sided"),
+    ("sweep", "--seed", "3"),
+    ("sweep", "--theta", "0.5"),
+    ("classify", "--seed", "3"),
+    ("table2", "--seed", "3"),
+    ("table2", "--min-window", "7"),
+    ("table2", "--theta", "0.5"),
+    ("table2", "--confidence", "one-sided"),
+    ("table2", "--params", "r=0.05"),
+    ("plotdata", "--seed", "3"),
+    ("plotdata", "--theta", "0.5"),
+]
 
 
 def run_cli(*argv):
@@ -162,6 +192,16 @@ class TestSimulate:
         assert code == 2
         code = run_cli("simulate", "--params", "bogus=1", "--outdir", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize("flags, p_max", [
+        (("--params", "p_max=1e300", "--horizon", "80"), 1e300),
+        (("--agents", "rational", "--horizon", "20000"), 1000.0),
+    ], ids=["price_anchor_overflow", "rational_overflow"])
+    def test_overflowing_forecasts_clip_to_the_band(self, flags, p_max, tmp_path):
+        assert run_cli("simulate", *flags, "--outdir", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "simulation.json").read_text())
+        assert all(0.0 <= p <= p_max for p in doc["prices"])
+        assert max(doc["prices"]) > 0.9 * p_max  # the band edge was reached
 
     def test_non_finite_inputs_are_config_errors(self, tmp_path, capsys):
         for flags in (("--params", "r=inf"), ("--params", "p_max=inf"),
@@ -498,6 +538,74 @@ class TestConfigAndEnvironment:
         )
         assert proc.returncode == 0
         assert (tmp_path / "table2.csv").exists()
+
+
+class TestOptionSets:
+    def test_each_subcommand_declares_exactly_the_flags_it_reads(self):
+        _, commands = build_parser()
+        declared = {
+            name: {opt for action in sub._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, sub in commands.items()
+        }
+        assert declared == SUBCOMMAND_FLAGS
+        assert sum(len(flags) for flags in declared.values()) == 35
+
+    @pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _ in UNREAD_FLAGS])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        # with a valid rest of the command line, so only the flag can fail it
+        argv = [command, flag, value, "--outdir", str(tmp_path)]
+        if "--input" in SUBCOMMAND_FLAGS[command]:
+            argv += ["--input", str(_feedback_prices_csv(tmp_path / "prices.csv"))]
+        if command == "simulate":
+            argv += ["--horizon", "3"]
+        assert run_cli(*argv) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["prices.csv"] if "--input" in argv else []
+        )
+
+    @pytest.mark.parametrize("override", ["dividend=3", "n_traders=6"])
+    def test_market_constants_have_one_spelling(self, override, tmp_path, capsys):
+        assert run_cli("simulate", "--params", override, "--horizon", "3",
+                       "--outdir", str(tmp_path)) == 2
+        key = override.partition("=")[0]
+        assert f"unknown parameter {key!r}" in capsys.readouterr().err
+
+    def test_config_keys_are_every_subcommands_optional_flags(self, tmp_path):
+        # one file may hold any subcommand's optional flags; each
+        # subcommand reads the keys it has and ignores the rest
+        values = {
+            "outdir": str(tmp_path / "out"), "seed": "5", "params": "r=0.05",
+            "horizon": "7", "agents": "fundamentalist", "noise_sigma": "0",
+            "mistrade_prob": "0", "initial_prices": "", "min_window": "5",
+            "confidence": "two-sided", "theta": "0.5", "window": "", "steps": "3",
+            "a1": "0.1", "a2": "0.1", "b2": "0",
+        }
+        flags = set().union(*SUBCOMMAND_FLAGS.values()) - {"--config", "--input"}
+        assert sorted(values) == sorted(f[2:].replace("-", "_") for f in flags)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert run_cli("table2", "--config", str(cfg)) == 0
+        assert (tmp_path / "out" / "table2.csv").read_text().count("\n") == 5
+
+    def test_one_config_file_serves_several_subcommands(self, tmp_path):
+        inp = _feedback_prices_csv(tmp_path / "prices.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\ntheta = 0.5\nhorizon = 7\n")
+        assert run_cli("simulate", "--config", str(cfg),
+                       "--outdir", str(tmp_path / "sim")) == 0
+        meta = json.loads((tmp_path / "sim" / "simulation.json").read_text())["metadata"]
+        assert (meta["seed"], meta["horizon"]) == (5, 7)
+        assert run_cli("sweep", "--input", str(inp), "--config", str(cfg),
+                       "--outdir", str(tmp_path / "sweep")) == 0
+        assert run_cli("classify", "--input", str(inp), "--config", str(cfg),
+                       "--outdir", str(tmp_path / "cls")) == 0
+        verdict = json.loads((tmp_path / "cls" / "verdict.json").read_text())
+        assert verdict["thresholds"]["theta"] == 0.5
 
 
 class TestGoldenOutput:

@@ -42,6 +42,13 @@ class TestClearingPrice:
         with pytest.raises(InvalidConfig):
             clearing_price([60.0] * 5, PARAMS)
 
+    def test_forecasts_summing_past_the_float_range(self):
+        # the exact sum of six 1e308s overflows; their mean does not
+        params = ExperimentParams(p_max=1e308)
+        p = clearing_price([1e308] * 6, params)
+        assert math.isfinite(p)
+        assert params.p_min <= p <= params.p_max
+
 
 class TestScoreForecast:
     def test_perfect(self):
@@ -126,6 +133,23 @@ class TestAgentForecast:
         hist = PriceSeries(0, (900.0, 990.0))
         spec = AgentSpec.price_anchor(a=1.0, b=0.01)
         assert agent_forecast(spec, hist, PARAMS) == 1000.0
+
+    @pytest.mark.parametrize("spec, hist", [
+        (AgentSpec.price_anchor(a=1.0, b=1.0), PriceSeries(0, (900.0, 990.0))),
+        (AgentSpec.return_anchor(a=400.0, b=1.0), PriceSeries(0, (61.0, 62.0))),
+        (AgentSpec.rational_bubble(rate=0.05, scale=5.0, anchor=60.0),
+         PriceSeries(20000, (65.0, 65.0))),
+    ], ids=["price_anchor", "return_anchor", "rational_bubble"])
+    def test_extrapolation_past_the_float_range_gives_the_cap(self, spec, hist):
+        assert agent_forecast(spec, hist, PARAMS) == PARAMS.p_max
+
+    def test_overflowing_rational_bubble_follows_its_sign(self):
+        # a negative growth base alternates, a zero scale keeps the anchor
+        down = AgentSpec.rational_bubble(rate=-3.0, scale=1.0, anchor=60.0)
+        assert agent_forecast(down, PriceSeries(20000, (65.0, 65.0)), PARAMS) == 0.0
+        assert agent_forecast(down, PriceSeries(20001, (65.0, 65.0)), PARAMS) == 1000.0
+        flat = AgentSpec.rational_bubble(rate=0.05, scale=0.0, anchor=60.0)
+        assert agent_forecast(flat, PriceSeries(20000, (65.0, 65.0)), PARAMS) == 60.0
 
 
 class TestInjectMistrade:
