@@ -121,6 +121,8 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "initial_prices", tuple(self.initial_prices))
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
+            raise InvalidConfig(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise InvalidConfig(f"horizon must be at least 1, got {self.horizon}")
         if len(self.agents) != self.params.n_traders:
@@ -162,17 +164,48 @@ class SimResult:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "metadata": self.metadata,
-            "t0": self.prices.t0,
-            "prices": list(self.prices.values),
-            "forecasts": [list(row) for row in self.forecasts],
-            "payoffs": [list(row) for row in self.payoffs],
-        }
-        return json.dumps(payload, indent=2)
+        """The result as one JSON object with keys metadata, t0, prices,
+        forecasts and payoffs, byte for byte as ``json.dumps(..., indent=2)``
+        lays it out.
+
+        ``metadata`` and ``t0`` go through ``json.dumps(indent=2)``; the
+        price, forecast and payoff lists go through ``_json_array``, which
+        lets the C encoder write their numbers.
+        """
+        head = json.dumps({"metadata": self.metadata, "t0": self.prices.t0}, indent=2)
+        return "".join([
+            head[:-2],  # reopen the object: drop its closing "\n}"
+            ',\n  "prices": ', _json_array(self.prices.values, 1),
+            ',\n  "forecasts": ', _json_table(self.forecasts),
+            ',\n  "payoffs": ', _json_table(self.payoffs),
+            "\n}",
+        ])
 
     def write_csv(self, path) -> None:
         write_csv(path, self.prices, forecasts=self.forecasts)
+
+
+def _json_array(values, depth: int) -> str:
+    """A flat list of JSON scalars, laid out as ``json.dumps(indent=2)``
+    lays it out ``depth`` levels deep.
+
+    CPython before 3.13 uses its C encoder only when ``indent is None``
+    (``JSONEncoder.iterencode``), so an indented dump encodes every float
+    in Python.  Here the C encoder joins the items, and the newline and
+    indentation ride in its item separator.
+    """
+    if not values:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    items = json.dumps(values, separators=("," + inner, ": "))
+    return "[" + inner + items[1:-1] + "\n" + "  " * depth + "]"
+
+
+def _json_table(rows) -> str:
+    """A list of flat lists at depth 1, as ``json.dumps(indent=2)`` lays it out."""
+    if not rows:
+        return "[]"
+    return "[\n    " + ",\n    ".join(_json_array(row, 2) for row in rows) + "\n  ]"
 
 
 def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> float:
@@ -236,9 +269,11 @@ def agent_forecast(
     The model-based rules extrapolate their one-step growth twice, with
     the feedback term frozen at the last observed state; the feedback
     rules drop back to the fundamental price whenever the excess prices
-    they need are not strictly positive.  The result is clipped to the
-    admissible band, so an extrapolation past the float range gives the
-    band edge it points to.
+    they need are not strictly positive, and so does return anchoring
+    whose extrapolation is undefined (a negative feedback on a growth
+    ratio past the float range).  The result is clipped to the admissible
+    band, so an extrapolation past the float range gives the band edge it
+    points to.
     """
     pf = params.fundamental
     target = history.t_end + 2  # the period being predicted
@@ -274,10 +309,15 @@ def agent_forecast(
         exc_prev = history.values[-2] - pf
         exc_last = history.values[-1] - pf
         if exc_prev > 0 and exc_last > 0:
-            g = math.log(exc_last / exc_prev)
-            g1 = spec.a + spec.b * g
-            g2 = spec.a + spec.b * g1
-            raw = pf + exc_last * _exp(g1 + g2)
+            ratio = exc_last / exc_prev  # may overflow to inf or underflow to 0
+            g = math.log(ratio) if ratio > 0 else -math.inf
+            if spec.b == 0:  # no feedback; b * g would be 0 * inf for infinite g
+                g1 = g2 = spec.a
+            else:
+                g1 = spec.a + spec.b * g
+                g2 = spec.a + spec.b * g1
+            total = g1 + g2  # inf - inf when b < 0 meets infinite growth
+            raw = pf if math.isnan(total) else pf + exc_last * _exp(total)
         else:
             raw = pf
     else:  # pragma: no cover - guarded by AgentSpec validation
@@ -293,26 +333,42 @@ def run(config: SimConfig) -> SimResult:
     formed by the clearing equation.  Identical configs (seed included)
     produce bit-identical results, and when both noise channels are off
     the random source is never consulted at all.
+
+    Traders whose deterministic rules are identical (equal ``repr``, so
+    ``0.0`` and ``-0.0`` parameters stay apart) share one evaluation of
+    the rule per period.  Noise traders evaluate their own, and forecast
+    noise and mis-trades are applied trader by trader, so the random
+    source is read in trader order as if every rule ran.
     """
     params = config.params
     rng = random.Random(config.seed)
     lo = (params.p_min + params.dividend) / (1.0 + params.r)
     hi = (params.p_max + params.dividend) / (1.0 + params.r)
 
+    noise_sigma, mistrade_prob = config.return_noise_sigma, config.mistrade_prob
+
     last_two = config.initial_prices
-    n_agents = len(config.agents)
-    forecasts: List[List[float]] = [[] for _ in range(n_agents)]
+    # the first trader with the same rule; a noise rule draws, so it is its own
+    first = {}
+    source = [
+        h if spec.kind == NOISE else first.setdefault(repr(spec), h)
+        for h, spec in enumerate(config.agents)
+    ]
+    forecasts: List[List[float]] = [[] for _ in config.agents]
     prices: List[float] = []
 
     for i in range(config.horizon):
         # every rule reads at most the last two prices, ending at t = i - 1
         past = PriceSeries(i - 2, last_two)
+        rule_forecasts = []
         period_forecasts = []
         for h, spec in enumerate(config.agents):
-            f = agent_forecast(spec, past, params, rng)
-            if config.return_noise_sigma > 0 and f > 0:
-                f = params.clamp(f * math.exp(rng.gauss(0.0, config.return_noise_sigma)))
-            f = inject_mistrade(f, rng, config.mistrade_prob, params)
+            s = source[h]
+            f = rule_forecasts[s] if s < h else agent_forecast(spec, past, params, rng)
+            rule_forecasts.append(f)
+            if noise_sigma > 0 and f > 0:
+                f = params.clamp(f * math.exp(rng.gauss(0.0, noise_sigma)))
+            f = inject_mistrade(f, rng, mistrade_prob, params)
             forecasts[h].append(f)
             period_forecasts.append(f)
         p = clearing_price(period_forecasts, params)
@@ -323,15 +379,8 @@ def run(config: SimConfig) -> SimResult:
         prices.append(p)
         last_two = (last_two[1], p)
 
-    payoffs: List[List[Optional[float]]] = []
-    for h in range(n_agents):
-        row: List[Optional[float]] = []
-        for i in range(config.horizon):
-            if i + 1 < config.horizon:
-                row.append(score_forecast(prices[i + 1], forecasts[h][i]))
-            else:
-                row.append(None)  # target price never realized in-run
-        payoffs.append(row)
+    # the last forecast's target price is never realized in-run
+    payoffs = [[*map(score_forecast, prices[1:], row), None] for row in forecasts]
 
     metadata = {
         "rng_algorithm": RNG_ALGORITHM,

@@ -280,17 +280,14 @@ def write_csv(path, series, forecasts=None, decimals: int = 2) -> None:
     Values are printed with a fixed number of decimals, matching the
     presentation of the experimental data.
     """
-    cols = ["t", "price"]
-    if forecasts:
-        cols += [f"h{h + 1}" for h in range(len(forecasts))]
-        for col in forecasts:
-            if len(col) != len(series):
-                raise InvalidConfig("forecast columns must match the series length")
+    forecasts = forecasts or ()
+    for col in forecasts:
+        if len(col) != len(series):
+            raise InvalidConfig("forecast columns must match the series length")
+    cols = ["t", "price"] + [f"h{h + 1}" for h in range(len(forecasts))]
+    row = ",".join(["%d"] + [f"%.{decimals}f"] * (1 + len(forecasts)))
+    times = range(series.t0, series.t0 + len(series))
     out = [",".join(cols)]
-    for i, v in enumerate(series.values):
-        row = [str(series.t0 + i), f"{v:.{decimals}f}"]
-        if forecasts:
-            row += [f"{col[i]:.{decimals}f}" for col in forecasts]
-        out.append(",".join(row))
+    out += [row % values for values in zip(times, series.values, *forecasts)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

@@ -9,15 +9,29 @@ moments), and window counts by a loop (no closed form).
 
 ``t_quantile_reference`` is the exception: it is the package's original
 bisection of ``t_cdf``, kept verbatim because it defines the float that
-``t_quantile`` must return.
+``t_quantile`` must return.  So are the market's original writers and
+period loop (``sim_to_json_reference``, ``write_csv_reference`` and
+``run_reference``): they define the floats and bytes that ``run``,
+``SimResult.to_json`` and ``write_csv`` must reproduce.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import random
+from dataclasses import asdict
 from fractions import Fraction
+from typing import List, Optional
 
-from bubblelab import t_cdf
+from bubblelab import InvalidConfig, PriceSeries, SimResult, t_cdf
+from bubblelab.market import (
+    RNG_ALGORITHM,
+    agent_forecast,
+    clearing_price,
+    inject_mistrade,
+    score_forecast,
+)
 
 
 def t_cdf_quadrature(x: float, df: int, panels: int = 20000) -> float:
@@ -181,3 +195,92 @@ def exact_fit_stats(xs, ys, a, b):
     se_b2 = ssr / (df * sxx)
     r2 = max(0.0, float(1 - ssr / syy)) if syy else 1.0
     return se_a2, se_b2, r2, ssr == 0
+
+
+def sim_to_json_reference(result):
+    """``SimResult.to_json`` as one indented ``json.dumps`` of the payload."""
+    payload = {
+        "metadata": result.metadata,
+        "t0": result.prices.t0,
+        "prices": list(result.prices.values),
+        "forecasts": [list(row) for row in result.forecasts],
+        "payoffs": [list(row) for row in result.payoffs],
+    }
+    return json.dumps(payload, indent=2)
+
+
+def write_csv_reference(path, series, forecasts=None, decimals: int = 2) -> None:
+    """``write_csv`` formatting value by value and row by row."""
+    cols = ["t", "price"]
+    if forecasts:
+        cols += [f"h{h + 1}" for h in range(len(forecasts))]
+        for col in forecasts:
+            if len(col) != len(series):
+                raise InvalidConfig("forecast columns must match the series length")
+    out = [",".join(cols)]
+    for i, v in enumerate(series.values):
+        row = [str(series.t0 + i), f"{v:.{decimals}f}"]
+        if forecasts:
+            row += [f"{col[i]:.{decimals}f}" for col in forecasts]
+        out.append(",".join(row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def run_reference(config):
+    """``market.run`` evaluating every trader's rule every period."""
+    params = config.params
+    rng = random.Random(config.seed)
+    lo = (params.p_min + params.dividend) / (1.0 + params.r)
+    hi = (params.p_max + params.dividend) / (1.0 + params.r)
+
+    last_two = config.initial_prices
+    n_agents = len(config.agents)
+    forecasts: List[List[float]] = [[] for _ in range(n_agents)]
+    prices: List[float] = []
+
+    for i in range(config.horizon):
+        # every rule reads at most the last two prices, ending at t = i - 1
+        past = PriceSeries(i - 2, last_two)
+        period_forecasts = []
+        for h, spec in enumerate(config.agents):
+            f = agent_forecast(spec, past, params, rng)
+            if config.return_noise_sigma > 0 and f > 0:
+                f = params.clamp(f * math.exp(rng.gauss(0.0, config.return_noise_sigma)))
+            f = inject_mistrade(f, rng, config.mistrade_prob, params)
+            forecasts[h].append(f)
+            period_forecasts.append(f)
+        p = clearing_price(period_forecasts, params)
+        if not (lo - 1e-9 <= p <= hi + 1e-9):
+            raise AssertionError(
+                f"clearing price {p} escaped [{lo}, {hi}] at period {i}"
+            )
+        prices.append(p)
+        last_two = (last_two[1], p)
+
+    payoffs: List[List[Optional[float]]] = []
+    for h in range(n_agents):
+        row: List[Optional[float]] = []
+        for i in range(config.horizon):
+            if i + 1 < config.horizon:
+                row.append(score_forecast(prices[i + 1], forecasts[h][i]))
+            else:
+                row.append(None)  # target price never realized in-run
+        payoffs.append(row)
+
+    metadata = {
+        "rng_algorithm": RNG_ALGORITHM,
+        "seed": config.seed,
+        "horizon": config.horizon,
+        "return_noise_sigma": config.return_noise_sigma,
+        "mistrade_prob": config.mistrade_prob,
+        "initial_prices": list(config.initial_prices),
+        "params": asdict(params),
+        "agents": [spec.describe() for spec in config.agents],
+    }
+    return SimResult(
+        prices=PriceSeries(0, tuple(prices)),
+        forecasts=tuple(tuple(row) for row in forecasts),
+        payoffs=tuple(tuple(row) for row in payoffs),
+        metadata=metadata,
+    )

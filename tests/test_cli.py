@@ -1,9 +1,6 @@
-import contextlib
-import io
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,70 +10,9 @@ import pytest
 from bubblelab import GrowthModel, iterate, write_csv
 from bubblelab.cli import build_parser, main
 
+from _golden import GOLDEN_CASES, _read_golden, _run_golden_case, _write_golden
+
 GOLDEN_TABLE2 = Path(__file__).parent / "data" / "table2_golden.csv"
-
-# Pinned CLI runs: each case runs in a fresh working directory holding a
-# copy of cli_golden/inputs, with --outdir out.  cli_golden/<case> holds the
-# expected exit_code, stdout, stderr and every file under out/, byte for byte.
-# Regenerate with `PYTHONPATH=src python tests/test_cli.py`, only when an output
-# change is intended.
-GOLDEN_CLI = Path(__file__).parent / "data" / "cli_golden"
-GOLDEN_CASES = {
-    "simulate_bubble": ("simulate", "--horizon", "25"),
-    "simulate_noise": ("simulate", "--agents", "noise", "--seed", "11", "--noise-sigma",
-                       "0.02", "--mistrade-prob", "0.05", "--horizon", "30"),
-    "simulate_rational": ("simulate", "--agents", "rational", "--horizon", "20"),
-    "simulate_fundamentalist": ("simulate", "--agents", "fundamentalist", "--horizon", "10"),
-    "sweep_two_sided": ("sweep", "--input", "inputs/feedback.csv"),
-    "sweep_one_sided": ("sweep", "--input", "inputs/crash.csv", "--confidence", "one-sided",
-                        "--min-window", "7"),
-    "classify_detected": ("classify", "--input", "inputs/feedback.csv"),
-    "classify_window": ("classify", "--input", "inputs/crash.csv", "--window", "3,18"),
-    "classify_config": ("classify", "--input", "inputs/crash.csv",
-                        "--config", "inputs/classify.cfg"),
-    "plotdata_forecasts": ("plotdata", "--input", "inputs/forecasts.csv"),
-    "plotdata_plain": ("plotdata", "--input", "inputs/crash.csv"),
-    "table2_short": ("table2", "--steps", "5"),
-    "error_config": ("simulate", "--params", "r=0"),
-    "error_ingest": ("sweep", "--input", "inputs/malformed.csv"),
-    "error_compute": ("plotdata", "--input", "inputs/zeros.csv"),
-}
-
-
-def _run_golden_case(case, workdir):
-    """Run one pinned case in ``workdir``; returns the observed
-    ``{relative name: bytes}`` map in the layout of cli_golden/<case>."""
-    shutil.copytree(GOLDEN_CLI / "inputs", workdir / "inputs")
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*GOLDEN_CASES[case], "--outdir", "out"])
-    finally:
-        os.chdir(cwd)
-    observed = {
-        "exit_code": f"{code}\n".encode(),
-        "stdout": out.getvalue().encode(),
-        "stderr": err.getvalue().encode(),
-    }
-    for path in sorted((workdir / "out").rglob("*")):
-        if path.is_file():
-            observed[path.relative_to(workdir).as_posix()] = path.read_bytes()
-    return observed
-
-
-def _write_golden():
-    import tempfile
-
-    for case in GOLDEN_CASES:
-        target = GOLDEN_CLI / case
-        shutil.rmtree(target, ignore_errors=True)
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, data in _run_golden_case(case, Path(tmp)).items():
-                (target / name).parent.mkdir(parents=True, exist_ok=True)
-                (target / name).write_bytes(data)
-
 
 # The options each subcommand reads, and so accepts.
 _COMMON_FLAGS = {"--outdir", "--config"}
@@ -608,13 +544,12 @@ class TestOptionSets:
         assert verdict["thresholds"]["theta"] == 0.5
 
 
+# Pinned CLI runs, byte for byte (see _golden.py).  Regenerate with
+# `PYTHONPATH=src python tests/test_cli.py`, only when an output change is intended.
 class TestGoldenOutput:
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_cli_output_matches_golden(self, case, tmp_path):
-        expected = {
-            path.relative_to(GOLDEN_CLI / case).as_posix(): path.read_bytes()
-            for path in sorted((GOLDEN_CLI / case).rglob("*")) if path.is_file()
-        }
+        expected = _read_golden(case)
         observed = _run_golden_case(case, tmp_path)
         assert sorted(observed) == sorted(expected)
         for name, data in expected.items():

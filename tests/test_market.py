@@ -19,6 +19,10 @@ from bubblelab import (
     run,
     score_forecast,
 )
+from bubblelab import market
+from bubblelab.cli import _build_agents
+
+from _oracles import run_reference, sim_to_json_reference
 
 PARAMS = ExperimentParams()
 
@@ -121,6 +125,32 @@ class TestAgentForecast:
         hist = PriceSeries(0, (59.0, 70.0))
         assert agent_forecast(AgentSpec.return_anchor(0.01, 0.5), hist, PARAMS) == 60.0
 
+    # excess 1e-300 -> 1e300 with pf = 0: the growth ratio overflows to +inf
+    HUGE = ExperimentParams(dividend=0.0, p_max=1e308)
+    OVERFLOWING = PriceSeries(0, (1e-300, 1e300))
+
+    def test_return_anchor_without_feedback_ignores_infinite_growth(self):
+        got = agent_forecast(AgentSpec.return_anchor(0.01, 0.0), self.OVERFLOWING, self.HUGE)
+        assert got == self.HUGE.clamp(0.0 + 1e300 * math.exp(2 * 0.01))
+
+    def test_return_anchor_with_negative_feedback_on_infinite_growth_falls_back(self):
+        spec = AgentSpec.return_anchor(0.01, -0.5)
+        assert agent_forecast(spec, self.OVERFLOWING, self.HUGE) == 0.0
+        # the ratio underflows to 0, a growth of -inf
+        assert agent_forecast(spec, PriceSeries(0, (1e300, 1e-300)), self.HUGE) == 0.0
+
+    def test_return_anchor_with_positive_feedback_on_infinite_growth_gives_the_cap(self):
+        spec = AgentSpec.return_anchor(0.01, 0.5)
+        assert agent_forecast(spec, self.OVERFLOWING, self.HUGE) == self.HUGE.p_max
+
+    @pytest.mark.parametrize("b", [0.0, -0.5])
+    def test_return_anchor_run_from_an_overflowing_ratio_stays_in_band(self, b):
+        config = SimConfig(params=self.HUGE, agents=[AgentSpec.return_anchor(0.01, b)] * 6,
+                           horizon=5, initial_prices=self.OVERFLOWING.values)
+        result = run(config)
+        for f in (*result.prices.values, *(f for row in result.forecasts for f in row)):
+            assert self.HUGE.p_min <= f <= self.HUGE.p_max
+
     def test_noise_agent_centered_on_fundamental(self):
         rng = random.Random(3)
         spec = AgentSpec.noise(sigma=2.0)
@@ -187,6 +217,11 @@ class TestSimConfig:
             _config(agents, initial_prices=(60.0, 1200.0))
         with pytest.raises(InvalidConfig):
             _config(agents, seed=-1)
+
+    @pytest.mark.parametrize("horizon", [2.5, 10.0, "10", True])
+    def test_horizon_must_be_an_int(self, horizon):
+        with pytest.raises(InvalidConfig, match="horizon must be an integer"):
+            _config([AgentSpec.fundamentalist()] * 6, horizon=horizon)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.01])
     def test_bad_return_noise_sigma(self, sigma):
@@ -273,6 +308,27 @@ class TestRun:
         assert meta["horizon"] == 5
         assert meta["params"]["r"] == 0.05
         assert [a["kind"] for a in meta["agents"]] == ["fundamentalist"] * 6
+
+
+class TestSharedRuleEvaluation:
+    def test_twin_rules_differing_only_in_the_sign_of_zero_stay_apart(self):
+        # equal as dataclasses, yet one forecasts 0.0 and the other -0.0
+        agents = [AgentSpec.rational_bubble(0.05, scale, anchor=-0.0) for scale in (0.0, -0.0) * 3]
+        config = _config(agents, horizon=5)
+        assert run(config).to_json() == sim_to_json_reference(run_reference(config))
+
+    def test_bubble_preset_evaluates_two_rules_per_period(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return agent_forecast(*args)
+
+        monkeypatch.setattr(market, "agent_forecast", counted)
+        horizon = 40
+        run(_config(_build_agents("bubble", PARAMS), horizon=horizon,
+                    initial_prices=(66.0, 72.0)))
+        assert len(calls) == 2 * horizon
 
 
 class TestSimResultSerialization:

@@ -4,20 +4,26 @@ Derandomized and without an example database, so every run checks the
 same examples and leaves no files behind.
 """
 
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubblelab import (
+    AgentSpec,
     BubbleLabError,
     DegenerateRegressor,
     ExcessSeries,
+    ExperimentParams,
     InvalidCell,
     InvalidConfig,
     NonPositiveExcess,
     Series,
+    SimConfig,
     TooFewPoints,
     Window,
     discrete_returns,
@@ -25,13 +31,22 @@ from bubblelab import (
     fit_return_model,
     log_excess_returns,
     ols2,
+    run,
     sweep,
     t_cdf,
     t_quantile,
     triangular_cell_count,
+    write_csv,
 )
 
-from _oracles import exact_fit_stats, exact_ols, t_quantile_reference
+from _oracles import (
+    exact_fit_stats,
+    exact_ols,
+    run_reference,
+    sim_to_json_reference,
+    t_quantile_reference,
+    write_csv_reference,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -247,3 +262,73 @@ def test_returns_are_a_finite_series(values, t0, returns):
     assert isinstance(rets, Series)
     assert rets.t0 == t0 + 1 and len(rets) == len(values) - 1
     assert all(math.isfinite(v) for v in rets.values)
+
+
+def _signed(lo, hi):
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=lo, max_value=hi))
+
+
+# one rule of each kind, with parameters that include both signed zeros
+trader_rule = st.one_of(
+    st.just(AgentSpec.fundamentalist()),
+    st.builds(AgentSpec.rational_bubble, _signed(-0.3, 0.3), _signed(-10, 10), _signed(0, 100)),
+    st.builds(AgentSpec.price_anchor, _signed(-0.3, 0.3), _signed(-0.01, 0.01)),
+    st.builds(AgentSpec.return_anchor, _signed(-0.3, 0.3), _signed(-1, 1)),
+    st.just(AgentSpec.naive()),
+    st.builds(AgentSpec.noise, st.sampled_from([0.0, 1.0, 5.0])),
+)
+
+
+def _flip_zeros(spec):
+    """An equal rule whose zero parameters have the other sign."""
+    zeros = {k: -v for k, v in vars(spec).items() if isinstance(v, float) and v == 0.0}
+    return dataclasses.replace(spec, **zeros)
+
+
+@st.composite
+def market_configs(draw):
+    """Groups of 1-6 traders drawn from a pool of 1-3 rules, so twins are
+    common; each trader gets its own, equal copy of its rule, and some
+    copies flip the sign of its zero parameters."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(st.lists(trader_rule, min_size=1, max_size=3))
+    agents = [
+        (_flip_zeros if draw(st.booleans()) else dataclasses.replace)(draw(st.sampled_from(pool)))
+        for _ in range(n)
+    ]
+    price = st.floats(min_value=0.0, max_value=200.0)
+    return SimConfig(
+        params=ExperimentParams(n_traders=n),
+        agents=agents,
+        horizon=draw(st.integers(min_value=1, max_value=60)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        return_noise_sigma=draw(st.sampled_from([0.0, 0.02])),
+        mistrade_prob=draw(st.sampled_from([0.0, 0.02, 1.0])),
+        initial_prices=(draw(price), draw(price)),
+    )
+
+
+@PROPERTY
+@given(
+    market_configs(),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([0, 2, 6]),
+    st.booleans(),
+)
+def test_run_and_its_files_match_the_per_trader_reference(config, t0, decimals, with_forecasts):
+    result = run(config)
+    reference = run_reference(config)
+    assert result == reference
+    # the JSON text also tells a -0.0 from a 0.0, which == does not
+    assert result.to_json() == sim_to_json_reference(reference)
+    pf = config.params.fundamental
+    excess = Series(t0, tuple(p - pf for p in result.prices.values))
+    forecasts = result.forecasts if with_forecasts else None
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        result.write_csv(got)
+        write_csv_reference(want, reference.prices, forecasts=reference.forecasts)
+        assert got.read_bytes() == want.read_bytes()
+        write_csv(got, excess, forecasts=forecasts, decimals=decimals)
+        write_csv_reference(want, excess, forecasts=forecasts, decimals=decimals)
+        assert got.read_bytes() == want.read_bytes()
