@@ -1,4 +1,5 @@
-"""Property tests of the fitting invariants, on inputs drawn by hypothesis.
+"""Property tests of the fitting and market invariants, on inputs drawn
+by hypothesis.
 
 Derandomized and without an example database, so every run checks the
 same examples and leaves no files behind.
