@@ -170,9 +170,8 @@ def classify_series(
         return verdict(TOO_SHORT)
 
     excess = excess_series(prices, params)
-    bounds = (win.start, win.end)
-    pgrid = sweep(excess, MODEL_PRICE, bounds, bounds, min_window, one_sided)
-    rgrid = sweep(excess, MODEL_RETURN, bounds, bounds, min_window, one_sided)
+    pgrid = sweep(excess, MODEL_PRICE, win, min_window, one_sided)
+    rgrid = sweep(excess, MODEL_RETURN, win, min_window, one_sided)
     try:
         pf = significant_fraction(pgrid)
     except NoValidCells:

@@ -138,6 +138,8 @@ class SimConfig:
                 "forecast noise std-dev must be finite and non-negative, "
                 f"got {self.return_noise_sigma}"
             )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in 64 bits")
         if len(self.initial_prices) != 2:

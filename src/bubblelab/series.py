@@ -204,10 +204,11 @@ def log_excess_returns(excess: ExcessSeries) -> Series:
 def load_csv(path, params: Optional[ExperimentParams] = None):
     """Read a price series, plus per-trader forecast columns when present.
 
-    The header is fixed, ``t,price[,h1..hH]``: a ``t`` and a ``price``
-    column plus optional forecast columns ``h1``, ``h2``, ...  Rows must
-    advance t by one, and prices and forecasts must lie in the
-    ``[p_min, p_max]`` band of ``params``.
+    The header must be exactly ``t,price[,h1..hH]``: ``t``, ``price``,
+    then optional forecast columns ``h1``, ``h2``, ... in order (spaces
+    around a name are ignored); any other header raises MalformedRow on
+    line 1.  Rows must advance t by one, and prices and forecasts must lie
+    in the ``[p_min, p_max]`` band of ``params``.
 
     Returns ``(PriceSeries, forecasts)`` where ``forecasts`` is a tuple of
     per-trader tuples (one per h1..hH column, aligned with the series) or
@@ -220,18 +221,12 @@ def load_csv(path, params: Optional[ExperimentParams] = None):
         raise MalformedRow(1, "empty file")
 
     header = [c.strip() for c in lines[0].split(",")]
-    if "t" not in header or "price" not in header:
-        raise MalformedRow(1, "header must name 't' and 'price' columns")
-    t_idx = header.index("t")
-    p_idx = header.index("price")
-    fc_idx = []
-    h = 1
-    while f"h{h}" in header:
-        fc_idx.append(header.index(f"h{h}"))
-        h += 1
+    n_fc = len(header) - 2
+    if header != ["t", "price"] + [f"h{h}" for h in range(1, n_fc + 1)]:
+        raise MalformedRow(1, "header must be t,price[,h1..hH]")
 
     times, prices = [], []
-    forecasts = [[] for _ in fc_idx]
+    forecasts = [[] for _ in range(n_fc)]
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -241,9 +236,9 @@ def load_csv(path, params: Optional[ExperimentParams] = None):
                 lineno, f"expected {len(header)} fields, found {len(fields)}"
             )
         try:
-            t = int(fields[t_idx])
-            p = float(fields[p_idx])
-            fvals = [float(fields[j]) for j in fc_idx]
+            t = int(fields[0])
+            p = float(fields[1])
+            fvals = [float(v) for v in fields[2:]]
         except ValueError as exc:
             raise MalformedRow(lineno, str(exc)) from None
         if times and t != times[-1] + 1:
@@ -269,7 +264,7 @@ def load_csv(path, params: Optional[ExperimentParams] = None):
     if not prices:
         raise MalformedRow(2, "no data rows")
     series = PriceSeries(times[0], tuple(prices))
-    if fc_idx:
+    if n_fc:
         return series, tuple(tuple(col) for col in forecasts)
     return series, None
 

@@ -28,7 +28,7 @@ from .regression import (
     _pairs,
     _scaled_ints,
 )
-from .series import MIN_WINDOW, ExcessSeries
+from .series import MIN_WINDOW, ExcessSeries, Window
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ Cell = Union[OlsFit, InvalidCell]
 @dataclass(frozen=True)
 class SweepGrid:
     model: str
-    start_range: Tuple[int, int]
-    end_range: Tuple[int, int]
+    span: Tuple[int, int]
     min_window: int
     cells: Dict[Tuple[int, int], Cell]
 
@@ -60,16 +59,16 @@ class SweepGrid:
 def sweep(
     excess: ExcessSeries,
     model: str,
-    start_range: Optional[Tuple[int, int]] = None,
-    end_range: Optional[Tuple[int, int]] = None,
+    window: Optional[Window] = None,
     min_window: int = MIN_WINDOW,
     one_sided: bool = False,
 ) -> SweepGrid:
-    """Fit ``model`` on every admissible window within the given bounds.
+    """Fit ``model`` on every window of at least ``min_window`` points
+    inside ``window`` (the whole series when None).
 
-    Bounds default to the full series span.  Per-window errors (windows
-    crossing non-positive excess prices, degenerate regressors) become
-    invalid-cell markers rather than failing the sweep.
+    A ``window`` outside the series raises InvalidConfig.  Per-window
+    errors (windows crossing non-positive excess prices, degenerate
+    regressors) become invalid-cell markers rather than failing the sweep.
 
     Each cell equals ``fit_price_model``/``fit_return_model`` on its
     window, bit for bit, but costs O(1): for a fixed start the window
@@ -81,36 +80,30 @@ def sweep(
     if min_window < MIN_WINDOW:
         raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
     lag = _LAGS[model]
-    s_lo, s_hi = start_range if start_range is not None else (excess.t0, excess.t_end)
-    e_lo, e_hi = end_range if end_range is not None else (excess.t0, excess.t_end)
-    if s_lo < excess.t0 or e_hi > excess.t_end:
-        raise InvalidConfig(
-            f"sweep bounds [{s_lo}, {e_hi}] outside series range "
-            f"[{excess.t0}, {excess.t_end}]"
-        )
+    if window is None:
+        lo, hi, vals = excess.t0, excess.t_end, excess.values
+    else:
+        lo, hi, vals = window.start, window.end, excess.window_values(window)
 
-    # Only values inside [s_lo, e_hi] are ever part of a window.
-    vals = excess.values[s_lo - excess.t0 : e_hi - excess.t0 + 1]
     cells: Dict[Tuple[int, int], Cell] = {}
-    run0 = s_lo
-    while run0 <= s_hi:
+    run0 = lo
+    while run0 <= hi:
         # Values are strictly positive from run0 up to (excluding) t = bad;
         # for every start in that run, a window reaching bad fails there.
         bad = run0
-        while bad <= e_hi and vals[bad - s_lo] > 0:
+        while bad <= hi and vals[bad - lo] > 0:
             bad += 1
         blocked = InvalidCell("NonPositiveExcess", str(NonPositiveExcess(bad)))
-        run_end = min(max(bad, run0 + 1), s_hi + 1)
-        if bad - 1 >= max(e_lo, run0 + min_window - 1):
+        run_end = max(bad, run0 + 1)
+        if bad - run0 >= min_window:
             # some window inside the run is long enough: fit them all from
             # one set of pairs and one integer image of the run
-            xf, yf = _pairs(model, vals[run0 - s_lo : bad - s_lo], run0)
+            xf, yf = _pairs(model, vals[run0 - lo : bad - lo], run0)
             xs, ys, p = _scaled_ints(xf, yf)
         else:  # no window of the run is long enough to fit
             xs = ys = xf = ()
-        last = min(bad, e_hi + 1)  # ends from here on are blocked
         for s in range(run0, run_end):
-            first_e = max(e_lo, s + min_window - 1)
+            first_e = s + min_window - 1
             n = sx = sy = sxx = sxy = syy = 0
             xmin, xmax = math.inf, -math.inf
             # A window that grows by a point widens its regressor's spread
@@ -120,8 +113,8 @@ def sweep(
             spread_ok = False
             # pair j (counted from run0) is the last pair of the cell that
             # ends at e = run0 + j + 1 + lag; cell (s, e) holds pairs from s
-            lo = s - run0
-            for e, x, y, xv in zip(range(s + lag + 1, last), xs[lo:], ys[lo:], xf[lo:]):
+            j = s - run0
+            for e, x, y, xv in zip(range(s + lag + 1, bad), xs[j:], ys[j:], xf[j:]):
                 n += 1
                 sx += x
                 sy += y
@@ -145,16 +138,10 @@ def sweep(
                 cells[(s, e)] = _fit_moments(
                     model, n, sx, sy, sxx, sxy, syy, p, one_sided
                 )
-            for e in range(max(first_e, bad), e_hi + 1):
+            for e in range(max(first_e, bad), hi + 1):
                 cells[(s, e)] = blocked
         run0 = run_end
-    return SweepGrid(
-        model=model,
-        start_range=(s_lo, s_hi),
-        end_range=(e_lo, e_hi),
-        min_window=min_window,
-        cells=cells,
-    )
+    return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
 
 
 def significance_mask(grid: SweepGrid) -> Dict[Tuple[int, int], bool]:
@@ -180,24 +167,11 @@ def significant_fraction(grid: SweepGrid) -> float:
     return sum(1 for v in mask.values() if v) / n_valid
 
 
-def triangular_cell_count(
-    start_range: Tuple[int, int], end_range: Tuple[int, int], min_window: int
-) -> int:
-    """Count of admissible windows, for shape checks.
-
-    Starts up to ``e0 - min_window + 1`` may end anywhere in the end
-    range; each later start loses one end, down to the last start that
-    still fits a window.
-    """
-    (s0, s1), (e0, e1) = start_range, end_range
-    if e1 < e0:
-        return 0
-    flat = e0 - min_window + 1
-    total = max(0, min(s1, flat) - s0 + 1) * (e1 - e0 + 1)
-    lo, hi = max(s0, flat + 1), min(s1, e1 - min_window + 1)
-    if lo <= hi:  # start s has e1 - min_window + 2 - s ends
-        total += (hi - lo + 1) * (2 * (e1 - min_window + 2) - lo - hi) // 2
-    return total
+def triangular_cell_count(n: int, min_window: int) -> int:
+    """Count of windows of at least ``min_window`` points in a span of
+    ``n`` points, for shape checks."""
+    k = max(0, n - min_window + 1)
+    return k * (k + 1) // 2
 
 
 def grid_to_csv(grid: SweepGrid) -> str:

@@ -188,9 +188,9 @@ def test_criterion_7_sweep_structure():
     excess = iterate_noisy(
         GrowthModel.price_feedback(math.log(1.09), 1e-4, 60.0), 26, 0.01, seed=12
     )
-    grid = sweep(excess, "price", (7, 26), (7, 26))
+    grid = sweep(excess, "price", Window(7, 26))
     ok_count = (grid.n_valid() == 136
-                and triangular_cell_count((7, 26), (7, 26), 5) == 136)
+                and triangular_cell_count(20, 5) == 136)
 
     ok_recompute = all(
         fit_price_model(excess, Window(s, e)) == cell

@@ -130,7 +130,7 @@ class TestClassifySeries:
         )
         verdict = classify_series(prices, PARAMS, window=Window(5, 20))
         assert verdict.bubble_window == Window(5, 20)
-        assert verdict.price_grid.start_range == (5, 20)
+        assert verdict.price_grid.span == (5, 20)
 
     def test_explicit_short_window_is_too_short(self):
         prices = _prices_from_model(

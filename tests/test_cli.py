@@ -188,6 +188,26 @@ class TestSweepCommand:
         assert code == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("t,price,h2", "{t},70.0,71.0"),
+            ("t,price,h1,h3", "{t},70.0,71.0,72.0"),
+            ("t,price,foo", "{t},70.0,71.0"),
+            ("price,t", "70.0,{t}"),
+        ],
+        ids=["h2-alone", "h1-h3", "foo", "price-t"],
+    )
+    def test_header_other_than_t_price_h1_to_hH_is_ingest_error(
+        self, tmp_path, capsys, header, row
+    ):
+        inp = tmp_path / "header.csv"
+        inp.write_text("\n".join([header] + [row.format(t=t) for t in range(12)]) + "\n")
+        code = run_cli("sweep", "--input", str(inp), "--outdir", str(tmp_path))
+        assert code == 3
+        assert "line 1: header must be t,price[,h1..hH]" in capsys.readouterr().err
+        assert not (tmp_path / "price_grid.csv").exists()
+
     def test_one_sided_confidence_tightens_lower_bounds(self, tmp_path):
         from bubblelab import PriceSeries, iterate_noisy
 

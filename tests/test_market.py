@@ -223,6 +223,11 @@ class TestSimConfig:
         with pytest.raises(InvalidConfig, match="horizon must be an integer"):
             _config([AgentSpec.fundamentalist()] * 6, horizon=horizon)
 
+    @pytest.mark.parametrize("seed", [True, 2.5])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(InvalidConfig, match="seed must be an integer"):
+            _config([AgentSpec.noise(0.1)] * 6, seed=seed)
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.01])
     def test_bad_return_noise_sigma(self, sigma):
         with pytest.raises(InvalidConfig, match="std-dev"):

@@ -157,19 +157,21 @@ def test_ols2_rejects_non_finite_data(data, bad, in_x, draw):
 )
 def test_every_sweep_cell_equals_the_standalone_fit(values, t0, model, min_window, draw):
     excess = ExcessSeries(t0, tuple(values))
-    t_end = excess.t_end
-    bounds = {}
-    if draw.draw(st.booleans()):  # sub-ranges instead of the full span
-        s_lo = draw.draw(st.integers(t0, t_end))
-        e_hi = draw.draw(st.integers(t0, t_end))
-        bounds = {
-            "start_range": (s_lo, draw.draw(st.integers(s_lo - 1, t_end + 2))),
-            "end_range": (draw.draw(st.integers(t0 - 2, e_hi + 1)), e_hi),
-        }
-    grid = sweep(excess, model, min_window=min_window, **bounds)
-    assert len(grid.cells) == triangular_cell_count(
-        grid.start_range, grid.end_range, min_window
-    )
+    lo, hi = t0, excess.t_end
+    window = None
+    if draw.draw(st.booleans()):  # a sub-window instead of the whole series
+        lo = draw.draw(st.integers(t0, hi - 4))
+        hi = draw.draw(st.integers(lo + 4, hi))
+        window = Window(lo, hi)
+    grid = sweep(excess, model, window, min_window=min_window)
+    assert grid.span == (lo, hi)
+    assert set(grid.cells) == {
+        (s, e)
+        for s in range(lo, hi + 1)
+        for e in range(s, hi + 1)
+        if e - s + 1 >= min_window
+    }
+    assert len(grid.cells) == triangular_cell_count(hi - lo + 1, min_window)
     for (s, e), cell in grid.cells.items():
         assert cell == _standalone(model, excess, Window(s, e))
 

@@ -225,6 +225,29 @@ class TestCsv:
             load_csv(path)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize(
+        "csv",
+        [
+            "t,price,h2\n0,60.0,61.0\n1,62.0,63.0\n",  # forecasts lost
+            "t,price,h1,h3\n0,60.0,61.0,62.0\n1,62.0,63.0,64.0\n",  # h3 lost
+            "t,price,foo\n0,60.0,61.0\n1,62.0,63.0\n",  # foo ignored
+            "price,t\n60.0,0\n62.0,1\n",  # columns swapped
+        ],
+        ids=["h2-alone", "h1-h3", "foo", "price-t"],
+    )
+    def test_header_other_than_t_price_h1_to_hH(self, tmp_path, csv):
+        path = tmp_path / "header.csv"
+        path.write_text(csv)
+        with pytest.raises(MalformedRow, match=r"header must be t,price\[,h1\.\.hH\]") as exc:
+            load_csv(path)
+        assert exc.value.line == 1
+
+    def test_header_names_may_carry_spaces(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text(" t , price ,h1\n0,60.0,61.0\n")
+        series, forecasts = load_csv(path)
+        assert series.values == (60.0,) and forecasts == ((61.0,),)
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("t,price\n")

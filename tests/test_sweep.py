@@ -35,35 +35,51 @@ def _feedback_excess(steps=26):
 class TestSweepShape:
     def test_triangular_count_example(self):
         excess = _feedback_excess(26)
-        grid = sweep(excess, "price", (7, 26), (7, 26), min_window=5)
+        grid = sweep(excess, "price", Window(7, 26), min_window=5)
         assert len(grid.cells) == 136
-        assert triangular_cell_count((7, 26), (7, 26), 5) == 136
+        assert triangular_cell_count(20, 5) == 136
         assert all(e - s + 1 >= 5 for (s, e) in grid.cells)
+
+    def test_triangular_count_matches_loop_on_a_span(self):
+        for n in range(41):
+            for min_window in range(5, 10):
+                span = (0, n - 1)
+                assert triangular_cell_count(n, min_window) == (
+                    triangular_cell_count_loop(span, span, min_window)
+                ), (n, min_window)
 
     @pytest.mark.parametrize("min_window", [5, 6, 9])
     @pytest.mark.parametrize("start_range", [(0, 20), (3, 9), (12, 18), (7, 6), (-4, 2)])
     @pytest.mark.parametrize("end_range", [(0, 20), (5, 14), (10, 10), (15, 30), (9, 4)])
     def test_triangular_count_matches_loop(self, start_range, end_range, min_window):
-        assert triangular_cell_count(start_range, end_range, min_window) == (
-            triangular_cell_count_loop(start_range, end_range, min_window)
-        )
+        """The oracle's starts-by-ends rectangle is four spans by
+        inclusion-exclusion: all windows of [s0, e1], less those starting
+        after s1, less those ending before e0, plus those doing both."""
+        (s0, s1), (e0, e1) = start_range, end_range
+        late, early = max(s0, s1 + 1), min(e1, e0 - 1)
+
+        def count(lo, hi):
+            return triangular_cell_count(hi - lo + 1, min_window)
+
+        rectangle = count(s0, e1) - count(late, e1) - count(s0, early) + count(late, early)
+        assert rectangle == triangular_cell_count_loop(start_range, end_range, min_window)
 
     def test_full_span_default(self):
         excess = _feedback_excess(20)
         grid = sweep(excess, "price")
-        assert len(grid.cells) == triangular_cell_count((0, 20), (0, 20), 5)
-        assert grid.start_range == (0, 20) and grid.end_range == (0, 20)
+        assert len(grid.cells) == triangular_cell_count(21, 5)
+        assert grid.span == (0, 20)
 
     def test_larger_min_window(self):
         excess = _feedback_excess(20)
         grid = sweep(excess, "price", min_window=8)
         assert all(e - s + 1 >= 8 for (s, e) in grid.cells)
-        assert len(grid.cells) == triangular_cell_count((0, 20), (0, 20), 8)
+        assert len(grid.cells) == triangular_cell_count(21, 8)
 
     def test_bounds_validation(self):
         excess = _feedback_excess(10)
         with pytest.raises(ValueError):
-            sweep(excess, "price", (0, 10), (0, 12))
+            sweep(excess, "price", Window(0, 12))
         with pytest.raises(ValueError):
             sweep(excess, "nonsense")
 
@@ -77,10 +93,13 @@ class TestSweepShape:
         ):
             sweep(_feedback_excess(10), "nonsense")
 
-    @pytest.mark.parametrize("bounds", [((-1, 10), (0, 10)), ((0, 10), (0, 12))])
+    @pytest.mark.parametrize("bounds", [Window(-1, 10), Window(0, 12)])
     def test_bounds_outside_series_are_config_error(self, bounds):
-        with pytest.raises(InvalidConfig, match=r"sweep bounds \[-?\d+, \d+\] outside series range \[0, 10\]"):
-            sweep(_feedback_excess(10), "price", *bounds)
+        with pytest.raises(
+            InvalidConfig,
+            match=r"window \[-?\d+, \d+\] outside series range \[0, 10\]",
+        ):
+            sweep(_feedback_excess(10), "price", bounds)
 
 
 class TestSweepCells:
