@@ -55,6 +55,30 @@ class OlsFit:
     perfect: bool = False
 
 
+class _OpenFit:
+    """An unfrozen twin of ``OlsFit`` with the same slots, for the kernel.
+
+    The frozen dataclass ``__init__`` stores each of its 11 fields with
+    its own ``object.__setattr__`` call, which made building the result
+    about a third of a warm sweep cell's cost.
+    """
+
+    __slots__ = OlsFit.__slots__
+
+    def __init__(self, model, a, b, se_a, se_b, a_lower, b_lower, n, df, r2, perfect):
+        self.model = model
+        self.a = a
+        self.b = b
+        self.se_a = se_a
+        self.se_b = se_b
+        self.a_lower = a_lower
+        self.b_lower = b_lower
+        self.n = n
+        self.df = df
+        self.r2 = r2
+        self.perfect = perfect
+
+
 def _scaled_ints(xs, ys) -> Tuple[list, list, int]:
     """Exact integer images of finite floats on one power-of-two scale.
 
@@ -142,9 +166,11 @@ def _fit_moments(
         r2 = 1.0  # constant response fitted exactly
 
     tq = t_quantile(0.95 if one_sided else 0.975, df)
-    return OlsFit(
+    fit = _OpenFit(
         model, a, b, se_a, se_b, a - tq * se_a, b - tq * se_b, n, df, r2, nssr == 0
     )
+    fit.__class__ = OlsFit  # same slot layout: from here on a frozen OlsFit
+    return fit
 
 
 def ols2(

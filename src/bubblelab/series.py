@@ -172,25 +172,22 @@ def log_growth(values: Sequence[float], t0: int) -> list:
 
     Defined only while every value is strictly positive; a zero or
     negative value raises NonPositiveExcess naming the first offending
-    time index t0 + i (the values lie outside a bubble regime).  A ratio
-    that underflows to 0 or overflows to inf raises InvalidConfig naming
-    the time t0 + i + 1 of its growth rate.
+    time index t0 + i (the values lie outside a bubble regime).  Every
+    rate is finite: a ratio that underflows to 0 or overflows to inf is
+    taken as log(v[i+1]) - log(v[i]) instead.
     """
     for i, v in enumerate(values):
         if v <= 0:
             raise NonPositiveExcess(t0 + i)
-    ratios = [values[i + 1] / values[i] for i in range(len(values) - 1)]
-    for i, q in enumerate(ratios):
-        if not 0.0 < q < math.inf:
-            raise InvalidConfig(
-                f"growth ratio at t={t0 + i + 1} is outside the float range"
-            )
-    return [math.log(q) for q in ratios]
+    return [
+        math.log(q) if 0.0 < (q := v / prev) < math.inf else math.log(v) - math.log(prev)
+        for prev, v in zip(values, values[1:])
+    ]
 
 
 def log_excess_returns(excess: ExcessSeries) -> Series:
-    """Natural-log growth rates log(excess[t]/excess[t-1]) from t0 + 1;
-    see log_growth."""
+    """Natural-log growth rates log(excess[t]/excess[t-1]) from t0 + 1,
+    finite for every positive series; see log_growth."""
     if len(excess) < 2:
         raise InvalidConfig("need at least two observations for returns")
     return Series(excess.t0 + 1, log_growth(excess.values, excess.t0))

@@ -44,13 +44,16 @@ Cell = Union[OlsFit, InvalidCell]
 
 @dataclass(frozen=True)
 class SweepGrid:
+    """The cells of one sweep, keyed by window (start, end) and held in
+    key order: start ascending, and end ascending within each start."""
+
     model: str
     span: Tuple[int, int]
     min_window: int
     cells: Dict[Tuple[int, int], Cell]
 
     def valid_items(self):
-        return [(k, c) for k, c in sorted(self.cells.items()) if isinstance(c, OlsFit)]
+        return [(k, c) for k, c in self.cells.items() if isinstance(c, OlsFit)]
 
     def n_valid(self) -> int:
         return sum(1 for c in self.cells.values() if isinstance(c, OlsFit))
@@ -160,11 +163,15 @@ def significance_mask(grid: SweepGrid) -> Dict[Tuple[int, int], bool]:
 
 def significant_fraction(grid: SweepGrid) -> float:
     """Share of valid cells passing the joint-significance test."""
-    n_valid = grid.n_valid()
+    n_valid = n_sig = 0
+    for cell in grid.cells.values():
+        if isinstance(cell, OlsFit):
+            n_valid += 1
+            if cell.a_lower > 0.0 and cell.b_lower > 0.0:
+                n_sig += 1
     if n_valid == 0:
         raise NoValidCells(f"{grid.model} grid has no valid cell")
-    mask = significance_mask(grid)
-    return sum(1 for v in mask.values() if v) / n_valid
+    return n_sig / n_valid
 
 
 def triangular_cell_count(n: int, min_window: int) -> int:
@@ -175,36 +182,40 @@ def triangular_cell_count(n: int, min_window: int) -> int:
 
 
 def grid_to_csv(grid: SweepGrid) -> str:
-    """Long-format export, one row per cell, plottable as a triangle map."""
+    """Long-format export, one row per cell in (start, end) order,
+    plottable as a triangle map."""
+    valid_row = "%s,%d,%d" + ",%.17g" * 6 + ",%d,%.17g,true,"
+    invalid_row = "%s,%d,%d,,,,,,,,,false,%s"
+    model = grid.model
     out = ["model,start,end,a,b,se_a,se_b,a_lower,b_lower,n,r2,valid,error_kind"]
-    for (s, e), cell in sorted(grid.cells.items()):
+    for (s, e), cell in grid.cells.items():
         if isinstance(cell, OlsFit):
             out.append(
-                f"{grid.model},{s},{e},"
-                f"{cell.a:.17g},{cell.b:.17g},{cell.se_a:.17g},{cell.se_b:.17g},"
-                f"{cell.a_lower:.17g},{cell.b_lower:.17g},{cell.n},{cell.r2:.17g},"
-                "true,"
+                valid_row
+                % (model, s, e, cell.a, cell.b, cell.se_a, cell.se_b,
+                   cell.a_lower, cell.b_lower, cell.n, cell.r2)
             )
         else:
-            out.append(f"{grid.model},{s},{e},,,,,,,,,false,{cell.error_kind}")
+            out.append(invalid_row % (model, s, e, cell.error_kind))
     return "\n".join(out) + "\n"
 
 
 def grid_summary(grid: SweepGrid) -> dict:
     """Aggregate statistics for reports: cell counts, significant share,
-    error-kind tallies, and the most significant window."""
-    mask = significance_mask(grid)
-    n_valid = grid.n_valid()
-    n_sig = sum(1 for v in mask.values() if v)
+    error-kind tallies, and the most significant window (the first in
+    (start, end) order among ties)."""
+    n_valid = n_sig = 0
     errors: Dict[str, int] = {}
-    for cell in grid.cells.values():
-        if isinstance(cell, InvalidCell):
+    best = best_key = None
+    for key, cell in grid.cells.items():
+        if isinstance(cell, OlsFit):
+            n_valid += 1
+            if cell.a_lower > 0.0 and cell.b_lower > 0.0:
+                n_sig += 1
+            if best is None or cell.b_lower > best.b_lower:
+                best, best_key = cell, key
+        else:
             errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
-    best = None
-    best_key = None
-    for key, cell in grid.valid_items():
-        if best is None or cell.b_lower > best.b_lower:
-            best, best_key = cell, key
     summary = {
         "model": grid.model,
         "min_window": grid.min_window,

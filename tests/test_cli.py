@@ -247,13 +247,24 @@ class TestSweepCommand:
         assert n_narrow < n_wide
 
     @pytest.mark.parametrize("first", [(1e300, 1e-300), (1e-300, 1e300)])
-    def test_growth_ratio_outside_float_range_is_config_error(
-        self, first, tmp_path, capsys
+    def test_growth_ratio_outside_float_range_writes_standalone_cells(
+        self, first, tmp_path
     ):
+        # the log growth of a ratio that leaves the float range is finite, so
+        # every window fits and each grid row is its standalone fit's row
+        from bubblelab import (
+            ExcessSeries, SweepGrid, Window, fit_price_model, fit_return_model,
+            grid_to_csv,
+        )
+
         inp = _extreme_prices_csv(tmp_path / "prices.csv", first)
         assert run_cli("sweep", "--input", str(inp), *EXTREME_PARAMS,
-                       "--outdir", str(tmp_path)) == 2
-        assert "growth ratio at t=1" in capsys.readouterr().err
+                       "--outdir", str(tmp_path)) == 0
+        excess = ExcessSeries(0, (*first, 1.0, 2.0, 3.0, 4.0))  # D=0: excess = price
+        for model, fitter in (("price", fit_price_model), ("return", fit_return_model)):
+            cells = {key: fitter(excess, Window(*key)) for key in ((0, 4), (0, 5), (1, 5))}
+            want = grid_to_csv(SweepGrid(model, (0, 5), 5, cells))
+            assert (tmp_path / f"{model}_grid.csv").read_text() == want
 
 
 class TestClassifyCommand:

@@ -23,16 +23,21 @@ from bubblelab import (
     InvalidCell,
     InvalidConfig,
     NonPositiveExcess,
+    NoValidCells,
+    OlsFit,
     Series,
     SimConfig,
+    SweepGrid,
     TooFewPoints,
     Window,
     discrete_returns,
     fit_price_model,
     fit_return_model,
+    grid_summary,
     log_excess_returns,
     ols2,
     run,
+    significant_fraction,
     sweep,
     t_cdf,
     t_quantile,
@@ -60,6 +65,12 @@ excess_value = st.one_of(
     st.floats(min_value=1e-3, max_value=1e3),
     st.just(0.0),
     st.floats(min_value=-50.0, max_value=0.0),
+)
+# positive values across the float range, whose adjacent ratios can
+# underflow to 0 or overflow to inf
+wide_value = st.one_of(
+    st.sampled_from([1e-300, 1e-200, 1e200, 1e300]),
+    st.floats(min_value=1e-300, max_value=1e300),
 )
 
 
@@ -149,7 +160,7 @@ def test_ols2_rejects_non_finite_data(data, bad, in_x, draw):
 
 @PROPERTY
 @given(
-    st.lists(excess_value, min_size=5, max_size=16),
+    st.lists(st.one_of(excess_value, wide_value), min_size=5, max_size=16),
     st.integers(min_value=-5, max_value=5),
     st.sampled_from(["price", "return"]),
     st.sampled_from([5, 6]),
@@ -232,6 +243,74 @@ def test_data_outside_a_window_has_no_effect(values, model, draw):
     a = sweep(ExcessSeries(0, tuple(values)), model).cells[(s, e)]
     b = sweep(ExcessSeries(0, tuple(perturbed)), model).cells[(s, e)]
     assert a == b
+
+
+@PROPERTY
+@given(
+    st.lists(excess_value, min_size=5, max_size=16),
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from(["price", "return"]),
+    st.sampled_from([5, 6]),
+    st.data(),
+)
+def test_sweep_cells_are_in_key_order(values, t0, model, min_window, draw):
+    excess = ExcessSeries(t0, tuple(values))
+    window = None
+    if draw.draw(st.booleans()):  # a sub-window instead of the whole series
+        lo = draw.draw(st.integers(t0, excess.t_end - 4))
+        window = Window(lo, draw.draw(st.integers(lo + 4, excess.t_end)))
+    grid = sweep(excess, model, window, min_window=min_window)
+    assert list(grid.cells) == sorted(grid.cells)
+
+
+@st.composite
+def random_grids(draw):
+    """A grid of every window of a span, in key order as sweep builds it,
+    with made-up cells: bounds from a small set, so that best-window ties
+    are common, and with all, some or none of the cells invalid."""
+    lo = draw(st.integers(-3, 3))
+    hi = lo + draw(st.integers(0, 12))
+    min_window = draw(st.sampled_from([5, 6]))
+    share_valid = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    bound = st.sampled_from([-1.0, 0.0, 0.25, 2.0])
+    cells = {}
+    for s in range(lo, hi + 1):
+        for e in range(s + min_window - 1, hi + 1):
+            if draw(st.floats(0.0, 1.0)) < share_valid:
+                a_lower, b_lower = draw(bound), draw(bound)
+                cells[(s, e)] = OlsFit("price", 1.0, 1.0, 0.5, 0.5, a_lower, b_lower,
+                                       e - s, e - s - 2, 0.5)
+            else:
+                kind = draw(st.sampled_from(["NonPositiveExcess", "DegenerateRegressor"]))
+                cells[(s, e)] = InvalidCell(kind, "x")
+    return SweepGrid("price", (lo, hi), min_window, cells)
+
+
+@PROPERTY
+@given(random_grids())
+def test_grid_tallies_equal_a_brute_force_recount(grid):
+    valid = sorted((k, c) for k, c in grid.cells.items() if isinstance(c, OlsFit))
+    n_sig = sum(1 for _, c in valid if c.a_lower > 0.0 and c.b_lower > 0.0)
+    kinds = [c.error_kind for c in grid.cells.values() if isinstance(c, InvalidCell)]
+    errors = {kind: kinds.count(kind) for kind in dict.fromkeys(kinds)}
+    summary = grid_summary(grid)
+    assert summary["cells"] == len(grid.cells)
+    assert summary["valid_cells"] == len(valid)
+    assert summary["significant_cells"] == n_sig
+    assert list(summary["invalid_by_error"].items()) == list(errors.items())
+    if valid:
+        assert significant_fraction(grid) == summary["significant_fraction"]
+        assert significant_fraction(grid) == n_sig / len(valid)
+        top = max(c.b_lower for _, c in valid)
+        key, fit = next((k, c) for k, c in valid if c.b_lower == top)
+        assert summary["best_window"] == {
+            "start": key[0], "end": key[1], "fit": dataclasses.asdict(fit)
+        }
+    else:
+        with pytest.raises(NoValidCells):
+            significant_fraction(grid)
+        assert summary["significant_fraction"] is None
+        assert summary["best_window"] is None
 
 
 @PROPERTY

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 import random
 
 import pytest
@@ -9,6 +13,7 @@ from bubblelab import (
     GrowthModel,
     InvalidConfig,
     NonPositiveExcess,
+    OlsFit,
     PriceSeries,
     TooFewPoints,
     Window,
@@ -16,9 +21,12 @@ from bubblelab import (
     fit_rational_bubble,
     fit_return_model,
     iterate,
+    iterate_noisy,
     ols2,
+    sweep,
     t_quantile,
 )
+from bubblelab.regression import _OpenFit
 
 from _oracles import brute_force_ols
 
@@ -263,3 +271,48 @@ class TestScaleConsistency:
         scaled = fit_price_model(ExcessSeries(0, tuple(3.0 * v for v in vals)), win)
         assert scaled.b == pytest.approx(base.b / 3.0, rel=1e-12)
         assert scaled.a == pytest.approx(base.a, rel=1e-12)
+
+
+def _fits_from_every_path():
+    """One fit from each way the kernel is reached."""
+    model = GrowthModel.price_feedback(math.log(1.09), 1e-4, 60.0)
+    noisy = iterate_noisy(model, 15, 0.01, seed=3)
+    prices = PriceSeries(0, tuple(v + 60.0 for v in noisy.values))
+    return {
+        "ols2": ols2([0.0, 1.0, 2.0, 4.0], [1.0, 2.5, 2.0, 5.0]),
+        "price": fit_price_model(noisy, Window(2, 12)),
+        "return": fit_return_model(noisy, Window(2, 12)),
+        "rational": fit_rational_bubble(prices, Window(2, 12)).ols,
+        "sweep": sweep(noisy, "price").cells[(3, 11)],
+    }
+
+
+class TestOlsFitConstruction:
+    """The kernel builds its fits without the frozen ``__init__``; each must
+    still be a fit that ``OlsFit(...)`` could have built."""
+
+    @pytest.mark.parametrize("path", ["ols2", "price", "return", "rational", "sweep"])
+    def test_kernel_fit_is_indistinguishable_from_the_constructor(self, path):
+        fit = _fits_from_every_path()[path]
+        twin = OlsFit(*dataclasses.astuple(fit))
+        assert type(fit) is OlsFit
+        assert fit == twin and twin == fit
+        assert hash(fit) == hash(twin)
+        assert repr(fit) == repr(twin)
+        assert dataclasses.asdict(fit) == dataclasses.asdict(twin)
+        for clone in (pickle.loads(pickle.dumps(fit)), copy.copy(fit), copy.deepcopy(fit)):
+            assert type(clone) is OlsFit and clone == twin
+        assert pickle.dumps(fit) == pickle.dumps(twin)
+        assert not hasattr(fit, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fit.b = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del fit.b
+        assert fit == twin
+
+    def test_open_twin_has_the_fields_of_olsfit_in_order(self):
+        # the kernel retypes an _OpenFit to OlsFit, which needs one slot
+        # layout, and must have set every field by then
+        names = tuple(f.name for f in dataclasses.fields(OlsFit))
+        assert _OpenFit.__slots__ == names
+        assert tuple(inspect.signature(_OpenFit).parameters) == names

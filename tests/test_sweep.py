@@ -153,11 +153,15 @@ class TestSweepCells:
 
     @pytest.mark.parametrize("model", ["price", "return"])
     @pytest.mark.parametrize("first", [(1e200, 1e-200), (1e-200, 1e200)])
-    def test_growth_ratio_outside_float_range_names_t(self, first, model):
-        # 1e-200 / 1e200 underflows to 0 and 1e200 / 1e-200 overflows
-        excess = ExcessSeries(0, (*first, 1.0, 2.0, 3.0, 4.0))
-        with pytest.raises(InvalidConfig, match="t=1"):
-            sweep(excess, model)
+    def test_growth_ratio_outside_float_range_gives_standalone_cells(self, first, model):
+        # 1e-200 / 1e200 underflows to 0 and 1e200 / 1e-200 overflows; the
+        # log growth is log(v) - log(prev) there, finite as for any ratio
+        excess = ExcessSeries(0, (*first, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+        fitter = {"price": fit_price_model, "return": fit_return_model}[model]
+        grid = sweep(excess, model)
+        assert grid.n_valid() == len(grid.cells) == triangular_cell_count(8, 5)
+        for (s, e), cell in grid.cells.items():
+            assert cell == fitter(excess, Window(s, e))
 
 
 class TestSignificance:
