@@ -247,11 +247,12 @@ class TestSweepCommand:
         assert n_narrow < n_wide
 
     @pytest.mark.parametrize("first", [(1e300, 1e-300), (1e-300, 1e300)])
-    def test_growth_ratio_outside_float_range_writes_standalone_cells(
+    def test_growth_ratio_outside_float_range_is_config_error(
         self, first, tmp_path
     ):
-        # the log growth of a ratio that leaves the float range is finite, so
-        # every window fits and each grid row is its standalone fit's row
+        # named for the exit 2 these ratios once gave; their log growth is now
+        # finite, so every window fits and each grid row is its standalone
+        # fit's row
         from bubblelab import (
             ExcessSeries, SweepGrid, Window, fit_price_model, fit_return_model,
             grid_to_csv,

@@ -153,9 +153,10 @@ class TestSweepCells:
 
     @pytest.mark.parametrize("model", ["price", "return"])
     @pytest.mark.parametrize("first", [(1e200, 1e-200), (1e-200, 1e200)])
-    def test_growth_ratio_outside_float_range_gives_standalone_cells(self, first, model):
-        # 1e-200 / 1e200 underflows to 0 and 1e200 / 1e-200 overflows; the
-        # log growth is log(v) - log(prev) there, finite as for any ratio
+    def test_growth_ratio_outside_float_range_names_t(self, first, model):
+        # named for the InvalidConfig naming t=1 these ratios once raised;
+        # 1e-200 / 1e200 underflows to 0 and 1e200 / 1e-200 overflows, and
+        # the log growth is log(v) - log(prev) there, finite as for any ratio
         excess = ExcessSeries(0, (*first, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         fitter = {"price": fit_price_model, "return": fit_return_model}[model]
         grid = sweep(excess, model)
