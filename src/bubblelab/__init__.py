@@ -63,7 +63,7 @@ from .series import (
     log_excess_returns,
     write_csv,
 )
-from .studentt import regularized_incomplete_beta, t_cdf, t_quantile
+from .studentt import t_cdf, t_quantile
 from .sweep import (
     InvalidCell,
     SweepGrid,

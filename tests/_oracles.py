@@ -1,8 +1,10 @@
 """Independent oracles the tests check the package against.
 
 Deliberately implemented along different numerical routes than the
-package: the t CDF by direct quadrature of the density (no incomplete
-beta, no gamma function), least squares by derivative-free descent on
+package: the t CDF by direct quadrature of the density (no closed form,
+no gamma function) and by the package's closed forms in 40-digit
+``decimal`` arithmetic (an oracle for the float rounding, not for the
+formula), least squares by derivative-free descent on
 the raw sum of squared residuals (no normal equations) and by centred
 and residual-by-residual sums over ``fractions.Fraction`` (no integer
 moments), and window counts by a loop (no closed form).
@@ -21,7 +23,9 @@ import json
 import math
 import random
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from statistics import NormalDist
 from typing import List, Optional
 
 from bubblelab import InvalidConfig, PriceSeries, SimResult, t_cdf
@@ -81,6 +85,84 @@ def t_quantile_bisect(p: float, df: int, tol: float = 1e-10) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+_DIGITS = 40
+
+
+def _atan_series(y: Decimal) -> Decimal:
+    """atan(y) by its Taylor series, for small |y|."""
+    total = term = y
+    k = 1
+    while term and abs(term) > abs(total).scaleb(-_DIGITS - 5):
+        term = -term * y * y
+        k += 2
+        total += term / k
+    return total
+
+
+with localcontext() as _ctx:
+    _ctx.prec = _DIGITS + 10
+    _PI = 16 * _atan_series(Decimal(1) / 5) - 4 * _atan_series(Decimal(1) / 239)  # Machin
+
+
+def _atan(y: Decimal) -> Decimal:
+    """atan(y) for y >= 0: atan(y) = pi/2 - atan(1/y) above 1, then
+    halvings atan(y) = 2 atan(y / (1 + sqrt(1 + y^2))) down to 0.05."""
+    if y > 1:
+        return _PI / 2 - _atan(1 / y)
+    halvings = 0
+    while y > Decimal("0.05"):
+        y = y / (1 + (1 + y * y).sqrt())
+        halvings += 1
+    return _atan_series(y) * 2**halvings
+
+
+def t_cdf_decimal(x, df: int) -> Decimal:
+    """Student-t CDF at 40 significant digits: the closed forms of
+    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df) at the
+    exact value of the float or ``Decimal`` ``x``, in ``decimal``
+    arithmetic."""
+    x = Decimal(x)
+    if x.is_infinite():
+        return Decimal(int(x > 0))
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        ax, nu = abs(x), Decimal(df)
+        cos2 = nu / (nu + ax * ax)
+        sin = ax / (nu + ax * ax).sqrt()
+        total = term = Decimal(1)
+        for j in range(df % 2 + 1, df - 2, 2):
+            term = term * cos2 * j / (j + 1)
+            total += term
+        if df % 2 == 0:
+            mass = sin * total
+        else:
+            theta = _atan(ax / nu.sqrt())
+            mass = 2 * (theta + (sin * cos2.sqrt() * total if df > 1 else 0)) / _PI
+        return (1 + mass) / 2 if x >= 0 else (1 - mass) / 2
+
+
+def t_quantile_decimal(p: float, df: int) -> Decimal:
+    """The t quantile of the float ``p`` > 0.5 to about 36 digits: Newton's
+    method on ``t_cdf_decimal``, started at the normal quantile (below the
+    root, where the concave CDF keeps every step below it too) and driven
+    by a float density, whose rounding only slows the convergence."""
+    target = Decimal(p)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        x = Decimal(NormalDist().inv_cdf(p))
+        for _ in range(200):
+            xf = float(x)
+            density = math.exp(
+                math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)
+                - 0.5 * math.log(df * math.pi) - (df + 1) / 2.0 * math.log1p(xf * xf / df)
+            )
+            step = (target - t_cdf_decimal(x, df)) / Decimal(density)
+            x += step
+            if abs(step) <= x.scaleb(-_DIGITS + 4):
+                return x
+    raise ArithmeticError(f"decimal t quantile did not converge at p={p}, df={df}")
 
 
 def brute_force_ols(xs, ys):

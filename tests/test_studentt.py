@@ -1,42 +1,39 @@
 import math
+import random
+from decimal import Decimal
 
 import pytest
 
-from bubblelab import regularized_incomplete_beta, studentt, t_cdf, t_quantile
+from bubblelab import InvalidConfig, studentt, t_cdf, t_quantile
 
-from _oracles import t_cdf_quadrature, t_quantile_bisect, t_quantile_reference
+from _oracles import (
+    t_cdf_decimal,
+    t_cdf_quadrature,
+    t_quantile_bisect,
+    t_quantile_decimal,
+    t_quantile_reference,
+)
+
+# |t_cdf - exact| in units of 2**-53 over df 1..2000 (the closed form
+# measured 82 on the sample below; the incomplete-beta CDF it replaced
+# reached 3.0e6, near x = 0 at large df)
+CDF_ERROR_UNITS = 128
+# t_quantile error in ulps of the quantile over df 1..200 (measured 43
+# and 82; the incomplete-beta CDF gave 2149 and 214)
+QUANTILE_ERROR_ULPS = {0.95: 64, 0.975: 128}
 
 
-class TestIncompleteBeta:
-    def test_bounds(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_uniform_case(self):
-        # I_x(1, 1) is the identity
-        for x in (0.1, 0.25, 0.5, 0.9):
-            assert regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(x, abs=1e-14)
-
-    def test_symmetry(self):
-        for x in (0.2, 0.35, 0.6):
-            left = regularized_incomplete_beta(2.5, 4.0, x)
-            right = 1.0 - regularized_incomplete_beta(4.0, 2.5, 1.0 - x)
-            assert left == pytest.approx(right, abs=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 1.0, 1.5)
-
-    @pytest.mark.parametrize(
-        "a, b, x",
-        [(2.0, 3.0, math.nan), (math.nan, 3.0, 0.5), (2.0, math.nan, 0.5), (math.inf, 3.0, 0.5)],
-    )
-    def test_non_finite_arguments_are_domain_errors(self, a, b, x):
-        # not an ArithmeticError from a continued fraction that never converges
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(a, b, x)
+def _cdf_cases():
+    """Every df 1..2000 at one x drawn log-uniformly from 1e-4..1e3 with
+    a random sign, plus both infinities, ±1e200, ±1e-300 and 0 at
+    both ends of the df range and of the dfs a 200-point sweep reaches."""
+    rng = random.Random(2024)
+    cases = [(x, df) for df in (1, 2, 3, 4, 199, 200, 1999, 2000)
+             for x in (math.inf, -math.inf, 1e200, -1e200, 1e-300, -1e-300, 0.0)]
+    for df in range(1, 2001):
+        x = 10.0 ** rng.uniform(-4.0, 3.0)
+        cases.append((x if rng.random() < 0.5 else -x, df))
+    return cases
 
 
 class TestTCdf:
@@ -61,6 +58,23 @@ class TestTCdf:
     def test_nan_is_a_domain_error(self):
         with pytest.raises(ValueError, match="NaN"):
             t_cdf(math.nan, 5)
+
+    def test_domain_errors_are_invalid_config(self):
+        for x, df in ((math.nan, 5), (1.0, 0), (1.0, 2.5), (1.0, True)):
+            with pytest.raises(InvalidConfig):
+                t_cdf(x, df)
+
+    def test_absolute_error_against_the_decimal_closed_form(self):
+        worst = max(
+            (abs(Decimal(t_cdf(x, df)) - t_cdf_decimal(x, df)) * 2**53, x, df)
+            for x, df in _cdf_cases()
+        )
+        assert worst[0] <= CDF_ERROR_UNITS, worst
+
+    def test_saturates_exactly_beyond_any_float_tail(self):
+        for df in (1, 2, 3, 2000):
+            for x in (math.inf, 1e200, 2.0**501):
+                assert (t_cdf(x, df), t_cdf(-x, df)) == (1.0, 0.0)
 
 
 class TestTQuantile:
@@ -99,23 +113,38 @@ class TestTQuantile:
                 assert t_quantile(p, df) == t_quantile_reference(p, df), (p, df)
 
     def test_cold_quantile_cdf_evaluations(self, monkeypatch):
-        # each t_cdf(x != 0) call runs the continued fraction exactly once
         calls = 0
-        betacf = studentt._betacf
+        cdf = studentt.t_cdf
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return betacf(*args)
+            return cdf(*args)
 
-        monkeypatch.setattr(studentt, "_betacf", counting)
+        monkeypatch.setattr(studentt, "t_cdf", counting)
         t_quantile.cache_clear()
         dfs = range(1, 201)
         for df in dfs:
             t_quantile(0.975, df)
         assert calls / len(dfs) <= 24
 
+    @pytest.mark.parametrize("p", sorted(QUANTILE_ERROR_ULPS))
+    def test_error_in_ulps_against_the_decimal_quantile(self, p):
+        worst = 0.0, 0
+        for df in range(1, 201):
+            exact = t_quantile_decimal(p, df)
+            ulps = float(abs(Decimal(t_quantile(p, df)) - exact)) / math.ulp(float(exact))
+            worst = max(worst, (ulps, df))
+        assert worst[0] <= QUANTILE_ERROR_ULPS[p], worst
+
+    @pytest.mark.parametrize("p", [0.95, 0.975])
+    def test_enclosure_never_falls_back(self, p):
+        assert [df for df in range(1, 2001) if studentt._enclosure(p, df) is None] == []
+
     def test_domain(self):
+        for p, df in ((0.0, 2), (1.0, 2), (math.nan, 2), (0.9, 0)):
+            with pytest.raises(InvalidConfig):
+                t_quantile(p, df)
         with pytest.raises(ValueError):
             t_quantile(0.0, 2)
         with pytest.raises(ValueError):
