@@ -137,11 +137,13 @@ def classify_series(
     wins the anchoring label, provided it reaches ``theta``.  Ties break
     toward price anchoring (the lower-lag model).  An explicit ``window``
     overrides detection, letting callers reproduce published windows.
-    A non-finite ``theta``, a ``min_window`` below MIN_WINDOW or an
+    A ``theta`` outside (0, 1], a ``min_window`` below MIN_WINDOW or an
     explicit ``window`` outside the series raises InvalidConfig.
     """
     if not math.isfinite(theta):
         raise InvalidConfig(f"theta must be finite, got {theta}")
+    if not 0.0 < theta <= 1.0:
+        raise InvalidConfig(f"theta must lie in (0, 1], got {theta}")
     if min_window < MIN_WINDOW:
         raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
     if window is not None:

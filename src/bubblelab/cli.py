@@ -298,7 +298,7 @@ def build_parser():
     p = sub.add_parser("classify", parents=[fitting],
                        help="label a series per the bubble taxonomy")
     p.add_argument("--theta", type=float, default=0.2,
-                   help="significant-fraction threshold for the anchoring labels")
+                   help="significant-fraction threshold for the anchoring labels, in (0, 1]")
     p.add_argument("--window", default="",
                    help="explicit start,end bubble window (skips detection)")
     p.set_defaults(func=cmd_classify)

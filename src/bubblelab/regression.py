@@ -30,6 +30,7 @@ _LAGS = {MODEL_PRICE: 0, MODEL_RETURN: 1}
 # Regressor spread below a few ulps of its own magnitude carries no
 # information; treat it as constant rather than dividing by noise.
 _DEGENERACY_ULPS = 32.0
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,6 +107,15 @@ def _check_spread(xmin: float, xmax: float) -> None:
         )
 
 
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for positive ints whose ratio may lie below the
+    normal float range: the ratio is scaled by 4**k into that range,
+    rounded once, and its root scaled back by 2**-k, which is exact.
+    For a normal ratio the result equals math.sqrt(num / den)."""
+    k = max(0, (den.bit_length() - num.bit_length()) // 2 + 1)
+    return math.ldexp(math.sqrt((num << 2 * k) / den), -k)
+
+
 def _fit_moments(
     model: str,
     n: int,
@@ -128,7 +138,9 @@ def _fit_moments(
     are formed from the centred sums n*Sxx - Sx**2 (and likewise for xy
     and yy), in which the common scale cancels.  The result therefore
     depends only on the pairs, not on the scale or on the order in which
-    the moments were summed.
+    the moments were summed.  A squared standard error below the normal
+    float range is rounded at a power-of-4 scale (``_sqrt_ratio``), so an
+    imperfect fit never reports a standard error of 0.
     """
     cxx = n * sxx - sx * sx  # n * sum((x - mean x)^2) * 4**p
     cxy = n * sxy - sx * sy
@@ -155,8 +167,14 @@ def _fit_moments(
         nssr += r * r
     df = n - 2
     den = df * cxx << 2 * (q - p)  # df * n * sum((x - mean x)^2) * 4**q
-    se_a = math.sqrt(nssr * sxx / (n * den << 2 * p))
-    se_b = math.sqrt(nssr / den)
+    var_a = nssr * sxx / (n * den << 2 * p)
+    var_b = nssr / den
+    if (var_a < _MIN_NORMAL or var_b < _MIN_NORMAL) and nssr:
+        se_a = _sqrt_ratio(nssr * sxx, n * den << 2 * p)
+        se_b = _sqrt_ratio(nssr, den)
+    else:
+        se_a = math.sqrt(var_a)
+        se_b = math.sqrt(var_b)
     if cyy:
         sst = cyy << 2 * (q - p)  # n * sum((y - mean y)^2) * 4**q
         r2 = (sst - nssr) / sst

@@ -151,17 +151,19 @@ def discrete_returns(series: Series) -> Series:
     """Per-period discrete returns value[t]/value[t-1] - 1, from t0 + 1.
 
     Works on price or excess series alike; every value must be strictly
-    positive for the ratio to be meaningful, and a return that leaves the
-    float range raises InvalidConfig.
+    positive for the ratio to be meaningful (NonPositiveExcess names the
+    first one that is not), and a return that leaves the float range
+    raises InvalidConfig.
     """
     vals = series.values
     if len(vals) < 2:
         raise InvalidConfig("need at least two observations for returns")
     for i, v in enumerate(vals):
         if v <= 0:
-            raise ValueError(
+            raise NonPositiveExcess(
+                series.t0 + i,
                 f"non-positive value at t={series.t0 + i}; "
-                "discrete returns need strictly positive levels"
+                "discrete returns need strictly positive levels",
             )
     rets = tuple(vals[i + 1] / vals[i] - 1.0 for i in range(len(vals) - 1))
     return Series(series.t0 + 1, rets)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -277,6 +278,16 @@ def exact_fit_stats(xs, ys, a, b):
     se_b2 = ssr / (df * sxx)
     r2 = max(0.0, float(1 - ssr / syy)) if syy else 1.0
     return se_a2, se_b2, r2, ssr == 0
+
+
+def sqrt_of_rounded(q: Fraction) -> float:
+    """sqrt(q) with q rounded once to a float: at scale 1 when q rounds
+    to a normal float, otherwise at the first power-of-4 scale 4**k that
+    keeps it normal, with the root scaled back by 2**-k."""
+    k = 0
+    while q and q * 4**k < sys.float_info.min:
+        k += 1
+    return math.ldexp(math.sqrt(float(q * 4**k)), -k)
 
 
 def sim_to_json_reference(result):

@@ -156,7 +156,7 @@ class TestClassifySeries:
         prices = _prices_from_model(model, 20, sigma=0.01, seed=2)
         base = classify_series(prices, PARAMS)
         assert base.label == "anchoring_on_price"
-        strict = classify_series(prices, PARAMS, theta=1.01)
+        strict = classify_series(prices, PARAMS, theta=1.0)
         assert strict.label == "rational_exponential"
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -165,6 +165,15 @@ class TestClassifySeries:
         # bubble would be labelled anchoring_on_price
         prices = _prices_from_model(GrowthModel.exponential(math.log(1.1), 60.0), 20)
         with pytest.raises(InvalidConfig):
+            classify_series(prices, PARAMS, theta=theta)
+
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 2.0, 1.0 + 2.0**-52])
+    def test_theta_outside_unit_interval_is_config_error(self, theta):
+        # theta = 0 labels a series with no significant window
+        # anchoring_on_price through the tie rule; theta above 1 can
+        # never be reached
+        prices = _prices_from_model(GrowthModel.exponential(math.log(1.1), 60.0), 20)
+        with pytest.raises(InvalidConfig, match=r"theta must lie in \(0, 1\]"):
             classify_series(prices, PARAMS, theta=theta)
 
     def test_min_window_below_five_is_config_error(self):

@@ -334,6 +334,14 @@ class TestClassifyCommand:
         assert "theta must be finite" in capsys.readouterr().err
         assert not (tmp_path / "verdict.json").exists()
 
+    @pytest.mark.parametrize("theta", ["-1", "0", "2"])
+    def test_theta_outside_unit_interval_is_config_error(self, theta, tmp_path, capsys):
+        inp = _anchored_exponential_csv(tmp_path / "prices.csv")
+        assert run_cli("classify", "--input", str(inp), "--theta", theta,
+                       "--outdir", str(tmp_path)) == 2
+        assert "theta must lie in (0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
+
 
 class TestTable2Command:
     def test_default_matches_golden_file(self, tmp_path):

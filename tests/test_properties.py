@@ -47,6 +47,7 @@ from bubblelab import (
 
 from _oracles import (
     exact_fit_stats,
+    sqrt_of_rounded,
     exact_ols,
     run_reference,
     sim_to_json_reference,
@@ -130,6 +131,8 @@ def test_ols2_slope_and_intercept_are_correctly_rounded(data):
 # data on eighths, b = 1/16, and a = 1/48 needs more fractional bits
 # than the data and b together
 @example(([0.0, 1.0, 2.0], [0.0, 0.125, 0.125]))
+# squared standard errors near 1e-401, below the normal float range
+@example(([0.0, 1.0, 2.0], [0.0, 1e-200, 0.0]))
 def test_ols2_standard_errors_and_r2_are_correctly_rounded(data):
     xs, ys = data
     try:
@@ -137,8 +140,8 @@ def test_ols2_standard_errors_and_r2_are_correctly_rounded(data):
     except DegenerateRegressor:
         assume(False)
     se_a2, se_b2, r2, perfect = exact_fit_stats(xs, ys, fit.a, fit.b)
-    assert fit.se_a == math.sqrt(float(se_a2))
-    assert fit.se_b == math.sqrt(float(se_b2))
+    assert fit.se_a == sqrt_of_rounded(se_a2)
+    assert fit.se_b == sqrt_of_rounded(se_b2)
     assert fit.r2 == r2
     assert fit.perfect == perfect
 

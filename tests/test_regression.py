@@ -101,6 +101,15 @@ class TestOls2:
         with pytest.raises(InvalidConfig, match="lengths differ: 3 vs 2"):
             ols2([1.0, 2.0, 3.0], [1.0, 2.0])
 
+    def test_tiny_residual_variance_keeps_a_nonzero_standard_error(self):
+        # se_b**2 is about 4e-396, below the normal float range, although
+        # se_b itself is representable; the interval must keep its width
+        cell = sweep(ExcessSeries(0, (1e200, 1e-200, 1, 2, 3, 4, 5, 6)), "price").cells[(0, 7)]
+        assert not cell.perfect and cell.r2 == pytest.approx(0.8287, abs=1e-4)
+        assert cell.se_b == pytest.approx(2.0291099621e-198, rel=1e-10)
+        assert cell.b_lower < cell.b
+        assert cell.se_a == pytest.approx(76.69314775, rel=1e-9)
+
     def test_lower_bounds_use_t_quantile(self):
         rng = random.Random(9)
         xs = [rng.gauss(0, 1) for _ in range(10)]

@@ -124,8 +124,12 @@ class TestDiscreteReturns:
         assert rets.values[1] == pytest.approx(0.10, abs=1e-12)
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ValueError, match="t=1"):
+        with pytest.raises(NonPositiveExcess, match="t=1") as info:
             discrete_returns(PriceSeries(0, (60.0, 0.0, 60.0)))
+        assert info.value.index == 1
+        assert str(info.value) == (
+            "non-positive value at t=1; discrete returns need strictly positive levels"
+        )
 
 
 class TestLogExcessReturns:
