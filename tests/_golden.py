@@ -85,12 +85,15 @@ def _run_golden_case(case, workdir):
     return observed
 
 
+def read_tree(root):
+    """``{relative name: bytes}`` of every file under ``root``."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(Path(root).rglob("*")) if path.is_file()}
+
+
 def _read_golden(case):
     """The expected ``{relative name: bytes}`` map of one case."""
-    return {
-        path.relative_to(GOLDEN_CLI / case).as_posix(): path.read_bytes()
-        for path in sorted((GOLDEN_CLI / case).rglob("*")) if path.is_file()
-    }
+    return read_tree(GOLDEN_CLI / case)
 
 
 def _write_golden():
@@ -103,18 +106,24 @@ def _write_golden():
                 (target / name).write_bytes(data)
 
 
+def _golden_and_fresh():
+    """The golden files and a fresh run of every case, as two
+    ``{case/name: bytes}`` maps."""
+    golden, fresh = {}, {}
+    for case in GOLDEN_CASES:
+        golden.update({f"{case}/{k}": v for k, v in _read_golden(case).items()})
+        with tempfile.TemporaryDirectory() as tmp:
+            observed = _run_golden_case(case, Path(tmp))
+        fresh.update({f"{case}/{k}": v for k, v in observed.items()})
+    return golden, fresh
+
+
 def _check_golden():
     """Run every case; returns the ``case/name`` of each differing,
     missing or unexpected output file."""
-    differences = []
-    for case in GOLDEN_CASES:
-        expected = _read_golden(case)
-        with tempfile.TemporaryDirectory() as tmp:
-            observed = _run_golden_case(case, Path(tmp))
-        for name in sorted(set(expected) | set(observed)):
-            if expected.get(name) != observed.get(name):
-                differences.append(f"{case}/{name}")
-    return differences
+    golden, fresh = _golden_and_fresh()
+    return [name for name in sorted(set(golden) | set(fresh))
+            if golden.get(name) != fresh.get(name)]
 
 
 _TOKENS = re.compile(r"[^\s,;:()\[\]{}=]+|[\s,;:()\[\]{}=]+")
@@ -224,21 +233,9 @@ class GoldenDiff:
         return lines
 
 
-def read_tree(root):
-    """``{relative name: bytes}`` of every file under ``root``."""
-    return {path.relative_to(root).as_posix(): path.read_bytes()
-            for path in sorted(Path(root).rglob("*")) if path.is_file()}
-
-
 def _diff_golden(rel, abs_, allow_added_keys):
     """Compare a fresh run of every case with its golden files."""
-    before, after = {}, {}
-    for case in GOLDEN_CASES:
-        before.update({f"{case}/{k}": v for k, v in _read_golden(case).items()})
-        with tempfile.TemporaryDirectory() as tmp:
-            observed = _run_golden_case(case, Path(tmp))
-        after.update({f"{case}/{k}": v for k, v in observed.items()})
-    return GoldenDiff(rel, abs_, allow_added_keys).compare(before, after)
+    return GoldenDiff(rel, abs_, allow_added_keys).compare(*_golden_and_fresh())
 
 
 if __name__ == "__main__":
