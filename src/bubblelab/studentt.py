@@ -19,7 +19,8 @@ from .errors import InvalidConfig
 
 _TWO_OVER_PI = 2.0 / math.pi
 # Above this |x| the tail beyond x is below 2**-500 for every df, so the
-# CDF is 1.0 (or 0.0 for -x) to well within the CDF's absolute error.
+# CDF is 1.0 (or 0.0 for -x) to well within its absolute error; below
+# it x**2 cannot overflow.
 _SATURATION = 2.0**500
 
 
@@ -31,11 +32,12 @@ def t_cdf(x: float, df: int) -> float:
     mass A = P(|T| <= |x|) is a finite sum (A&S 26.7.3/26.7.4):
     sin θ (1 + ½cos²θ + ⅜cos⁴θ + ...) for even df, 2θ/π for df = 1 and
     2/π (θ + sin θ cos θ (1 + ⅔cos²θ + ...)) for other odd df, with
-    (df - 1)/2 terms at most.  The result is 0.5 + A/2, or 0.5 - A/2 for
-    x < 0, so its error bound is absolute: about 1.1e-14 (100 units of
-    2**-53) up to df 2000.  A lower-tail value below about 1e-8 therefore
-    keeps fewer relative digits than its size allows; ``t_quantile``
-    never reads that tail, as it works on p > 0.5 by symmetry.
+    at most df/2 terms, so an evaluation costs O(df).  The result is
+    0.5 + A/2, or 0.5 - A/2 for x < 0, so its error bound is absolute:
+    below 1.5e-14 (128 units of 2**-53) up to df 2000.  A lower-tail
+    value below about 1e-8 therefore keeps fewer relative digits than
+    its size allows; ``t_quantile`` never reads that tail, as it works
+    on p > 0.5 by symmetry.
     """
     _check_df(df)
     if math.isnan(x):
@@ -69,6 +71,8 @@ def _check_df(df: int) -> None:
 # widened by _ENCLOSURE_MARGIN, and each edge must then evaluate at least
 # _GUARD away from p.  So an outcome the enclosure predicts could only be
 # wrong where the floating-point t_cdf falls by more than _GUARD as x grows.
+# t_cdf's absolute error stays below 64 ulps of 1.0 up to df 2000, so it
+# falls by at most 128; the margin leaves room for Newton's residual.
 _ENCLOSURE_MARGIN = 256 * 2.0**-52
 _GUARD = 128 * 2.0**-52
 _NEWTON_STEPS = 8
@@ -129,14 +133,17 @@ def _enclosure(p: float, df: int) -> tuple[float, float] | None:
 def t_quantile(p: float, df: int) -> float:
     """Inverse CDF of the Student-t distribution.
 
-    The result is defined by bisection on the monotone CDF, absolute
-    error well below the 1e-8 contract.  A Newton enclosure ``[lo, hi]``,
-    checked with ``t_cdf`` at both edges, only skips the comparisons
-    whose outcome it already knows: a point at or below ``lo`` lies below
-    p, one at or above ``hi`` does not.  So the bisection visits the same
-    points and returns the same float as without it, in about a third of
-    the CDF evaluations.  Results are cached since calibration sweeps ask
-    for the same (p, df) pairs over and over.
+    The result is defined by bisection on the monotone CDF down to
+    adjacent floats: within 128 ulps of the exact quantile at p = 0.95
+    and 0.975 for df up to 200 (measured at most 43 and 82).  A Newton
+    enclosure ``[lo, hi]``, checked with ``t_cdf`` at both edges, only
+    skips the comparisons whose outcome it already knows: a point at or
+    below ``lo`` lies below p, one at or above ``hi`` does not.  So the
+    bisection visits the same points and returns the same float as
+    without it, in about 19 CDF evaluations instead of 55.  Each costs
+    O(df), so a cold quantile takes longer above df of about 500 than
+    the incomplete-beta CDF this replaced did.  Results are cached since
+    calibration sweeps ask for the same (p, df) pairs over and over.
     """
     _check_df(df)
     if not 0.0 < p < 1.0:
