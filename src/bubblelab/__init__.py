@@ -25,14 +25,13 @@ from .errors import (
     MalformedRow,
     NonContiguousTime,
     NonPositiveExcess,
-    NoValidCells,
     OutOfRange,
+    ReturnOverflow,
     TooFewPoints,
 )
 from .growth import GrowthModel, iterate, iterate_noisy, table2, table2_csv
 from .market import (
     AgentSpec,
-    RewardRule,
     SimConfig,
     SimResult,
     agent_forecast,
@@ -69,8 +68,6 @@ from .sweep import (
     SweepGrid,
     grid_summary,
     grid_to_csv,
-    significance_mask,
-    significant_fraction,
     sweep,
     triangular_cell_count,
 )

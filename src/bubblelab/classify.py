@@ -15,10 +15,10 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .errors import InvalidConfig, NonPositiveExcess, NoValidCells
+from .errors import InvalidConfig, NonPositiveExcess
 from .regression import MODEL_PRICE, MODEL_RETURN, RationalBubbleFit, fit_rational_bubble
 from .series import MIN_WINDOW, ExperimentParams, PriceSeries, Window, excess_series
-from .sweep import SweepGrid, grid_summary, significant_fraction, sweep
+from .sweep import SweepGrid, grid_summary, sweep
 
 ERRATIC = "erratic"
 TOO_SHORT = "too_short"
@@ -174,14 +174,10 @@ def classify_series(
     excess = excess_series(prices, params)
     pgrid = sweep(excess, MODEL_PRICE, win, min_window, one_sided)
     rgrid = sweep(excess, MODEL_RETURN, win, min_window, one_sided)
-    try:
-        pf = significant_fraction(pgrid)
-    except NoValidCells:
-        pf = 0.0
-    try:
-        rf = significant_fraction(rgrid)
-    except NoValidCells:
-        rf = 0.0
+    # a grid without a valid cell has no significant share; it counts as 0
+    pf, rf = (
+        grid_summary(grid)["significant_fraction"] or 0.0 for grid in (pgrid, rgrid)
+    )
 
     try:
         rational = fit_rational_bubble(

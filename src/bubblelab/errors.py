@@ -56,6 +56,18 @@ class NonPositiveExcess(BubbleLabError):
         self.index = index
 
 
+class ReturnOverflow(BubbleLabError):
+    """A discrete return leaves the float range.
+
+    ``index`` is the time t of the return: the ratio of the value at t to
+    the value at t - 1 overflows.
+    """
+
+    def __init__(self, index: int):
+        super().__init__(f"discrete return at t={index} leaves the float range")
+        self.index = index
+
+
 class TooFewPoints(BubbleLabError):
     """Not enough observations for a two-parameter fit."""
 
@@ -75,7 +87,3 @@ class FiniteHorizonSingularity(BubbleLabError):
             f"iteration diverged; last finite value at t={last_finite_index}"
         )
         self.last_finite_index = last_finite_index
-
-
-class NoValidCells(BubbleLabError):
-    """A sweep grid holds no valid cell to aggregate over."""

@@ -97,13 +97,10 @@ class AgentSpec:
         return d
 
 
-@dataclass(frozen=True)
-class RewardRule:
-    """Quadratic scoring rule: full marks for a perfect forecast, zero
-    once the error reaches seven monetary units."""
-
-    max_payoff: float = 1300.0
-    scale: float = 1300.0 / 49.0
+# Quadratic scoring rule: full marks for a perfect forecast, zero once
+# the error reaches seven monetary units.
+MAX_PAYOFF = 1300.0
+PAYOFF_SCALE = 1300.0 / 49.0
 
 
 @dataclass(frozen=True)
@@ -226,12 +223,10 @@ def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> floa
     return params.clamp(raw)
 
 
-def score_forecast(
-    realized: float, forecast: float, rule: RewardRule = RewardRule()
-) -> float:
+def score_forecast(realized: float, forecast: float) -> float:
     """Points earned for a forecast once the target price is realized."""
     err = realized - forecast
-    return max(rule.max_payoff - rule.scale * err * err, 0.0)
+    return max(MAX_PAYOFF - PAYOFF_SCALE * err * err, 0.0)
 
 
 def inject_mistrade(
@@ -369,7 +364,7 @@ def run(config: SimConfig) -> SimResult:
             f = rule_forecasts[s] if s < h else agent_forecast(spec, past, params, rng)
             rule_forecasts.append(f)
             if noise_sigma > 0 and f > 0:
-                f = params.clamp(f * math.exp(rng.gauss(0.0, noise_sigma)))
+                f = params.clamp(f * _exp(rng.gauss(0.0, noise_sigma)))
             f = inject_mistrade(f, rng, mistrade_prob, params)
             forecasts[h].append(f)
             period_forecasts.append(f)

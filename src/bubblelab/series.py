@@ -17,6 +17,7 @@ from .errors import (
     NonContiguousTime,
     NonPositiveExcess,
     OutOfRange,
+    ReturnOverflow,
 )
 
 # Smallest admissible calibration window, in price points.  Five points
@@ -153,7 +154,7 @@ def discrete_returns(series: Series) -> Series:
     Works on price or excess series alike; every value must be strictly
     positive for the ratio to be meaningful (NonPositiveExcess names the
     first one that is not), and a return that leaves the float range
-    raises InvalidConfig.
+    raises ReturnOverflow naming its time t.
     """
     vals = series.values
     if len(vals) < 2:
@@ -166,6 +167,9 @@ def discrete_returns(series: Series) -> Series:
                 "discrete returns need strictly positive levels",
             )
     rets = tuple(vals[i + 1] / vals[i] - 1.0 for i in range(len(vals) - 1))
+    for i, r in enumerate(rets):
+        if r == math.inf:  # a ratio of positive floats can only overflow
+            raise ReturnOverflow(series.t0 + 1 + i)
     return Series(series.t0 + 1, rets)
 
 

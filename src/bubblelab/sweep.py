@@ -11,15 +11,10 @@ inside its own window.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
-from .errors import (
-    DegenerateRegressor,
-    InvalidConfig,
-    NonPositiveExcess,
-    NoValidCells,
-)
+from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess
 from .regression import (
     _LAGS,
     OlsFit,
@@ -40,6 +35,9 @@ class InvalidCell:
 
 
 Cell = Union[OlsFit, InvalidCell]
+
+# an OlsFit's field names in declaration order, the keys of a best window's "fit"
+_FIT_FIELDS = tuple(f.name for f in fields(OlsFit))
 
 
 @dataclass(frozen=True)
@@ -147,33 +145,6 @@ def sweep(
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
 
 
-def significance_mask(grid: SweepGrid) -> Dict[Tuple[int, int], bool]:
-    """True where both lower confidence bounds are strictly positive.
-
-    Joint positivity is the super-exponential signal; invalid cells are
-    False by definition.
-    """
-    mask = {}
-    for key, cell in grid.cells.items():
-        mask[key] = (
-            isinstance(cell, OlsFit) and cell.a_lower > 0.0 and cell.b_lower > 0.0
-        )
-    return mask
-
-
-def significant_fraction(grid: SweepGrid) -> float:
-    """Share of valid cells passing the joint-significance test."""
-    n_valid = n_sig = 0
-    for cell in grid.cells.values():
-        if isinstance(cell, OlsFit):
-            n_valid += 1
-            if cell.a_lower > 0.0 and cell.b_lower > 0.0:
-                n_sig += 1
-    if n_valid == 0:
-        raise NoValidCells(f"{grid.model} grid has no valid cell")
-    return n_sig / n_valid
-
-
 def triangular_cell_count(n: int, min_window: int) -> int:
     """Count of windows of at least ``min_window`` points in a span of
     ``n`` points, for shape checks."""
@@ -203,19 +174,24 @@ def grid_to_csv(grid: SweepGrid) -> str:
 def grid_summary(grid: SweepGrid) -> dict:
     """Aggregate statistics for reports: cell counts, significant share,
     error-kind tallies, and the most significant window (the first in
-    (start, end) order among ties)."""
-    n_valid = n_sig = 0
+    (start, end) order among ties).
+
+    This is the one tally of a grid: a cell is significant when both
+    lower confidence bounds are strictly positive, and
+    ``significant_fraction`` is None when no cell is valid."""
+    n_sig = 0
     errors: Dict[str, int] = {}
-    best = best_key = None
+    best = best_key = best_b = None
     for key, cell in grid.cells.items():
         if isinstance(cell, OlsFit):
-            n_valid += 1
-            if cell.a_lower > 0.0 and cell.b_lower > 0.0:
+            b_lower = cell.b_lower
+            if cell.a_lower > 0.0 and b_lower > 0.0:
                 n_sig += 1
-            if best is None or cell.b_lower > best.b_lower:
-                best, best_key = cell, key
+            if best is None or b_lower > best_b:
+                best, best_key, best_b = cell, key, b_lower
         else:
             errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
+    n_valid = len(grid.cells) - sum(errors.values())
     summary = {
         "model": grid.model,
         "min_window": grid.min_window,
@@ -229,7 +205,7 @@ def grid_summary(grid: SweepGrid) -> dict:
         summary["best_window"] = {
             "start": best_key[0],
             "end": best_key[1],
-            "fit": asdict(best),
+            "fit": {name: getattr(best, name) for name in _FIT_FIELDS},
         }
     else:
         summary["best_window"] = None

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bubblelab import GrowthModel, iterate, write_csv
+from bubblelab import ExperimentParams, GrowthModel, iterate, write_csv
 from bubblelab.cli import build_parser, main
 
 from _golden import GOLDEN_CASES, _read_golden, _run_golden_case, _write_golden
@@ -138,6 +138,16 @@ class TestSimulate:
         doc = json.loads((tmp_path / "simulation.json").read_text())
         assert all(0.0 <= p <= p_max for p in doc["prices"])
         assert max(doc["prices"]) > 0.9 * p_max  # the band edge was reached
+
+    def test_huge_forecast_noise_clips_to_the_band(self, tmp_path):
+        # exp of a draw with sigma 1000 leaves the float range both ways
+        assert run_cli("simulate", "--noise-sigma", "1000", "--horizon", "40",
+                       "--outdir", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "simulation.json").read_text())
+        band = ExperimentParams()
+        values = [*doc["prices"], *(f for row in doc["forecasts"] for f in row)]
+        assert all(band.p_min <= v <= band.p_max for v in values)
+        assert band.p_max in values and band.p_min in values
 
     def test_non_finite_inputs_are_config_errors(self, tmp_path, capsys):
         for flags in (("--params", "r=inf"), ("--params", "p_max=inf"),
@@ -423,12 +433,24 @@ class TestPlotdataCommand:
         assert (tmp_path / "plot_price_grid.csv").exists()
         assert (tmp_path / "plot_return_grid.csv").exists()
 
-    def test_non_finite_return_is_config_error(self, tmp_path, capsys):
+    def test_non_finite_return_is_compute_error(self, tmp_path, capsys):
         # 1e300 / 1e-300 - 1 overflows to inf, which no row may carry
         inp = _extreme_prices_csv(tmp_path / "prices.csv", (1e-300, 1e300))
         assert run_cli("plotdata", "--input", str(inp), *EXTREME_PARAMS,
-                       "--outdir", str(tmp_path)) == 2
-        assert "non-finite" in capsys.readouterr().err
+                       "--outdir", str(tmp_path)) == 4
+        assert capsys.readouterr().err == (
+            "error: discrete return at t=1 leaves the float range\n"
+        )
+        assert not (tmp_path / "plot_returns.csv").exists()
+
+    def test_subnormal_price_overflows_under_default_params(self, tmp_path, capsys):
+        inp = tmp_path / "prices.csv"
+        inp.write_text("t,price\n0,5e-324\n" + "".join(f"{t},1000\n" for t in range(1, 8)))
+        assert run_cli("plotdata", "--input", str(inp), "--outdir", str(tmp_path)) == 4
+        assert capsys.readouterr().err == (
+            "error: discrete return at t=1 leaves the float range\n"
+        )
+        assert (tmp_path / "plot_prices.csv").exists()  # written before the returns
         assert not (tmp_path / "plot_returns.csv").exists()
 
 

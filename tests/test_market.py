@@ -10,7 +10,6 @@ from bubblelab import (
     InsufficientHistory,
     InvalidConfig,
     PriceSeries,
-    RewardRule,
     SimConfig,
     agent_forecast,
     clearing_price,
@@ -68,10 +67,9 @@ class TestScoreForecast:
 
     def test_bounds(self):
         rng = random.Random(2)
-        rule = RewardRule()
         for _ in range(200):
-            s = score_forecast(rng.uniform(0, 1000), rng.uniform(0, 1000), rule)
-            assert 0.0 <= s <= rule.max_payoff
+            s = score_forecast(rng.uniform(0, 1000), rng.uniform(0, 1000))
+            assert 0.0 <= s <= market.MAX_PAYOFF
 
 
 class TestAgentForecast:

@@ -20,24 +20,26 @@ from bubblelab import (
     DegenerateRegressor,
     ExcessSeries,
     ExperimentParams,
+    GrowthModel,
     InvalidCell,
     InvalidConfig,
     NonPositiveExcess,
-    NoValidCells,
     OlsFit,
+    PriceSeries,
     Series,
     SimConfig,
     SweepGrid,
     TooFewPoints,
     Window,
+    classify_series,
     discrete_returns,
     fit_price_model,
     fit_return_model,
     grid_summary,
+    iterate_noisy,
     log_excess_returns,
     ols2,
     run,
-    significant_fraction,
     sweep,
     t_cdf,
     t_quantile,
@@ -302,18 +304,50 @@ def test_grid_tallies_equal_a_brute_force_recount(grid):
     assert summary["significant_cells"] == n_sig
     assert list(summary["invalid_by_error"].items()) == list(errors.items())
     if valid:
-        assert significant_fraction(grid) == summary["significant_fraction"]
-        assert significant_fraction(grid) == n_sig / len(valid)
+        assert summary["significant_fraction"] == n_sig / len(valid)
         top = max(c.b_lower for _, c in valid)
         key, fit = next((k, c) for k, c in valid if c.b_lower == top)
         assert summary["best_window"] == {
             "start": key[0], "end": key[1], "fit": dataclasses.asdict(fit)
         }
     else:
-        with pytest.raises(NoValidCells):
-            significant_fraction(grid)
         assert summary["significant_fraction"] is None
         assert summary["best_window"] is None
+
+
+@st.composite
+def classify_inputs(draw):
+    """Prices with random excess or a noisy price-feedback bubble, an
+    optional explicit window (which may cross the fundamental, or be too
+    short to sweep) and a minimum window."""
+    if draw(st.booleans()):
+        excess = draw(st.lists(excess_value, min_size=5, max_size=20))
+    else:  # mostly significant windows
+        model = GrowthModel.price_feedback(math.log(1.09), 3.5e-4, 60.0)
+        steps = draw(st.integers(8, 20))
+        excess = iterate_noisy(model, steps, sigma=0.02, seed=draw(st.integers(0, 999))).values
+    t0 = draw(st.integers(-3, 3))
+    prices = PriceSeries(t0, tuple(60.0 + v for v in excess))
+    window = None
+    if draw(st.booleans()):
+        lo = draw(st.integers(t0, prices.t_end - 4))
+        window = Window(lo, draw(st.integers(lo + 4, prices.t_end)))
+    return prices, window, draw(st.sampled_from([5, 6]))
+
+
+@PROPERTY
+@given(classify_inputs())
+def test_verdict_fractions_are_the_grid_summaries(inputs):
+    prices, window, min_window = inputs
+    verdict = classify_series(prices, ExperimentParams(), min_window=min_window, window=window)
+    doc = verdict.to_json_dict()
+    for fraction, key in ((verdict.price_fraction, "price_grid"),
+                          (verdict.return_fraction, "return_grid")):
+        summary = doc[key]
+        if summary is None or summary["significant_fraction"] is None:
+            assert fraction == 0.0
+        else:
+            assert fraction == summary["significant_fraction"]
 
 
 @PROPERTY

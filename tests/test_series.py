@@ -12,6 +12,7 @@ from bubblelab import (
     NonPositiveExcess,
     OutOfRange,
     PriceSeries,
+    ReturnOverflow,
     Series,
     Window,
     discrete_returns,
@@ -130,6 +131,14 @@ class TestDiscreteReturns:
         assert str(info.value) == (
             "non-positive value at t=1; discrete returns need strictly positive levels"
         )
+
+    def test_overflowing_return_names_its_time(self):
+        # 1000 / 5e-324 overflows; the return at t = 5 is a computation error
+        with pytest.raises(ReturnOverflow) as info:
+            discrete_returns(PriceSeries(3, (60.0, 5e-324, 1000.0, 1000.0)))
+        assert info.value.index == 5
+        assert str(info.value) == "discrete return at t=5 leaves the float range"
+        assert not isinstance(info.value, InvalidConfig)
 
 
 class TestLogExcessReturns:

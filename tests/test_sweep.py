@@ -7,20 +7,20 @@ import pytest
 
 from bubblelab import (
     ExcessSeries,
+    ExperimentParams,
     GrowthModel,
     InvalidCell,
     InvalidConfig,
-    NoValidCells,
     OlsFit,
+    PriceSeries,
     Window,
+    classify_series,
     fit_price_model,
     fit_return_model,
     grid_summary,
     grid_to_csv,
     iterate,
     iterate_noisy,
-    significance_mask,
-    significant_fraction,
     sweep,
     triangular_cell_count,
 )
@@ -168,29 +168,38 @@ class TestSweepCells:
 class TestSignificance:
     def test_perfect_superexponential_fit_is_significant(self):
         grid = sweep(_feedback_excess(23), "price")
-        mask = significance_mask(grid)
-        assert all(mask.values())
-        assert significant_fraction(grid) == 1.0
+        summary = grid_summary(grid)
+        assert summary["significant_cells"] == summary["valid_cells"] == len(grid.cells)
+        assert summary["significant_fraction"] == 1.0
 
     def test_pure_exponential_never_significant(self):
         excess = iterate(GrowthModel.exponential(math.log(1.1), 60.0), 23)
         grid = sweep(excess, "price")
-        assert significant_fraction(grid) == 0.0
+        assert grid_summary(grid)["significant_fraction"] == 0.0
 
     def test_invalid_cells_are_false(self):
-        vals = [60.0 * 1.1**t for t in range(12)]
+        # every valid cell is significant, so the invalid ones are what
+        # keeps significant_cells below cells; the share counts valid cells
+        vals = list(_feedback_excess(15).values)
         vals[5] = -2.0
         grid = sweep(ExcessSeries(0, tuple(vals)), "price")
-        mask = significance_mask(grid)
-        for key, cell in grid.cells.items():
-            if isinstance(cell, InvalidCell):
-                assert mask[key] is False
+        summary = grid_summary(grid)
+        n_invalid = summary["invalid_by_error"]["NonPositiveExcess"]
+        assert n_invalid > 0 and summary["cells"] == summary["valid_cells"] + n_invalid
+        assert summary["significant_cells"] == summary["valid_cells"] == grid.n_valid() > 0
+        assert summary["significant_fraction"] == 1.0
 
-    def test_no_valid_cells_raises(self):
+    def test_no_valid_cells_count_as_zero(self):
         grid = sweep(ExcessSeries(0, tuple([0.0] * 10)), "price")
         assert grid.n_valid() == 0
-        with pytest.raises(NoValidCells):
-            significant_fraction(grid)
+        assert grid_summary(grid)["significant_fraction"] is None
+        # prices at the fundamental: an explicit window sweeps two empty grids
+        prices = PriceSeries(0, tuple([60.0] * 10))
+        verdict = classify_series(prices, ExperimentParams(), window=Window(0, 9))
+        assert verdict.price_fraction == verdict.return_fraction == 0.0
+        doc = verdict.to_json_dict()
+        assert doc["price_grid"]["significant_fraction"] is None
+        assert doc["return_grid"]["significant_fraction"] is None
 
     def test_noisy_feedback_mostly_significant(self):
         # moderate noise, verified over the full frozen seed list during
@@ -200,7 +209,7 @@ class TestSignificance:
         seeds = range(200)
         for seed in seeds:
             excess = iterate_noisy(model, 20, sigma=0.02, seed=seed)
-            if significant_fraction(sweep(excess, "price")) > 0.5:
+            if grid_summary(sweep(excess, "price"))["significant_fraction"] > 0.5:
                 hits += 1
         assert hits / len(seeds) >= 0.9
 
