@@ -17,7 +17,14 @@ from typing import Optional
 
 from .errors import InvalidConfig, NonPositiveExcess
 from .regression import MODEL_PRICE, MODEL_RETURN, RationalBubbleFit, fit_rational_bubble
-from .series import MIN_WINDOW, ExperimentParams, PriceSeries, Window, excess_series
+from .series import (
+    MIN_WINDOW,
+    ExperimentParams,
+    PriceSeries,
+    Window,
+    _check_min_window,
+    excess_series,
+)
 from .sweep import SweepGrid, grid_summary, sweep
 
 ERRATIC = "erratic"
@@ -98,8 +105,10 @@ def detect_bubble_window(
     entered at its first grown point (one past the run start), so the
     window's opening value has an in-run predecessor.  A candidate must
     span at least ``min_window`` points and end higher than it starts;
-    the longest candidate wins, earliest on ties.
+    the longest candidate wins, earliest on ties.  A ``min_window`` that
+    is not an integer of at least MIN_WINDOW raises InvalidConfig.
     """
+    _check_min_window(min_window)
     excess = excess_series(prices, params)
     vals = excess.values
     n = len(vals)
@@ -137,15 +146,15 @@ def classify_series(
     wins the anchoring label, provided it reaches ``theta``.  Ties break
     toward price anchoring (the lower-lag model).  An explicit ``window``
     overrides detection, letting callers reproduce published windows.
-    A ``theta`` outside (0, 1], a ``min_window`` below MIN_WINDOW or an
-    explicit ``window`` outside the series raises InvalidConfig.
+    A ``theta`` outside (0, 1], a ``min_window`` that is not an integer
+    of at least MIN_WINDOW or an explicit ``window`` outside the series
+    raises InvalidConfig.
     """
     if not math.isfinite(theta):
         raise InvalidConfig(f"theta must be finite, got {theta}")
     if not 0.0 < theta <= 1.0:
         raise InvalidConfig(f"theta must lie in (0, 1], got {theta}")
-    if min_window < MIN_WINDOW:
-        raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
+    _check_min_window(min_window)
     if window is not None:
         prices.window_values(window)  # raises InvalidConfig outside the series
     win = window if window is not None else detect_bubble_window(

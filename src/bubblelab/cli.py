@@ -4,8 +4,11 @@ Subcommands: simulate, sweep, classify, table2, plotdata.  All outputs
 are CSV/JSON; nothing is plotted directly, the files are laid out for
 external plotting tools.
 
-Exit codes: 0 success, 2 configuration error, 3 ingestion error,
-4 computation error.
+Exit codes: 0 success, 2 configuration error, 3 ingestion error (also
+an input, config file or ``--outdir`` that cannot be read or written),
+4 computation error.  Codes 2, 3 and 4 come only from the typed errors
+of ``_EXIT_CODES``; any other exception is a bug and ends the run with a
+traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ EXIT_INGEST = 3
 EXIT_COMPUTE = 4
 
 # Exception classes -> exit code; the first matching row wins, so
-# UnicodeDecodeError (a ValueError) counts as an ingestion error.
+# InvalidConfig and IngestError keep their own codes ahead of the
+# BubbleLabError they subclass.
 _EXIT_CODES = (
     (InvalidConfig, EXIT_CONFIG),
     ((IngestError, UnicodeDecodeError, OSError), EXIT_INGEST),
-    ((BubbleLabError, ValueError, ArithmeticError), EXIT_COMPUTE),
+    (BubbleLabError, EXIT_COMPUTE),
 )
 
 _PARAM_KEYS = {

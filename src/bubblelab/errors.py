@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all bubblelab modules.
 
-The CLI maps these onto exit codes: configuration problems, ingestion
-problems, and computation problems each get their own code.
+The CLI maps these onto exit codes: configuration problems
+(``InvalidConfig``, 2), ingestion problems (``IngestError``, 3) and
+computation problems (every other ``BubbleLabError``, 4) each get their
+own code.  Unreadable or unwritable files and undecodable input are
+ingestion problems too; any other exception is a bug, not a bad input.
 ``IngestError`` is the base of the three ingestion errors (malformed row,
 non-contiguous time, out-of-range value); each carries the 1-based
 ``line`` of the input file it refers to.
@@ -77,9 +80,12 @@ class DegenerateRegressor(BubbleLabError):
 
 
 class FiniteHorizonSingularity(BubbleLabError):
-    """A positive-feedback iteration blew past floating-point range.
+    """An iteration left the positive floats: a value overflowed (as
+    positive feedback does in finite time), became NaN or underflowed to
+    zero.
 
-    ``last_finite_index`` is the time of the last finite value produced.
+    ``last_finite_index`` is the time of the last positive finite value
+    produced.
     """
 
     def __init__(self, last_finite_index: int):

@@ -10,7 +10,8 @@ from:
 
 Positive feedback makes these maps blow up in finite time by
 construction; the iteration reports that as an error instead of
-emitting non-finite values.
+emitting non-finite values, and so it does for a value that underflows
+to zero.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import FiniteHorizonSingularity, InvalidConfig
-from .series import ExcessSeries
+from .errors import FiniteHorizonSingularity, InvalidConfig, ReturnOverflow
+from .series import ExcessSeries, _check_int
 
 EXPONENTIAL = "exponential"
 PRICE_FEEDBACK = "price_feedback"
@@ -85,8 +86,10 @@ def iterate(model: GrowthModel, steps: int, noise=None) -> ExcessSeries:
 
     ``noise`` is an optional callable returning an additive perturbation
     of each step's log-growth (see iterate_noisy).  Raises
-    FiniteHorizonSingularity once a value leaves floating-point range.
+    FiniteHorizonSingularity once a value is no longer a positive finite
+    float: it overflowed, became NaN or underflowed to zero.
     """
+    _check_int("steps", steps)
     if steps < 0:
         raise InvalidConfig(f"steps must be non-negative, got {steps}")
     values: List[float] = [model.start]
@@ -98,8 +101,8 @@ def iterate(model: GrowthModel, steps: int, noise=None) -> ExcessSeries:
         try:
             nxt = values[-1] * math.exp(g)
         except OverflowError:
-            raise FiniteHorizonSingularity(t - 1) from None
-        if not math.isfinite(nxt):
+            nxt = math.inf
+        if not 0.0 < nxt < math.inf:
             raise FiniteHorizonSingularity(t - 1)
         values.append(nxt)
     return ExcessSeries(0, tuple(values))
@@ -111,6 +114,7 @@ def iterate_noisy(
     """Iterate with Gaussian noise of std-dev ``sigma`` on each log-growth."""
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidConfig(f"noise std-dev must be finite and non-negative, got {sigma}")
+    _check_int("seed", seed)
     rng = random.Random(seed)
     return iterate(model, steps, noise=lambda: rng.gauss(0.0, sigma))
 
@@ -126,8 +130,14 @@ class ComparisonRow:
     feedback_pct: Optional[int]
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+def _pct(level: float, prev: float, t: int) -> int:
+    """The discrete return from ``prev`` to ``level`` in whole percent,
+    rounded half up; ReturnOverflow names t where the percentage leaves
+    the float range."""
+    pct = 100.0 * (level / prev - 1.0)
+    if pct == math.inf:
+        raise ReturnOverflow(t)
+    return math.floor(pct + 0.5)
 
 
 def table2(
@@ -142,7 +152,9 @@ def table2(
     Default parameters give roughly 10% growth per step for both; the
     feedback column overtakes the exponential one at t = 10 and pulls
     away as its growth rate accelerates.  Percent columns are discrete
-    returns rounded to the nearest whole percent.
+    returns rounded to the nearest whole percent.  A column that leaves
+    the positive floats raises FiniteHorizonSingularity, and a percentage
+    past the float range raises ReturnOverflow.
     """
     exp_series = iterate(GrowthModel.exponential(a1, start), steps)
     fb_series = iterate(GrowthModel.price_feedback(a2, b2, start), steps)
@@ -152,8 +164,8 @@ def table2(
         if t == 0:
             pe = pf = None
         else:
-            pe = _round_half_up(100.0 * (e / exp_series.values[t - 1] - 1.0))
-            pf = _round_half_up(100.0 * (f / fb_series.values[t - 1] - 1.0))
+            pe = _pct(e, exp_series.values[t - 1], t)
+            pf = _pct(f, fb_series.values[t - 1], t)
         rows.append(ComparisonRow(t, e, pe, f, pf))
     return tuple(rows)
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InsufficientHistory, InvalidConfig
-from .series import ExperimentParams, PriceSeries, write_csv
+from .series import ExperimentParams, PriceSeries, _check_int, write_csv
 
 FUNDAMENTALIST = "fundamentalist"
 RATIONAL_BUBBLE = "rational_bubble"
@@ -118,8 +118,7 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
         object.__setattr__(self, "initial_prices", tuple(self.initial_prices))
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
-            raise InvalidConfig(f"horizon must be an integer, got {self.horizon!r}")
+        _check_int("horizon", self.horizon)
         if self.horizon < 1:
             raise InvalidConfig(f"horizon must be at least 1, got {self.horizon}")
         if len(self.agents) != self.params.n_traders:
@@ -135,8 +134,7 @@ class SimConfig:
                 "forecast noise std-dev must be finite and non-negative, "
                 f"got {self.return_noise_sigma}"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        _check_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in 64 bits")
         if len(self.initial_prices) != 2:
@@ -210,15 +208,20 @@ def _json_table(rows) -> str:
 def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> float:
     """Market price: discounted average of the traders' predictions plus
     dividend, clipped to the admissible band (clipping is vacuous when
-    the forecasts themselves respect the band)."""
-    if len(forecasts) != params.n_traders:
-        raise InvalidConfig(
-            f"expected {params.n_traders} forecasts, got {len(forecasts)}"
-        )
+    the forecasts themselves respect the band).  Forecasts without a mean
+    (a NaN, or both infinities) raise InvalidConfig."""
+    n = len(forecasts)
+    if n != params.n_traders:
+        raise InvalidConfig(f"expected {params.n_traders} forecasts, got {n}")
     try:
-        mean = math.fsum(forecasts) / len(forecasts)
+        mean = math.fsum(forecasts) / n
     except OverflowError:  # the exact sum leaves the float range; the mean cannot
-        mean = math.fsum(f / len(forecasts) for f in forecasts)
+        k = n.bit_length()  # 2**k > n, so the sum scaled by 2**-k stays in range
+        mean = math.ldexp(math.fsum(math.ldexp(f, -k) for f in forecasts) / n, k)
+    except ValueError:  # -inf + inf
+        mean = math.nan
+    if math.isnan(mean):
+        raise InvalidConfig(f"forecasts have no mean: {list(forecasts)}")
     raw = (mean + params.dividend) / (1.0 + params.r)
     return params.clamp(raw)
 

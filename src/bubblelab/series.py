@@ -27,6 +27,20 @@ from .errors import (
 MIN_WINDOW = 5
 
 
+def _check_int(name: str, value) -> None:
+    """Raise InvalidConfig unless ``value`` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+
+
+def _check_min_window(min_window) -> None:
+    """Raise InvalidConfig unless ``min_window`` is an integer of at least
+    MIN_WINDOW."""
+    _check_int("min_window", min_window)
+    if min_window < MIN_WINDOW:
+        raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
+
+
 @dataclass(frozen=True)
 class ExperimentParams:
     """Constants of the experimental market.
@@ -50,6 +64,7 @@ class ExperimentParams:
             raise InvalidConfig(f"interest rate must be positive, got {self.r}")
         if self.dividend < 0:
             raise InvalidConfig(f"dividend must be non-negative, got {self.dividend}")
+        _check_int("n_traders", self.n_traders)
         if self.n_traders < 1:
             raise InvalidConfig(f"need at least one trader, got {self.n_traders}")
         if not self.p_min < self.p_max:
@@ -90,6 +105,7 @@ class Series:
     values: tuple
 
     def __post_init__(self):
+        _check_int("t0", self.t0)
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise InvalidConfig("series needs at least one value")
@@ -132,6 +148,8 @@ class Window:
     end: int
 
     def __post_init__(self):
+        _check_int("window start", self.start)
+        _check_int("window end", self.end)
         if self.end < self.start + MIN_WINDOW - 1:
             raise InvalidConfig(
                 f"window [{self.start}, {self.end}] shorter than "

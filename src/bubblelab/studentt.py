@@ -129,7 +129,7 @@ def _enclosure(p: float, df: int) -> tuple[float, float] | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def t_quantile(p: float, df: int) -> float:
     """Inverse CDF of the Student-t distribution.
 
@@ -143,7 +143,9 @@ def t_quantile(p: float, df: int) -> float:
     without it, in about 19 CDF evaluations instead of 55.  Each costs
     O(df), so a cold quantile takes longer above df of about 500 than
     the incomplete-beta CDF this replaced did.  Results are cached since
-    calibration sweeps ask for the same (p, df) pairs over and over.
+    calibration sweeps ask for the same (p, df) pairs over and over, by
+    type as well as value, so a df of 2.0 or True never reads the entry
+    of a checked 2 or 1.
     """
     _check_df(df)
     if not 0.0 < p < 1.0:

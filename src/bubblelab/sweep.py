@@ -23,7 +23,7 @@ from .regression import (
     _pairs,
     _scaled_ints,
 )
-from .series import MIN_WINDOW, ExcessSeries, Window
+from .series import MIN_WINDOW, ExcessSeries, Window, _check_int, _check_min_window
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ def sweep(
     """Fit ``model`` on every window of at least ``min_window`` points
     inside ``window`` (the whole series when None).
 
-    A ``window`` outside the series raises InvalidConfig.  Per-window
+    A ``window`` outside the series, or a ``min_window`` that is not an
+    integer of at least MIN_WINDOW, raises InvalidConfig.  Per-window
     errors (windows crossing non-positive excess prices, degenerate
     regressors) become invalid-cell markers rather than failing the sweep.
 
@@ -78,8 +79,7 @@ def sweep(
     """
     if model not in _LAGS:
         raise InvalidConfig(f"model must be one of {sorted(_LAGS)}, got {model!r}")
-    if min_window < MIN_WINDOW:
-        raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
+    _check_min_window(min_window)
     lag = _LAGS[model]
     if window is None:
         lo, hi, vals = excess.t0, excess.t_end, excess.values
@@ -147,7 +147,9 @@ def sweep(
 
 def triangular_cell_count(n: int, min_window: int) -> int:
     """Count of windows of at least ``min_window`` points in a span of
-    ``n`` points, for shape checks."""
+    ``n`` points (none when n < min_window), for shape checks."""
+    _check_int("n", n)
+    _check_min_window(min_window)
     k = max(0, n - min_window + 1)
     return k * (k + 1) // 2
 

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from bubblelab import ExperimentParams, GrowthModel, iterate, write_csv
+from bubblelab import (
+    BubbleLabError,
+    ExperimentParams,
+    GrowthModel,
+    IngestError,
+    InvalidConfig,
+    iterate,
+    write_csv,
+)
 from bubblelab.cli import build_parser, main
 
 from _golden import GOLDEN_CASES, _read_golden, _run_golden_case, _write_golden
@@ -383,6 +391,20 @@ class TestTable2Command:
         assert run_cli("table2", "--outdir", str(tmp_path)) == 0
         assert time.perf_counter() - start < 1.0
 
+    def test_decay_to_zero_is_compute_error(self, tmp_path, capsys):
+        # e**-800 underflows to 0, which the percent column would divide by
+        assert run_cli("table2", "--a1", "-800", "--outdir", str(tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert err == "error: iteration diverged; last finite value at t=0\n"
+        assert not (tmp_path / "table2.csv").exists()
+
+    def test_percent_return_past_the_float_range_is_compute_error(self, tmp_path, capsys):
+        # 60 * e**705.5 is finite, but 100 times its return is not
+        assert run_cli("table2", "--steps", "1", "--a1", "705.5",
+                       "--outdir", str(tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert err == "error: discrete return at t=1 leaves the float range\n"
+
 
 class TestPlotdataCommand:
     def test_exponential_scatter_sits_on_diagonal(self, tmp_path):
@@ -649,3 +671,33 @@ class TestPipelineClosure:
 
 if __name__ == "__main__":
     _write_golden()
+
+
+class TestExitCodeTable:
+    def test_table_maps_only_typed_and_io_errors(self):
+        from bubblelab.cli import _EXIT_CODES
+
+        assert _EXIT_CODES == (
+            (InvalidConfig, 2),
+            ((IngestError, UnicodeDecodeError, OSError), 3),
+            (BubbleLabError, 4),
+        )
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("bare value error"),
+        ZeroDivisionError("float division by zero"),
+        OverflowError("math range error"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_report_reraises_an_untyped_error(self, exc, capsys):
+        from bubblelab.cli import _report
+
+        with pytest.raises(type(exc)) as info:
+            _report(exc)
+        assert info.value is exc
+        assert capsys.readouterr().err == ""
+
+    def test_outdir_naming_a_file_is_ingest_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("table2", "--outdir", str(taken)) == 3
+        assert "File exists" in capsys.readouterr().err
