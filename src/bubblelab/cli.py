@@ -5,10 +5,10 @@ are CSV/JSON; nothing is plotted directly, the files are laid out for
 external plotting tools.
 
 Exit codes: 0 success, 2 configuration error, 3 ingestion error (also
-an input, config file or ``--outdir`` that cannot be read or written),
-4 computation error.  Codes 2, 3 and 4 come only from the typed errors
-of ``_EXIT_CODES``; any other exception is a bug and ends the run with a
-traceback (exit 1).
+an input or config file that cannot be read, or an ``--outdir`` that
+cannot be created or written), 4 computation error.  Codes 2, 3 and 4
+come only from the typed errors of ``_EXIT_CODES``; any other exception
+is a bug and ends the run with a traceback (exit 1).
 """
 
 from __future__ import annotations
