@@ -208,7 +208,8 @@ def _json_table(rows) -> str:
 def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> float:
     """Market price: discounted average of the traders' predictions plus
     dividend, clipped to the admissible band (clipping is vacuous when
-    the forecasts themselves respect the band).  Forecasts without a mean
+    the forecasts themselves respect the band: a mean that rounds past
+    the band is clipped back into the forecasts' range).  Forecasts without a mean
     (a NaN, or both infinities) raise InvalidConfig."""
     n = len(forecasts)
     if n != params.n_traders:
@@ -222,6 +223,9 @@ def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> floa
         mean = math.nan
     if math.isnan(mean):
         raise InvalidConfig(f"forecasts have no mean: {list(forecasts)}")
+    if not params.p_min <= mean <= params.p_max:
+        # the rounded mean of forecasts inside the band can land an ulp past them
+        mean = min(max(mean, min(forecasts)), max(forecasts))
     raw = (mean + params.dividend) / (1.0 + params.r)
     return params.clamp(raw)
 

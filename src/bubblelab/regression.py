@@ -29,7 +29,7 @@ _LAGS = {MODEL_PRICE: 0, MODEL_RETURN: 1}
 
 # Regressor spread below a few ulps of its own magnitude carries no
 # information; treat it as constant rather than dividing by noise.
-_DEGENERACY_ULPS = 32.0
+_DEGENERACY = 32.0 * sys.float_info.epsilon  # 32 ulps of 1.0
 _MIN_NORMAL = sys.float_info.min
 
 
@@ -95,16 +95,6 @@ def _scaled_ints(xs, ys) -> Tuple[list, list, int]:
     p = max(den.bit_length() for _, den in ratios) - 1
     ints = [num << (p + 1 - den.bit_length()) for num, den in ratios]
     return ints[: len(xs)], ints[len(xs) :], p
-
-
-def _check_spread(xmin: float, xmax: float) -> None:
-    """Reject a regressor whose float spread is a few ulps of its size."""
-    spread = xmax - xmin
-    scale = max(abs(xmax), abs(xmin), 1.0)
-    if spread <= _DEGENERACY_ULPS * sys.float_info.epsilon * scale:
-        raise DegenerateRegressor(
-            f"regressor spread {spread:g} is indistinguishable from constant"
-        )
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -191,6 +181,38 @@ def _fit_moments(
     return fit
 
 
+def _window_fits(model, xs, ys, xf, p, first, one_sided):
+    """Yield, shortest first, the fit of every window of at least
+    ``first`` of the pairs (xs, ys), scaled by 2**p, that starts at the
+    first pair, or None where the float regressors xf are degenerate.
+
+    Each window adds one pair to the exact moments of the one before.  A
+    window that grows by a point widens its spread at least as much as
+    its scale max(|x|, 1), so once the spread passes the test every
+    longer window does: the test is made only until the first pass.
+    """
+    n = sx = sy = sxx = sxy = syy = 0
+    xmin, xmax = math.inf, -math.inf
+    spread_ok = False
+    for x, y, xv in zip(xs, ys, xf):
+        n += 1
+        sx += x
+        sy += y
+        sxx += x * x
+        sxy += x * y
+        syy += y * y
+        if not spread_ok:
+            xmin = min(xmin, xv)
+            xmax = max(xmax, xv)
+            if n < first:
+                continue
+            if xmax - xmin <= _DEGENERACY * max(abs(xmax), abs(xmin), 1.0):
+                yield None
+                continue
+            spread_ok = True
+        yield _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
+
+
 def ols2(
     x: Sequence[float],
     y: Sequence[float],
@@ -201,8 +223,8 @@ def ols2(
 
     Residual variance uses n-2 degrees of freedom; the lower confidence
     bounds subtract t(0.975, df) standard errors (t(0.95, df) when
-    ``one_sided`` is set).  Non-finite data, or x and y of different
-    lengths, raise InvalidConfig.
+    ``one_sided`` is set).  Non-finite data, x and y of different
+    lengths, or data or a fit beyond the float range raise InvalidConfig.
     """
     n = len(x)
     if n != len(y):
@@ -210,20 +232,17 @@ def ols2(
     if n < 3:
         raise TooFewPoints(f"need at least 3 points for a two-parameter fit, got {n}")
 
-    x = [float(v) for v in x]
-    xs, ys, p = _scaled_ints(x, [float(v) for v in y])
-    _check_spread(min(x), max(x))
-    return _fit_moments(
-        model,
-        n,
-        sum(xs),
-        sum(ys),
-        sum(v * v for v in xs),
-        sum(v * w for v, w in zip(xs, ys)),
-        sum(w * w for w in ys),
-        p,
-        one_sided,
-    )
+    try:
+        x = [float(v) for v in x]
+        xs, ys, p = _scaled_ints(x, [float(v) for v in y])
+        fit = next(_window_fits(model, xs, ys, x, p, n, one_sided))
+    except OverflowError as exc:  # from float(int) or the kernel's int / int
+        raise InvalidConfig(f"regression data or fit beyond the float range: {exc}") from None
+    if fit is None:
+        raise DegenerateRegressor(
+            f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
+        )
+    return fit
 
 
 def _pairs(model: str, values: Sequence[float], t0: int) -> Tuple[Sequence, list]:
@@ -295,7 +314,8 @@ def fit_rational_bubble(
 
     The slope maps to rate = exp(slope) - 1 and the intercept to the
     deviation scale at t = 0.  Every price in the window must exceed the
-    anchor (default: the fundamental under standard parameters).
+    anchor (default: the fundamental under standard parameters).  A rate
+    or scale beyond the float range raises InvalidConfig.
     """
     ts = list(range(window.start, window.end + 1))
     devs = []
@@ -307,11 +327,14 @@ def fit_rational_bubble(
     fit = ols2(ts, devs, model=MODEL_RATIONAL, one_sided=one_sided)
     tq = t_quantile(0.95 if one_sided else 0.975, fit.df)
     slope_hi = fit.b + tq * fit.se_b
-    return RationalBubbleFit(
-        rate=math.expm1(fit.b),
-        scale=math.exp(fit.a),
-        anchor=anchor,
-        rate_lower=math.expm1(fit.b_lower),
-        rate_upper=math.expm1(slope_hi),
-        ols=fit,
-    )
+    try:
+        return RationalBubbleFit(
+            rate=math.expm1(fit.b),
+            scale=math.exp(fit.a),
+            anchor=anchor,
+            rate_lower=math.expm1(fit.b_lower),
+            rate_upper=math.expm1(slope_hi),
+            ols=fit,
+        )
+    except OverflowError:  # a steep slope, or an intercept far from t = 0
+        raise InvalidConfig("rational fit's rate or scale is beyond the float range") from None

@@ -10,19 +10,11 @@ inside its own window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
-from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess
-from .regression import (
-    _LAGS,
-    OlsFit,
-    _check_spread,
-    _fit_moments,
-    _pairs,
-    _scaled_ints,
-)
+from .errors import InvalidConfig
+from .regression import _LAGS, OlsFit, _pairs, _scaled_ints, _window_fits
 from .series import MIN_WINDOW, ExcessSeries, Window, _check_int, _check_min_window
 
 
@@ -31,10 +23,14 @@ class InvalidCell:
     """Marker for a window whose fit failed, carrying the error kind."""
 
     error_kind: str
-    detail: str = ""
 
 
 Cell = Union[OlsFit, InvalidCell]
+
+# the cells of windows that reach a non-positive excess price, and of
+# windows whose regressor is constant
+_BLOCKED = InvalidCell("NonPositiveExcess")
+_DEGENERATE = InvalidCell("DegenerateRegressor")
 
 # an OlsFit's field names in declaration order, the keys of a best window's "fit"
 _FIT_FIELDS = tuple(f.name for f in fields(OlsFit))
@@ -94,7 +90,6 @@ def sweep(
         bad = run0
         while bad <= hi and vals[bad - lo] > 0:
             bad += 1
-        blocked = InvalidCell("NonPositiveExcess", str(NonPositiveExcess(bad)))
         run_end = max(bad, run0 + 1)
         if bad - run0 >= min_window:
             # some window inside the run is long enough: fit them all from
@@ -103,44 +98,20 @@ def sweep(
             xs, ys, p = _scaled_ints(xf, yf)
         else:  # no window of the run is long enough to fit
             xs = ys = xf = ()
+            p = 0
         for s in range(run0, run_end):
-            first_e = s + min_window - 1
-            n = sx = sy = sxx = sxy = syy = 0
-            xmin, xmax = math.inf, -math.inf
-            # A window that grows by a point widens its regressor's spread
-            # at least as much as its scale max(|x|, 1), so once the spread
-            # exceeds 32 ulps of the scale it does so for every longer
-            # window from the same start: check only until the first pass.
-            spread_ok = False
-            # pair j (counted from run0) is the last pair of the cell that
-            # ends at e = run0 + j + 1 + lag; cell (s, e) holds pairs from s
+            # pair j (counted from run0) is the first pair of the windows
+            # that start at s; the window ending at e holds e - s - lag pairs,
+            # at least 3 (see MIN_WINDOW), so no cell has TooFewPoints
             j = s - run0
-            for e, x, y, xv in zip(range(s + lag + 1, bad), xs[j:], ys[j:], xf[j:]):
-                n += 1
-                sx += x
-                sy += y
-                sxx += x * x
-                sxy += x * y
-                syy += y * y
-                if xv < xmin:
-                    xmin = xv
-                if xv > xmax:
-                    xmax = xv
-                if e < first_e:
-                    continue
-                if not spread_ok:
-                    try:
-                        _check_spread(xmin, xmax)
-                    except DegenerateRegressor as exc:
-                        cells[(s, e)] = InvalidCell(type(exc).__name__, str(exc))
-                        continue
-                    spread_ok = True
-                # n >= 3 (see MIN_WINDOW), so no cell has TooFewPoints
-                cells[(s, e)] = _fit_moments(
-                    model, n, sx, sy, sxx, sxy, syy, p, one_sided
-                )
+            first_e = s + min_window - 1
+            fits = _window_fits(
+                model, xs[j:], ys[j:], xf[j:], p, min_window - 1 - lag, one_sided
+            )
+            for e, fit in zip(range(first_e, bad), fits):
+                cells[(s, e)] = _DEGENERATE if fit is None else fit
             for e in range(max(first_e, bad), hi + 1):
-                cells[(s, e)] = blocked
+                cells[(s, e)] = _BLOCKED
         run0 = run_end
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
 

@@ -157,6 +157,15 @@ class TestSimulate:
         assert all(band.p_min <= v <= band.p_max for v in values)
         assert band.p_max in values and band.p_min in values
 
+    def test_equal_forecasts_at_a_large_band_edge_clear_inside_the_band(self, tmp_path):
+        # the mean of six forecasts at p_max = 1e30 rounds an ulp above them
+        assert run_cli("simulate", "--agents", "rational", "--horizon", "2000",
+                       "--params", "p_max=1e30", "--outdir", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "simulation.json").read_text())
+        band = ExperimentParams(p_max=1e30)
+        hi = (band.p_max + band.dividend) / (1.0 + band.r)
+        assert max(doc["prices"]) == hi
+
     def test_non_finite_inputs_are_config_errors(self, tmp_path, capsys):
         for flags in (("--params", "r=inf"), ("--params", "p_max=inf"),
                       ("--noise-sigma", "nan"), ("--noise-sigma", "inf")):
@@ -350,6 +359,24 @@ class TestClassifyCommand:
         assert run_cli("classify", "--input", str(inp), "--theta", "nan",
                        "--outdir", str(tmp_path)) == 2
         assert "theta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
+
+    def test_time_index_beyond_the_float_range_is_config_error(self, tmp_path, capsys):
+        inp = tmp_path / "prices.csv"
+        rows = [f"{10**400 + t},{60.0 + 2.0 * 1.1**t:.2f}" for t in range(20)]
+        inp.write_text("t,price\n" + "\n".join(rows) + "\n")
+        assert run_cli("classify", "--input", str(inp), "--outdir", str(tmp_path)) == 2
+        assert "beyond the float range" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
+
+    def test_rational_scale_beyond_the_float_range_is_config_error(self, tmp_path, capsys):
+        # a falling window far from t = 0: the scale exp(a) at t = 0 overflows
+        inp = tmp_path / "prices.csv"
+        rows = [f"{10**6 + t},{60.0 + 100.0 * 0.9**t:.2f}" for t in range(20)]
+        inp.write_text("t,price\n" + "\n".join(rows) + "\n")
+        assert run_cli("classify", "--input", str(inp), "--window", "1000000,1000019",
+                       "--outdir", str(tmp_path)) == 2
+        assert "beyond the float range" in capsys.readouterr().err
         assert not (tmp_path / "verdict.json").exists()
 
     @pytest.mark.parametrize("theta", ["-1", "0", "2"])

@@ -271,6 +271,10 @@ CONTRACTS = [
              lambda n: ols2(tuple(map(float, range(n))), (1.0,) * n), TooFewPoints),
     Contract(ols2, "constant regressor", st.floats(-1e300, 1e300),
              lambda x: ols2((x,) * 4, (1.0, 2.0, 4.0, 8.0)), DegenerateRegressor),
+    Contract(ols2, "data beyond the float range", st.integers(min_value=2**1024),
+             lambda v: ols2((v, v + 1, v + 2), (1.0, 2.0, 4.0)), InvalidConfig),
+    Contract(ols2, "slope beyond the float range", st.floats(1e296, 1e307),
+             lambda v: ols2((0.0, 1e-13, 2e-13), (0.0, v, 2 * v)), InvalidConfig),
     Contract(fit_price_model, "non-positive excess in the window",
              st.tuples(st.integers(0, 9), NON_POSITIVE),
              lambda iv: fit_price_model(Series(0, _replace((1.0, 2.0) * 5, *iv)), Window(0, 9)),
@@ -287,6 +291,12 @@ CONTRACTS = [
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), InvalidConfig),
     Contract(fit_rational_bubble, "anchor not below every price", st.floats(min_value=62.0),
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), NonPositiveExcess),
+    # a falling bubble far from t = 0 has a scale exp(a) beyond the float range
+    Contract(fit_rational_bubble, "scale beyond the float range", st.integers(10**5, 10**12),
+             lambda t0: fit_rational_bubble(
+                 PriceSeries(t0, tuple(60.0 + 100.0 * 0.9**t for t in range(10))),
+                 Window(t0, t0 + 9)),
+             InvalidConfig),
     # studentt.py
     Contract(t_cdf, "NaN x", NAN, lambda x: t_cdf(x, 3), InvalidConfig),
     Contract(t_cdf, "df not a positive integer", st.one_of(NON_INTEGER, st.integers(max_value=0)),

@@ -6,6 +6,7 @@ same examples and leaves no files behind.
 """
 
 import dataclasses
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -15,6 +16,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bubblelab import (
+    ANCHORING_ON_PRICE,
+    ANCHORING_ON_RETURN,
+    ERRATIC,
+    RATIONAL_EXPONENTIAL,
+    TOO_SHORT,
     AgentSpec,
     BubbleLabError,
     DegenerateRegressor,
@@ -32,11 +38,14 @@ from bubblelab import (
     TooFewPoints,
     Window,
     classify_series,
+    clearing_price,
+    detect_bubble_window,
     discrete_returns,
     fit_price_model,
     fit_return_model,
     grid_summary,
     iterate_noisy,
+    load_csv,
     log_excess_returns,
     ols2,
     run,
@@ -110,7 +119,7 @@ def _standalone(model, excess, window):
     try:
         return FITTERS[model](excess, window)
     except (NonPositiveExcess, TooFewPoints, DegenerateRegressor) as exc:
-        return InvalidCell(type(exc).__name__, str(exc))
+        return InvalidCell(type(exc).__name__)
 
 
 @PROPERTY
@@ -287,7 +296,7 @@ def random_grids(draw):
                                        e - s, e - s - 2, 0.5)
             else:
                 kind = draw(st.sampled_from(["NonPositiveExcess", "DegenerateRegressor"]))
-                cells[(s, e)] = InvalidCell(kind, "x")
+                cells[(s, e)] = InvalidCell(kind)
     return SweepGrid("price", (lo, hi), min_window, cells)
 
 
@@ -451,3 +460,182 @@ def test_run_and_its_files_match_the_per_trader_reference(config, t0, decimals, 
         write_csv(got, excess, forecasts=forecasts, decimals=decimals)
         write_csv_reference(want, excess, forecasts=forecasts, decimals=decimals)
         assert got.read_bytes() == want.read_bytes()
+
+
+@st.composite
+def band_and_forecasts(draw):
+    """Market constants with band edges up to 1e300 in magnitude, and
+    1-8 forecasts inside the band: often all equal, often at an edge."""
+    edge = st.floats(min_value=-1e300, max_value=1e300)
+    p_min, p_max = sorted((draw(edge), draw(edge)))
+    assume(p_min < p_max and p_max >= 0.0)
+    r = draw(st.floats(min_value=1e-4, max_value=1.0))
+    fundamental = draw(st.floats(min_value=max(p_min, 0.0), max_value=p_max))
+    n = draw(st.integers(min_value=1, max_value=8))
+    try:
+        params = ExperimentParams(r=r, dividend=fundamental * r, n_traders=n,
+                                  p_min=p_min, p_max=p_max)
+    except InvalidConfig:  # dividend / r rounded out of the band
+        assume(False)
+    inside = st.one_of(st.sampled_from([p_min, p_max]),
+                       st.floats(min_value=p_min, max_value=p_max))
+    if draw(st.booleans()):
+        return params, (draw(inside),) * n
+    return params, tuple(draw(st.lists(inside, min_size=n, max_size=n)))
+
+
+@PROPERTY
+@given(band_and_forecasts())
+# six equal forecasts at 1e30, whose rounded mean lies an ulp above them
+@example((ExperimentParams(p_max=1e30), (1e30,) * 6))
+def test_clearing_price_of_forecasts_in_the_band_lies_in_the_band(case):
+    params, forecasts = case
+    lo = (params.p_min + params.dividend) / (1.0 + params.r)
+    hi = (params.p_max + params.dividend) / (1.0 + params.r)
+    assert lo <= clearing_price(forecasts, params) <= hi
+
+
+cent_price = st.floats(min_value=0.0, max_value=1000.0)  # the default band
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=-50, max_value=50),
+    st.lists(cent_price, min_size=1, max_size=20),
+    st.integers(min_value=0, max_value=3),
+    st.data(),
+)
+def test_csv_round_trip_rounds_to_cents_and_rewrites_the_same_bytes(t0, prices, n_fc, draw):
+    n = len(prices)
+    forecasts = tuple(tuple(draw.draw(st.lists(cent_price, min_size=n, max_size=n)))
+                      for _ in range(n_fc))
+
+    def cents(values):
+        return tuple(float("%.2f" % v) for v in values)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        write_csv(first, PriceSeries(t0, tuple(prices)), forecasts=forecasts)
+        series, loaded = load_csv(first)
+        assert series == PriceSeries(t0, cents(prices))
+        assert loaded == (tuple(map(cents, forecasts)) if forecasts else None)
+        write_csv(second, series, forecasts=loaded)
+        assert second.read_bytes() == first.read_bytes()
+
+
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+FIT_FLOATS = ("a", "b", "se_a", "se_b", "a_lower", "b_lower", "r2")
+
+
+@PROPERTY
+@given(st.integers(min_value=3, max_value=8).flatmap(
+    lambda n: st.tuples(st.lists(any_finite, min_size=n, max_size=n),
+                        st.lists(any_finite, min_size=n, max_size=n))))
+# a slope of 1e313 from finite data
+@example(([0.0, 1e-13, 2e-13], [0.0, 1e300, 2e300]))
+def test_ols2_returns_a_finite_fit_or_a_typed_error(data):
+    xs, ys = data
+    try:
+        fit = ols2(xs, ys)
+    except BubbleLabError:
+        return
+    assert all(math.isfinite(getattr(fit, name)) for name in FIT_FLOATS)
+
+
+@st.composite
+def bubble_prices(draw):
+    """Prices on a random time index: random excess (with zeros and
+    negatives that split runs) or a noisy price-feedback bubble."""
+    if draw(st.booleans()):
+        excess = draw(st.lists(excess_value, min_size=5, max_size=20))
+    else:
+        model = GrowthModel.price_feedback(math.log(1.09), 3.5e-4, 60.0)
+        steps = draw(st.integers(8, 20))
+        excess = iterate_noisy(model, steps, sigma=0.02, seed=draw(st.integers(0, 999))).values
+    return PriceSeries(draw(st.integers(-50, 50)), tuple(60.0 + v for v in excess))
+
+
+# a theta of "price" or "return" is that fraction itself, which tests the
+# strict "below theta"; the fractions do not depend on theta
+theta_or_fraction = st.one_of(
+    st.sampled_from(["price", "return"]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+@PROPERTY
+@given(bubble_prices(), st.sampled_from([5, 6, 7]), theta_or_fraction)
+# both fractions are 1/15, so theta = 1/15 makes a tie, which goes to price
+@example(PriceSeries(0, tuple(60.0 + v for v in (
+    1.469, 1.856, 2.275, 4.147, 9.958, 28.543, 130.276, 147.723, 193.29, 256.436))),
+    5, "price")
+def test_classify_label_is_the_documented_rule(prices, min_window, theta):
+    params = ExperimentParams()
+    first = classify_series(prices, params, min_window=min_window)
+    pf, rf = first.price_fraction, first.return_fraction
+    assert 0.0 <= pf <= 1.0 and 0.0 <= rf <= 1.0
+    if first.rational_fit is not None:
+        assert all(math.isfinite(getattr(first.rational_fit.ols, f)) for f in FIT_FLOATS)
+    if isinstance(theta, str):
+        theta = pf if theta == "price" else rf
+        assume(theta > 0.0)
+    verdict = classify_series(prices, params, theta=theta, min_window=min_window)
+    assert (verdict.price_fraction, verdict.return_fraction) == (pf, rf)
+    window = detect_bubble_window(prices, params, min_window=min_window)
+    if window is None:
+        expected = ERRATIC
+    elif len(window) < min_window + 2:
+        expected = TOO_SHORT
+    elif pf < theta and rf < theta:
+        expected = RATIONAL_EXPONENTIAL
+    elif rf > pf:
+        expected = ANCHORING_ON_RETURN
+    else:  # ties go to price
+        expected = ANCHORING_ON_PRICE
+    assert verdict.label == expected
+    assert verdict.bubble_window == window
+
+
+@PROPERTY
+@given(bubble_prices(), st.sampled_from([5, 6, 7]))
+def test_classify_with_the_detected_window_gives_the_same_verdict(prices, min_window):
+    params = ExperimentParams()
+    detected = classify_series(prices, params, min_window=min_window)
+    assume(detected.bubble_window is not None)
+    explicit = classify_series(prices, params, min_window=min_window,
+                               window=detected.bubble_window)
+    assert explicit.to_json() == detected.to_json()
+
+
+@PROPERTY
+@given(bubble_prices(), st.sampled_from([5, 6, 7]),
+       st.one_of(st.integers(-50, 50), st.just(123456)))
+def test_shifting_time_moves_only_the_windows_and_the_intercept(prices, min_window, k):
+    params = ExperimentParams()
+    base = classify_series(prices, params, min_window=min_window)
+    try:
+        moved = classify_series(PriceSeries(prices.t0 + k, prices.values), params,
+                                min_window=min_window)
+    except InvalidConfig:  # a falling fit far from t = 0: exp(a) overflows
+        assert base.rational_fit.ols.b < 0.0
+        return
+    want, got = base.to_json_dict(), moved.to_json_dict()
+    if want["bubble_window"] is not None:
+        assert got["bubble_window"] == [t + k for t in want["bubble_window"]]
+        got["bubble_window"] = want["bubble_window"]
+    for key in ("price_grid", "return_grid"):
+        best = want[key] and want[key]["best_window"]
+        if best:
+            moved_best = got[key]["best_window"]
+            assert (moved_best["start"], moved_best["end"]) == (best["start"] + k, best["end"] + k)
+            moved_best["start"], moved_best["end"] = best["start"], best["end"]
+    rational, moved_rational = want["rational_fit"], got["rational_fit"]
+    if rational is not None:  # the intercept side: scale is the deviation at t = 0
+        moved_rational["scale"] = rational["scale"]
+        for name in ("a", "se_a", "a_lower"):
+            moved_rational["ols"][name] = rational["ols"][name]
+    assert json.dumps(got) == json.dumps(want)
+    for grid, moved_grid in ((base.price_grid, moved.price_grid),
+                             (base.return_grid, moved.return_grid)):
+        if grid is not None:
+            assert moved_grid.cells == {(s + k, e + k): c for (s, e), c in grid.cells.items()}
