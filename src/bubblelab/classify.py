@@ -10,6 +10,7 @@ growth.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -19,13 +20,14 @@ from .errors import InvalidConfig, NonPositiveExcess
 from .regression import MODEL_PRICE, MODEL_RETURN, RationalBubbleFit, fit_rational_bubble
 from .series import (
     MIN_WINDOW,
+    ExcessSeries,
     ExperimentParams,
     PriceSeries,
     Window,
     _check_min_window,
     excess_series,
 )
-from .sweep import SweepGrid, grid_summary, sweep
+from .sweep import SweepGrid, sweep, sweep_summary
 
 ERRATIC = "erratic"
 TOO_SHORT = "too_short"
@@ -47,16 +49,37 @@ EXPERIMENT_GROUP_WINDOWS = {
 
 @dataclass(frozen=True)
 class BubbleVerdict:
+    """A label and what it rests on.  ``price_summary``/``return_summary``
+    are the ``grid_summary`` of each model's sweep over the bubble window,
+    and ``excess`` holds that window's excess prices; all three are None
+    for ``erratic`` and ``too_short``."""
+
     label: str
     price_fraction: float
     return_fraction: float
     bubble_window: Optional[Window]
     rational_fit: Optional[RationalBubbleFit]
-    price_grid: Optional[SweepGrid]
-    return_grid: Optional[SweepGrid]
+    price_summary: Optional[dict]
+    return_summary: Optional[dict]
+    excess: Optional[ExcessSeries]
     theta: float
     min_window: int
     one_sided: bool
+
+    @property
+    def price_grid(self) -> Optional[SweepGrid]:
+        """The price model's grid, swept anew on every access."""
+        return self._grid(MODEL_PRICE, self.price_summary)
+
+    @property
+    def return_grid(self) -> Optional[SweepGrid]:
+        """The return model's grid, swept anew on every access."""
+        return self._grid(MODEL_RETURN, self.return_summary)
+
+    def _grid(self, model, summary):
+        if summary is None:
+            return None
+        return sweep(self.excess, model, self.bubble_window, self.min_window, self.one_sided)
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,8 +92,9 @@ class BubbleVerdict:
                 else None
             ),
             "rational_fit": asdict(self.rational_fit) if self.rational_fit else None,
-            "price_grid": grid_summary(self.price_grid) if self.price_grid else None,
-            "return_grid": grid_summary(self.return_grid) if self.return_grid else None,
+            # copies, so that editing the dict leaves the verdict as it was
+            "price_grid": copy.deepcopy(self.price_summary),
+            "return_grid": copy.deepcopy(self.return_summary),
             "thresholds": {
                 "theta": self.theta,
                 "min_window": self.min_window,
@@ -161,15 +185,16 @@ def classify_series(
         prices, params, min_window=min_window
     )
 
-    def verdict(label, pf=0.0, rf=0.0, rational=None, pgrid=None, rgrid=None):
+    def verdict(label, pf=0.0, rf=0.0, rational=None, summaries=(None, None), excess=None):
         return BubbleVerdict(
             label=label,
             price_fraction=pf,
             return_fraction=rf,
             bubble_window=win,
             rational_fit=rational,
-            price_grid=pgrid,
-            return_grid=rgrid,
+            price_summary=summaries[0],
+            return_summary=summaries[1],
+            excess=excess,
             theta=theta,
             min_window=min_window,
             one_sided=one_sided,
@@ -180,13 +205,13 @@ def classify_series(
     if len(win) < min_window + 2:
         return verdict(TOO_SHORT)
 
-    excess = excess_series(prices, params)
-    pgrid = sweep(excess, MODEL_PRICE, win, min_window, one_sided)
-    rgrid = sweep(excess, MODEL_RETURN, win, min_window, one_sided)
-    # a grid without a valid cell has no significant share; it counts as 0
-    pf, rf = (
-        grid_summary(grid)["significant_fraction"] or 0.0 for grid in (pgrid, rgrid)
+    excess = ExcessSeries(win.start, excess_series(prices, params).window_values(win))
+    summaries = tuple(
+        sweep_summary(excess, model, win, min_window, one_sided)
+        for model in (MODEL_PRICE, MODEL_RETURN)
     )
+    # a grid without a valid cell has no significant share; it counts as 0
+    pf, rf = (summary["significant_fraction"] or 0.0 for summary in summaries)
 
     try:
         rational = fit_rational_bubble(
@@ -201,4 +226,4 @@ def classify_series(
         label = ANCHORING_ON_RETURN
     else:
         label = ANCHORING_ON_PRICE
-    return verdict(label, pf, rf, rational, pgrid, rgrid)
+    return verdict(label, pf, rf, rational, summaries, excess)

@@ -80,12 +80,14 @@ class _OpenFit:
         self.perfect = perfect
 
 
-def _scaled_ints(xs, ys) -> Tuple[list, list, int]:
-    """Exact integer images of finite floats on one power-of-two scale.
+def _moment_rows(xs, ys) -> Tuple[list, int]:
+    """Exact integer images of finite float pairs on one power-of-two
+    scale, with the products the moments sum.
 
-    Returns ``(xi, yi, p)`` with ``xs[i] == xi[i] / 2**p`` and
-    ``ys[i] == yi[i] / 2**p`` exactly: every finite float is k * 2**e, so
-    nothing is rounded.  A NaN or an infinity raises InvalidConfig.
+    Returns ``(rows, p)``, a row ``(X, Y, X*X, X*Y, Y*Y, x)`` per pair
+    with ``x == X / 2**p`` and ``y == Y / 2**p`` exactly: every finite
+    float is k * 2**e, so nothing is rounded.  A NaN or an infinity
+    raises InvalidConfig.
     """
     ratios = []
     for v in chain(xs, ys):
@@ -94,7 +96,11 @@ def _scaled_ints(xs, ys) -> Tuple[list, list, int]:
         ratios.append(v.as_integer_ratio())
     p = max(den.bit_length() for _, den in ratios) - 1
     ints = [num << (p + 1 - den.bit_length()) for num, den in ratios]
-    return ints[: len(xs)], ints[len(xs) :], p
+    rows = [
+        (x, y, x * x, x * y, y * y, xv)
+        for x, y, xv in zip(ints[: len(xs)], ints[len(xs) :], xs)
+    ]
+    return rows, p
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -181,10 +187,99 @@ def _fit_moments(
     return fit
 
 
-def _window_fits(model, xs, ys, xf, p, first, one_sided):
+# The float filter's bounds (see _decide_fit): the relative distance it
+# allows between its float estimates and the kernel's lower bounds, the
+# factor by which det must outweigh the error of the kernel's residual
+# sum of squares, and the least standard error it estimates in floats.
+_FILTER_TOLERANCE = 2.0**-40
+_FILTER_GUARD = 2.0**58
+_FILTER_TINY = 2.0**-1000
+
+
+def _decide_fit(tally, model, n, sx, sy, sxx, sxy, syy, p, one_sided):
+    """The kernel's fit from these moments, or, where floats decide it,
+    only whether that fit is significant: True when both of its lower
+    bounds are > 0, False when one is <= 0.  A bool is returned only for
+    a fit whose b_lower is certainly not above ``tally.best_b``, the
+    greatest b_lower so far (None before the first fit); every other fit,
+    and every fit the floats cannot decide, comes from ``_fit_moments``.
+
+    Error analysis (u = 2**-53; X = x * 2**p and so on are the scaled
+    data, and every quantity below is at that scale, where the sign of a
+    lower bound is the sign of the kernel's).  The centred sums cxx, cxy,
+    cyy and det = cxx*cyy - cxy**2 are exact ints, each rounded once to
+    float.  det = n*cxx * SSR*, with SSR* the least-squares residual sum
+    of squares, so the exact se_b = sqrt(det / df) / cxx and
+    se_a = se_b * sqrt(sxx / n).  With m = |sy| + |b * sx|, which bounds
+    the two terms whose difference is n * a (a cancellation there only
+    widens the bound on a), these roundings put the estimates within 5u
+    |b| of b, 4u of se_b, 7u of se_a and 8u * m / n of a.  The kernel's
+    b is within u |b| of the exact slope and its a within 2u * m / n of
+    the exact intercept.  So each lower bound of the kernel lies within
+    2**-49 of the scale |b| + t * se_b (for a: m / n + t * se_a) of its
+    estimate, *but* for one term: the kernel's standard errors come from
+    the residual sum of squares of its rounded (a, b).  That exceeds
+    SSR* by n * (u * m / n)**2 + (u * b)**2 * cxx / n at most, a relative
+    excess rho <= u**2 * cxx * (m**2 + cyy) / det, and never falls short
+    of it.  So the kernel's lower bounds are never *above* the estimates
+    by more than the float error, and the decisions that a fit is not a
+    new best and not significant hold whatever rho is.  A decision that
+    it is significant needs rho small: near-perfect fits, where det is
+    small against cxx * cyy, and responses whose spread is a few ulps of
+    their mean, where det is small against cxx * m**2, make rho large.
+    So that decision requires cxx * (cyy + m**2) <= 2**58 * det, which
+    holds rho to 2**-48 and its effect on se_a and se_b to 2**-49.
+
+    The filter allows 2**-40 of the scale: 256 times the 2**-48 these
+    bounds add up to, which also covers the rounding of the decision
+    arithmetic itself.  A term n * 2**(p - 1022) in m covers the absolute
+    rounding of the kernel's unscaled floats below the normal range.
+    Standard errors below 2**-1000, where floats lose bits, and ints too
+    large for a float go to the kernel.
+    """
+    best_b = tally.best_b
+    if best_b is not None:
+        cxx = n * sxx - sx * sx
+        cxy = n * sxy - sx * sy
+        cyy = n * syy - sy * sy
+        try:
+            fxx = float(cxx)
+            fdet = float(cxx * cyy - cxy * cxy)
+            b = float(cxy) / fxx
+            tq = t_quantile(0.95 if one_sided else 0.975, n - 2)
+            se_b = math.sqrt(fdet / (n - 2)) / fxx
+            b_lower = b - tq * se_b
+            db = _FILTER_TOLERANCE * ((b if b > 0.0 else -b) + tq * se_b)
+            if b_lower + db < best_b and se_b >= _FILTER_TINY:
+                if b_lower + db < 0.0:
+                    return False
+                fsx = float(sx)
+                fsy = float(sy)
+                bsx = b * fsx
+                m = (fsy if fsy > 0.0 else -fsy) + (bsx if bsx > 0.0 else -bsx)
+                m += math.ldexp(n, p - 1022)
+                se_a = se_b * math.sqrt(float(sxx) / n)
+                a_lower = (fsy - bsx) / n - tq * se_a
+                da = _FILTER_TOLERANCE * (m / n + tq * se_a)
+                if a_lower + da < 0.0:
+                    return False
+                if (
+                    b_lower - db > 0.0
+                    and a_lower - da > 0.0
+                    and fxx * (float(cyy) + m * m) <= _FILTER_GUARD * fdet
+                ):
+                    return True
+        except OverflowError:  # an int beyond the float range
+            pass
+    return _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
+
+
+def _window_fits(model, rows, p, first, one_sided, fit=_fit_moments):
     """Yield, shortest first, the fit of every window of at least
-    ``first`` of the pairs (xs, ys), scaled by 2**p, that starts at the
-    first pair, or None where the float regressors xf are degenerate.
+    ``first`` of the pairs that starts at the first pair (``rows`` as
+    from ``_moment_rows``, scaled by 2**p), or None where the float
+    regressors are degenerate.  ``fit`` turns the moments into the
+    result: the kernel by default.
 
     Each window adds one pair to the exact moments of the one before.  A
     window that grows by a point widens its spread at least as much as
@@ -194,13 +289,13 @@ def _window_fits(model, xs, ys, xf, p, first, one_sided):
     n = sx = sy = sxx = sxy = syy = 0
     xmin, xmax = math.inf, -math.inf
     spread_ok = False
-    for x, y, xv in zip(xs, ys, xf):
+    for x, y, xx, xy, yy, xv in rows:
         n += 1
         sx += x
         sy += y
-        sxx += x * x
-        sxy += x * y
-        syy += y * y
+        sxx += xx
+        sxy += xy
+        syy += yy
         if not spread_ok:
             xmin = min(xmin, xv)
             xmax = max(xmax, xv)
@@ -210,7 +305,7 @@ def _window_fits(model, xs, ys, xf, p, first, one_sided):
                 yield None
                 continue
             spread_ok = True
-        yield _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
+        yield fit(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
 
 
 def ols2(
@@ -234,8 +329,8 @@ def ols2(
 
     try:
         x = [float(v) for v in x]
-        xs, ys, p = _scaled_ints(x, [float(v) for v in y])
-        fit = next(_window_fits(model, xs, ys, x, p, n, one_sided))
+        rows, p = _moment_rows(x, [float(v) for v in y])
+        fit = next(_window_fits(model, rows, p, n, one_sided))
     except OverflowError as exc:  # from float(int) or the kernel's int / int
         raise InvalidConfig(f"regression data or fit beyond the float range: {exc}") from None
     if fit is None:

@@ -11,10 +11,19 @@ inside its own window.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import InvalidConfig
-from .regression import _LAGS, OlsFit, _pairs, _scaled_ints, _window_fits
+from .regression import (
+    _LAGS,
+    OlsFit,
+    _decide_fit,
+    _fit_moments,
+    _moment_rows,
+    _pairs,
+    _window_fits,
+)
 from .series import MIN_WINDOW, ExcessSeries, Window, _check_int, _check_min_window
 
 
@@ -53,6 +62,50 @@ class SweepGrid:
         return sum(1 for c in self.cells.values() if isinstance(c, OlsFit))
 
 
+def _span(excess, model, window, min_window):
+    """Check a sweep's arguments; return the span (lo, hi) and its values."""
+    if model not in _LAGS:
+        raise InvalidConfig(f"model must be one of {sorted(_LAGS)}, got {model!r}")
+    _check_min_window(min_window)
+    if window is None:
+        return excess.t0, excess.t_end, excess.values
+    return window.start, window.end, excess.window_values(window)
+
+
+def _cells(model, lo, hi, vals, min_window, one_sided, fit):
+    """Yield ((start, end), cell) for every window of at least
+    ``min_window`` points in [lo, hi] (vals holds its values), in key
+    order, with ``fit`` turning each valid window's moments into its cell
+    (see ``_window_fits``)."""
+    lag = _LAGS[model]
+    run0 = lo
+    while run0 <= hi:
+        # Values are strictly positive from run0 up to (excluding) t = bad;
+        # for every start in that run, a window reaching bad fails there.
+        bad = run0
+        while bad <= hi and vals[bad - lo] > 0:
+            bad += 1
+        run_end = max(bad, run0 + 1)
+        if bad - run0 >= min_window:
+            # some window inside the run is long enough: fit them all from
+            # one set of pairs and one integer image of the run
+            rows, p = _moment_rows(*_pairs(model, vals[run0 - lo : bad - lo], run0))
+        else:  # no window of the run is long enough to fit
+            rows, p = (), 0
+        for s in range(run0, run_end):
+            # pair j (counted from run0) is the first pair of the windows
+            # that start at s; the window ending at e holds e - s - lag pairs,
+            # at least 3 (see MIN_WINDOW), so no cell has TooFewPoints
+            j = s - run0
+            first_e = s + min_window - 1
+            fits = _window_fits(model, rows[j:], p, min_window - 1 - lag, one_sided, fit)
+            for e, cell in zip(range(first_e, bad), fits):
+                yield (s, e), _DEGENERATE if cell is None else cell
+            for e in range(max(first_e, bad), hi + 1):
+                yield (s, e), _BLOCKED
+        run0 = run_end
+
+
 def sweep(
     excess: ExcessSeries,
     model: str,
@@ -73,47 +126,30 @@ def sweep(
     grows one point at a time, updating exact moment sums that the shared
     OLS kernel turns into a fit, so a grid costs O(N^2) rather than O(N^3).
     """
-    if model not in _LAGS:
-        raise InvalidConfig(f"model must be one of {sorted(_LAGS)}, got {model!r}")
-    _check_min_window(min_window)
-    lag = _LAGS[model]
-    if window is None:
-        lo, hi, vals = excess.t0, excess.t_end, excess.values
-    else:
-        lo, hi, vals = window.start, window.end, excess.window_values(window)
-
-    cells: Dict[Tuple[int, int], Cell] = {}
-    run0 = lo
-    while run0 <= hi:
-        # Values are strictly positive from run0 up to (excluding) t = bad;
-        # for every start in that run, a window reaching bad fails there.
-        bad = run0
-        while bad <= hi and vals[bad - lo] > 0:
-            bad += 1
-        run_end = max(bad, run0 + 1)
-        if bad - run0 >= min_window:
-            # some window inside the run is long enough: fit them all from
-            # one set of pairs and one integer image of the run
-            xf, yf = _pairs(model, vals[run0 - lo : bad - lo], run0)
-            xs, ys, p = _scaled_ints(xf, yf)
-        else:  # no window of the run is long enough to fit
-            xs = ys = xf = ()
-            p = 0
-        for s in range(run0, run_end):
-            # pair j (counted from run0) is the first pair of the windows
-            # that start at s; the window ending at e holds e - s - lag pairs,
-            # at least 3 (see MIN_WINDOW), so no cell has TooFewPoints
-            j = s - run0
-            first_e = s + min_window - 1
-            fits = _window_fits(
-                model, xs[j:], ys[j:], xf[j:], p, min_window - 1 - lag, one_sided
-            )
-            for e, fit in zip(range(first_e, bad), fits):
-                cells[(s, e)] = _DEGENERATE if fit is None else fit
-            for e in range(max(first_e, bad), hi + 1):
-                cells[(s, e)] = _BLOCKED
-        run0 = run_end
+    lo, hi, vals = _span(excess, model, window, min_window)
+    cells = dict(_cells(model, lo, hi, vals, min_window, one_sided, _fit_moments))
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
+
+
+def sweep_summary(
+    excess: ExcessSeries,
+    model: str,
+    window: Optional[Window] = None,
+    min_window: int = MIN_WINDOW,
+    one_sided: bool = False,
+) -> dict:
+    """``grid_summary(sweep(...))`` with the same arguments, key for key
+    and bit for bit, without building the grid or fitting most cells.
+
+    The summary needs, of each valid cell, only whether it is significant
+    and whether its b_lower is a new maximum.  The float filter
+    ``regression._decide_fit`` settles both for most cells from a proven
+    error bound; the kernel fits the rest, and every new best, exactly.
+    """
+    lo, hi, vals = _span(excess, model, window, min_window)
+    tally = _Tally(model, min_window)
+    fit = partial(_decide_fit, tally)
+    return tally.summary(_cells(model, lo, hi, vals, min_window, one_sided, fit))
 
 
 def triangular_cell_count(n: int, min_window: int) -> int:
@@ -144,42 +180,64 @@ def grid_to_csv(grid: SweepGrid) -> str:
     return "\n".join(out) + "\n"
 
 
+class _Tally:
+    """The one tally of a grid: cell counts, significant share, error-kind
+    tallies and the most significant window (the first in (start, end)
+    order among ties), over cells that arrive in key order.
+
+    A cell is significant when both lower confidence bounds are strictly
+    positive.  Besides fits and invalid cells, a cell may be True or
+    False: a valid cell that the float filter found significant or not,
+    and whose b_lower is not above ``best_b``, the greatest so far."""
+
+    def __init__(self, model: str, min_window: int):
+        self.model = model
+        self.min_window = min_window
+        self.best_b = None
+
+    def summary(self, cells) -> dict:
+        n_cells = n_sig = 0
+        errors: Dict[str, int] = {}
+        best = best_key = None
+        for key, cell in cells:
+            n_cells += 1
+            if cell is True:
+                n_sig += 1
+            elif isinstance(cell, OlsFit):
+                b_lower = cell.b_lower
+                if cell.a_lower > 0.0 and b_lower > 0.0:
+                    n_sig += 1
+                if best is None or b_lower > self.best_b:
+                    best, best_key, self.best_b = cell, key, b_lower
+            elif cell is not False:
+                errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
+        n_valid = n_cells - sum(errors.values())
+        summary = {
+            "model": self.model,
+            "min_window": self.min_window,
+            "cells": n_cells,
+            "valid_cells": n_valid,
+            "significant_cells": n_sig,
+            "significant_fraction": (n_sig / n_valid) if n_valid else None,
+            "invalid_by_error": errors,
+        }
+        if best is not None:
+            summary["best_window"] = {
+                "start": best_key[0],
+                "end": best_key[1],
+                "fit": {name: getattr(best, name) for name in _FIT_FIELDS},
+            }
+        else:
+            summary["best_window"] = None
+        return summary
+
+
 def grid_summary(grid: SweepGrid) -> dict:
     """Aggregate statistics for reports: cell counts, significant share,
     error-kind tallies, and the most significant window (the first in
     (start, end) order among ties).
 
-    This is the one tally of a grid: a cell is significant when both
-    lower confidence bounds are strictly positive, and
-    ``significant_fraction`` is None when no cell is valid."""
-    n_sig = 0
-    errors: Dict[str, int] = {}
-    best = best_key = best_b = None
-    for key, cell in grid.cells.items():
-        if isinstance(cell, OlsFit):
-            b_lower = cell.b_lower
-            if cell.a_lower > 0.0 and b_lower > 0.0:
-                n_sig += 1
-            if best is None or b_lower > best_b:
-                best, best_key, best_b = cell, key, b_lower
-        else:
-            errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
-    n_valid = len(grid.cells) - sum(errors.values())
-    summary = {
-        "model": grid.model,
-        "min_window": grid.min_window,
-        "cells": len(grid.cells),
-        "valid_cells": n_valid,
-        "significant_cells": n_sig,
-        "significant_fraction": (n_sig / n_valid) if n_valid else None,
-        "invalid_by_error": errors,
-    }
-    if best is not None:
-        summary["best_window"] = {
-            "start": best_key[0],
-            "end": best_key[1],
-            "fit": {name: getattr(best, name) for name in _FIT_FIELDS},
-        }
-    else:
-        summary["best_window"] = None
-    return summary
+    A cell is significant when both lower confidence bounds are strictly
+    positive, and ``significant_fraction`` is None when no cell is
+    valid.  ``sweep_summary`` gives the same dict without a grid."""
+    return _Tally(grid.model, grid.min_window).summary(grid.cells.items())

@@ -12,8 +12,11 @@ from bubblelab import (
     Window,
     classify_series,
     detect_bubble_window,
+    excess_series,
+    grid_summary,
     iterate,
     iterate_noisy,
+    sweep,
 )
 
 PARAMS = ExperimentParams()
@@ -204,6 +207,44 @@ class TestClassifySeries:
         verdict = classify_series(PriceSeries(0, tuple([60.0] * 30)), PARAMS)
         line = verdict.summary_line()
         assert "erratic" in line and "no bubble window" in line
+
+
+class TestVerdictGrids:
+    @pytest.mark.parametrize("one_sided", [False, True])
+    def test_grids_are_the_sweeps_of_the_bubble_window(self, one_sided):
+        model = GrowthModel.return_feedback(0.02, 0.6, initial_log_return=0.25, start=60.0)
+        prices = _prices_from_model(model, 30, sigma=0.003, seed=4)
+        verdict = classify_series(prices, PARAMS, min_window=6, one_sided=one_sided)
+        excess = excess_series(prices, PARAMS)
+        for grid, summary, name in ((verdict.price_grid, verdict.price_summary, "price"),
+                                    (verdict.return_grid, verdict.return_summary, "return")):
+            assert grid == sweep(excess, name, verdict.bubble_window, 6, one_sided)
+            assert grid_summary(grid) == summary
+            assert verdict.to_json_dict()[f"{name}_grid"] == summary
+
+    def test_each_access_sweeps_anew(self):
+        prices = _prices_from_model(GrowthModel.exponential(math.log(1.1), 60.0), 20)
+        verdict = classify_series(prices, PARAMS)
+        assert verdict.price_grid is not verdict.price_grid
+        assert verdict.price_grid == verdict.price_grid
+
+    def test_editing_the_json_dict_leaves_the_verdict_alone(self):
+        prices = _prices_from_model(GrowthModel.exponential(math.log(1.1), 60.0), 20)
+        verdict = classify_series(prices, PARAMS)
+        before = verdict.to_json()
+        verdict.to_json_dict()["price_grid"]["best_window"]["fit"]["b"] = 0.0
+        assert verdict.to_json() == before
+
+    @pytest.mark.parametrize("vals, label", [
+        ([60.0] * 30, "erratic"),
+        ([55.0] * 5 + [61.0, 62.0, 63.5, 65.0, 67.0, 69.0] + [55.0] * 5, "too_short"),
+    ])
+    def test_no_grids_without_a_sweep(self, vals, label):
+        verdict = classify_series(PriceSeries(0, tuple(vals)), PARAMS)
+        assert verdict.label == label
+        assert verdict.price_grid is None and verdict.return_grid is None
+        assert verdict.price_summary is None and verdict.return_summary is None
+        assert verdict.excess is None
 
 
 class TestGroupWindowFixtures:

@@ -8,6 +8,7 @@ same examples and leaves no files behind.
 import dataclasses
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from bubblelab import (
     DegenerateRegressor,
     ExcessSeries,
     ExperimentParams,
+    FiniteHorizonSingularity,
     GrowthModel,
     InvalidCell,
     InvalidConfig,
@@ -41,9 +43,11 @@ from bubblelab import (
     clearing_price,
     detect_bubble_window,
     discrete_returns,
+    excess_series,
     fit_price_model,
     fit_return_model,
     grid_summary,
+    iterate,
     iterate_noisy,
     load_csv,
     log_excess_returns,
@@ -55,6 +59,7 @@ from bubblelab import (
     triangular_cell_count,
     write_csv,
 )
+from bubblelab.sweep import sweep_summary
 
 from _oracles import (
     exact_fit_stats,
@@ -325,6 +330,86 @@ def test_grid_tallies_equal_a_brute_force_recount(grid):
 
 
 @st.composite
+def tally_series(draw):
+    """Excess values for the filtered tally: random, noisy feedback, or
+    adversarial.  The adversarial ones put cells at rounding level: flat,
+    ulp-wide or geometric stretches; noise-free feedback (perfect lines,
+    some through the origin); feedback too faint to move the log growth
+    more than a few ulps from its mean; values near 1e-200 and 1e200;
+    and a repeated block, whose equal windows tie on b_lower.  Some get a
+    non-positive value, which invalidates every window that crosses it."""
+    kind = draw(st.sampled_from(
+        ["random", "wide", "noisy", "segments", "perfect", "faint", "periodic"]))
+    if kind == "random":
+        values = draw(st.lists(excess_value, min_size=5, max_size=16))
+    elif kind == "wide":
+        values = draw(st.lists(st.one_of(excess_value, wide_value), min_size=5, max_size=16))
+    elif kind == "segments":
+        values = draw(flat_then_varying())
+    elif kind == "periodic":
+        block = draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=5))
+        values = block * draw(st.integers(3, 6))
+    elif kind == "faint":
+        model = GrowthModel.price_feedback(draw(st.sampled_from([0.5, 1.0])),
+                                           10.0 ** draw(st.integers(-20, -17)),
+                                           draw(st.sampled_from([1.0, 60.0])))
+        values = list(iterate(model, draw(st.integers(12, 20))).values)
+    else:
+        a = draw(st.sampled_from([0.0, 0.02, math.log(1.09)]))
+        model = draw(st.sampled_from([
+            GrowthModel.exponential(math.log(1.1), 60.0),
+            GrowthModel.price_feedback(a, draw(st.sampled_from([1e-4, 3.5e-4, 3e-3])),
+                                       draw(st.sampled_from([10.0, 60.0]))),
+            GrowthModel.return_feedback(a, draw(st.sampled_from([0.6, 1.1])),
+                                        initial_log_return=0.1, start=60.0),
+        ]))
+        steps = draw(st.integers(6, 30))
+        sigma = 0.0 if kind == "perfect" else draw(st.sampled_from([1e-3, 3e-3, 1e-2, 5e-2]))
+        try:
+            values = list(iterate_noisy(model, steps, sigma, draw(st.integers(0, 999))).values)
+        except FiniteHorizonSingularity:
+            assume(False)
+    if kind != "wide":
+        scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e-200, 1e200]))
+        values = [v * scale for v in values]
+        assume(all(math.isfinite(v) for v in values))
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([0.0, -1.0]))
+    return values
+
+
+@settings(PROPERTY, max_examples=500)
+@given(tally_series(), st.sampled_from(["price", "return"]), st.sampled_from([5, 6, 7]),
+       st.booleans(), st.data())
+def test_filtered_tally_equals_the_grid_summary(values, model, min_window, one_sided, draw):
+    excess = ExcessSeries(draw.draw(st.integers(-3, 3)), tuple(values))
+    window = None
+    if draw.draw(st.booleans()):
+        lo = draw.draw(st.integers(excess.t0, excess.t_end - 4))
+        window = Window(lo, draw.draw(st.integers(lo + 4, excess.t_end)))
+    want = grid_summary(sweep(excess, model, window, min_window, one_sided))
+    got = sweep_summary(excess, model, window, min_window, one_sided)
+    # repr spells every key in order and every float to its last bit
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("args", [
+    ("level", None, 5),  # no such model
+    ("price", None, 4),  # min_window below MIN_WINDOW
+    ("price", None, 5.0),  # min_window not an integer
+    ("return", Window(-2, 5), 5),  # window outside the series
+    ("price", Window(10, 20), 5),
+])
+def test_filtered_tally_raises_what_the_sweep_raises(args):
+    model, window, min_window = args
+    excess = ExcessSeries(0, (1.0, 2.0, 4.0, 8.0, 16.0, 33.0, 70.0, 150.0))
+    with pytest.raises(BubbleLabError) as swept:
+        sweep(excess, model, window, min_window)
+    with pytest.raises(type(swept.value), match=re.escape(str(swept.value))):
+        sweep_summary(excess, model, window, min_window)
+
+
+@st.composite
 def classify_inputs(draw):
     """Prices with random excess or a noisy price-feedback bubble, an
     optional explicit window (which may cross the fundamental, or be too
@@ -357,6 +442,24 @@ def test_verdict_fractions_are_the_grid_summaries(inputs):
             assert fraction == 0.0
         else:
             assert fraction == summary["significant_fraction"]
+
+
+@PROPERTY
+@given(classify_inputs(), st.booleans())
+def test_verdict_grids_are_sweeps_of_its_window(inputs, one_sided):
+    prices, window, min_window = inputs
+    params = ExperimentParams()
+    verdict = classify_series(prices, params, min_window=min_window, one_sided=one_sided,
+                              window=window)
+    if verdict.label in (ERRATIC, TOO_SHORT):
+        assert verdict.price_grid is None and verdict.return_grid is None
+        return
+    for model, grid, summary in (("price", verdict.price_grid, verdict.price_summary),
+                                 ("return", verdict.return_grid, verdict.return_summary)):
+        want = sweep(excess_series(prices, params), model, verdict.bubble_window,
+                     min_window, one_sided)
+        assert grid == want
+        assert repr(grid_summary(grid)) == repr(summary)
 
 
 @PROPERTY
@@ -635,7 +738,9 @@ def test_shifting_time_moves_only_the_windows_and_the_intercept(prices, min_wind
         for name in ("a", "se_a", "a_lower"):
             moved_rational["ols"][name] = rational["ols"][name]
     assert json.dumps(got) == json.dumps(want)
-    for grid, moved_grid in ((base.price_grid, moved.price_grid),
-                             (base.return_grid, moved.return_grid)):
-        if grid is not None:
+    if base.price_summary is not None:
+        moved_excess = ExcessSeries(prices.t0 + k, excess_series(prices, params).values)
+        for model in ("price", "return"):
+            grid = sweep(excess_series(prices, params), model, base.bubble_window, min_window)
+            moved_grid = sweep(moved_excess, model, moved.bubble_window, min_window)
             assert moved_grid.cells == {(s + k, e + k): c for (s, e), c in grid.cells.items()}
