@@ -380,11 +380,14 @@ def fit_return_model(
 
 @dataclass(frozen=True)
 class RationalBubbleFit:
-    """Constant-rate bubble calibration p_t = anchor + scale*(1+rate)^t.
+    """Constant-rate bubble calibration p_t = anchor + scale*(1+rate)^(t-start)
+    on a window [start, end].
 
-    ``rate_lower``/``rate_upper`` bound the implied growth rate at the
-    95% level, the interval used to test whether traders price in a rate
-    above the market interest rate.
+    ``scale`` is the fitted deviation from the anchor at the window
+    start, so the fit depends only on the prices in the window, not on
+    where the time index begins.  ``rate_lower``/``rate_upper`` bound the
+    implied growth rate at the 95% level, the interval used to test
+    whether traders price in a rate above the market interest rate.
     """
 
     rate: float
@@ -405,21 +408,22 @@ def fit_rational_bubble(
     anchor: float = 60.0,
     one_sided: bool = False,
 ) -> RationalBubbleFit:
-    """Fit the constant-growth bubble by regressing log(p - anchor) on t.
+    """Fit the constant-growth bubble by regressing log(p - anchor) on
+    t - start over the window.
 
     The slope maps to rate = exp(slope) - 1 and the intercept to the
-    deviation scale at t = 0.  Every price in the window must exceed the
-    anchor (default: the fundamental under standard parameters).  A rate
-    or scale beyond the float range raises InvalidConfig.
+    deviation scale at the window start.  Every price in the window must
+    exceed the anchor (default: the fundamental under standard
+    parameters).  A rate or scale beyond the float range raises
+    InvalidConfig.
     """
-    ts = list(range(window.start, window.end + 1))
     devs = []
-    for t, p in zip(ts, prices.window_values(window)):
+    for t, p in enumerate(prices.window_values(window), window.start):
         d = p - anchor
         if d <= 0:
             raise NonPositiveExcess(t, f"price at t={t} does not exceed anchor {anchor}")
         devs.append(math.log(d))
-    fit = ols2(ts, devs, model=MODEL_RATIONAL, one_sided=one_sided)
+    fit = ols2(range(len(devs)), devs, model=MODEL_RATIONAL, one_sided=one_sided)
     tq = t_quantile(0.95 if one_sided else 0.975, fit.df)
     slope_hi = fit.b + tq * fit.se_b
     try:
@@ -431,5 +435,5 @@ def fit_rational_bubble(
             rate_upper=math.expm1(slope_hi),
             ols=fit,
         )
-    except OverflowError:  # a steep slope, or an intercept far from t = 0
+    except OverflowError:  # a steep slope, or an intercept beyond exp's range
         raise InvalidConfig("rational fit's rate or scale is beyond the float range") from None

@@ -361,23 +361,41 @@ class TestClassifyCommand:
         assert "theta must be finite" in capsys.readouterr().err
         assert not (tmp_path / "verdict.json").exists()
 
-    def test_time_index_beyond_the_float_range_is_config_error(self, tmp_path, capsys):
-        inp = tmp_path / "prices.csv"
-        rows = [f"{10**400 + t},{60.0 + 2.0 * 1.1**t:.2f}" for t in range(20)]
+    @staticmethod
+    def _verdict_from(tmp_path, name, t0, prices, *window):
+        """verdict.json of ``prices`` from time t0, with every window moved
+        back to start from 0."""
+        inp = tmp_path / f"{name}.csv"
+        rows = [f"{t0 + t},{p:.2f}" for t, p in enumerate(prices)]
         inp.write_text("t,price\n" + "\n".join(rows) + "\n")
-        assert run_cli("classify", "--input", str(inp), "--outdir", str(tmp_path)) == 2
-        assert "beyond the float range" in capsys.readouterr().err
-        assert not (tmp_path / "verdict.json").exists()
+        args = ["--window", ",".join(str(t0 + t) for t in window)] if window else []
+        out = tmp_path / name
+        assert run_cli("classify", "--input", str(inp), *args, "--outdir", str(out)) == 0
+        verdict = json.loads((out / "verdict.json").read_text())
+        verdict["bubble_window"] = [t - t0 for t in verdict["bubble_window"]]
+        for key in ("price_grid", "return_grid"):
+            best = verdict[key]["best_window"]
+            best["start"] -= t0
+            best["end"] -= t0
+        return verdict
 
-    def test_rational_scale_beyond_the_float_range_is_config_error(self, tmp_path, capsys):
-        # a falling window far from t = 0: the scale exp(a) at t = 0 overflows
-        inp = tmp_path / "prices.csv"
-        rows = [f"{10**6 + t},{60.0 + 100.0 * 0.9**t:.2f}" for t in range(20)]
-        inp.write_text("t,price\n" + "\n".join(rows) + "\n")
-        assert run_cli("classify", "--input", str(inp), "--window", "1000000,1000019",
-                       "--outdir", str(tmp_path)) == 2
-        assert "beyond the float range" in capsys.readouterr().err
-        assert not (tmp_path / "verdict.json").exists()
+    def test_time_index_beyond_the_float_range_is_config_error(self, tmp_path):
+        # named for the exit 2 this input once gave; the rational fit now
+        # regresses on t - start, so a time index no float can hold changes
+        # nothing but the windows
+        prices = [60.0 + 2.0 * 1.1**t for t in range(20)]
+        far = self._verdict_from(tmp_path, "far", 10**400, prices)
+        assert far["label"] == "rational_exponential"
+        assert far == self._verdict_from(tmp_path, "near", 0, prices)
+
+    def test_rational_scale_beyond_the_float_range_is_config_error(self, tmp_path):
+        # named for the exit 2 this input once gave, when the scale was
+        # measured at t = 0; it is now the deviation at the window start,
+        # 100, wherever the window lies
+        prices = [60.0 + 100.0 * 0.9**t for t in range(20)]
+        far = self._verdict_from(tmp_path, "far", 10**6, prices, 0, 19)
+        assert far["rational_fit"]["scale"] == pytest.approx(100.0, rel=1e-3)
+        assert far == self._verdict_from(tmp_path, "near", 0, prices, 0, 19)
 
     @pytest.mark.parametrize("theta", ["-1", "0", "2"])
     def test_theta_outside_unit_interval_is_config_error(self, theta, tmp_path, capsys):

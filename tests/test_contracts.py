@@ -291,11 +291,12 @@ CONTRACTS = [
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), InvalidConfig),
     Contract(fit_rational_bubble, "anchor not below every price", st.floats(min_value=62.0),
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), NonPositiveExcess),
-    # a falling bubble far from t = 0 has a scale exp(a) beyond the float range
-    Contract(fit_rational_bubble, "scale beyond the float range", st.integers(10**5, 10**12),
-             lambda t0: fit_rational_bubble(
-                 PriceSeries(t0, tuple(60.0 + 100.0 * 0.9**t for t in range(10))),
-                 Window(t0, t0 + 9)),
+    # four deviations near 1e300 and a last one near 1e-300: the fitted line
+    # meets the window start above exp's range, at log scale (6h - l) / 5 > 920
+    Contract(fit_rational_bubble, "scale beyond the float range",
+             st.tuples(st.floats(1e300, 1e308), st.floats(1e-300, 1e-200)),
+             lambda hl: fit_rational_bubble(PriceSeries(0, (hl[0],) * 4 + (hl[1],)),
+                                            Window(0, 4), anchor=0.0),
              InvalidConfig),
     # studentt.py
     Contract(t_cdf, "NaN x", NAN, lambda x: t_cdf(x, 3), InvalidConfig),
