@@ -12,11 +12,8 @@ from bubblelab import (
     Window,
     classify_series,
     detect_bubble_window,
-    excess_series,
-    grid_summary,
     iterate,
     iterate_noisy,
-    sweep,
 )
 
 PARAMS = ExperimentParams()
@@ -210,18 +207,6 @@ class TestClassifySeries:
 
 
 class TestVerdictGrids:
-    @pytest.mark.parametrize("one_sided", [False, True])
-    def test_grids_are_the_sweeps_of_the_bubble_window(self, one_sided):
-        model = GrowthModel.return_feedback(0.02, 0.6, initial_log_return=0.25, start=60.0)
-        prices = _prices_from_model(model, 30, sigma=0.003, seed=4)
-        verdict = classify_series(prices, PARAMS, min_window=6, one_sided=one_sided)
-        excess = excess_series(prices, PARAMS)
-        for grid, summary, name in ((verdict.price_grid, verdict.price_summary, "price"),
-                                    (verdict.return_grid, verdict.return_summary, "return")):
-            assert grid == sweep(excess, name, verdict.bubble_window, 6, one_sided)
-            assert grid_summary(grid) == summary
-            assert verdict.to_json_dict()[f"{name}_grid"] == summary
-
     def test_each_access_sweeps_anew(self):
         prices = _prices_from_model(GrowthModel.exponential(math.log(1.1), 60.0), 20)
         verdict = classify_series(prices, PARAMS)
