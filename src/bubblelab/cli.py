@@ -34,7 +34,7 @@ from .series import (
     excess_series,
     load_csv,
 )
-from .sweep import grid_summary, grid_to_csv, sweep
+from .sweep import write_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,6 +125,15 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _write_table(path: Path, header: str, t0: int, rows) -> None:
+    """Write a plot table: ``header``, then one line per row of floats,
+    led by its time t0, t0 + 1, ..."""
+    lines = [header]
+    for t, row in enumerate(rows, start=t0):
+        lines.append(f"{t}," + ",".join(f"{v:.17g}" for v in row))
+    _write(path, "\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -158,15 +167,14 @@ def cmd_simulate(args) -> int:
 
 def _write_grids(args, excess, outdir: Path, prefix: str) -> dict:
     """Sweep both models over the whole series and write each grid as
-    ``<prefix><model>_grid.csv``, holding one grid at a time; returns the
-    grid summaries by model."""
+    ``<prefix><model>_grid.csv`` as it is swept, holding no grid; returns
+    the grid summaries by model."""
     one_sided = args.confidence == "one-sided"
     summaries = {}
     for model in (MODEL_PRICE, MODEL_RETURN):
-        grid = sweep(excess, model, min_window=args.min_window, one_sided=one_sided)
-        _write(outdir / f"{prefix}{model}_grid.csv", grid_to_csv(grid))
-        summaries[model] = grid_summary(grid)
-        del grid  # free it before the next sweep builds its own
+        path = outdir / f"{prefix}{model}_grid.csv"
+        summaries[model] = write_grid(path, excess, model, None, args.min_window, one_sided)
+        print(f"wrote {path}")
     return summaries
 
 
@@ -211,27 +219,19 @@ def cmd_plotdata(args) -> int:
     series, forecasts = load_csv(args.input, params)
     outdir = _outdir(args)
 
-    lines = ["t,price"]
-    for i, v in enumerate(series.values):
-        lines.append(f"{series.t0 + i},{v:.17g}")
-    _write(outdir / "plot_prices.csv", "\n".join(lines) + "\n")
+    _write_table(outdir / "plot_prices.csv", "t,price", series.t0,
+                 ((v,) for v in series.values))
 
     if forecasts:
         header = "t," + ",".join(f"h{h + 1}" for h in range(len(forecasts)))
-        lines = [header]
-        for i in range(len(series)):
-            vals = ",".join(f"{col[i]:.17g}" for col in forecasts)
-            lines.append(f"{series.t0 + i},{vals}")
-        _write(outdir / "plot_forecasts.csv", "\n".join(lines) + "\n")
+        _write_table(outdir / "plot_forecasts.csv", header, series.t0, zip(*forecasts))
     else:
         print("input has no forecast columns; plot_forecasts.csv skipped")
 
     rets = discrete_returns(series)
-    lines = ["t,return_current,return_next,diagonal"]
-    for i in range(len(rets) - 1):
-        r_cur, r_nxt = rets.values[i], rets.values[i + 1]
-        lines.append(f"{rets.t0 + i},{r_cur:.17g},{r_nxt:.17g},{r_cur:.17g}")
-    _write(outdir / "plot_returns.csv", "\n".join(lines) + "\n")
+    pairs = zip(rets.values, rets.values[1:])
+    _write_table(outdir / "plot_returns.csv", "t,return_current,return_next,diagonal",
+                 rets.t0, ((r, r_next, r) for r, r_next in pairs))
 
     _write_grids(args, excess_series(series, params), outdir, "plot_")
     return EXIT_OK
@@ -243,12 +243,13 @@ def cmd_plotdata(args) -> int:
 
 
 def build_parser():
-    """Returns the top-level parser plus the per-subcommand parsers
-    (config-file defaults must be set on the subparsers directly:
-    argparse subparsers re-parse into a fresh namespace).  Each subcommand
-    takes exactly the options it reads: ``common`` ones everywhere, the
-    ``market`` constants where a series or a run needs them, and the
-    ``fitting`` options where both feedback models are swept."""
+    """Returns the top-level parser plus argparse's own map of each
+    subcommand's name to its parser (config-file defaults must be set on
+    the subparsers directly: argparse subparsers re-parse into a fresh
+    namespace).  Each subcommand takes exactly the options it reads:
+    ``common`` ones everywhere, the ``market`` constants where a series or
+    a run needs them, and the ``fitting`` options where both feedback
+    models are swept."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--outdir",
@@ -276,7 +277,6 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"bubblelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     p = sub.add_parser("simulate", parents=[market],
                        help="run the forecasting market and write its series")
@@ -292,12 +292,10 @@ def build_parser():
     p.add_argument("--initial-prices", default="", dest="initial_prices",
                    help="two seed prices, e.g. 66,72")
     p.set_defaults(func=cmd_simulate)
-    commands["simulate"] = p
 
     p = sub.add_parser("sweep", parents=[fitting],
                        help="fit both feedback models on every window of a series")
     p.set_defaults(func=cmd_sweep)
-    commands["sweep"] = p
 
     p = sub.add_parser("classify", parents=[fitting],
                        help="label a series per the bubble taxonomy")
@@ -306,7 +304,6 @@ def build_parser():
     p.add_argument("--window", default="",
                    help="explicit start,end bubble window (skips detection)")
     p.set_defaults(func=cmd_classify)
-    commands["classify"] = p
 
     p = sub.add_parser("table2", parents=[common],
                        help="emit the exponential-vs-feedback comparison table")
@@ -318,14 +315,12 @@ def build_parser():
     p.add_argument("--b2", type=float, default=1e-4,
                    help="feedback coefficient of the feedback column")
     p.set_defaults(func=cmd_table2)
-    commands["table2"] = p
 
     p = sub.add_parser("plotdata", parents=[fitting],
                        help="emit plot-ready CSVs for a series")
     p.set_defaults(func=cmd_plotdata)
-    commands["plotdata"] = p
 
-    return parser, commands
+    return parser, sub.choices
 
 
 def _apply_config_file(commands, argv) -> None:
@@ -345,7 +340,7 @@ def _apply_config_file(commands, argv) -> None:
         if action.dest not in ("help", "config") and not action.required
     }
     defaults = {}
-    with open(known.config, encoding="utf-8") as fh:
+    with open(known.config, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

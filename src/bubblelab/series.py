@@ -218,7 +218,7 @@ def log_excess_returns(excess: ExcessSeries) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# CSV interface: header `t,price[,h1..hH]`, decimal point, UTF-8.
+# CSV interface: header `t,price[,h1..hH]`, decimal point, UTF-8, BOM skipped.
 # ---------------------------------------------------------------------------
 
 
@@ -236,7 +236,7 @@ def load_csv(path, params: Optional[ExperimentParams] = None):
     None when the file has no forecast columns.
     """
     params = params or ExperimentParams()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise MalformedRow(1, "empty file")

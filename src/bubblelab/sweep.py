@@ -161,23 +161,46 @@ def triangular_cell_count(n: int, min_window: int) -> int:
     return k * (k + 1) // 2
 
 
+# a grid CSV's header line, and its row formats for valid and invalid cells
+_CSV_HEADER = "model,start,end,a,b,se_a,se_b,a_lower,b_lower,n,r2,valid,error_kind\n"
+_VALID_ROW = "%s,%d,%d" + ",%.17g" * 6 + ",%d,%.17g,true,\n"
+_INVALID_ROW = "%s,%d,%d,,,,,,,,,false,%s\n"
+
+
+def _csv_row(model: str, key: Tuple[int, int], cell: Cell) -> str:
+    """The grid CSV line, newline included, of the cell at window ``key``."""
+    s, e = key
+    if isinstance(cell, OlsFit):
+        return _VALID_ROW % (model, s, e, cell.a, cell.b, cell.se_a, cell.se_b,
+                             cell.a_lower, cell.b_lower, cell.n, cell.r2)
+    return _INVALID_ROW % (model, s, e, cell.error_kind)
+
+
 def grid_to_csv(grid: SweepGrid) -> str:
     """Long-format export, one row per cell in (start, end) order,
     plottable as a triangle map."""
-    valid_row = "%s,%d,%d" + ",%.17g" * 6 + ",%d,%.17g,true,"
-    invalid_row = "%s,%d,%d,,,,,,,,,false,%s"
-    model = grid.model
-    out = ["model,start,end,a,b,se_a,se_b,a_lower,b_lower,n,r2,valid,error_kind"]
-    for (s, e), cell in grid.cells.items():
-        if isinstance(cell, OlsFit):
-            out.append(
-                valid_row
-                % (model, s, e, cell.a, cell.b, cell.se_a, cell.se_b,
-                   cell.a_lower, cell.b_lower, cell.n, cell.r2)
-            )
-        else:
-            out.append(invalid_row % (model, s, e, cell.error_kind))
-    return "\n".join(out) + "\n"
+    rows = (_csv_row(grid.model, key, cell) for key, cell in grid.cells.items())
+    return _CSV_HEADER + "".join(rows)
+
+
+def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] = None,
+               min_window: int = MIN_WINDOW, one_sided: bool = False) -> dict:
+    """Write ``grid_to_csv(sweep(...))`` to ``path`` and return
+    ``grid_summary(sweep(...))``, with the same arguments, in one pass
+    that holds no grid: each cell's row is written as the sweep yields it.
+
+    The arguments are checked before ``path`` is opened, so an
+    InvalidConfig leaves no file behind.
+    """
+    lo, hi, vals = _span(excess, model, window, min_window)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_CSV_HEADER)
+
+        def written():
+            for key, cell in _cells(model, lo, hi, vals, min_window, one_sided, _fit_moments):
+                fh.write(_csv_row(model, key, cell))
+                yield key, cell
+        return _Tally(model, min_window).summary(written())
 
 
 class _Tally:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from bubblelab.cli import build_parser, main
 from _golden import GOLDEN_CASES, _read_golden, _run_golden_case, _write_golden
 
 GOLDEN_TABLE2 = Path(__file__).parent / "data" / "table2_golden.csv"
+GOLDEN_INPUTS = Path(__file__).parent / "data" / "cli_golden" / "inputs"
 
 # The options each subcommand reads, and so accepts.
 _COMMON_FLAGS = {"--outdir", "--config"}
@@ -54,6 +56,11 @@ UNREAD_FLAGS = [
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def _feedback_prices_csv(path, steps=23):
@@ -293,6 +300,25 @@ class TestSweepCommand:
             cells = {key: fitter(excess, Window(*key)) for key in ((0, 4), (0, 5), (1, 5))}
             want = grid_to_csv(SweepGrid(model, (0, 5), 5, cells))
             assert (tmp_path / f"{model}_grid.csv").read_text() == want
+
+
+    def test_sweep_holds_no_grid(self, tmp_path, capsys):
+        # 200 noisy prices above the fundamental: every window fits, and a
+        # grid of them held in memory would take about 13 MB
+        prices = [60.0 + 10.0 * 1.01**t * (1.0 + 0.05 * math.sin(t)) for t in range(200)]
+        inp = tmp_path / "prices.csv"
+        inp.write_text("t,price\n" + "".join(f"{t},{p!r}\n" for t, p in enumerate(prices)))
+        argv = ("sweep", "--input", str(inp), "--outdir", str(tmp_path))
+        assert run_cli(*argv) == 0  # warms the imports and the t-quantile cache
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert summary["price"]["valid_cells"] == summary["price"]["cells"] == 19306
+        assert peak < 2_000_000
 
 
 class TestClassifyCommand:
@@ -581,9 +607,37 @@ class TestConfigAndEnvironment:
     @pytest.mark.parametrize("command", ["sweep", "classify", "plotdata"])
     def test_min_window_below_five_is_config_error(self, command, tmp_path, capsys):
         inp = _feedback_prices_csv(tmp_path / "prices.csv")
+        out = tmp_path / "out"
         assert run_cli(command, "--input", str(inp), "--min-window", "3",
-                       "--outdir", str(tmp_path)) == 2
+                       "--outdir", str(out)) == 2
         assert "min_window must be at least 5" in capsys.readouterr().err
+        assert not list(out.glob("*grid.csv"))  # checked before any grid file opens
+
+    def test_byte_order_mark_in_input_is_skipped(self, tmp_path, monkeypatch):
+        # as Excel's "CSV UTF-8" writes it; each run reads its own
+        # prices.csv, so sweep_summary.json names the same input
+        data = (GOLDEN_INPUTS / "forecasts.csv").read_bytes()
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "prices.csv").write_bytes(prefix + data)
+            monkeypatch.chdir(tmp_path / name)
+            for command in ("sweep", "plotdata"):
+                assert run_cli(command, "--input", "prices.csv", "--outdir", ".") == 0
+        assert _tree(tmp_path / "bom") == _tree(tmp_path / "plain") | {
+            "prices.csv": b"\xef\xbb\xbf" + data
+        }
+        assert len(_tree(tmp_path / "plain")) == 9
+
+    def test_byte_order_mark_in_config_is_skipped(self, tmp_path):
+        text = b"horizon = 7\nseed = 5\nagents = noise\n"
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            assert run_cli("simulate", "--config", str(cfg),
+                           "--outdir", str(tmp_path / name)) == 0
+        assert _tree(tmp_path / "bom") == _tree(tmp_path / "plain")
+        meta = json.loads((tmp_path / "bom" / "simulation.json").read_text())["metadata"]
+        assert (meta["seed"], meta["horizon"]) == (5, 7)
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BUBBLELAB_OUTDIR", str(tmp_path / "envout"))

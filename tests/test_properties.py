@@ -5,7 +5,9 @@ Derandomized and without an example database, so every run checks the
 same examples and leaves no files behind.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -47,6 +49,7 @@ from bubblelab import (
     fit_price_model,
     fit_return_model,
     grid_summary,
+    grid_to_csv,
     iterate,
     iterate_noisy,
     load_csv,
@@ -59,6 +62,7 @@ from bubblelab import (
     triangular_cell_count,
     write_csv,
 )
+from bubblelab.cli import main as cli_main
 from bubblelab.sweep import sweep_summary
 
 from _oracles import (
@@ -407,6 +411,55 @@ def test_filtered_tally_raises_what_the_sweep_raises(args):
         sweep(excess, model, window, min_window)
     with pytest.raises(type(swept.value), match=re.escape(str(swept.value))):
         sweep_summary(excess, model, window, min_window)
+
+
+@st.composite
+def cli_prices(draw):
+    """5 to 40 prices around the default fundamental 60: accelerating
+    (often significant) and noisy stretches above it, flat stretches
+    (degenerate cells) and crashes to or below it (blocked cells)."""
+    n = draw(st.integers(5, 40))
+    prices = []
+    while len(prices) < n:
+        kind = draw(st.sampled_from(["grow", "noise", "flat", "crash"]))
+        k = draw(st.integers(1, 15))
+        if kind == "grow":
+            # log growth rising with the excess, times up to 1% noise
+            excess, rate = draw(st.floats(0.5, 20.0)), draw(st.floats(0.0, 0.1))
+            jitter = draw(st.lists(st.floats(0.99, 1.01), min_size=k, max_size=k))
+            prices += [60.0 + excess * math.exp(rate * i * (1 + i / 8)) * j
+                       for i, j in enumerate(jitter)]
+        elif kind == "noise":
+            prices += draw(st.lists(st.floats(60.01, 300.0), min_size=k, max_size=k))
+        elif kind == "flat":
+            prices += [draw(st.floats(60.01, 300.0))] * k
+        else:
+            prices += [draw(st.sampled_from([60.0, 45.5, 1.0]))] * min(k, 3)
+    return prices[:n]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(cli_prices(), st.sampled_from(["two-sided", "one-sided"]), st.integers(5, 7))
+def test_cli_grid_files_are_the_library_grids(prices, confidence, min_window):
+    # the CLI writes each grid as it is swept; its files and summaries must
+    # be those of the library's grid, byte for byte and key for key
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "prices.csv"
+        inp.write_text("t,price\n" + "".join(f"{t},{p!r}\n" for t, p in enumerate(prices)))
+        excess = excess_series(load_csv(inp)[0], ExperimentParams())
+        for command, prefix in (("sweep", ""), ("plotdata", "plot_")):
+            out = Path(tmp) / command
+            argv = [command, "--input", str(inp), "--min-window", str(min_window),
+                    "--confidence", confidence, "--outdir", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli_main(argv) == 0
+            for model in ("price", "return"):
+                grid = sweep(excess, model, None, min_window, confidence == "one-sided")
+                written = (out / f"{prefix}{model}_grid.csv").read_bytes()
+                assert written == grid_to_csv(grid).encode("utf-8")
+                if command == "sweep":
+                    summary = json.loads((out / "sweep_summary.json").read_text())
+                    assert summary[model] == json.loads(json.dumps(grid_summary(grid)))
 
 
 @st.composite
