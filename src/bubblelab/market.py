@@ -105,7 +105,11 @@ PAYOFF_SCALE = 1300.0 / 49.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything needed to reproduce one market run bit-for-bit."""
+    """Everything needed to reproduce one market run bit-for-bit.
+
+    ``initial_prices`` are the prices at t = -2 and -1: ints or floats
+    (a bool is not a price) inside the band, stored as floats.
+    """
 
     params: ExperimentParams
     agents: Tuple[AgentSpec, ...]
@@ -140,8 +144,11 @@ class SimConfig:
         if len(self.initial_prices) != 2:
             raise InvalidConfig("exactly two seed prices are required")
         for p in self.initial_prices:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise InvalidConfig(f"seed price must be a number, got {p!r}")
             if not (self.params.p_min <= p <= self.params.p_max):
                 raise InvalidConfig(f"seed price {p} outside the admissible band")
+        object.__setattr__(self, "initial_prices", tuple(map(float, self.initial_prices)))
 
 
 @dataclass(frozen=True)
@@ -262,72 +269,103 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _rule(spec: AgentSpec, params: ExperimentParams):
+    """The rule of ``spec`` as a function ``(prev, last, target, rng)`` of
+    the last two prices, the period being predicted and the random
+    source, returning the raw forecast before it is clipped to the band.
+
+    This is the one home of each rule's formula.  The model-based rules
+    extrapolate their one-step growth twice, with the feedback term
+    frozen at the last observed state; the feedback rules drop back to
+    the fundamental price whenever the excess prices they need are not
+    strictly positive, and so does return anchoring whose extrapolation
+    is undefined (a negative feedback on a growth ratio past the float
+    range).  An extrapolation past the float range gives an infinity.
+    ``prev`` is read only by return anchoring, and ``rng`` only by a
+    noise rule with a positive ``sigma``.
+    """
+    pf = params.fundamental
+    kind = spec.kind
+
+    if kind == FUNDAMENTALIST:
+        return lambda prev, last, target, rng: pf
+    if kind == NOISE:
+        sigma = spec.sigma
+        if sigma > 0:
+            return lambda prev, last, target, rng: pf + rng.gauss(0.0, sigma)
+        return lambda prev, last, target, rng: pf + 0.0  # a draw of 0.0: -0.0 gives 0.0
+    if kind == NAIVE:
+        return lambda prev, last, target, rng: last
+
+    a, b = spec.a, spec.b
+    if kind == PRICE_ANCHOR:
+        def price_anchor(prev, last, target, rng):
+            excess = last - pf
+            if excess > 0:
+                return pf + excess * _exp(2.0 * (a + b * excess))
+            return pf
+        return price_anchor
+
+    if kind == RETURN_ANCHOR:
+        def return_anchor(prev, last, target, rng):
+            exc_prev = prev - pf
+            exc_last = last - pf
+            if not (exc_prev > 0 and exc_last > 0):
+                return pf
+            ratio = exc_last / exc_prev  # may overflow to inf or underflow to 0
+            g = math.log(ratio) if ratio > 0 else -math.inf
+            if b == 0:  # no feedback; b * g would be 0 * inf for infinite g
+                g1 = g2 = a
+            else:
+                g1 = a + b * g
+                g2 = a + b * g1
+            total = g1 + g2  # inf - inf when b < 0 meets infinite growth
+            return pf if math.isnan(total) else pf + exc_last * _exp(total)
+        return return_anchor
+
+    if kind == RATIONAL_BUBBLE:
+        rate, scale, anchor = spec.rate, spec.scale, spec.anchor
+
+        def rational_bubble(prev, last, target, rng):
+            try:
+                return scale * (1.0 + rate) ** target + anchor
+            except OverflowError:  # |1 + rate| > 1; a negative base alternates in sign
+                growth = math.inf if rate > 0 or target % 2 == 0 else -math.inf
+                return scale * growth + anchor if scale else anchor
+        return rational_bubble
+
+    raise InvalidConfig(f"unknown agent kind {kind!r}")  # pragma: no cover - AgentSpec validates
+
+
+# Rules that read more than the last price, with the error for a shorter history.
+_TWO_PRICES = {
+    NAIVE: "naive rule needs two past prices",
+    RETURN_ANCHOR: "return anchoring needs two past prices",
+}
+
+
 def agent_forecast(
     spec: AgentSpec,
     history: PriceSeries,
     params: ExperimentParams,
     rng: Optional[random.Random] = None,
 ) -> float:
-    """Forecast for period t+1 given prices up to t-1.
+    """Forecast for period t+1 given prices up to t-1, clipped to the
+    admissible band, so an extrapolation past the float range gives the
+    band edge it points to.
 
-    The model-based rules extrapolate their one-step growth twice, with
-    the feedback term frozen at the last observed state; the feedback
-    rules drop back to the fundamental price whenever the excess prices
-    they need are not strictly positive, and so does return anchoring
-    whose extrapolation is undefined (a negative feedback on a growth
-    ratio past the float range).  The result is clipped to the admissible
-    band, so an extrapolation past the float range gives the band edge it
-    points to.
+    A rule reads at most the last two prices of ``history`` and its end
+    time; ``_rule`` holds the formulas.  ``run`` builds each rule once
+    and does not come through here.
     """
-    pf = params.fundamental
+    values = history.values
+    if len(values) < 2 and spec.kind in _TWO_PRICES:
+        raise InsufficientHistory(_TWO_PRICES[spec.kind])
+    if spec.kind == NOISE and spec.sigma > 0 and rng is None:
+        raise InvalidConfig("noise agents need a random source")
+    prev = values[-2] if len(values) > 1 else None
     target = history.t_end + 2  # the period being predicted
-
-    if spec.kind == FUNDAMENTALIST:
-        raw = pf
-    elif spec.kind == NOISE:
-        if spec.sigma > 0 and rng is None:
-            raise InvalidConfig("noise agents need a random source")
-        draw = rng.gauss(0.0, spec.sigma) if spec.sigma > 0 else 0.0
-        raw = pf + draw
-    elif spec.kind == RATIONAL_BUBBLE:
-        try:
-            raw = spec.scale * (1.0 + spec.rate) ** target + spec.anchor
-        except OverflowError:  # |1 + rate| > 1; a negative base alternates in sign
-            growth = math.inf if spec.rate > 0 or target % 2 == 0 else -math.inf
-            raw = spec.scale * growth + spec.anchor if spec.scale else spec.anchor
-    elif spec.kind == NAIVE:
-        if len(history) < 2:
-            raise InsufficientHistory("naive rule needs two past prices")
-        raw = history.values[-1]
-    elif spec.kind == PRICE_ANCHOR:
-        if len(history) < 1:
-            raise InsufficientHistory("price anchoring needs one past price")
-        excess = history.values[-1] - pf
-        if excess > 0:
-            raw = pf + excess * _exp(2.0 * (spec.a + spec.b * excess))
-        else:
-            raw = pf
-    elif spec.kind == RETURN_ANCHOR:
-        if len(history) < 2:
-            raise InsufficientHistory("return anchoring needs two past prices")
-        exc_prev = history.values[-2] - pf
-        exc_last = history.values[-1] - pf
-        if exc_prev > 0 and exc_last > 0:
-            ratio = exc_last / exc_prev  # may overflow to inf or underflow to 0
-            g = math.log(ratio) if ratio > 0 else -math.inf
-            if spec.b == 0:  # no feedback; b * g would be 0 * inf for infinite g
-                g1 = g2 = spec.a
-            else:
-                g1 = spec.a + spec.b * g
-                g2 = spec.a + spec.b * g1
-            total = g1 + g2  # inf - inf when b < 0 meets infinite growth
-            raw = pf if math.isnan(total) else pf + exc_last * _exp(total)
-        else:
-            raw = pf
-    else:  # pragma: no cover - guarded by AgentSpec validation
-        raise InvalidConfig(f"unknown agent kind {spec.kind!r}")
-
-    return params.clamp(raw)
+    return params.clamp(_rule(spec, params)(prev, values[-1], target, rng))
 
 
 def run(config: SimConfig) -> SimResult:
@@ -338,53 +376,72 @@ def run(config: SimConfig) -> SimResult:
     produce bit-identical results, and when both noise channels are off
     the random source is never consulted at all.
 
-    Traders whose deterministic rules are identical (equal ``repr``, so
-    ``0.0`` and ``-0.0`` parameters stay apart) share one evaluation of
-    the rule per period.  Noise traders evaluate their own, and forecast
-    noise and mis-trades are applied trader by trader, so the random
-    source is read in trader order as if every rule ran.
+    Every rule reads at most the last two prices, so the state carried
+    from period to period is those two floats; no ``Series`` is built
+    until the result.  Each distinct rule is made a callable once per
+    run by ``_rule``.  Traders whose deterministic rules are identical
+    (equal ``repr``, so ``0.0`` and ``-0.0`` parameters stay apart) share
+    one evaluation of the rule per period.  Noise traders draw their own,
+    and forecast noise and mis-trades are applied trader by trader, so
+    the random source is read in trader order as if every rule ran.
     """
     params = config.params
+    clamp = params.clamp
     rng = random.Random(config.seed)
     lo = (params.p_min + params.dividend) / (1.0 + params.r)
     hi = (params.p_max + params.dividend) / (1.0 + params.r)
 
     noise_sigma, mistrade_prob = config.return_noise_sigma, config.mistrade_prob
 
-    last_two = config.initial_prices
-    # the first trader with the same rule; a noise rule draws, so it is its own
-    first = {}
-    source = [
-        h if spec.kind == NOISE else first.setdefault(repr(spec), h)
-        for h, spec in enumerate(config.agents)
-    ]
-    forecasts: List[List[float]] = [[] for _ in config.agents]
+    # Without forecast noise and mis-trades the noise rules are the only
+    # readers of the random source, so they draw in trader order among the
+    # shared rules; otherwise each draws in its trader's turn.
+    per_trader = noise_sigma > 0 or mistrade_prob > 0
+    # the rules evaluated at the start of each period (twins share one, a
+    # noise rule draws, so it is its own), and per trader the index of its
+    # forecast among theirs or its own noise rule
+    rules, index, plan = [], {}, []
+    for h, spec in enumerate(config.agents):
+        if spec.kind == NOISE and per_trader:
+            plan.append((None, _rule(spec, params)))
+            continue
+        key = h if spec.kind == NOISE else repr(spec)
+        if key not in index:
+            index[key] = len(rules)
+            rules.append(_rule(spec, params))
+        plan.append((index[key], None))
+    slots = [k for k, _ in plan]
+
+    prev, last = config.initial_prices
+    rows: List[List[float]] = []
     prices: List[float] = []
 
-    for i in range(config.horizon):
-        # every rule reads at most the last two prices, ending at t = i - 1
-        past = PriceSeries(i - 2, last_two)
-        rule_forecasts = []
-        period_forecasts = []
-        for h, spec in enumerate(config.agents):
-            s = source[h]
-            f = rule_forecasts[s] if s < h else agent_forecast(spec, past, params, rng)
-            rule_forecasts.append(f)
-            if noise_sigma > 0 and f > 0:
-                f = params.clamp(f * _exp(rng.gauss(0.0, noise_sigma)))
-            f = inject_mistrade(f, rng, mistrade_prob, params)
-            forecasts[h].append(f)
-            period_forecasts.append(f)
-        p = clearing_price(period_forecasts, params)
+    for target in range(1, config.horizon + 1):
+        # the forecasts made at t = target - 1 see prices up to t = target - 2
+        shared = [clamp(rule(prev, last, target, rng)) for rule in rules]
+        if not per_trader:
+            row = [shared[k] for k in slots]
+        else:
+            row = []
+            for k, own in plan:
+                f = shared[k] if own is None else clamp(own(prev, last, target, rng))
+                if noise_sigma > 0 and f > 0:
+                    f = clamp(f * _exp(rng.gauss(0.0, noise_sigma)))
+                if mistrade_prob > 0:
+                    f = inject_mistrade(f, rng, mistrade_prob, params)
+                row.append(f)
+        p = clearing_price(row, params)
         if not (lo - 1e-9 <= p <= hi + 1e-9):
             raise AssertionError(
-                f"clearing price {p} escaped [{lo}, {hi}] at period {i}"
+                f"clearing price {p} escaped [{lo}, {hi}] at period {target - 1}"
             )
+        rows.append(row)
         prices.append(p)
-        last_two = (last_two[1], p)
+        prev, last = last, p
 
+    forecasts = tuple(zip(*rows))
     # the last forecast's target price is never realized in-run
-    payoffs = [[*map(score_forecast, prices[1:], row), None] for row in forecasts]
+    payoffs = tuple((*map(score_forecast, prices[1:], row), None) for row in forecasts)
 
     metadata = {
         "rng_algorithm": RNG_ALGORITHM,
@@ -398,7 +455,7 @@ def run(config: SimConfig) -> SimResult:
     }
     return SimResult(
         prices=PriceSeries(0, tuple(prices)),
-        forecasts=tuple(tuple(row) for row in forecasts),
-        payoffs=tuple(tuple(row) for row in payoffs),
+        forecasts=forecasts,
+        payoffs=payoffs,
         metadata=metadata,
     )

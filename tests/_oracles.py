@@ -13,7 +13,9 @@ moments), and window counts by a loop (no closed form).
 bisection of ``t_cdf``, kept verbatim because it defines the float that
 ``t_quantile`` must return.  So are the market's original writers and
 period loop (``sim_to_json_reference``, ``write_csv_reference`` and
-``run_reference``): they define the floats and bytes that ``run``,
+``run_reference``), and its original forecast rules, one ``kind`` test
+after another over the whole history (``agent_forecast_reference``):
+they define the floats and bytes that ``run``, ``agent_forecast``,
 ``SimResult.to_json`` and ``write_csv`` must reproduce.
 """
 
@@ -29,10 +31,15 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import List, Optional
 
-from bubblelab import InvalidConfig, PriceSeries, SimResult, t_cdf
+from bubblelab import InsufficientHistory, InvalidConfig, PriceSeries, SimResult, t_cdf
 from bubblelab.market import (
+    FUNDAMENTALIST,
+    NAIVE,
+    NOISE,
+    PRICE_ANCHOR,
+    RATIONAL_BUBBLE,
+    RETURN_ANCHOR,
     RNG_ALGORITHM,
-    agent_forecast,
     clearing_price,
     inject_mistrade,
     score_forecast,
@@ -320,8 +327,66 @@ def write_csv_reference(path, series, forecasts=None, decimals: int = 2) -> None
         fh.write("\n".join(out) + "\n")
 
 
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def agent_forecast_reference(spec, history, params, rng=None) -> float:
+    """``market.agent_forecast`` as the package first wrote it."""
+    pf = params.fundamental
+    target = history.t_end + 2  # the period being predicted
+
+    if spec.kind == FUNDAMENTALIST:
+        raw = pf
+    elif spec.kind == NOISE:
+        if spec.sigma > 0 and rng is None:
+            raise InvalidConfig("noise agents need a random source")
+        draw = rng.gauss(0.0, spec.sigma) if spec.sigma > 0 else 0.0
+        raw = pf + draw
+    elif spec.kind == RATIONAL_BUBBLE:
+        try:
+            raw = spec.scale * (1.0 + spec.rate) ** target + spec.anchor
+        except OverflowError:  # |1 + rate| > 1; a negative base alternates in sign
+            growth = math.inf if spec.rate > 0 or target % 2 == 0 else -math.inf
+            raw = spec.scale * growth + spec.anchor if spec.scale else spec.anchor
+    elif spec.kind == NAIVE:
+        if len(history) < 2:
+            raise InsufficientHistory("naive rule needs two past prices")
+        raw = history.values[-1]
+    elif spec.kind == PRICE_ANCHOR:
+        excess = history.values[-1] - pf
+        if excess > 0:
+            raw = pf + excess * _exp(2.0 * (spec.a + spec.b * excess))
+        else:
+            raw = pf
+    elif spec.kind == RETURN_ANCHOR:
+        if len(history) < 2:
+            raise InsufficientHistory("return anchoring needs two past prices")
+        exc_prev = history.values[-2] - pf
+        exc_last = history.values[-1] - pf
+        if exc_prev > 0 and exc_last > 0:
+            ratio = exc_last / exc_prev  # may overflow to inf or underflow to 0
+            g = math.log(ratio) if ratio > 0 else -math.inf
+            if spec.b == 0:  # no feedback; b * g would be 0 * inf for infinite g
+                g1 = g2 = spec.a
+            else:
+                g1 = spec.a + spec.b * g
+                g2 = spec.a + spec.b * g1
+            total = g1 + g2  # inf - inf when b < 0 meets infinite growth
+            raw = pf if math.isnan(total) else pf + exc_last * _exp(total)
+        else:
+            raw = pf
+    else:
+        raise InvalidConfig(f"unknown agent kind {spec.kind!r}")
+    return params.clamp(raw)
+
+
 def run_reference(config):
-    """``market.run`` evaluating every trader's rule every period."""
+    """``market.run`` evaluating every trader's rule every period on a
+    ``PriceSeries`` of the last two prices."""
     params = config.params
     rng = random.Random(config.seed)
     lo = (params.p_min + params.dividend) / (1.0 + params.r)
@@ -337,7 +402,7 @@ def run_reference(config):
         past = PriceSeries(i - 2, last_two)
         period_forecasts = []
         for h, spec in enumerate(config.agents):
-            f = agent_forecast(spec, past, params, rng)
+            f = agent_forecast_reference(spec, past, params, rng)
             if config.return_noise_sigma > 0 and f > 0:
                 f = params.clamp(f * math.exp(rng.gauss(0.0, config.return_noise_sigma)))
             f = inject_mistrade(f, rng, config.mistrade_prob, params)

@@ -242,6 +242,13 @@ CONTRACTS = [
              st.one_of(NON_FINITE, st.floats(max_value=-1e-300), st.floats(min_value=1000.5)),
              lambda p: SimConfig(PARAMS, FUNDAMENTALISTS, 5, initial_prices=(60.0, p)),
              InvalidConfig),
+    Contract(SimConfig, "seed price not a number",
+             st.tuples(st.sampled_from([0, 1]),
+                       st.one_of(st.text(max_size=4), st.none(), st.booleans(),
+                                 st.fractions(0, 100), st.tuples(st.floats()))),
+             lambda iv: SimConfig(PARAMS, FUNDAMENTALISTS, 5,
+                                  initial_prices=_replace((60.0, 60.0), *iv)),
+             InvalidConfig),
     Contract(SimConfig, "agent count other than n_traders",
              st.integers(0, 12).filter(lambda n: n != PARAMS.n_traders),
              lambda n: SimConfig(PARAMS, (AgentSpec.naive(),) * n, 5), InvalidConfig),

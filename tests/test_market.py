@@ -321,17 +321,28 @@ class TestSharedRuleEvaluation:
         assert run(config).to_json() == sim_to_json_reference(run_reference(config))
 
     def test_bubble_preset_evaluates_two_rules_per_period(self, monkeypatch):
+        # both presets hold five twin rules and one other, and the twins
+        # share one evaluation; count calls of the rules run builds
         calls = []
+        build = market._rule
 
-        def counted(*args):
-            calls.append(args[0])
-            return agent_forecast(*args)
+        def counted(spec, params):
+            rule = build(spec, params)
 
-        monkeypatch.setattr(market, "agent_forecast", counted)
+            def counted_rule(*args):
+                calls.append(spec.kind)
+                return rule(*args)
+            return counted_rule
+
+        monkeypatch.setattr(market, "_rule", counted)
         horizon = 40
-        run(_config(_build_agents("bubble", PARAMS), horizon=horizon,
-                    initial_prices=(66.0, 72.0)))
-        assert len(calls) == 2 * horizon
+        for preset, kwargs in [
+            ("bubble", dict(initial_prices=(66.0, 72.0))),
+            ("noise", dict(seed=3, return_noise_sigma=0.02, mistrade_prob=0.05)),
+        ]:
+            calls.clear()
+            run(_config(_build_agents(preset, PARAMS), horizon=horizon, **kwargs))
+            assert len(calls) == 2 * horizon, preset
 
 
 class TestSimResultSerialization:

@@ -10,6 +10,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -41,6 +42,7 @@ from bubblelab import (
     SweepGrid,
     TooFewPoints,
     Window,
+    agent_forecast,
     classify_series,
     clearing_price,
     detect_bubble_window,
@@ -66,6 +68,7 @@ from bubblelab.cli import main as cli_main
 from bubblelab.sweep import sweep_summary
 
 from _oracles import (
+    agent_forecast_reference,
     exact_fit_stats,
     sqrt_of_rounded,
     exact_ols,
@@ -553,14 +556,43 @@ def _signed(lo, hi):
 
 
 # one rule of each kind, with parameters that include both signed zeros
-trader_rule = st.one_of(
-    st.just(AgentSpec.fundamentalist()),
-    st.builds(AgentSpec.rational_bubble, _signed(-0.3, 0.3), _signed(-10, 10), _signed(0, 100)),
-    st.builds(AgentSpec.price_anchor, _signed(-0.3, 0.3), _signed(-0.01, 0.01)),
-    st.builds(AgentSpec.return_anchor, _signed(-0.3, 0.3), _signed(-1, 1)),
-    st.just(AgentSpec.naive()),
-    st.builds(AgentSpec.noise, st.sampled_from([0.0, 1.0, 5.0])),
-)
+RULES = {
+    "fundamentalist": st.just(AgentSpec.fundamentalist()),
+    "rational_bubble": st.builds(AgentSpec.rational_bubble, _signed(-0.3, 0.3),
+                                 _signed(-10, 10), _signed(0, 100)),
+    "price_anchor": st.builds(AgentSpec.price_anchor, _signed(-0.3, 0.3), _signed(-0.01, 0.01)),
+    "return_anchor": st.builds(AgentSpec.return_anchor, _signed(-0.3, 0.3), _signed(-1, 1)),
+    "naive": st.just(AgentSpec.naive()),
+    "noise": st.builds(AgentSpec.noise, st.sampled_from([0.0, 1.0, 5.0])),
+}
+trader_rule = st.one_of(*RULES.values())
+
+# the default band, and one wide enough for extrapolations past the float range
+BANDS = [ExperimentParams(), ExperimentParams(p_max=1e300)]
+
+
+def _seed_price(params):
+    """A price near the fundamental, or anywhere in the band."""
+    return st.one_of(st.floats(min_value=0.0, max_value=200.0),
+                     st.floats(min_value=0.0, max_value=params.p_max))
+
+
+@pytest.mark.parametrize("kind", RULES)
+@PROPERTY
+@given(data=st.data())
+def test_a_rule_reads_only_the_last_two_prices(kind, data):
+    # market.run keeps only the last two prices, and price anchoring reads one
+    spec = data.draw(RULES[kind])
+    params = data.draw(st.sampled_from(BANDS))
+    values = data.draw(st.lists(_seed_price(params), min_size=3, max_size=10))
+    history = PriceSeries(data.draw(st.integers(-5, 100)), tuple(values))
+    keep = 1 if kind == "price_anchor" else 2
+    tail = PriceSeries(history.t_end - keep + 1, history.values[-keep:])
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    got = agent_forecast(spec, history, params, random.Random(seed))
+    want = agent_forecast(spec, tail, params, random.Random(seed))
+    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+    assert repr(got) == repr(agent_forecast_reference(spec, history, params, random.Random(seed)))
 
 
 def _flip_zeros(spec):
@@ -580,9 +612,12 @@ def market_configs(draw):
         (_flip_zeros if draw(st.booleans()) else dataclasses.replace)(draw(st.sampled_from(pool)))
         for _ in range(n)
     ]
-    price = st.floats(min_value=0.0, max_value=200.0)
+    # a band up to 1e300 takes feedback rules and mis-trades past the float
+    # range, through the rules' overflow fallbacks
+    params = ExperimentParams(n_traders=n, p_max=draw(st.sampled_from([b.p_max for b in BANDS])))
+    price = _seed_price(params)
     return SimConfig(
-        params=ExperimentParams(n_traders=n),
+        params=params,
         agents=agents,
         horizon=draw(st.integers(min_value=1, max_value=60)),
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
@@ -599,6 +634,10 @@ def market_configs(draw):
     st.sampled_from([0, 2, 6]),
     st.booleans(),
 )
+# a growth ratio past the float range, with positive and negative feedback
+@example(SimConfig(ExperimentParams(n_traders=2, p_max=1e300),
+                   [AgentSpec.return_anchor(0.01, 0.5), AgentSpec.return_anchor(0.01, -0.5)],
+                   horizon=5, initial_prices=(60.0 + 1e-13, 1e300)), 0, 2, True)
 def test_run_and_its_files_match_the_per_trader_reference(config, t0, decimals, with_forecasts):
     result = run(config)
     reference = run_reference(config)
@@ -616,6 +655,17 @@ def test_run_and_its_files_match_the_per_trader_reference(config, t0, decimals, 
         write_csv(got, excess, forecasts=forecasts, decimals=decimals)
         write_csv_reference(want, excess, forecasts=forecasts, decimals=decimals)
         assert got.read_bytes() == want.read_bytes()
+
+
+@PROPERTY
+@given(market_configs(), st.data())
+def test_integer_seed_prices_run_as_their_floats(config, data):
+    ints = tuple(data.draw(st.integers(0, min(int(config.params.p_max), 10**6)))
+                 for _ in range(2))
+    with_ints = dataclasses.replace(config, initial_prices=ints)
+    with_floats = dataclasses.replace(config, initial_prices=tuple(map(float, ints)))
+    assert all(type(p) is float for p in with_ints.initial_prices)
+    assert run(with_ints).to_json() == run(with_floats).to_json()
 
 
 @st.composite
