@@ -103,12 +103,20 @@ MAX_PAYOFF = 1300.0
 PAYOFF_SCALE = 1300.0 / 49.0
 
 
+def _check_number(name: str, value) -> None:
+    """Raise InvalidConfig unless ``value`` is an int or a float (a bool
+    is not a number here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce one market run bit-for-bit.
 
     ``initial_prices`` are the prices at t = -2 and -1: ints or floats
     (a bool is not a price) inside the band, stored as floats.
+    ``mistrade_prob`` and ``return_noise_sigma`` are ints or floats too.
     """
 
     params: ExperimentParams
@@ -120,8 +128,12 @@ class SimConfig:
     initial_prices: Tuple[float, float] = (60.0, 60.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "initial_prices", tuple(self.initial_prices))
+        for name in ("agents", "initial_prices"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise InvalidConfig(
+                    f"{name} must be a sequence, got {getattr(self, name)!r}") from None
         _check_int("horizon", self.horizon)
         if self.horizon < 1:
             raise InvalidConfig(f"horizon must be at least 1, got {self.horizon}")
@@ -129,10 +141,12 @@ class SimConfig:
             raise InvalidConfig(
                 f"need {self.params.n_traders} agents, got {len(self.agents)}"
             )
+        _check_number("mis-trade probability", self.mistrade_prob)
         if not 0.0 <= self.mistrade_prob <= 1.0:
             raise InvalidConfig(
                 f"mis-trade probability must lie in [0, 1], got {self.mistrade_prob}"
             )
+        _check_number("forecast noise std-dev", self.return_noise_sigma)
         if not (math.isfinite(self.return_noise_sigma) and self.return_noise_sigma >= 0):
             raise InvalidConfig(
                 "forecast noise std-dev must be finite and non-negative, "
@@ -144,8 +158,7 @@ class SimConfig:
         if len(self.initial_prices) != 2:
             raise InvalidConfig("exactly two seed prices are required")
         for p in self.initial_prices:
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise InvalidConfig(f"seed price must be a number, got {p!r}")
+            _check_number("seed price", p)
             if not (self.params.p_min <= p <= self.params.p_max):
                 raise InvalidConfig(f"seed price {p} outside the admissible band")
         object.__setattr__(self, "initial_prices", tuple(map(float, self.initial_prices)))
@@ -329,8 +342,10 @@ def _rule(spec: AgentSpec, params: ExperimentParams):
         def rational_bubble(prev, last, target, rng):
             try:
                 return scale * (1.0 + rate) ** target + anchor
-            except OverflowError:  # |1 + rate| > 1; a negative base alternates in sign
-                growth = math.inf if rate > 0 or target % 2 == 0 else -math.inf
+            except (OverflowError, ZeroDivisionError):  # or 0.0 to a negative power
+                # an infinite growth factor, negative only for a negative
+                # base to an odd power
+                growth = -math.inf if 1.0 + rate < 0.0 and target % 2 else math.inf
                 return scale * growth + anchor if scale else anchor
         return rational_bubble
 

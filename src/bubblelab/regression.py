@@ -187,7 +187,7 @@ def _fit_moments(
     return fit
 
 
-# The float filter's bounds (see _decide_fit): the relative distance it
+# The float filter's bounds (see _estimate_fit): the relative distance it
 # allows between its float estimates and the kernel's lower bounds, the
 # factor by which det must outweigh the error of the kernel's residual
 # sum of squares, and the least standard error it estimates in floats.
@@ -196,13 +196,15 @@ _FILTER_GUARD = 2.0**58
 _FILTER_TINY = 2.0**-1000
 
 
-def _decide_fit(tally, model, n, sx, sy, sxx, sxy, syy, p, one_sided):
-    """The kernel's fit from these moments, or, where floats decide it,
-    only whether that fit is significant: True when both of its lower
-    bounds are > 0, False when one is <= 0.  A bool is returned only for
-    a fit whose b_lower is certainly not above ``tally.best_b``, the
-    greatest b_lower so far (None before the first fit); every other fit,
-    and every fit the floats cannot decide, comes from ``_fit_moments``.
+def _estimate_fit(n, sx, sy, sxx, sxy, syy, p, tq, floor):
+    """What floats prove about the kernel's fit from these moments, with
+    ``tq`` its t-quantile: ``(significant, lower, upper)``, or None where
+    floats cannot decide whether the fit is significant.
+
+    ``significant`` is True when both of the fit's lower bounds are > 0
+    and False when one is <= 0.  The fit's b_lower is at most ``upper``,
+    and at least ``lower`` where a bound above ``floor`` is proven;
+    ``lower`` is -inf otherwise.
 
     Error analysis (u = 2**-53; X = x * 2**p and so on are the scaled
     data, and every quantity below is at that scale, where the sign of a
@@ -222,90 +224,107 @@ def _decide_fit(tally, model, n, sx, sy, sxx, sxy, syy, p, one_sided):
     SSR* by n * (u * m / n)**2 + (u * b)**2 * cxx / n at most, a relative
     excess rho <= u**2 * cxx * (m**2 + cyy) / det, and never falls short
     of it.  So the kernel's lower bounds are never *above* the estimates
-    by more than the float error, and the decisions that a fit is not a
-    new best and not significant hold whatever rho is.  A decision that
-    it is significant needs rho small: near-perfect fits, where det is
-    small against cxx * cyy, and responses whose spread is a few ulps of
-    their mean, where det is small against cxx * m**2, make rho large.
-    So that decision requires cxx * (cyy + m**2) <= 2**58 * det, which
-    holds rho to 2**-48 and its effect on se_a and se_b to 2**-49.
+    by more than the float error: ``upper``, and the decision that a fit
+    is not significant, hold whatever rho is.  ``lower``, and the
+    decision that a fit is significant, need rho small: near-perfect
+    fits, where det is small against cxx * cyy, and responses whose
+    spread is a few ulps of their mean, where det is small against
+    cxx * m**2, make rho large.  So both require the guard
+    cxx * (cyy + m**2) <= 2**58 * det, which holds rho to 2**-48 and its
+    effect on se_a and se_b to 2**-49.
 
     The filter allows 2**-40 of the scale: 256 times the 2**-48 these
     bounds add up to, which also covers the rounding of the decision
     arithmetic itself.  A term n * 2**(p - 1022) in m covers the absolute
     rounding of the kernel's unscaled floats below the normal range.
-    Standard errors below 2**-1000, where floats lose bits, and ints too
-    large for a float go to the kernel.
+    Standard errors below 2**-1000, where floats lose bits, and ints or
+    bounds too large for a float give None.
     """
-    best_b = tally.best_b
-    if best_b is not None:
-        cxx = n * sxx - sx * sx
-        cxy = n * sxy - sx * sy
-        cyy = n * syy - sy * sy
-        try:
-            fxx = float(cxx)
-            fdet = float(cxx * cyy - cxy * cxy)
-            b = float(cxy) / fxx
-            tq = t_quantile(0.95 if one_sided else 0.975, n - 2)
-            se_b = math.sqrt(fdet / (n - 2)) / fxx
-            b_lower = b - tq * se_b
-            db = _FILTER_TOLERANCE * ((b if b > 0.0 else -b) + tq * se_b)
-            if b_lower + db < best_b and se_b >= _FILTER_TINY:
-                if b_lower + db < 0.0:
-                    return False
-                fsx = float(sx)
-                fsy = float(sy)
-                bsx = b * fsx
-                m = (fsy if fsy > 0.0 else -fsy) + (bsx if bsx > 0.0 else -bsx)
-                m += math.ldexp(n, p - 1022)
-                se_a = se_b * math.sqrt(float(sxx) / n)
-                a_lower = (fsy - bsx) / n - tq * se_a
-                da = _FILTER_TOLERANCE * (m / n + tq * se_a)
-                if a_lower + da < 0.0:
-                    return False
-                if (
-                    b_lower - db > 0.0
-                    and a_lower - da > 0.0
-                    and fxx * (float(cyy) + m * m) <= _FILTER_GUARD * fdet
-                ):
-                    return True
-        except OverflowError:  # an int beyond the float range
-            pass
-    return _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
+    cxx = n * sxx - sx * sx
+    cxy = n * sxy - sx * sy
+    cyy = n * syy - sy * sy
+    try:
+        fxx = float(cxx)
+        fdet = float(cxx * cyy - cxy * cxy)
+        b = float(cxy) / fxx
+        se_b = math.sqrt(fdet / (n - 2)) / fxx
+        tse = tq * se_b
+        b_lower = b - tse
+        db = _FILTER_TOLERANCE * ((b if b > 0.0 else -b) + tse)
+        if not (se_b >= _FILTER_TINY and db < math.inf):
+            return None
+        upper = b_lower + db
+        lower = b_lower - db
+        if upper < 0.0 and lower <= floor:  # not significant, and no news
+            return False, -math.inf, upper
+        fsx = float(sx)
+        fsy = float(sy)
+        bsx = b * fsx
+        m = (fsy if fsy > 0.0 else -fsy) + (bsx if bsx > 0.0 else -bsx)
+        m += math.ldexp(n, p - 1022)
+        if upper < 0.0:
+            significant = False
+        else:
+            se_a = se_b * math.sqrt(float(sxx) / n)
+            a_lower = (fsy - bsx) / n - tq * se_a
+            da = _FILTER_TOLERANCE * (m / n + tq * se_a)
+            if a_lower + da < 0.0:
+                significant = False
+            elif lower > 0.0 and a_lower - da > 0.0:
+                significant = True
+            else:  # a lower bound straddles 0, or a float overflowed
+                return None
+        if (significant or lower > floor) and (
+            fxx * (float(cyy) + m * m) <= _FILTER_GUARD * fdet
+        ):
+            return significant, lower, upper
+        if significant:
+            return None  # rho may be too large to call it significant
+        return False, -math.inf, upper
+    except OverflowError:  # an int beyond the float range
+        pass
+    return None
 
 
-def _window_fits(model, rows, p, first, one_sided, fit=_fit_moments):
-    """Yield, shortest first, the fit of every window of at least
-    ``first`` of the pairs that starts at the first pair (``rows`` as
-    from ``_moment_rows``, scaled by 2**p), or None where the float
-    regressors are degenerate.  ``fit`` turns the moments into the
-    result: the kernel by default.
+def _spread_start(rows, first):
+    """The least pair count n >= ``first`` at which the float regressors
+    of ``rows[:n]`` (rows as from ``_moment_rows``) are not degenerate,
+    or len(rows) + 1 when there is none.
 
-    Each window adds one pair to the exact moments of the one before.  A
-    window that grows by a point widens its spread at least as much as
+    A window that grows by a point widens its spread at least as much as
     its scale max(|x|, 1), so once the spread passes the test every
-    longer window does: the test is made only until the first pass.
+    longer window does.
     """
-    n = sx = sy = sxx = sxy = syy = 0
     xmin, xmax = math.inf, -math.inf
-    spread_ok = False
-    for x, y, xx, xy, yy, xv in rows:
+    for n, row in enumerate(rows, 1):
+        xv = row[5]
+        xmin = min(xmin, xv)
+        xmax = max(xmax, xv)
+        if n >= first and xmax - xmin > _DEGENERACY * max(abs(xmax), abs(xmin), 1.0):
+            return n
+    return len(rows) + 1
+
+
+def _window_fits(model, rows, p, first, one_sided):
+    """Yield, shortest first, the kernel's fit of every window of at
+    least ``first`` of the pairs that starts at the first pair (``rows``
+    as from ``_moment_rows``, scaled by 2**p), or None where the float
+    regressors are degenerate (see ``_spread_start``).  Each window adds
+    one pair to the exact moments of the one before.
+    """
+    spread = _spread_start(rows, first)
+    n = sx = sy = sxx = sxy = syy = 0
+    for x, y, xx, xy, yy, _ in rows:
         n += 1
         sx += x
         sy += y
         sxx += xx
         sxy += xy
         syy += yy
-        if not spread_ok:
-            xmin = min(xmin, xv)
-            xmax = max(xmax, xv)
-            if n < first:
-                continue
-            if xmax - xmin <= _DEGENERACY * max(abs(xmax), abs(xmin), 1.0):
-                yield None
-                continue
-            spread_ok = True
-        yield fit(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
+        if n >= spread:
+            yield _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
+        elif n >= first:
+            yield None
 
 
 def ols2(

@@ -10,21 +10,23 @@ inside its own window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import InvalidConfig
 from .regression import (
     _LAGS,
     OlsFit,
-    _decide_fit,
+    _estimate_fit,
     _fit_moments,
     _moment_rows,
     _pairs,
+    _spread_start,
     _window_fits,
 )
 from .series import MIN_WINDOW, ExcessSeries, Window, _check_int, _check_min_window
+from .studentt import t_quantile
 
 
 @dataclass(frozen=True)
@@ -72,16 +74,17 @@ def _span(excess, model, window, min_window):
     return window.start, window.end, excess.window_values(window)
 
 
-def _cells(model, lo, hi, vals, min_window, one_sided, fit):
-    """Yield ((start, end), cell) for every window of at least
-    ``min_window`` points in [lo, hi] (vals holds its values), in key
-    order, with ``fit`` turning each valid window's moments into its cell
-    (see ``_window_fits``)."""
-    lag = _LAGS[model]
+def _starts(model, lo, hi, vals, min_window):
+    """Yield (s, rows, p, bad) for every start s in [lo, hi] (vals holds
+    the span's values), in order.  ``bad`` is the first t >= s whose
+    value is not positive (hi + 1 when none), so every window from s that
+    reaches it fails there; ``rows`` holds the moment rows of the pairs
+    of [s, bad - 1], scaled by 2**p (see ``_moment_rows``), and is empty
+    when s's run of positive values holds no window of ``min_window``
+    points."""
     run0 = lo
     while run0 <= hi:
-        # Values are strictly positive from run0 up to (excluding) t = bad;
-        # for every start in that run, a window reaching bad fails there.
+        # Values are strictly positive from run0 up to (excluding) t = bad.
         bad = run0
         while bad <= hi and vals[bad - lo] > 0:
             bad += 1
@@ -93,17 +96,25 @@ def _cells(model, lo, hi, vals, min_window, one_sided, fit):
         else:  # no window of the run is long enough to fit
             rows, p = (), 0
         for s in range(run0, run_end):
-            # pair j (counted from run0) is the first pair of the windows
-            # that start at s; the window ending at e holds e - s - lag pairs,
-            # at least 3 (see MIN_WINDOW), so no cell has TooFewPoints
-            j = s - run0
-            first_e = s + min_window - 1
-            fits = _window_fits(model, rows[j:], p, min_window - 1 - lag, one_sided, fit)
-            for e, cell in zip(range(first_e, bad), fits):
-                yield (s, e), _DEGENERATE if cell is None else cell
-            for e in range(max(first_e, bad), hi + 1):
-                yield (s, e), _BLOCKED
+            # pair s - run0 is the first pair of the windows that start at s
+            yield s, rows[s - run0 :], p, bad
         run0 = run_end
+
+
+def _cells(model, lo, hi, vals, min_window, one_sided):
+    """Yield ((start, end), cell) for every window of at least
+    ``min_window`` points in [lo, hi] (vals holds its values), in key
+    order, each valid window's cell fitted by the kernel."""
+    # the window ending at e holds e - s - lag pairs, at least 3 (see
+    # MIN_WINDOW), so no cell has TooFewPoints
+    first = min_window - 1 - _LAGS[model]
+    for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
+        first_e = s + min_window - 1
+        fits = _window_fits(model, rows, p, first, one_sided)
+        for e, cell in zip(range(first_e, bad), fits):
+            yield (s, e), _DEGENERATE if cell is None else cell
+        for e in range(max(first_e, bad), hi + 1):
+            yield (s, e), _BLOCKED
 
 
 def sweep(
@@ -127,7 +138,7 @@ def sweep(
     OLS kernel turns into a fit, so a grid costs O(N^2) rather than O(N^3).
     """
     lo, hi, vals = _span(excess, model, window, min_window)
-    cells = dict(_cells(model, lo, hi, vals, min_window, one_sided, _fit_moments))
+    cells = dict(_cells(model, lo, hi, vals, min_window, one_sided))
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
 
 
@@ -142,14 +153,71 @@ def sweep_summary(
     and bit for bit, without building the grid or fitting most cells.
 
     The summary needs, of each valid cell, only whether it is significant
-    and whether its b_lower is a new maximum.  The float filter
-    ``regression._decide_fit`` settles both for most cells from a proven
-    error bound; the kernel fits the rest, and every new best, exactly.
+    and, of the first cell with the greatest b_lower, the kernel's fit.
+    ``regression._estimate_fit`` proves both bounds of most cells in
+    floats; the kernel fits at once the cells it cannot decide.  The
+    floor is the greatest b_lower known to be reached: a proven lower
+    bound, or a fitted cell's b_lower.  A cell whose upper bound lies
+    below the floor is beaten by some cell, so only the cells whose upper
+    bound reaches the floor are kept, in key order, and the kernel fits
+    those that are left at the end; the first strict maximum among them
+    is the best window.
     """
     lo, hi, vals = _span(excess, model, window, min_window)
-    tally = _Tally(model, min_window)
-    fit = partial(_decide_fit, tally)
-    return tally.summary(_cells(model, lo, hi, vals, min_window, one_sided, fit))
+    lag = _LAGS[model]
+    first = min_window - 1 - lag
+    level = 0.95 if one_sided else 0.975
+    tqs = [None] * first  # the t-quantile of each pair count n >= first
+    n_cells = n_sig = 0
+    errors: Dict[str, int] = {}
+    floor = -math.inf
+    # (upper bound of b_lower, key, fit or its moments) of each cell that
+    # may be the best window, in key order
+    kept = []
+    for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
+        while len(tqs) <= len(rows):
+            tqs.append(t_quantile(level, len(tqs) - 2))
+        first_e = s + min_window - 1
+        n_cells += max(0, hi + 1 - first_e)
+        # the windows from s that are too narrow to fit come first, then
+        # those that reach bad, so the error kinds are seen in key order
+        spread = _spread_start(rows, first)
+        for kind, count in ((_DEGENERATE.error_kind, spread - first),
+                            (_BLOCKED.error_kind, hi + 1 - max(first_e, bad))):
+            if count > 0:
+                errors[kind] = errors.get(kind, 0) + count
+        n = sx = sy = sxx = sxy = syy = 0
+        for x, y, xx, xy, yy, _ in rows:
+            n += 1
+            sx += x
+            sy += y
+            sxx += xx
+            sxy += xy
+            syy += yy
+            if n < spread:
+                continue
+            est = _estimate_fit(n, sx, sy, sxx, sxy, syy, p, tqs[n], floor)
+            if est is None:
+                cell = _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
+                lower = upper = cell.b_lower
+                significant = cell.a_lower > 0.0 and upper > 0.0
+            else:
+                significant, lower, upper = est
+                cell = None
+            if significant:
+                n_sig += 1
+            if upper >= floor:
+                kept.append((upper, (s, s + n + lag), cell or (n, sx, sy, sxx, sxy, syy, p)))
+                if lower > floor:
+                    floor = lower
+                    kept = [k for k in kept if k[0] >= floor]
+    best = best_key = None
+    for _, key, cell in kept:
+        if not isinstance(cell, OlsFit):
+            cell = _fit_moments(model, *cell, one_sided)
+        if best is None or cell.b_lower > best.b_lower:
+            best, best_key = cell, key
+    return _summary(model, min_window, n_cells, n_sig, errors, best_key, best)
 
 
 def triangular_cell_count(n: int, min_window: int) -> int:
@@ -197,62 +265,49 @@ def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] 
         fh.write(_CSV_HEADER)
 
         def written():
-            for key, cell in _cells(model, lo, hi, vals, min_window, one_sided, _fit_moments):
+            for key, cell in _cells(model, lo, hi, vals, min_window, one_sided):
                 fh.write(_csv_row(model, key, cell))
                 yield key, cell
-        return _Tally(model, min_window).summary(written())
+        return _tally(model, min_window, written())
 
 
-class _Tally:
-    """The one tally of a grid: cell counts, significant share, error-kind
-    tallies and the most significant window (the first in (start, end)
-    order among ties), over cells that arrive in key order.
-
-    A cell is significant when both lower confidence bounds are strictly
-    positive.  Besides fits and invalid cells, a cell may be True or
-    False: a valid cell that the float filter found significant or not,
-    and whose b_lower is not above ``best_b``, the greatest so far."""
-
-    def __init__(self, model: str, min_window: int):
-        self.model = model
-        self.min_window = min_window
-        self.best_b = None
-
-    def summary(self, cells) -> dict:
-        n_cells = n_sig = 0
-        errors: Dict[str, int] = {}
-        best = best_key = None
-        for key, cell in cells:
-            n_cells += 1
-            if cell is True:
+def _tally(model: str, min_window: int, cells) -> dict:
+    """The summary of the (key, cell) pairs of a grid, in key order."""
+    n_cells = n_sig = 0
+    errors: Dict[str, int] = {}
+    best = best_key = None
+    for key, cell in cells:
+        n_cells += 1
+        if isinstance(cell, OlsFit):
+            b_lower = cell.b_lower
+            if cell.a_lower > 0.0 and b_lower > 0.0:
                 n_sig += 1
-            elif isinstance(cell, OlsFit):
-                b_lower = cell.b_lower
-                if cell.a_lower > 0.0 and b_lower > 0.0:
-                    n_sig += 1
-                if best is None or b_lower > self.best_b:
-                    best, best_key, self.best_b = cell, key, b_lower
-            elif cell is not False:
-                errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
-        n_valid = n_cells - sum(errors.values())
-        summary = {
-            "model": self.model,
-            "min_window": self.min_window,
-            "cells": n_cells,
-            "valid_cells": n_valid,
-            "significant_cells": n_sig,
-            "significant_fraction": (n_sig / n_valid) if n_valid else None,
-            "invalid_by_error": errors,
-        }
-        if best is not None:
-            summary["best_window"] = {
-                "start": best_key[0],
-                "end": best_key[1],
-                "fit": {name: getattr(best, name) for name in _FIT_FIELDS},
-            }
+            if best is None or b_lower > best.b_lower:
+                best, best_key = cell, key
         else:
-            summary["best_window"] = None
-        return summary
+            errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
+    return _summary(model, min_window, n_cells, n_sig, errors, best_key, best)
+
+
+def _summary(model, min_window, n_cells, n_sig, errors, best_key, best) -> dict:
+    """The summary dict of a grid's tallies: ``errors`` counts invalid
+    cells by error kind in first-seen order, and ``best`` is the fit of
+    the window ``best_key`` (None when no cell is valid)."""
+    n_valid = n_cells - sum(errors.values())
+    return {
+        "model": model,
+        "min_window": min_window,
+        "cells": n_cells,
+        "valid_cells": n_valid,
+        "significant_cells": n_sig,
+        "significant_fraction": (n_sig / n_valid) if n_valid else None,
+        "invalid_by_error": errors,
+        "best_window": None if best is None else {
+            "start": best_key[0],
+            "end": best_key[1],
+            "fit": {name: getattr(best, name) for name in _FIT_FIELDS},
+        },
+    }
 
 
 def grid_summary(grid: SweepGrid) -> dict:
@@ -263,4 +318,4 @@ def grid_summary(grid: SweepGrid) -> dict:
     A cell is significant when both lower confidence bounds are strictly
     positive, and ``significant_fraction`` is None when no cell is
     valid.  ``sweep_summary`` gives the same dict without a grid."""
-    return _Tally(grid.model, grid.min_window).summary(grid.cells.items())
+    return _tally(grid.model, grid.min_window, grid.cells.items())

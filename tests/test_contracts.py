@@ -249,6 +249,17 @@ CONTRACTS = [
              lambda iv: SimConfig(PARAMS, FUNDAMENTALISTS, 5,
                                   initial_prices=_replace((60.0, 60.0), *iv)),
              InvalidConfig),
+    Contract(SimConfig, "mis-trade probability or forecast noise not a number",
+             st.tuples(st.sampled_from(["mistrade_prob", "return_noise_sigma"]),
+                       st.one_of(st.text(max_size=4), st.none(), st.booleans(),
+                                 st.fractions(0, 1), st.tuples(st.floats()))),
+             lambda kv: SimConfig(PARAMS, FUNDAMENTALISTS, 5, **dict([kv])), InvalidConfig),
+    Contract(SimConfig, "agents or seed prices not iterable",
+             st.tuples(st.sampled_from(["agents", "initial_prices"]),
+                       st.one_of(st.none(), st.floats(), st.integers(), st.booleans())),
+             lambda kv: SimConfig(**{"params": PARAMS, "agents": FUNDAMENTALISTS,
+                                     "horizon": 5, **dict([kv])}),
+             InvalidConfig),
     Contract(SimConfig, "agent count other than n_traders",
              st.integers(0, 12).filter(lambda n: n != PARAMS.n_traders),
              lambda n: SimConfig(PARAMS, (AgentSpec.naive(),) * n, 5), InvalidConfig),

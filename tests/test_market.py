@@ -179,6 +179,21 @@ class TestAgentForecast:
         flat = AgentSpec.rational_bubble(rate=0.05, scale=0.0, anchor=60.0)
         assert agent_forecast(flat, PriceSeries(20000, (65.0, 65.0)), PARAMS) == 60.0
 
+    @pytest.mark.parametrize("t0", [-5, -4])
+    def test_zero_growth_base_before_period_one_is_infinite(self, t0):
+        # rate -1 makes the base 0.0, and a target period below 0 raises it
+        # to a negative power: an infinite extrapolation, like an overflow
+        hist = PriceSeries(t0, (65.0,))
+        for scale, edge in [(1.0, 1000.0), (-1.0, 0.0), (0.0, 60.0)]:
+            spec = AgentSpec.rational_bubble(rate=-1.0, scale=scale, anchor=60.0)
+            assert agent_forecast(spec, hist, PARAMS) == edge
+
+    @pytest.mark.parametrize("t0", [-303, -302])
+    def test_growth_base_below_one_overflows_upwards(self, t0):
+        # a base in (0, 1) to a large negative power is +inf at any parity
+        spec = AgentSpec.rational_bubble(rate=-0.9999999, scale=1.0, anchor=60.0)
+        assert agent_forecast(spec, PriceSeries(t0, (65.0,)), PARAMS) == PARAMS.p_max
+
 
 class TestInjectMistrade:
     def test_disabled(self):
@@ -230,6 +245,22 @@ class TestSimConfig:
     def test_bad_return_noise_sigma(self, sigma):
         with pytest.raises(InvalidConfig, match="std-dev"):
             _config([AgentSpec.fundamentalist()] * 6, return_noise_sigma=sigma)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mistrade_prob", "0.1", "mis-trade probability must be a number"),
+        ("mistrade_prob", None, "mis-trade probability must be a number"),
+        ("return_noise_sigma", None, "std-dev must be a number"),
+        ("return_noise_sigma", "0.02", "std-dev must be a number"),
+        ("initial_prices", None, "initial_prices must be a sequence"),
+        ("initial_prices", 60.0, "initial_prices must be a sequence"),
+        ("agents", None, "agents must be a sequence"),
+        ("agents", 60.0, "agents must be a sequence"),
+    ])
+    def test_wrong_type_is_config_error(self, field, value, message):
+        kwargs = dict(params=PARAMS, agents=[AgentSpec.fundamentalist()] * 6, horizon=5)
+        kwargs[field] = value
+        with pytest.raises(InvalidConfig, match=message):
+            SimConfig(**kwargs)
 
 
 class TestRun:

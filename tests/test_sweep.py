@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
 
@@ -25,7 +26,13 @@ from bubblelab import (
     triangular_cell_count,
 )
 
+from bubblelab import regression
+from bubblelab.sweep import sweep_summary
+
 from _oracles import triangular_cell_count_loop
+
+# the module, which the package's ``sweep`` function shadows
+sweep_module = importlib.import_module("bubblelab.sweep")
 
 
 def _feedback_excess(steps=26):
@@ -212,6 +219,63 @@ class TestSignificance:
             if grid_summary(sweep(excess, "price"))["significant_fraction"] > 0.5:
                 hits += 1
         assert hits / len(seeds) >= 0.9
+
+
+# the three scenario models of the power study (acceptance criterion 6),
+# with their lengths and noise levels
+POWER_SCENARIOS = [
+    (GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0), 20, 0.01),
+    (GrowthModel.return_feedback(0.02, 0.6, initial_log_return=0.25, start=60.0), 40, 0.003),
+    (GrowthModel.exponential(math.log(1.1), 60.0), 20, 0.01),
+]
+
+
+@pytest.fixture
+def exact_fits(monkeypatch):
+    """The list of the kernel's calls, each as its argument tuple."""
+    calls = []
+    kernel = regression._fit_moments
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(regression, "_fit_moments", counted)
+    monkeypatch.setattr(sweep_module, "_fit_moments", counted)
+    return calls
+
+
+class TestSweepSummary:
+    @pytest.mark.parametrize("scenario", range(3), ids=["price", "return", "exponential"])
+    def test_one_exact_fit_per_sweep(self, scenario, exact_fits):
+        # the float bounds leave one candidate for the best window; every
+        # other cell is decided without the kernel
+        model, steps, sigma = POWER_SCENARIOS[scenario]
+        for seed in range(4):
+            excess = iterate_noisy(model, steps, sigma, seed)
+            for kind in ("price", "return"):
+                exact_fits.clear()
+                got = sweep_summary(excess, kind)
+                assert len(exact_fits) == 1, (seed, kind)
+                assert got == grid_summary(sweep(excess, kind))
+
+    @pytest.mark.parametrize("kind", ["price", "return"])
+    def test_tied_best_windows_go_to_the_first(self, kind, exact_fits):
+        # a block repeated across a non-positive value: the windows of the
+        # two runs pair up with equal pairs, so the best b_lower is tied,
+        # and only the tied windows need the kernel
+        block = list(iterate_noisy(POWER_SCENARIOS[0][0], 9, 0.01, 3).values)
+        excess = ExcessSeries(0, tuple(block + [-1.0] + block))
+        grid = sweep(excess, kind)
+        valid = grid.valid_items()
+        top = max(cell.b_lower for _, cell in valid)
+        ties = [key for key, cell in valid if cell.b_lower == top]
+        assert len(ties) == 2 and ties[1][0] > len(block)
+        exact_fits.clear()
+        got = sweep_summary(excess, kind)
+        assert len(exact_fits) == 2
+        assert (got["best_window"]["start"], got["best_window"]["end"]) == ties[0]
+        assert got == grid_summary(grid)
 
 
 class TestGridExport:
