@@ -25,6 +25,7 @@ from .series import (
     PriceSeries,
     Window,
     _check_min_window,
+    _check_number,
     excess_series,
 )
 from .sweep import SweepGrid, sweep, sweep_summary
@@ -174,6 +175,7 @@ def classify_series(
     of at least MIN_WINDOW or an explicit ``window`` outside the series
     raises InvalidConfig.
     """
+    _check_number("theta", theta)
     if not math.isfinite(theta):
         raise InvalidConfig(f"theta must be finite, got {theta}")
     if not 0.0 < theta <= 1.0:

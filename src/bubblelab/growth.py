@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import FiniteHorizonSingularity, InvalidConfig, ReturnOverflow
-from .series import ExcessSeries, _check_int
+from .series import ExcessSeries, _check_int, _check_number
 
 EXPONENTIAL = "exponential"
 PRICE_FEEDBACK = "price_feedback"
@@ -48,11 +48,14 @@ class GrowthModel:
     def __post_init__(self):
         if self.variant not in (EXPONENTIAL, PRICE_FEEDBACK, RETURN_FEEDBACK):
             raise InvalidConfig(f"unknown model variant {self.variant!r}")
-        if not self.start > 0:
-            raise InvalidConfig(f"initial excess price must be positive, got {self.start}")
         for name in ("a", "b", "start"):
+            _check_number(f"parameter {name}", getattr(self, name))
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"parameter {name} must be finite")
+        if not self.start > 0:
+            raise InvalidConfig(f"initial excess price must be positive, got {self.start}")
+        if self.initial_log_return is not None:
+            _check_number("initial log-return", self.initial_log_return)
         if self.variant == RETURN_FEEDBACK:
             if self.initial_log_return is None or not math.isfinite(
                 self.initial_log_return
@@ -112,6 +115,7 @@ def iterate_noisy(
     model: GrowthModel, steps: int, sigma: float, seed: int
 ) -> ExcessSeries:
     """Iterate with Gaussian noise of std-dev ``sigma`` on each log-growth."""
+    _check_number("noise std-dev", sigma)
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidConfig(f"noise std-dev must be finite and non-negative, got {sigma}")
     _check_int("seed", seed)

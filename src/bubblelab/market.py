@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InsufficientHistory, InvalidConfig
-from .series import ExperimentParams, PriceSeries, _check_int, write_csv
+from .series import ExperimentParams, PriceSeries, _check_int, _check_number, write_csv
 
 FUNDAMENTALIST = "fundamentalist"
 RATIONAL_BUBBLE = "rational_bubble"
@@ -57,6 +57,7 @@ class AgentSpec:
         if self.kind not in _KINDS:
             raise InvalidConfig(f"unknown agent kind {self.kind!r}")
         for name in ("rate", "scale", "anchor", "a", "b", "sigma"):
+            _check_number(f"agent parameter {name}", getattr(self, name))
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"agent parameter {name} must be finite")
         if self.sigma < 0:
@@ -101,13 +102,6 @@ class AgentSpec:
 # the error reaches seven monetary units.
 MAX_PAYOFF = 1300.0
 PAYOFF_SCALE = 1300.0 / 49.0
-
-
-def _check_number(name: str, value) -> None:
-    """Raise InvalidConfig unless ``value`` is an int or a float (a bool
-    is not a number here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfig(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

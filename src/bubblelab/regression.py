@@ -187,122 +187,31 @@ def _fit_moments(
     return fit
 
 
-# The float filter's bounds (see _estimate_fit): the relative distance it
-# allows between its float estimates and the kernel's lower bounds, the
-# factor by which det must outweigh the error of the kernel's residual
-# sum of squares, and the least standard error it estimates in floats.
-_FILTER_TOLERANCE = 2.0**-40
-_FILTER_GUARD = 2.0**58
-_FILTER_TINY = 2.0**-1000
-
-
-def _estimate_fit(n, sx, sy, sxx, sxy, syy, p, tq, floor):
-    """What floats prove about the kernel's fit from these moments, with
-    ``tq`` its t-quantile: ``(significant, lower, upper)``, or None where
-    floats cannot decide whether the fit is significant.
-
-    ``significant`` is True when both of the fit's lower bounds are > 0
-    and False when one is <= 0.  The fit's b_lower is at most ``upper``,
-    and at least ``lower`` where a bound above ``floor`` is proven;
-    ``lower`` is -inf otherwise.
-
-    Error analysis (u = 2**-53; X = x * 2**p and so on are the scaled
-    data, and every quantity below is at that scale, where the sign of a
-    lower bound is the sign of the kernel's).  The centred sums cxx, cxy,
-    cyy and det = cxx*cyy - cxy**2 are exact ints, each rounded once to
-    float.  det = n*cxx * SSR*, with SSR* the least-squares residual sum
-    of squares, so the exact se_b = sqrt(det / df) / cxx and
-    se_a = se_b * sqrt(sxx / n).  With m = |sy| + |b * sx|, which bounds
-    the two terms whose difference is n * a (a cancellation there only
-    widens the bound on a), these roundings put the estimates within 5u
-    |b| of b, 4u of se_b, 7u of se_a and 8u * m / n of a.  The kernel's
-    b is within u |b| of the exact slope and its a within 2u * m / n of
-    the exact intercept.  So each lower bound of the kernel lies within
-    2**-49 of the scale |b| + t * se_b (for a: m / n + t * se_a) of its
-    estimate, *but* for one term: the kernel's standard errors come from
-    the residual sum of squares of its rounded (a, b).  That exceeds
-    SSR* by n * (u * m / n)**2 + (u * b)**2 * cxx / n at most, a relative
-    excess rho <= u**2 * cxx * (m**2 + cyy) / det, and never falls short
-    of it.  So the kernel's lower bounds are never *above* the estimates
-    by more than the float error: ``upper``, and the decision that a fit
-    is not significant, hold whatever rho is.  ``lower``, and the
-    decision that a fit is significant, need rho small: near-perfect
-    fits, where det is small against cxx * cyy, and responses whose
-    spread is a few ulps of their mean, where det is small against
-    cxx * m**2, make rho large.  So both require the guard
-    cxx * (cyy + m**2) <= 2**58 * det, which holds rho to 2**-48 and its
-    effect on se_a and se_b to 2**-49.
-
-    The filter allows 2**-40 of the scale: 256 times the 2**-48 these
-    bounds add up to, which also covers the rounding of the decision
-    arithmetic itself.  A term n * 2**(p - 1022) in m covers the absolute
-    rounding of the kernel's unscaled floats below the normal range.
-    Standard errors below 2**-1000, where floats lose bits, and ints or
-    bounds too large for a float give None.
-    """
-    cxx = n * sxx - sx * sx
-    cxy = n * sxy - sx * sy
-    cyy = n * syy - sy * sy
-    try:
-        fxx = float(cxx)
-        fdet = float(cxx * cyy - cxy * cxy)
-        b = float(cxy) / fxx
-        se_b = math.sqrt(fdet / (n - 2)) / fxx
-        tse = tq * se_b
-        b_lower = b - tse
-        db = _FILTER_TOLERANCE * ((b if b > 0.0 else -b) + tse)
-        if not (se_b >= _FILTER_TINY and db < math.inf):
-            return None
-        upper = b_lower + db
-        lower = b_lower - db
-        if upper < 0.0 and lower <= floor:  # not significant, and no news
-            return False, -math.inf, upper
-        fsx = float(sx)
-        fsy = float(sy)
-        bsx = b * fsx
-        m = (fsy if fsy > 0.0 else -fsy) + (bsx if bsx > 0.0 else -bsx)
-        m += math.ldexp(n, p - 1022)
-        if upper < 0.0:
-            significant = False
-        else:
-            se_a = se_b * math.sqrt(float(sxx) / n)
-            a_lower = (fsy - bsx) / n - tq * se_a
-            da = _FILTER_TOLERANCE * (m / n + tq * se_a)
-            if a_lower + da < 0.0:
-                significant = False
-            elif lower > 0.0 and a_lower - da > 0.0:
-                significant = True
-            else:  # a lower bound straddles 0, or a float overflowed
-                return None
-        if (significant or lower > floor) and (
-            fxx * (float(cyy) + m * m) <= _FILTER_GUARD * fdet
-        ):
-            return significant, lower, upper
-        if significant:
-            return None  # rho may be too large to call it significant
-        return False, -math.inf, upper
-    except OverflowError:  # an int beyond the float range
-        pass
-    return None
-
-
 def _spread_start(rows, first):
-    """The least pair count n >= ``first`` at which the float regressors
-    of ``rows[:n]`` (rows as from ``_moment_rows``) are not degenerate,
-    or len(rows) + 1 when there is none.
+    """The least pair count n >= ``first`` (at least 1) at which the
+    float regressors of ``rows[:n]`` (rows as from ``_moment_rows``) are
+    not degenerate, or len(rows) + 1 when there is none.
 
     A window that grows by a point widens its spread at least as much as
     its scale max(|x|, 1), so once the spread passes the test every
-    longer window does.
+    longer window does: the first ``first`` regressors are tested at
+    once, then one more at a time.
     """
-    xmin, xmax = math.inf, -math.inf
-    for n, row in enumerate(rows, 1):
-        xv = row[5]
-        xmin = min(xmin, xv)
-        xmax = max(xmax, xv)
-        if n >= first and xmax - xmin > _DEGENERACY * max(abs(xmax), abs(xmin), 1.0):
-            return n
-    return len(rows) + 1
+    xs = [row[5] for row in rows[:first]]
+    if len(xs) < first:
+        return len(rows) + 1
+    xmin, xmax = min(xs), max(xs)
+    n = first
+    while not xmax - xmin > _DEGENERACY * max(abs(xmax), abs(xmin), 1.0):
+        if n == len(rows):
+            return n + 1
+        xv = rows[n][5]
+        n += 1
+        if xv < xmin:
+            xmin = xv
+        elif xv > xmax:
+            xmax = xv
+    return n
 
 
 def _window_fits(model, rows, p, first, one_sided):

@@ -33,6 +33,13 @@ def _check_int(name: str, value) -> None:
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
 
 
+def _check_number(name: str, value) -> None:
+    """Raise InvalidConfig unless ``value`` is an int or a float (a bool
+    is not a number here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+
+
 def _check_min_window(min_window) -> None:
     """Raise InvalidConfig unless ``min_window`` is an integer of at least
     MIN_WINDOW."""
@@ -58,6 +65,7 @@ class ExperimentParams:
     def __post_init__(self):
         for name in ("r", "dividend", "p_min", "p_max"):
             value = getattr(self, name)
+            _check_number(name, value)
             if not math.isfinite(value):
                 raise InvalidConfig(f"{name} must be finite, got {value}")
         if not self.r > 0:
@@ -106,7 +114,10 @@ class Series:
 
     def __post_init__(self):
         _check_int("t0", self.t0)
-        vals = tuple(float(v) for v in self.values)
+        try:
+            vals = tuple(float(v) for v in self.values)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidConfig(f"series values must be numbers: {exc}") from None
         if not vals:
             raise InvalidConfig("series needs at least one value")
         for i, v in enumerate(vals):

@@ -18,7 +18,6 @@ from .errors import InvalidConfig
 from .regression import (
     _LAGS,
     OlsFit,
-    _estimate_fit,
     _fit_moments,
     _moment_rows,
     _pairs,
@@ -45,6 +44,14 @@ _DEGENERATE = InvalidCell("DegenerateRegressor")
 
 # an OlsFit's field names in declaration order, the keys of a best window's "fit"
 _FIT_FIELDS = tuple(f.name for f in fields(OlsFit))
+
+# sweep_summary's float filter: the relative distance it allows between
+# its float estimates and the kernel's lower bounds, the factor by which
+# det must outweigh the error of the kernel's residual sum of squares,
+# and the least standard error it estimates in floats
+_FILTER_TOLERANCE = 2.0**-40
+_FILTER_GUARD = 2.0**58
+_FILTER_TINY = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -154,14 +161,57 @@ def sweep_summary(
 
     The summary needs, of each valid cell, only whether it is significant
     and, of the first cell with the greatest b_lower, the kernel's fit.
-    ``regression._estimate_fit`` proves both bounds of most cells in
-    floats; the kernel fits at once the cells it cannot decide.  The
-    floor is the greatest b_lower known to be reached: a proven lower
-    bound, or a fitted cell's b_lower.  A cell whose upper bound lies
-    below the floor is beaten by some cell, so only the cells whose upper
-    bound reaches the floor are kept, in key order, and the kernel fits
-    those that are left at the end; the first strict maximum among them
-    is the best window.
+    A float filter proves both of most cells in floats, from bounds on
+    the kernel's b_lower and a_lower; the kernel fits at once the cells
+    it cannot decide.  The floor is the greatest b_lower known to be
+    reached: a proven lower bound, or a fitted cell's b_lower.  A cell
+    whose upper bound lies below the floor is beaten by some cell, so
+    only the cells whose upper bound reaches the floor are kept, in key
+    order, and the kernel fits those that are left at the end; the first
+    strict maximum among them is the best window.
+
+    The sign rule settles a cell before any float work once the floor is
+    > 0.  The regressor is not constant, so cxx = n*Sxx - Sx**2 > 0, and
+    the kernel's slope b = cxy / cxx is correctly rounded, so it has the
+    sign of the exact int cxy = n*Sxy - Sx*Sy (or is 0).  Its b_lower =
+    b - t * se_b subtracts a non-negative float, and rounding is
+    monotone, so b_lower <= b.  A cell with cxy <= 0 thus has b_lower <=
+    0 < floor: it is not significant, and some cell beats it.  It is
+    counted as valid and not kept.
+
+    Error analysis of the filter (u = 2**-53; X = x * 2**p and so on are
+    the scaled data, and every quantity below is at that scale, where the
+    sign of a lower bound is the sign of the kernel's).  The centred sums
+    cxx, cxy, cyy and det = cxx*cyy - cxy**2 are exact ints, each rounded
+    once to float.  det = n*cxx * SSR*, with SSR* the least-squares
+    residual sum of squares, so the exact se_b = sqrt(det / df) / cxx and
+    se_a = se_b * sqrt(sxx / n).  With m = |sy| + |b * sx|, which bounds
+    the two terms whose difference is n * a (a cancellation there only
+    widens the bound on a), these roundings put the estimates within 5u
+    |b| of b, 4u of se_b, 7u of se_a and 8u * m / n of a.  The kernel's
+    b is within u |b| of the exact slope and its a within 2u * m / n of
+    the exact intercept.  So each lower bound of the kernel lies within
+    2**-49 of the scale |b| + t * se_b (for a: m / n + t * se_a) of its
+    estimate, *but* for one term: the kernel's standard errors come from
+    the residual sum of squares of its rounded (a, b).  That exceeds
+    SSR* by n * (u * m / n)**2 + (u * b)**2 * cxx / n at most, a relative
+    excess rho <= u**2 * cxx * (m**2 + cyy) / det, and never falls short
+    of it.  So the kernel's lower bounds are never *above* the estimates
+    by more than the float error: ``upper``, and the decision that a fit
+    is not significant, hold whatever rho is.  ``lower``, and the
+    decision that a fit is significant, need rho small: near-perfect
+    fits, where det is small against cxx * cyy, and responses whose
+    spread is a few ulps of their mean, where det is small against
+    cxx * m**2, make rho large.  So both require the guard
+    cxx * (cyy + m**2) <= 2**58 * det, which holds rho to 2**-48 and its
+    effect on se_a and se_b to 2**-49.
+
+    The filter allows 2**-40 of the scale: 256 times the 2**-48 these
+    bounds add up to, which also covers the rounding of the decision
+    arithmetic itself.  A term n * 2**(p - 1022) in m covers the absolute
+    rounding of the kernel's unscaled floats below the normal range.
+    Standard errors below 2**-1000, where floats lose bits, and ints or
+    bounds too large for a float go to the kernel.
     """
     lo, hi, vals = _span(excess, model, window, min_window)
     lag = _LAGS[model]
@@ -196,14 +246,52 @@ def sweep_summary(
             syy += yy
             if n < spread:
                 continue
-            est = _estimate_fit(n, sx, sy, sxx, sxy, syy, p, tqs[n], floor)
-            if est is None:
+            cxy = n * sxy - sx * sy
+            if cxy <= 0 < floor:  # the sign rule: b_lower <= 0 < floor
+                continue
+            cxx = n * sxx - sx * sx
+            cyy = n * syy - sy * sy
+            tq = tqs[n]
+            cell = None
+            # significant: False or True where floats decide it, None where
+            # the kernel must; upper and lower bound the kernel's b_lower
+            # (lower only where it is proven above the floor)
+            try:
+                fxx = float(cxx)
+                fdet = float(cxx * cyy - cxy * cxy)
+                b = float(cxy) / fxx
+                se_b = math.sqrt(fdet / (n - 2)) / fxx
+                tse = tq * se_b
+                b_lower = b - tse
+                db = _FILTER_TOLERANCE * ((b if b > 0.0 else -b) + tse)
+                upper = b_lower + db
+                lower = b_lower - db
+                significant = False
+                if not (se_b >= _FILTER_TINY and db < math.inf):
+                    significant = None
+                elif upper >= 0.0 or lower > floor:  # else not significant, and no news
+                    fsy = float(sy)
+                    bsx = b * float(sx)
+                    m = (fsy if fsy > 0.0 else -fsy) + (bsx if bsx > 0.0 else -bsx)
+                    m += math.ldexp(n, p - 1022)
+                    if upper >= 0.0:
+                        se_a = se_b * math.sqrt(float(sxx) / n)
+                        a_lower = (fsy - bsx) / n - tq * se_a
+                        da = _FILTER_TOLERANCE * (m / n + tq * se_a)
+                        if a_lower + da >= 0.0:  # None: a lower bound straddles 0
+                            significant = (lower > 0.0 and a_lower - da > 0.0) or None
+                    if significant is not None and (significant or lower > floor) and not (
+                        fxx * (float(cyy) + m * m) <= _FILTER_GUARD * fdet
+                    ):  # rho may be too large to prove lower or significance
+                        if significant:
+                            significant = None
+                        lower = -math.inf
+            except OverflowError:  # an int beyond the float range
+                significant = None
+            if significant is None:
                 cell = _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
                 lower = upper = cell.b_lower
                 significant = cell.a_lower > 0.0 and upper > 0.0
-            else:
-                significant, lower, upper = est
-                cell = None
             if significant:
                 n_sig += 1
             if upper >= floor:

@@ -7,7 +7,9 @@ no gamma function) and by the package's closed forms in 40-digit
 formula), least squares by derivative-free descent on
 the raw sum of squared residuals (no normal equations) and by centred
 and residual-by-residual sums over ``fractions.Fraction`` (no integer
-moments), and window counts by a loop (no closed form).
+moments), window counts by a loop (no closed form), and the first
+non-degenerate window by taking each window's spread afresh (no running
+minimum and maximum).
 
 ``t_quantile_reference`` is the exception: it is the package's original
 bisection of ``t_cdf``, kept verbatim because it defines the float that
@@ -226,6 +228,18 @@ def triangular_cell_count_loop(start_range, end_range, min_window):
         if first_e <= end_range[1]:
             total += end_range[1] - first_e + 1
     return total
+
+
+def spread_start_loop(xs, first: int) -> int:
+    """The least n >= ``first`` (at least 1) at which the regressors
+    xs[:n] are not degenerate, their spread above 32 ulps of 1.0 times
+    max(|x|, 1), with each window's min and max taken afresh; len(xs) + 1
+    when there is none."""
+    for n in range(first, len(xs) + 1):
+        lo, hi = min(xs[:n]), max(xs[:n])
+        if hi - lo > 32.0 * sys.float_info.epsilon * max(abs(lo), abs(hi), 1.0):
+            return n
+    return len(xs) + 1
 
 
 def t_quantile_reference(p: float, df: int) -> float:

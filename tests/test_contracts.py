@@ -94,6 +94,13 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NON_INTEGER = st.one_of(st.floats(), st.booleans())
 NON_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 BELOW_MIN_WINDOW = st.integers(max_value=bubblelab.MIN_WINDOW - 1)
+# no int or float: text, None, a bool, a fraction, a complex number, a tuple
+NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.fractions(0, 1),
+                         st.complex_numbers(), st.tuples(st.floats()))
+# what float() cannot convert: text from letters no float is spelt with,
+# None, a complex number, a tuple
+NOT_FLOAT_CONVERTIBLE = st.one_of(st.text(alphabet="abcxyz,;", max_size=4), st.none(),
+                                  st.complex_numbers(), st.tuples(st.floats()))
 
 
 def _replace(values, i, v):
@@ -130,6 +137,9 @@ CONTRACTS = [
     Contract(ExperimentParams, "constant NaN or infinite",
              st.tuples(st.sampled_from(["r", "dividend", "p_min", "p_max"]), NON_FINITE),
              lambda kv: ExperimentParams(**dict([kv])), InvalidConfig),
+    Contract(ExperimentParams, "constant not a number",
+             st.tuples(st.sampled_from(["r", "dividend", "p_min", "p_max"]), NOT_A_NUMBER),
+             lambda kv: ExperimentParams(**dict([kv])), InvalidConfig),
     Contract(ExperimentParams, "n_traders not an integer", NON_INTEGER,
              lambda v: ExperimentParams(n_traders=v), InvalidConfig),
     Contract(ExperimentParams, "no traders", st.integers(max_value=0),
@@ -141,6 +151,9 @@ CONTRACTS = [
     Contract(ExperimentParams, "fundamental outside the band", st.floats(0.0, 59.0),
              lambda v: ExperimentParams(p_max=v), InvalidConfig),
     Contract(Series, "value NaN or infinite", st.tuples(st.integers(0, 4), NON_FINITE),
+             lambda iv: Series(0, _replace((1.0,) * 5, *iv)), InvalidConfig),
+    Contract(Series, "value not a number",
+             st.tuples(st.integers(0, 4), NOT_FLOAT_CONVERTIBLE),
              lambda iv: Series(0, _replace((1.0,) * 5, *iv)), InvalidConfig),
     Contract(Series, "no values", st.integers(), lambda t0: Series(t0, ()), InvalidConfig),
     Contract(Series, "t0 not an integer", NON_INTEGER,
@@ -185,6 +198,11 @@ CONTRACTS = [
              st.tuples(st.sampled_from(["a", "b", "start"]), NON_FINITE),
              lambda kv: GrowthModel("price_feedback", **{"a": 0.1, **dict([kv])}),
              InvalidConfig),
+    Contract(GrowthModel, "parameter not a number",
+             st.tuples(st.sampled_from(["a", "b", "start", "initial_log_return"]), NOT_A_NUMBER),
+             lambda kv: GrowthModel("return_feedback",
+                                    **{"a": 0.1, "initial_log_return": 0.1, **dict([kv])}),
+             InvalidConfig),
     Contract(GrowthModel, "non-positive start", NON_POSITIVE,
              lambda v: GrowthModel.exponential(0.1, start=v), InvalidConfig),
     Contract(GrowthModel, "initial log-return NaN or infinite", NON_FINITE,
@@ -200,6 +218,8 @@ CONTRACTS = [
              lambda a: iterate(GrowthModel.exponential(a), 3), FiniteHorizonSingularity),
     Contract(iterate_noisy, "noise NaN, infinite or negative",
              st.one_of(NON_FINITE, st.floats(max_value=-1e-300)),
+             lambda s: iterate_noisy(GrowthModel.exponential(0.1), 3, s, 0), InvalidConfig),
+    Contract(iterate_noisy, "noise not a number", NOT_A_NUMBER,
              lambda s: iterate_noisy(GrowthModel.exponential(0.1), 3, s, 0), InvalidConfig),
     Contract(iterate_noisy, "seed not an integer", NON_INTEGER,
              lambda v: iterate_noisy(GrowthModel.exponential(0.1), 3, 0.1, v), InvalidConfig),
@@ -217,6 +237,10 @@ CONTRACTS = [
     Contract(AgentSpec, "parameter NaN or infinite",
              st.tuples(st.sampled_from(["rate", "scale", "anchor", "a", "b", "sigma"]),
                        NON_FINITE),
+             lambda kv: AgentSpec("noise", **dict([kv])), InvalidConfig),
+    Contract(AgentSpec, "parameter not a number",
+             st.tuples(st.sampled_from(["rate", "scale", "anchor", "a", "b", "sigma"]),
+                       NOT_A_NUMBER),
              lambda kv: AgentSpec("noise", **dict([kv])), InvalidConfig),
     Contract(AgentSpec, "negative noise", st.floats(max_value=-1e-300),
              lambda s: AgentSpec.noise(s), InvalidConfig),
@@ -348,6 +372,8 @@ CONTRACTS = [
              lambda m: detect_bubble_window(BUBBLE, PARAMS, min_window=m), InvalidConfig),
     Contract(classify_series, "theta NaN, infinite or outside (0, 1]",
              st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0 + 1e-15)),
+             lambda theta: classify_series(BUBBLE, PARAMS, theta=theta), InvalidConfig),
+    Contract(classify_series, "theta not a number", NOT_A_NUMBER,
              lambda theta: classify_series(BUBBLE, PARAMS, theta=theta), InvalidConfig),
     Contract(classify_series, "min_window not an integer", NON_INTEGER,
              lambda m: classify_series(BUBBLE, PARAMS, min_window=m), InvalidConfig),

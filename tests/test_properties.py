@@ -65,6 +65,7 @@ from bubblelab import (
     write_csv,
 )
 from bubblelab.cli import main as cli_main
+from bubblelab.regression import _moment_rows, _spread_start
 from bubblelab.sweep import sweep_summary
 
 from _oracles import (
@@ -74,6 +75,7 @@ from _oracles import (
     exact_ols,
     run_reference,
     sim_to_json_reference,
+    spread_start_loop,
     t_quantile_reference,
     write_csv_reference,
 )
@@ -254,6 +256,34 @@ def test_sweep_degenerate_cells_match_standalone_fits(values, model):
         assert cell == _standalone(model, excess, Window(s, e))
 
 
+@st.composite
+def regressor_values(draw):
+    """Regressors at the edges of the degeneracy test: drawn from a few
+    values (equal values, +-0.0, subnormals, +-1e300, mixed signs), a few
+    dozen ulps around one value, where the spread crosses the 32-ulp
+    threshold, or any finite floats."""
+    kind = draw(st.sampled_from(["pool", "ulps", "any"]))
+    if kind == "pool":
+        pool = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.0, -1.0, 3.5, 1e300, -1e300]
+        return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    if kind == "ulps":
+        # 1.0 - 32 ulps and 1.0, or 0.5 -+ 32 ulps, are exactly the threshold apart
+        base = draw(st.sampled_from([0.0, 1e-310, 0.5, 1.0, -1.0, 12.75, 1e300, -1e300]))
+        ks = draw(st.lists(st.one_of(st.integers(-70, 70), st.sampled_from([-32, 0, 32])),
+                           min_size=1, max_size=10))
+        return [base + k * math.ulp(base) for k in ks]
+    return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=10))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(regressor_values())
+def test_spread_start_equals_a_plain_loop(xs):
+    rows, _ = _moment_rows(xs, [0.0] * len(xs))
+    for first in range(1, len(xs) + 3):
+        assert _spread_start(rows, first) == spread_start_loop(xs, first), first
+
+
 @PROPERTY
 @given(
     st.lists(excess_value, min_size=5, max_size=16),
@@ -398,6 +428,40 @@ def test_filtered_tally_equals_the_grid_summary(values, model, min_window, one_s
     got = sweep_summary(excess, model, window, min_window, one_sided)
     # repr spells every key in order and every float to its last bit
     assert repr(got) == repr(want)
+
+
+@st.composite
+def burst_then_slowdown(draw):
+    """A noisy price-feedback burst, whose windows usually prove a
+    positive b_lower, then a stretch where the price model's slope is 0
+    or below: noiseless doubling or halving, whose log growth is one
+    constant, so cxy is exactly 0 on the windows inside it, or a growth
+    rate that decays, or alternates in sign as it decays."""
+    model = GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0)
+    burst = iterate_noisy(model, draw(st.integers(8, 20)), draw(st.sampled_from([1e-3, 1e-2])),
+                          draw(st.integers(0, 999))).values
+    steps = draw(st.integers(5, 20))
+    if draw(st.booleans()):
+        factor = draw(st.sampled_from([2.0, 0.5]))
+        return burst + tuple(burst[-1] * factor**k for k in range(1, steps + 1))
+    g = draw(st.floats(0.05, 0.3))
+    decay = draw(st.sampled_from([0.8, 0.5, -0.5, -0.8]))
+    tail = [burst[-1]]
+    for _ in range(steps):
+        tail.append(tail[-1] * math.exp(g))
+        g *= decay
+    return burst + tuple(tail[1:])
+
+
+@settings(PROPERTY, max_examples=200)
+@given(burst_then_slowdown(), st.sampled_from(["price", "return"]))
+def test_sign_rule_keeps_the_tally_equal_to_the_grid_summary(values, model):
+    # cells with cxy <= 0 after a positive floor are settled by that sign
+    # alone; the tally must not move, at either confidence level
+    excess = ExcessSeries(0, values)
+    for one_sided in (False, True):
+        want = grid_summary(sweep(excess, model, one_sided=one_sided))
+        assert repr(sweep_summary(excess, model, one_sided=one_sided)) == repr(want)
 
 
 @pytest.mark.parametrize("args", [

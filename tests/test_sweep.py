@@ -277,6 +277,21 @@ class TestSweepSummary:
         assert (got["best_window"]["start"], got["best_window"]["end"]) == ties[0]
         assert got == grid_summary(grid)
 
+    def test_sign_rule_settles_windows_after_a_positive_floor(self, exact_fits):
+        # a burst whose windows prove a positive b_lower, then noiseless
+        # doubling: every price-model window from t = 20 on has one
+        # constant log growth, so cxy is exactly 0 and the fit is perfect.
+        # Floats cannot bound a perfect fit; the sign of cxy settles it
+        burst = iterate_noisy(POWER_SCENARIOS[0][0], 20, 0.01, 0).values
+        excess = ExcessSeries(0, burst + tuple(burst[-1] * 2.0**k for k in range(1, 16)))
+        grid = sweep(excess, "price")
+        flat = [cell for (s, _), cell in grid.valid_items() if s >= 20]
+        assert len(flat) == triangular_cell_count(16, 5)
+        assert all(cell.b == 0.0 and cell.perfect for cell in flat)
+        exact_fits.clear()
+        assert sweep_summary(excess, "price") == grid_summary(grid)
+        assert len(exact_fits) == 1
+
 
 class TestGridExport:
     def test_csv_layout_and_precision(self):
