@@ -66,7 +66,7 @@ from bubblelab import (
 )
 from bubblelab.cli import main as cli_main
 from bubblelab.regression import _moment_rows, _spread_start
-from bubblelab.sweep import sweep_summary
+from bubblelab.sweep import sweep_summary, write_grid
 
 from _oracles import (
     agent_forecast_reference,
@@ -431,16 +431,17 @@ def test_filtered_tally_equals_the_grid_summary(values, model, min_window, one_s
 
 
 @st.composite
-def burst_then_slowdown(draw):
+def burst_then_slowdown(draw, burst_steps=(8, 20), slow_steps=(5, 20)):
     """A noisy price-feedback burst, whose windows usually prove a
     positive b_lower, then a stretch where the price model's slope is 0
     or below: noiseless doubling or halving, whose log growth is one
     constant, so cxy is exactly 0 on the windows inside it, or a growth
-    rate that decays, or alternates in sign as it decays."""
+    rate that decays, or alternates in sign as it decays.  The two
+    stretches take step counts in the given inclusive ranges."""
     model = GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0)
-    burst = iterate_noisy(model, draw(st.integers(8, 20)), draw(st.sampled_from([1e-3, 1e-2])),
-                          draw(st.integers(0, 999))).values
-    steps = draw(st.integers(5, 20))
+    burst = iterate_noisy(model, draw(st.integers(*burst_steps)),
+                          draw(st.sampled_from([1e-3, 1e-2])), draw(st.integers(0, 999))).values
+    steps = draw(st.integers(*slow_steps))
     if draw(st.booleans()):
         factor = draw(st.sampled_from([2.0, 0.5]))
         return burst + tuple(burst[-1] * factor**k for k in range(1, steps + 1))
@@ -464,20 +465,81 @@ def test_sign_rule_keeps_the_tally_equal_to_the_grid_summary(values, model):
         assert repr(sweep_summary(excess, model, one_sided=one_sided)) == repr(want)
 
 
-@pytest.mark.parametrize("args", [
+@settings(PROPERTY, max_examples=150)
+@given(st.one_of(tally_series(), burst_then_slowdown((8, 10), (3, 6))),
+       st.sampled_from(["price", "return"]), st.sampled_from([5, 6]), st.booleans(), st.data())
+def test_each_cell_is_significant_where_its_sub_span_tallies_say(
+        values, model, min_window, one_sided, draw):
+    # significant(s, e) = S(s, e) - S(s+1, e) - S(s, e-1) + S(s+1, e-1),
+    # with S the significant count of the summary of a sub-span: cells
+    # depend only on their windows, so this pins each cell's decision,
+    # where equal tallies could hide a flip each way
+    excess = ExcessSeries(0, tuple(values))
+    lo = draw.draw(st.integers(0, excess.t_end - 4))
+    hi = draw.draw(st.integers(lo + 4, min(excess.t_end, lo + 13)))
+    grid = sweep(excess, model, Window(lo, hi), min_window, one_sided)
+    tallies = {}
+
+    def significant(s, e):
+        if e - s + 1 < min_window:
+            return 0
+        if (s, e) not in tallies:
+            summary = sweep_summary(excess, model, Window(s, e), min_window, one_sided)
+            tallies[s, e] = summary["significant_cells"]
+        return tallies[s, e]
+
+    for (s, e), cell in grid.cells.items():
+        want = isinstance(cell, OlsFit) and cell.a_lower > 0.0 and cell.b_lower > 0.0
+        got = (significant(s, e) - significant(s + 1, e) - significant(s, e - 1)
+               + significant(s + 1, e - 1))
+        assert got == want, (s, e)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(tally_series(), flat_then_varying()), st.sampled_from(["price", "return"]),
+       st.sampled_from([5, 6, 7]), st.booleans(), st.data())
+def test_written_grid_is_the_grid_csv_and_its_summary(values, model, min_window, one_sided, draw):
+    excess = ExcessSeries(draw.draw(st.integers(-3, 3)), tuple(values))
+    window = None
+    if draw.draw(st.booleans()):
+        lo = draw.draw(st.integers(excess.t0, excess.t_end - 4))
+        window = Window(lo, draw.draw(st.integers(lo + 4, excess.t_end)))
+    grid = sweep(excess, model, window, min_window, one_sided)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.csv"
+        got = write_grid(path, excess, model, window, min_window, one_sided)
+        assert path.read_bytes() == grid_to_csv(grid).encode("utf-8")
+    # repr spells every key in order and every float to its last bit
+    assert repr(got) == repr(grid_summary(grid))
+
+
+BAD_SWEEP_ARGS = [
     ("level", None, 5),  # no such model
     ("price", None, 4),  # min_window below MIN_WINDOW
     ("price", None, 5.0),  # min_window not an integer
     ("return", Window(-2, 5), 5),  # window outside the series
     ("price", Window(10, 20), 5),
-])
+]
+BAD_SWEEP_EXCESS = ExcessSeries(0, (1.0, 2.0, 4.0, 8.0, 16.0, 33.0, 70.0, 150.0))
+
+
+@pytest.mark.parametrize("args", BAD_SWEEP_ARGS)
 def test_filtered_tally_raises_what_the_sweep_raises(args):
     model, window, min_window = args
-    excess = ExcessSeries(0, (1.0, 2.0, 4.0, 8.0, 16.0, 33.0, 70.0, 150.0))
     with pytest.raises(BubbleLabError) as swept:
-        sweep(excess, model, window, min_window)
+        sweep(BAD_SWEEP_EXCESS, model, window, min_window)
     with pytest.raises(type(swept.value), match=re.escape(str(swept.value))):
-        sweep_summary(excess, model, window, min_window)
+        sweep_summary(BAD_SWEEP_EXCESS, model, window, min_window)
+
+
+@pytest.mark.parametrize("args", BAD_SWEEP_ARGS)
+def test_grid_writer_raises_what_the_sweep_raises_and_writes_nothing(args, tmp_path):
+    model, window, min_window = args
+    with pytest.raises(BubbleLabError) as swept:
+        sweep(BAD_SWEEP_EXCESS, model, window, min_window)
+    with pytest.raises(type(swept.value), match=re.escape(str(swept.value))):
+        write_grid(tmp_path / "grid.csv", BAD_SWEEP_EXCESS, model, window, min_window)
+    assert list(tmp_path.iterdir()) == []
 
 
 @st.composite
