@@ -57,7 +57,7 @@ class OlsFit:
 
 
 class _OpenFit:
-    """An unfrozen twin of ``OlsFit`` with the same slots, for the kernel.
+    """An unfrozen twin of ``OlsFit`` with the same slots, for ``_fit``.
 
     The frozen dataclass ``__init__`` stores each of its 11 fields with
     its own ``object.__setattr__`` call, which made building the result
@@ -78,6 +78,22 @@ class _OpenFit:
         self.df = df
         self.r2 = r2
         self.perfect = perfect
+
+
+def _fit(model: str, numbers: tuple) -> OlsFit:
+    """The ``OlsFit`` of ``model`` with the kernel's ``numbers``."""
+    fit = _OpenFit(model, *numbers)
+    fit.__class__ = OlsFit  # same slot layout: from here on a frozen OlsFit
+    return fit
+
+
+def _quantiles(tqs: list, one_sided: bool, n: int) -> list:
+    """Extend ``tqs``, the t-quantile of the lower bounds at each pair
+    count (its index), to every pair count up to n; returns it."""
+    level = 0.95 if one_sided else 0.975
+    while len(tqs) <= n:
+        tqs.append(t_quantile(level, len(tqs) - 2))
+    return tqs
 
 
 def _moment_rows(xs, ys) -> Tuple[list, int]:
@@ -113,7 +129,6 @@ def _sqrt_ratio(num: int, den: int) -> float:
 
 
 def _fit_moments(
-    model: str,
     n: int,
     sx: int,
     sy: int,
@@ -121,11 +136,14 @@ def _fit_moments(
     sxy: int,
     syy: int,
     p: int,
-    one_sided: bool,
-) -> OlsFit:
-    """The OLS kernel: an ``OlsFit`` from the exact moments of the scaled
-    data X = x * 2**p, Y = y * 2**p (sums of X, Y, X*X, X*Y, Y*Y over n
-    pairs; the regressor must not be constant).
+    tq: float,
+) -> tuple:
+    """The OLS kernel: a fit from the exact moments of the scaled data
+    X = x * 2**p, Y = y * 2**p (sums of X, Y, X*X, X*Y, Y*Y over n pairs;
+    the regressor must not be constant), with lower bounds ``tq``
+    standard errors below each coefficient.  Returns the fit's numbers,
+    ``(a, b, se_a, se_b, a_lower, b_lower, n, df, r2, perfect)``: the
+    fields of ``OlsFit`` after ``model``, in order (``_fit`` builds one).
 
     Every quantity is an exact rational until its one rounding to float
     (int / int true division is correctly rounded): the slope b, then the
@@ -179,12 +197,7 @@ def _fit_moments(
     else:
         r2 = 1.0  # constant response fitted exactly
 
-    tq = t_quantile(0.95 if one_sided else 0.975, df)
-    fit = _OpenFit(
-        model, a, b, se_a, se_b, a - tq * se_a, b - tq * se_b, n, df, r2, nssr == 0
-    )
-    fit.__class__ = OlsFit  # same slot layout: from here on a frozen OlsFit
-    return fit
+    return a, b, se_a, se_b, a - tq * se_a, b - tq * se_b, n, df, r2, nssr == 0
 
 
 def _spread_start(rows, first):
@@ -214,12 +227,13 @@ def _spread_start(rows, first):
     return n
 
 
-def _window_fits(model, rows, p, first, one_sided):
-    """Yield, shortest first, the kernel's fit of every window of at
+def _window_fits(rows, p, first, tqs):
+    """Yield, shortest first, the kernel's numbers of every window of at
     least ``first`` of the pairs that starts at the first pair (``rows``
     as from ``_moment_rows``, scaled by 2**p), or None where the float
-    regressors are degenerate (see ``_spread_start``).  Each window adds
-    one pair to the exact moments of the one before.
+    regressors are degenerate (see ``_spread_start``).  ``tqs`` holds the
+    t-quantile of each pair count up to len(rows) (see ``_quantiles``).
+    Each window adds one pair to the exact moments of the one before.
     """
     spread = _spread_start(rows, first)
     n = sx = sy = sxx = sxy = syy = 0
@@ -231,7 +245,7 @@ def _window_fits(model, rows, p, first, one_sided):
         sxy += xy
         syy += yy
         if n >= spread:
-            yield _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
+            yield _fit_moments(n, sx, sy, sxx, sxy, syy, p, tqs[n])
         elif n >= first:
             yield None
 
@@ -258,14 +272,14 @@ def ols2(
     try:
         x = [float(v) for v in x]
         rows, p = _moment_rows(x, [float(v) for v in y])
-        fit = next(_window_fits(model, rows, p, n, one_sided))
+        numbers = next(_window_fits(rows, p, n, _quantiles([None] * n, one_sided, n)))
     except OverflowError as exc:  # from float(int) or the kernel's int / int
         raise InvalidConfig(f"regression data or fit beyond the float range: {exc}") from None
-    if fit is None:
+    if numbers is None:
         raise DegenerateRegressor(
             f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
         )
-    return fit
+    return _fit(model, numbers)
 
 
 def _pairs(model: str, values: Sequence[float], t0: int) -> Tuple[Sequence, list]:

@@ -18,14 +18,15 @@ from .errors import InvalidConfig
 from .regression import (
     _LAGS,
     OlsFit,
+    _fit,
     _fit_moments,
     _moment_rows,
     _pairs,
+    _quantiles,
     _spread_start,
     _window_fits,
 )
 from .series import MIN_WINDOW, ExcessSeries, Window, _check_int, _check_min_window
-from .studentt import t_quantile
 
 
 @dataclass(frozen=True)
@@ -108,20 +109,13 @@ def _starts(model, lo, hi, vals, min_window):
         run0 = run_end
 
 
-def _cells(model, lo, hi, vals, min_window, one_sided):
-    """Yield ((start, end), cell) for every window of at least
-    ``min_window`` points in [lo, hi] (vals holds its values), in key
-    order, each valid window's cell fitted by the kernel."""
-    # the window ending at e holds e - s - lag pairs, at least 3 (see
-    # MIN_WINDOW), so no cell has TooFewPoints
-    first = min_window - 1 - _LAGS[model]
-    for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
-        first_e = s + min_window - 1
-        fits = _window_fits(model, rows, p, first, one_sided)
-        for e, cell in zip(range(first_e, bad), fits):
-            yield (s, e), _DEGENERATE if cell is None else cell
-        for e in range(max(first_e, bad), hi + 1):
-            yield (s, e), _BLOCKED
+def _count_errors(errors, degenerate, blocked):
+    """Add one start's invalid cells to ``errors``: its ``degenerate``
+    windows come first in key order, then its ``blocked`` ones, so each
+    kind is seen in key order."""
+    for kind, count in ((_DEGENERATE.error_kind, degenerate), (_BLOCKED.error_kind, blocked)):
+        if count > 0:
+            errors[kind] = errors.get(kind, 0) + count
 
 
 def sweep(
@@ -145,7 +139,18 @@ def sweep(
     OLS kernel turns into a fit, so a grid costs O(N^2) rather than O(N^3).
     """
     lo, hi, vals = _span(excess, model, window, min_window)
-    cells = dict(_cells(model, lo, hi, vals, min_window, one_sided))
+    # the window ending at e holds e - s - lag pairs, at least 3 (see
+    # MIN_WINDOW), so no cell has TooFewPoints
+    first = min_window - 1 - _LAGS[model]
+    tqs = [None] * first
+    cells = {}
+    for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
+        first_e = s + min_window - 1
+        fits = _window_fits(rows, p, first, _quantiles(tqs, one_sided, len(rows)))
+        for e, numbers in zip(range(first_e, bad), fits):
+            cells[s, e] = _DEGENERATE if numbers is None else _fit(model, numbers)
+        for e in range(max(first_e, bad), hi + 1):
+            cells[s, e] = _BLOCKED
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
 
 
@@ -216,26 +221,24 @@ def sweep_summary(
     lo, hi, vals = _span(excess, model, window, min_window)
     lag = _LAGS[model]
     first = min_window - 1 - lag
-    level = 0.95 if one_sided else 0.975
     tqs = [None] * first  # the t-quantile of each pair count n >= first
     n_cells = n_sig = 0
     errors: Dict[str, int] = {}
     floor = -math.inf
-    # (upper bound of b_lower, key, fit or its moments) of each cell that
-    # may be the best window, in key order
+    # (upper bound of b_lower, key, the kernel's numbers or None, the
+    # kernel's arguments) of each cell that may be the best window, in
+    # key order
     kept = []
     for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
-        while len(tqs) <= len(rows):
-            tqs.append(t_quantile(level, len(tqs) - 2))
+        # each call below is made only where it has work to do: a call
+        # per start shows in the cost of the power study's short sweeps
+        if len(tqs) <= len(rows):
+            _quantiles(tqs, one_sided, len(rows))
         first_e = s + min_window - 1
         n_cells += max(0, hi + 1 - first_e)
-        # the windows from s that are too narrow to fit come first, then
-        # those that reach bad, so the error kinds are seen in key order
         spread = _spread_start(rows, first)
-        for kind, count in ((_DEGENERATE.error_kind, spread - first),
-                            (_BLOCKED.error_kind, hi + 1 - max(first_e, bad))):
-            if count > 0:
-                errors[kind] = errors.get(kind, 0) + count
+        if spread > first or bad <= hi:  # some window from s is invalid
+            _count_errors(errors, spread - first, hi + 1 - max(first_e, bad))
         n = sx = sy = sxx = sxy = syy = 0
         for x, y, xx, xy, yy, _ in rows:
             n += 1
@@ -252,7 +255,7 @@ def sweep_summary(
             cxx = n * sxx - sx * sx
             cyy = n * syy - sy * sy
             tq = tqs[n]
-            cell = None
+            numbers = None
             # significant: False or True where floats decide it, None where
             # the kernel must; upper and lower bound the kernel's b_lower
             # (lower only where it is proven above the floor)
@@ -289,23 +292,25 @@ def sweep_summary(
             except OverflowError:  # an int beyond the float range
                 significant = None
             if significant is None:
-                cell = _fit_moments(model, n, sx, sy, sxx, sxy, syy, p, one_sided)
-                lower = upper = cell.b_lower
-                significant = cell.a_lower > 0.0 and upper > 0.0
+                numbers = _fit_moments(n, sx, sy, sxx, sxy, syy, p, tq)
+                lower = upper = numbers[5]  # b_lower
+                significant = numbers[4] > 0.0 and upper > 0.0  # a_lower
             if significant:
                 n_sig += 1
             if upper >= floor:
-                kept.append((upper, (s, s + n + lag), cell or (n, sx, sy, sxx, sxy, syy, p)))
+                kept.append((upper, (s, s + n + lag), numbers,
+                             (n, sx, sy, sxx, sxy, syy, p, tq)))
                 if lower > floor:
                     floor = lower
                     kept = [k for k in kept if k[0] >= floor]
     best = best_key = None
-    for _, key, cell in kept:
-        if not isinstance(cell, OlsFit):
-            cell = _fit_moments(model, *cell, one_sided)
-        if best is None or cell.b_lower > best.b_lower:
-            best, best_key = cell, key
-    return _summary(model, min_window, n_cells, n_sig, errors, best_key, best)
+    for _, key, numbers, moments in kept:
+        if numbers is None:
+            numbers = _fit_moments(*moments)
+        if best is None or numbers[5] > best[5]:
+            best, best_key = numbers, key
+    return _summary(model, min_window, n_cells, n_sig, errors, best_key,
+                    None if best is None else _fit(model, best))
 
 
 def triangular_cell_count(n: int, min_window: int) -> int:
@@ -343,38 +348,46 @@ def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] 
                min_window: int = MIN_WINDOW, one_sided: bool = False) -> dict:
     """Write ``grid_to_csv(sweep(...))`` to ``path`` and return
     ``grid_summary(sweep(...))``, with the same arguments, in one pass
-    that holds no grid: each cell's row is written as the sweep yields it.
+    that holds no grid.  Each start's rows are formatted from the
+    kernel's numbers and written at once, and tallied by
+    ``grid_summary``'s rules; only the best window's fit is built.
 
     The arguments are checked before ``path`` is opened, so an
     InvalidConfig leaves no file behind.
     """
     lo, hi, vals = _span(excess, model, window, min_window)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_CSV_HEADER)
-
-        def written():
-            for key, cell in _cells(model, lo, hi, vals, min_window, one_sided):
-                fh.write(_csv_row(model, key, cell))
-                yield key, cell
-        return _tally(model, min_window, written())
-
-
-def _tally(model: str, min_window: int, cells) -> dict:
-    """The summary of the (key, cell) pairs of a grid, in key order."""
+    first = min_window - 1 - _LAGS[model]
+    tqs = [None] * first
     n_cells = n_sig = 0
     errors: Dict[str, int] = {}
     best = best_key = None
-    for key, cell in cells:
-        n_cells += 1
-        if isinstance(cell, OlsFit):
-            b_lower = cell.b_lower
-            if cell.a_lower > 0.0 and b_lower > 0.0:
-                n_sig += 1
-            if best is None or b_lower > best.b_lower:
-                best, best_key = cell, key
-        else:
-            errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
-    return _summary(model, min_window, n_cells, n_sig, errors, best_key, best)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_CSV_HEADER)
+        for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
+            first_e = e = s + min_window - 1
+            n_cells += max(0, hi + 1 - first_e)
+            n_degenerate = 0
+            lines = []
+            for numbers in _window_fits(rows, p, first, _quantiles(tqs, one_sided, len(rows))):
+                if numbers is None:
+                    n_degenerate += 1
+                    lines.append(_INVALID_ROW % (model, s, e, _DEGENERATE.error_kind))
+                else:
+                    a, b, se_a, se_b, a_lower, b_lower, n, _, r2, _ = numbers
+                    lines.append(_VALID_ROW % (model, s, e, a, b, se_a, se_b,
+                                               a_lower, b_lower, n, r2))
+                    if a_lower > 0.0 and b_lower > 0.0:
+                        n_sig += 1
+                    if best is None or b_lower > best[5]:
+                        best, best_key = numbers, (s, e)
+                e += 1
+            first_blocked = max(first_e, bad)
+            for e in range(first_blocked, hi + 1):
+                lines.append(_INVALID_ROW % (model, s, e, _BLOCKED.error_kind))
+            _count_errors(errors, n_degenerate, hi + 1 - first_blocked)
+            fh.write("".join(lines))
+    return _summary(model, min_window, n_cells, n_sig, errors, best_key,
+                    None if best is None else _fit(model, best))
 
 
 def _summary(model, min_window, n_cells, n_sig, errors, best_key, best) -> dict:
@@ -406,4 +419,16 @@ def grid_summary(grid: SweepGrid) -> dict:
     A cell is significant when both lower confidence bounds are strictly
     positive, and ``significant_fraction`` is None when no cell is
     valid.  ``sweep_summary`` gives the same dict without a grid."""
-    return _tally(grid.model, grid.min_window, grid.cells.items())
+    n_sig = 0
+    errors: Dict[str, int] = {}
+    best = best_key = None
+    for key, cell in grid.cells.items():
+        if isinstance(cell, OlsFit):
+            b_lower = cell.b_lower
+            if cell.a_lower > 0.0 and b_lower > 0.0:
+                n_sig += 1
+            if best is None or b_lower > best.b_lower:
+                best, best_key = cell, key
+        else:
+            errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
+    return _summary(grid.model, grid.min_window, len(grid.cells), n_sig, errors, best_key, best)
