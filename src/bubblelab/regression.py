@@ -87,15 +87,6 @@ def _fit(model: str, numbers: tuple) -> OlsFit:
     return fit
 
 
-def _quantiles(tqs: list, one_sided: bool, n: int) -> list:
-    """Extend ``tqs``, the t-quantile of the lower bounds at each pair
-    count (its index), to every pair count up to n; returns it."""
-    level = 0.95 if one_sided else 0.975
-    while len(tqs) <= n:
-        tqs.append(t_quantile(level, len(tqs) - 2))
-    return tqs
-
-
 def _moment_rows(xs, ys) -> Tuple[list, int]:
     """Exact integer images of finite float pairs on one power-of-two
     scale, with the products the moments sum.
@@ -227,15 +218,15 @@ def _spread_start(rows, first):
     return n
 
 
-def _window_fits(rows, p, first, tqs):
+def _window_fits(rows, p, spread, tqs):
     """Yield, shortest first, the kernel's numbers of every window of at
-    least ``first`` of the pairs that starts at the first pair (``rows``
-    as from ``_moment_rows``, scaled by 2**p), or None where the float
-    regressors are degenerate (see ``_spread_start``).  ``tqs`` holds the
-    t-quantile of each pair count up to len(rows) (see ``_quantiles``).
-    Each window adds one pair to the exact moments of the one before.
+    least ``spread`` of the pairs that starts at the first pair (``rows``
+    as from ``_moment_rows``, scaled by 2**p).  ``spread`` is where the
+    float regressors stop being degenerate (see ``_spread_start``), so
+    every window yielded is fitted; ``tqs`` holds the t-quantile of each
+    pair count from ``spread`` up to len(rows).  Each window adds one
+    pair to the exact moments of the one before.
     """
-    spread = _spread_start(rows, first)
     n = sx = sy = sxx = sxy = syy = 0
     for x, y, xx, xy, yy, _ in rows:
         n += 1
@@ -246,8 +237,6 @@ def _window_fits(rows, p, first, tqs):
         syy += yy
         if n >= spread:
             yield _fit_moments(n, sx, sy, sxx, sxy, syy, p, tqs[n])
-        elif n >= first:
-            yield None
 
 
 def ols2(
@@ -262,6 +251,11 @@ def ols2(
     bounds subtract t(0.975, df) standard errors (t(0.95, df) when
     ``one_sided`` is set).  Non-finite data, x and y of different
     lengths, or data or a fit beyond the float range raise InvalidConfig.
+
+    The one window is fitted directly: the spread test of the float
+    regressors (``_spread_start``) raises DegenerateRegressor, and
+    otherwise the kernel fits one set of exact row sums with one
+    t-quantile.
     """
     n = len(x)
     if n != len(y):
@@ -272,14 +266,15 @@ def ols2(
     try:
         x = [float(v) for v in x]
         rows, p = _moment_rows(x, [float(v) for v in y])
-        numbers = next(_window_fits(rows, p, n, _quantiles([None] * n, one_sided, n)))
+        if _spread_start(rows, n) > n:
+            raise DegenerateRegressor(
+                f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
+            )
+        sx, sy, sxx, sxy, syy, _ = map(sum, zip(*rows))
+        tq = t_quantile(0.95 if one_sided else 0.975, n - 2)
+        return _fit(model, _fit_moments(n, sx, sy, sxx, sxy, syy, p, tq))
     except OverflowError as exc:  # from float(int) or the kernel's int / int
         raise InvalidConfig(f"regression data or fit beyond the float range: {exc}") from None
-    if numbers is None:
-        raise DegenerateRegressor(
-            f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
-        )
-    return _fit(model, numbers)
 
 
 def _pairs(model: str, values: Sequence[float], t0: int) -> Tuple[Sequence, list]:

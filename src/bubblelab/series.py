@@ -305,8 +305,12 @@ def write_csv(path, series, forecasts=None, decimals: int = 2) -> None:
     """Write a series (price or excess) in the `t,price[,h1..hH]` format.
 
     Values are printed with a fixed number of decimals, matching the
-    presentation of the experimental data.
+    presentation of the experimental data.  ``decimals`` that is not a
+    non-negative integer raises InvalidConfig.
     """
+    _check_int("decimals", decimals)
+    if decimals < 0:
+        raise InvalidConfig(f"decimals must not be negative, got {decimals}")
     forecasts = forecasts or ()
     for col in forecasts:
         if len(col) != len(series):

@@ -22,11 +22,11 @@ from .regression import (
     _fit_moments,
     _moment_rows,
     _pairs,
-    _quantiles,
     _spread_start,
     _window_fits,
 )
 from .series import MIN_WINDOW, ExcessSeries, Window, _check_int, _check_min_window
+from .studentt import t_quantile
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,28 @@ def _span(excess, model, window, min_window):
     return window.start, window.end, excess.window_values(window)
 
 
-def _starts(model, lo, hi, vals, min_window):
-    """Yield (s, rows, p, bad) for every start s in [lo, hi] (vals holds
-    the span's values), in order.  ``bad`` is the first t >= s whose
-    value is not positive (hi + 1 when none), so every window from s that
-    reaches it fails there; ``rows`` holds the moment rows of the pairs
-    of [s, bad - 1], scaled by 2**p (see ``_moment_rows``), and is empty
-    when s's run of positive values holds no window of ``min_window``
-    points."""
+def _starts(model, lo, hi, vals, min_window, one_sided):
+    """Yield (s, rows, p, tqs, spread, bad) for every start s in [lo, hi]
+    (vals holds the span's values), in order: how the windows from s are
+    laid out, decided once for every sweep.
+
+    ``bad`` is the first t >= s whose value is not positive (hi + 1 when
+    none), so every window from s that reaches it fails there.  ``rows``
+    holds the moment rows of the pairs of [s, bad - 1], scaled by 2**p
+    (see ``_moment_rows``), and is empty when s's run of positive values
+    holds no window of ``min_window`` points.  ``spread`` is the least
+    pair count at which the float regressors of ``rows`` are not
+    degenerate (``_spread_start``), at least ``first``, the pair count of
+    the shortest window: the windows from s with fewer pairs are
+    degenerate, and those with ``spread`` up to len(rows) pairs are
+    fitted.  ``tqs`` is the sweep's table of the lower bounds'
+    t-quantile at each pair count (its index) from ``first`` up to
+    len(rows); it is extended once per run, and only for a run with
+    rows, so a ``min_window`` longer than the data allocates nothing.
+    """
+    first = min_window - 1 - _LAGS[model]
+    level = 0.95 if one_sided else 0.975
+    tqs = []
     run0 = lo
     while run0 <= hi:
         # Values are strictly positive from run0 up to (excluding) t = bad.
@@ -101,11 +115,15 @@ def _starts(model, lo, hi, vals, min_window):
             # some window inside the run is long enough: fit them all from
             # one set of pairs and one integer image of the run
             rows, p = _moment_rows(*_pairs(model, vals[run0 - lo : bad - lo], run0))
+            if len(tqs) <= len(rows):
+                tqs += [None] * (first - len(tqs))
+                tqs += [t_quantile(level, n - 2) for n in range(len(tqs), len(rows) + 1)]
         else:  # no window of the run is long enough to fit
             rows, p = (), 0
         for s in range(run0, run_end):
             # pair s - run0 is the first pair of the windows that start at s
-            yield s, rows[s - run0 :], p, bad
+            rows_s = rows[s - run0 :]
+            yield s, rows_s, p, tqs, max(_spread_start(rows_s, first), first), bad
         run0 = run_end
 
 
@@ -141,14 +159,15 @@ def sweep(
     lo, hi, vals = _span(excess, model, window, min_window)
     # the window ending at e holds e - s - lag pairs, at least 3 (see
     # MIN_WINDOW), so no cell has TooFewPoints
-    first = min_window - 1 - _LAGS[model]
-    tqs = [None] * first
+    lag = _LAGS[model]
     cells = {}
-    for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
+    for s, rows, p, tqs, spread, bad in _starts(model, lo, hi, vals, min_window, one_sided):
         first_e = s + min_window - 1
-        fits = _window_fits(rows, p, first, _quantiles(tqs, one_sided, len(rows)))
-        for e, numbers in zip(range(first_e, bad), fits):
-            cells[s, e] = _DEGENERATE if numbers is None else _fit(model, numbers)
+        fit_e = s + lag + spread  # the end of the first fitted window
+        for e in range(first_e, fit_e):
+            cells[s, e] = _DEGENERATE
+        for e, numbers in enumerate(_window_fits(rows, p, spread, tqs), fit_e):
+            cells[s, e] = _fit(model, numbers)
         for e in range(max(first_e, bad), hi + 1):
             cells[s, e] = _BLOCKED
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
@@ -220,25 +239,16 @@ def sweep_summary(
     """
     lo, hi, vals = _span(excess, model, window, min_window)
     lag = _LAGS[model]
-    first = min_window - 1 - lag
-    tqs = [None] * first  # the t-quantile of each pair count n >= first
-    n_cells = n_sig = 0
+    n_sig = 0
     errors: Dict[str, int] = {}
     floor = -math.inf
     # (upper bound of b_lower, key, the kernel's numbers or None, the
     # kernel's arguments) of each cell that may be the best window, in
     # key order
     kept = []
-    for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
-        # each call below is made only where it has work to do: a call
-        # per start shows in the cost of the power study's short sweeps
-        if len(tqs) <= len(rows):
-            _quantiles(tqs, one_sided, len(rows))
+    for s, rows, p, tqs, spread, bad in _starts(model, lo, hi, vals, min_window, one_sided):
         first_e = s + min_window - 1
-        n_cells += max(0, hi + 1 - first_e)
-        spread = _spread_start(rows, first)
-        if spread > first or bad <= hi:  # some window from s is invalid
-            _count_errors(errors, spread - first, hi + 1 - max(first_e, bad))
+        _count_errors(errors, s + lag + spread - first_e, hi + 1 - max(first_e, bad))
         n = sx = sy = sxx = sxy = syy = 0
         for x, y, xx, xy, yy, _ in rows:
             n += 1
@@ -309,14 +319,17 @@ def sweep_summary(
             numbers = _fit_moments(*moments)
         if best is None or numbers[5] > best[5]:
             best, best_key = numbers, key
-    return _summary(model, min_window, n_cells, n_sig, errors, best_key,
-                    None if best is None else _fit(model, best))
+    return _summary(model, min_window, triangular_cell_count(hi + 1 - lo, min_window), n_sig,
+                    errors, best_key, None if best is None else _fit(model, best))
 
 
 def triangular_cell_count(n: int, min_window: int) -> int:
     """Count of windows of at least ``min_window`` points in a span of
-    ``n`` points (none when n < min_window), for shape checks."""
+    ``n`` points (none when n < min_window), for shape checks.  A
+    negative ``n`` raises InvalidConfig."""
     _check_int("n", n)
+    if n < 0:
+        raise InvalidConfig(f"n must not be negative, got {n}")
     _check_min_window(min_window)
     k = max(0, n - min_window + 1)
     return k * (k + 1) // 2
@@ -356,38 +369,33 @@ def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] 
     InvalidConfig leaves no file behind.
     """
     lo, hi, vals = _span(excess, model, window, min_window)
-    first = min_window - 1 - _LAGS[model]
-    tqs = [None] * first
-    n_cells = n_sig = 0
+    lag = _LAGS[model]
+    n_sig = 0
     errors: Dict[str, int] = {}
     best = best_key = None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_CSV_HEADER)
-        for s, rows, p, bad in _starts(model, lo, hi, vals, min_window):
-            first_e = e = s + min_window - 1
-            n_cells += max(0, hi + 1 - first_e)
-            n_degenerate = 0
-            lines = []
-            for numbers in _window_fits(rows, p, first, _quantiles(tqs, one_sided, len(rows))):
-                if numbers is None:
-                    n_degenerate += 1
-                    lines.append(_INVALID_ROW % (model, s, e, _DEGENERATE.error_kind))
-                else:
-                    a, b, se_a, se_b, a_lower, b_lower, n, _, r2, _ = numbers
-                    lines.append(_VALID_ROW % (model, s, e, a, b, se_a, se_b,
-                                               a_lower, b_lower, n, r2))
-                    if a_lower > 0.0 and b_lower > 0.0:
-                        n_sig += 1
-                    if best is None or b_lower > best[5]:
-                        best, best_key = numbers, (s, e)
+        for s, rows, p, tqs, spread, bad in _starts(model, lo, hi, vals, min_window, one_sided):
+            first_e = s + min_window - 1
+            e = fit_e = s + lag + spread
+            lines = [_INVALID_ROW % (model, s, d, _DEGENERATE.error_kind)
+                     for d in range(first_e, fit_e)]
+            for numbers in _window_fits(rows, p, spread, tqs):
+                a, b, se_a, se_b, a_lower, b_lower, n, _, r2, _ = numbers
+                lines.append(_VALID_ROW % (model, s, e, a, b, se_a, se_b,
+                                           a_lower, b_lower, n, r2))
+                if a_lower > 0.0 and b_lower > 0.0:
+                    n_sig += 1
+                if best is None or b_lower > best[5]:
+                    best, best_key = numbers, (s, e)
                 e += 1
             first_blocked = max(first_e, bad)
-            for e in range(first_blocked, hi + 1):
-                lines.append(_INVALID_ROW % (model, s, e, _BLOCKED.error_kind))
-            _count_errors(errors, n_degenerate, hi + 1 - first_blocked)
+            lines += [_INVALID_ROW % (model, s, d, _BLOCKED.error_kind)
+                      for d in range(first_blocked, hi + 1)]
+            _count_errors(errors, fit_e - first_e, hi + 1 - first_blocked)
             fh.write("".join(lines))
-    return _summary(model, min_window, n_cells, n_sig, errors, best_key,
-                    None if best is None else _fit(model, best))
+    return _summary(model, min_window, triangular_cell_count(hi + 1 - lo, min_window), n_sig,
+                    errors, best_key, None if best is None else _fit(model, best))
 
 
 def _summary(model, min_window, n_cells, n_sig, errors, best_key, best) -> dict:

@@ -613,6 +613,21 @@ class TestConfigAndEnvironment:
         assert "min_window must be at least 5" in capsys.readouterr().err
         assert not list(out.glob("*grid.csv"))  # checked before any grid file opens
 
+    @pytest.mark.parametrize("command, prefix", [("sweep", ""), ("plotdata", "plot_")])
+    def test_min_window_beyond_any_index_writes_empty_grids(self, command, prefix, tmp_path):
+        # a min_window of 2**64 fits no index-sized integer, and no window
+        # that long fits the series, so each grid is its header alone
+        inp = _feedback_prices_csv(tmp_path / "prices.csv")
+        out = tmp_path / "out"
+        assert run_cli(command, "--input", str(inp), "--min-window", str(2**64),
+                       "--outdir", str(out)) == 0
+        for model in ("price", "return"):
+            text = (out / f"{prefix}{model}_grid.csv").read_text()
+            assert text.startswith("model,start,end,") and text.count("\n") == 1
+        if command == "sweep":
+            summary = json.loads((out / "sweep_summary.json").read_text())
+            assert summary["price"]["cells"] == summary["return"]["cells"] == 0
+
     def test_byte_order_mark_in_input_is_skipped(self, tmp_path, monkeypatch):
         # as Excel's "CSV UTF-8" writes it; each run reads its own
         # prices.csv, so sweep_summary.json names the same input

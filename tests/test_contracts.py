@@ -193,6 +193,10 @@ CONTRACTS = [
     Contract(write_csv, "forecast column of another length",
              st.integers(0, 40).filter(lambda n: n != len(BUBBLE)),
              lambda n: write_csv(os.devnull, BUBBLE, forecasts=((60.0,) * n,)), InvalidConfig),
+    Contract(write_csv, "decimals not an integer", NON_INTEGER,
+             lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
+    Contract(write_csv, "decimals negative", st.integers(max_value=-1),
+             lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
     # growth.py
     Contract(GrowthModel, "parameter NaN or infinite",
              st.tuples(st.sampled_from(["a", "b", "start"]), NON_FINITE),
@@ -361,6 +365,8 @@ CONTRACTS = [
     Contract(sweep, "window outside the series", st.integers(16, 40),
              lambda s: sweep(EXCESS, "return", Window(s, s + 4)), InvalidConfig),
     Contract(triangular_cell_count, "n not an integer", NON_INTEGER,
+             lambda n: triangular_cell_count(n, 5), InvalidConfig),
+    Contract(triangular_cell_count, "n negative", st.integers(max_value=-1),
              lambda n: triangular_cell_count(n, 5), InvalidConfig),
     Contract(triangular_cell_count, "min_window not an integer of at least MIN_WINDOW",
              st.one_of(NON_INTEGER, BELOW_MIN_WINDOW),

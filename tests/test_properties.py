@@ -473,7 +473,10 @@ def test_each_cell_is_significant_where_its_sub_span_tallies_say(
     # significant(s, e) = S(s, e) - S(s+1, e) - S(s, e-1) + S(s+1, e-1),
     # with S the significant count of the summary of a sub-span: cells
     # depend only on their windows, so this pins each cell's decision,
-    # where equal tallies could hide a flip each way
+    # where equal tallies could hide a flip each way.  For the same
+    # reason each sub-span's whole summary, its best window and error
+    # tallies under its own floor too, is the grid summary of the
+    # sub-span's cells, taken from the one grid
     excess = ExcessSeries(0, tuple(values))
     lo = draw.draw(st.integers(0, excess.t_end - 4))
     hi = draw.draw(st.integers(lo + 4, min(excess.t_end, lo + 13)))
@@ -485,6 +488,9 @@ def test_each_cell_is_significant_where_its_sub_span_tallies_say(
             return 0
         if (s, e) not in tallies:
             summary = sweep_summary(excess, model, Window(s, e), min_window, one_sided)
+            cells = {k: c for k, c in grid.cells.items() if s <= k[0] and k[1] <= e}
+            sub_grid = SweepGrid(model, (s, e), min_window, cells)
+            assert repr(summary) == repr(grid_summary(sub_grid)), (s, e)
             tallies[s, e] = summary["significant_cells"]
         return tallies[s, e]
 

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import math
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -65,8 +66,8 @@ class TestSweepShape:
         (s0, s1), (e0, e1) = start_range, end_range
         late, early = max(s0, s1 + 1), min(e1, e0 - 1)
 
-        def count(lo, hi):
-            return triangular_cell_count(hi - lo + 1, min_window)
+        def count(lo, hi):  # an empty span (hi < lo) holds no window
+            return triangular_cell_count(max(0, hi - lo + 1), min_window)
 
         rectangle = count(s0, e1) - count(late, e1) - count(s0, early) + count(late, early)
         assert rectangle == triangular_cell_count_loop(start_range, end_range, min_window)
@@ -291,6 +292,22 @@ class TestSweepSummary:
         exact_fits.clear()
         assert sweep_summary(excess, "price") == grid_summary(grid)
         assert len(exact_fits) == 1
+
+
+    def test_min_window_beyond_the_data_allocates_nothing(self):
+        # no run of the series holds a window, so no sweep builds rows or
+        # pads its t-quantile table to the shortest window's pair count
+        excess = _feedback_excess(20)
+        tracemalloc.start()
+        try:
+            grid = sweep(excess, "price", min_window=10**7)
+            summary = sweep_summary(excess, "return", min_window=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.cells == {} and summary["cells"] == 0
+        assert summary == grid_summary(sweep(excess, "return", min_window=10**7))
+        assert peak < 1_000_000
 
 
 class TestGridExport:
