@@ -172,8 +172,8 @@ def classify_series(
     toward price anchoring (the lower-lag model).  An explicit ``window``
     overrides detection, letting callers reproduce published windows.
     A ``theta`` outside (0, 1], a ``min_window`` that is not an integer
-    of at least MIN_WINDOW or an explicit ``window`` outside the series
-    raises InvalidConfig.
+    of at least MIN_WINDOW or an explicit ``window`` that is no Window or
+    lies outside the series raises InvalidConfig.
     """
     _check_number("theta", theta)
     if not math.isfinite(theta):
@@ -182,7 +182,7 @@ def classify_series(
         raise InvalidConfig(f"theta must lie in (0, 1], got {theta}")
     _check_min_window(min_window)
     if window is not None:
-        prices.window_values(window)  # raises InvalidConfig outside the series
+        prices.window_values(window)  # raises InvalidConfig for a bad window
     win = window if window is not None else detect_bubble_window(
         prices, params, min_window=min_window
     )

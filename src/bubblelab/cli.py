@@ -21,10 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .classify import classify_series
 from .errors import BubbleLabError, IngestError, InvalidConfig
-from .growth import table2, table2_csv
-from .market import AgentSpec, SimConfig, run
 from .regression import MODEL_PRICE, MODEL_RETURN
 from .series import (
     MIN_WINDOW,
@@ -85,6 +82,8 @@ def parse_params(text: str) -> ExperimentParams:
 def _build_agents(preset: str, params: ExperimentParams) -> tuple:
     """Agent presets for simulate; `bubble` mixes price-anchoring traders
     with one naive follower."""
+    from .market import AgentSpec
+
     h = params.n_traders
     if preset == "fundamentalist":
         return tuple(AgentSpec.fundamentalist() for _ in range(h))
@@ -136,10 +135,15 @@ def _write_table(path: Path, header: str, t0: int, rows) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# Each imports the modules only it runs (classify, growth, market), so the
+# others start without loading them.
 # ---------------------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
+    from .market import SimConfig, run
+
     params = parse_params(args.params)
     agents = _build_agents(args.agents, params)
     if args.initial_prices:
@@ -190,6 +194,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify_series
+
     params = parse_params(args.params)
     series, _ = load_csv(args.input, params)
     window = Window(*_parse_pair(args.window, "--window", int)) if args.window else None
@@ -208,6 +214,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_table2(args) -> int:
+    from .growth import table2, table2_csv
+
     rows = table2(steps=args.steps, a1=args.a1, a2=args.a2, b2=args.b2)
     outdir = _outdir(args)
     _write(outdir / "table2.csv", table2_csv(rows))

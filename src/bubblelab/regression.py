@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Sequence, Tuple
 
 from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints
-from .series import ExcessSeries, PriceSeries, Window, log_growth
+from .series import ExcessSeries, PriceSeries, Window, _check_number, log_growth
 from .studentt import t_quantile
 
 MODEL_PRICE = "price"
@@ -250,7 +250,8 @@ def ols2(
     Residual variance uses n-2 degrees of freedom; the lower confidence
     bounds subtract t(0.975, df) standard errors (t(0.95, df) when
     ``one_sided`` is set).  Non-finite data, x and y of different
-    lengths, or data or a fit beyond the float range raise InvalidConfig.
+    lengths, data that are no numbers, or data or a fit beyond the float
+    range raise InvalidConfig.
 
     The one window is fitted directly: the spread test of the float
     regressors (``_spread_start``) raises DegenerateRegressor, and
@@ -265,7 +266,11 @@ def ols2(
 
     try:
         x = [float(v) for v in x]
-        rows, p = _moment_rows(x, [float(v) for v in y])
+        y = [float(v) for v in y]
+    except (TypeError, ValueError, OverflowError) as exc:  # as Series maps its values
+        raise InvalidConfig(f"regression data must be numbers in the float range: {exc}") from None
+    try:
+        rows, p = _moment_rows(x, y)
         if _spread_start(rows, n) > n:
             raise DegenerateRegressor(
                 f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
@@ -273,8 +278,8 @@ def ols2(
         sx, sy, sxx, sxy, syy, _ = map(sum, zip(*rows))
         tq = t_quantile(0.95 if one_sided else 0.975, n - 2)
         return _fit(model, _fit_moments(n, sx, sy, sxx, sxy, syy, p, tq))
-    except OverflowError as exc:  # from float(int) or the kernel's int / int
-        raise InvalidConfig(f"regression data or fit beyond the float range: {exc}") from None
+    except OverflowError as exc:  # from the kernel's int / int
+        raise InvalidConfig(f"regression fit beyond the float range: {exc}") from None
 
 
 def _pairs(model: str, values: Sequence[float], t0: int) -> Tuple[Sequence, list]:
@@ -351,9 +356,12 @@ def fit_rational_bubble(
     The slope maps to rate = exp(slope) - 1 and the intercept to the
     deviation scale at the window start.  Every price in the window must
     exceed the anchor (default: the fundamental under standard
-    parameters).  A rate or scale beyond the float range raises
-    InvalidConfig.
+    parameters), which must be a finite number.  A rate or scale beyond
+    the float range raises InvalidConfig.
     """
+    _check_number("anchor", anchor)
+    if not math.isfinite(anchor):
+        raise InvalidConfig(f"anchor must be finite, got {anchor}")
     devs = []
     for t, p in enumerate(prices.window_values(window), window.start):
         d = p - anchor

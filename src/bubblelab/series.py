@@ -133,8 +133,10 @@ class Series:
         return self.t0 + len(self.values) - 1
 
     def window_values(self, window: Window) -> tuple:
-        """Values on the inclusive [start, end] window, which must lie
-        inside the series."""
+        """Values on the inclusive [start, end] window, which must be a
+        ``Window`` inside the series."""
+        if not isinstance(window, Window):
+            raise InvalidConfig(f"window must be a Window, got {window!r}")
         if window.start < self.t0 or window.end > self.t_end:
             raise InvalidConfig(
                 f"window [{window.start}, {window.end}] outside series range "

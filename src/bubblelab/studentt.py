@@ -16,6 +16,7 @@ import math
 from functools import lru_cache
 
 from .errors import InvalidConfig
+from .series import _check_number
 
 _TWO_OVER_PI = 2.0 / math.pi
 # Above this |x| the tail beyond x is below 2**-500 for every df, so the
@@ -40,6 +41,7 @@ def t_cdf(x: float, df: int) -> float:
     on p > 0.5 by symmetry.
     """
     _check_df(df)
+    _check_number("x", x)
     if math.isnan(x):
         raise InvalidConfig("x must not be NaN")
     ax = abs(x)
@@ -148,6 +150,7 @@ def t_quantile(p: float, df: int) -> float:
     of a checked 2 or 1.
     """
     _check_df(df)
+    _check_number("p", p)
     if not 0.0 < p < 1.0:
         raise InvalidConfig(f"probability must lie in (0, 1), got {p}")
     if p == 0.5:

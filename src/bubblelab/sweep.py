@@ -79,7 +79,8 @@ def _span(excess, model, window, min_window):
     _check_min_window(min_window)
     if window is None:
         return excess.t0, excess.t_end, excess.values
-    return window.start, window.end, excess.window_values(window)
+    vals = excess.window_values(window)  # checks the window before its bounds are read
+    return window.start, window.end, vals
 
 
 def _starts(model, lo, hi, vals, min_window, one_sided):
@@ -146,10 +147,11 @@ def sweep(
     """Fit ``model`` on every window of at least ``min_window`` points
     inside ``window`` (the whole series when None).
 
-    A ``window`` outside the series, or a ``min_window`` that is not an
-    integer of at least MIN_WINDOW, raises InvalidConfig.  Per-window
-    errors (windows crossing non-positive excess prices, degenerate
-    regressors) become invalid-cell markers rather than failing the sweep.
+    A ``window`` that is no Window or lies outside the series, or a
+    ``min_window`` that is not an integer of at least MIN_WINDOW, raises
+    InvalidConfig.  Per-window errors (windows crossing non-positive
+    excess prices, degenerate regressors) become invalid-cell markers
+    rather than failing the sweep.
 
     Each cell equals ``fit_price_model``/``fit_return_model`` on its
     window, bit for bit, but costs O(1): for a fixed start the window

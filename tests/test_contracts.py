@@ -101,6 +101,11 @@ NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.fract
 # None, a complex number, a tuple
 NOT_FLOAT_CONVERTIBLE = st.one_of(st.text(alphabet="abcxyz,;", max_size=4), st.none(),
                                   st.complex_numbers(), st.tuples(st.floats()))
+# no Window: its bounds as a tuple or a list, a number, text, a range
+NOT_A_WINDOW = st.one_of(st.tuples(st.integers(0, 5), st.integers(10, 15)),
+                         st.lists(st.integers(0, 15), min_size=2, max_size=2),
+                         st.integers(), st.text(max_size=3),
+                         st.builds(range, st.integers(0, 5), st.integers(10, 15)))
 
 
 def _replace(values, i, v):
@@ -158,6 +163,8 @@ CONTRACTS = [
     Contract(Series, "no values", st.integers(), lambda t0: Series(t0, ()), InvalidConfig),
     Contract(Series, "t0 not an integer", NON_INTEGER,
              lambda t0: Series(t0, (1.0, 2.0)), InvalidConfig),
+    Contract(Series, "window not a Window", NOT_A_WINDOW,
+             BUBBLE.window_values, InvalidConfig),
     Contract(Window, "bound not an integer",
              st.tuples(st.booleans(), NON_INTEGER),
              lambda sv: Window(sv[1], 20) if sv[0] else Window(0, sv[1]), InvalidConfig),
@@ -311,6 +318,10 @@ CONTRACTS = [
              st.tuples(st.integers(0, 7), NON_FINITE),
              lambda iv: ols2(*_columns(_replace((1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 4.0, 8.0), *iv))),
              InvalidConfig),
+    Contract(ols2, "data not a number",
+             st.tuples(st.integers(0, 7), NOT_FLOAT_CONVERTIBLE),
+             lambda iv: ols2(*_columns(_replace((1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 4.0, 8.0), *iv))),
+             InvalidConfig),
     Contract(ols2, "lengths differ", st.integers(0, 10).filter(lambda n: n != 4),
              lambda n: ols2((1.0, 2.0, 3.0, 4.0), (1.0,) * n), InvalidConfig),
     Contract(ols2, "fewer than three points", st.integers(0, 2),
@@ -327,15 +338,23 @@ CONTRACTS = [
              NonPositiveExcess),
     Contract(fit_price_model, "window outside the series", st.integers(16, 40),
              lambda s: fit_price_model(EXCESS, Window(s, s + 4)), InvalidConfig),
+    Contract(fit_price_model, "window not a Window", NOT_A_WINDOW,
+             lambda w: fit_price_model(EXCESS, w), InvalidConfig),
     Contract(fit_return_model, "non-positive excess in the window",
              st.tuples(st.integers(0, 9), NON_POSITIVE),
              lambda iv: fit_return_model(Series(0, _replace((1.0, 2.0) * 5, *iv)), Window(0, 9)),
              NonPositiveExcess),
     Contract(fit_return_model, "window outside the series", st.integers(-40, -1),
              lambda s: fit_return_model(EXCESS, Window(s, s + 4)), InvalidConfig),
+    Contract(fit_return_model, "window not a Window", NOT_A_WINDOW,
+             lambda w: fit_return_model(EXCESS, w), InvalidConfig),
     Contract(fit_rational_bubble, "anchor NaN or -inf", st.sampled_from([math.nan, -math.inf]),
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), InvalidConfig),
-    Contract(fit_rational_bubble, "anchor not below every price", st.floats(min_value=62.0),
+    Contract(fit_rational_bubble, "anchor not a number", NOT_A_NUMBER,
+             lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), InvalidConfig),
+    Contract(fit_rational_bubble, "window not a Window", NOT_A_WINDOW,
+             lambda w: fit_rational_bubble(BUBBLE, w), InvalidConfig),
+    Contract(fit_rational_bubble, "anchor not below every price", st.floats(62.0, MAX),
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), NonPositiveExcess),
     # four deviations near 1e300 and a last one near 1e-300: the fitted line
     # meets the window start above exp's range, at log scale (6h - l) / 5 > 920
@@ -346,10 +365,13 @@ CONTRACTS = [
              InvalidConfig),
     # studentt.py
     Contract(t_cdf, "NaN x", NAN, lambda x: t_cdf(x, 3), InvalidConfig),
+    Contract(t_cdf, "x not a number", NOT_A_NUMBER, lambda x: t_cdf(x, 3), InvalidConfig),
     Contract(t_cdf, "df not a positive integer", st.one_of(NON_INTEGER, st.integers(max_value=0)),
              lambda df: t_cdf(1.0, df), InvalidConfig),
     Contract(t_quantile, "probability NaN, infinite or outside (0, 1)",
              st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0)),
+             lambda p: t_quantile(p, 3), InvalidConfig),
+    Contract(t_quantile, "probability not a number", NOT_A_NUMBER,
              lambda p: t_quantile(p, 3), InvalidConfig),
     Contract(t_quantile, "df not a positive integer",
              st.one_of(NON_INTEGER, st.integers(max_value=0)),
@@ -364,6 +386,8 @@ CONTRACTS = [
              lambda m: sweep(EXCESS, m), InvalidConfig),
     Contract(sweep, "window outside the series", st.integers(16, 40),
              lambda s: sweep(EXCESS, "return", Window(s, s + 4)), InvalidConfig),
+    Contract(sweep, "window not a Window", NOT_A_WINDOW,
+             lambda w: sweep(EXCESS, "price", w), InvalidConfig),
     Contract(triangular_cell_count, "n not an integer", NON_INTEGER,
              lambda n: triangular_cell_count(n, 5), InvalidConfig),
     Contract(triangular_cell_count, "n negative", st.integers(max_value=-1),
@@ -387,6 +411,8 @@ CONTRACTS = [
              lambda m: classify_series(BUBBLE, PARAMS, min_window=m), InvalidConfig),
     Contract(classify_series, "window outside the series", st.integers(16, 40),
              lambda s: classify_series(BUBBLE, PARAMS, window=Window(s, s + 4)), InvalidConfig),
+    Contract(classify_series, "window not a Window", NOT_A_WINDOW,
+             lambda w: classify_series(BUBBLE, PARAMS, window=w), InvalidConfig),
 ]
 
 # Left out of the table on purpose:
@@ -406,9 +432,8 @@ TAKE_CHECKED_OBJECTS = {
 def test_every_public_callable_is_in_the_table_or_left_out_on_purpose():
     public = {
         obj
-        for name, obj in vars(bubblelab).items()
-        if not name.startswith("_")
-        and callable(obj)
+        for obj in (getattr(bubblelab, name) for name in bubblelab.__all__)
+        if callable(obj)
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     }
     covered = {row.function for row in CONTRACTS}
@@ -446,3 +471,11 @@ def test_t_quantile_cache_never_skips_the_df_check(df, bad):
     t_quantile(0.975, df)  # a cached entry equal in value to the bad df
     with pytest.raises(InvalidConfig):
         t_quantile(0.975, bad)
+
+
+@pytest.mark.parametrize("anchor", [math.nan, math.inf, -math.inf, "60", True],
+                         ids=["nan", "inf", "-inf", "text", "bool"])
+def test_fit_rational_bubble_names_a_bad_anchor(anchor):
+    # a non-finite anchor was blamed on the regression data
+    with pytest.raises(InvalidConfig, match="^anchor must be"):
+        fit_rational_bubble(BUBBLE, Window(0, 9), anchor=anchor)

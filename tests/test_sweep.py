@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib
 import math
+import os
 import pickle
 import tracemalloc
 
@@ -100,6 +101,16 @@ class TestSweepShape:
             InvalidConfig, match=r"model must be one of \['price', 'return'\], got 'nonsense'"
         ):
             sweep(_feedback_excess(10), "nonsense")
+
+    @pytest.mark.parametrize("call", [
+        lambda excess, window: sweep(excess, "price", window),
+        lambda excess, window: sweep_summary(excess, "price", window),
+        lambda excess, window: sweep_module.write_grid(os.devnull, excess, "price", window),
+    ], ids=["sweep", "sweep_summary", "write_grid"])
+    def test_window_that_is_no_window_is_config_error(self, call):
+        # the bounds as a bare tuple raised AttributeError
+        with pytest.raises(InvalidConfig, match=r"window must be a Window, got \(0, 8\)"):
+            call(_feedback_excess(10), (0, 8))
 
     @pytest.mark.parametrize("bounds", [Window(-1, 10), Window(0, 12)])
     def test_bounds_outside_series_are_config_error(self, bounds):
