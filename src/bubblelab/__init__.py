@@ -9,6 +9,7 @@ entry point pays only for the modules it runs.
 """
 
 import importlib
+import types
 
 __version__ = "0.1.0"
 
@@ -88,45 +89,11 @@ _LAZY = {
     ), "market"),
 }
 
+# Every public name bound above, then the lazy ones: a name added to the
+# imports or to the table is exported without a second list to keep.
 __all__ = [
-    "BubbleLabError",
-    "DegenerateRegressor",
-    "FiniteHorizonSingularity",
-    "IngestError",
-    "InsufficientHistory",
-    "InvalidConfig",
-    "MalformedRow",
-    "NonContiguousTime",
-    "NonPositiveExcess",
-    "OutOfRange",
-    "ReturnOverflow",
-    "TooFewPoints",
-    "OlsFit",
-    "RationalBubbleFit",
-    "fit_price_model",
-    "fit_rational_bubble",
-    "fit_return_model",
-    "ols2",
-    "MIN_WINDOW",
-    "ExcessSeries",
-    "ExperimentParams",
-    "PriceSeries",
-    "Series",
-    "Window",
-    "discrete_returns",
-    "excess_series",
-    "fundamental_price",
-    "load_csv",
-    "log_excess_returns",
-    "write_csv",
-    "t_cdf",
-    "t_quantile",
-    "InvalidCell",
-    "SweepGrid",
-    "grid_summary",
-    "grid_to_csv",
-    "sweep",
-    "triangular_cell_count",
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, types.ModuleType)),
     *_LAZY,
 ]
 

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import types
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -430,9 +431,17 @@ TAKE_CHECKED_OBJECTS = {
 
 
 def test_every_public_callable_is_in_the_table_or_left_out_on_purpose():
+    # every public name the package binds or loads on first read, which
+    # must also be what it exports
+    names = {
+        name
+        for name, obj in vars(bubblelab).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    } | set(bubblelab._LAZY)
+    assert names == set(bubblelab.__all__)
     public = {
         obj
-        for obj in (getattr(bubblelab, name) for name in bubblelab.__all__)
+        for obj in (getattr(bubblelab, name) for name in names)
         if callable(obj)
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     }
