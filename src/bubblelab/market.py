@@ -245,8 +245,17 @@ def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> floa
 
 
 def score_forecast(realized: float, forecast: float) -> float:
-    """Points earned for a forecast once the target price is realized."""
+    """Points earned for a forecast once the target price is realized.
+
+    A price or forecast that is no int or float, or a NaN, raises
+    InvalidConfig, and so do two infinities of one sign, whose error is
+    undefined; any other infinite error scores 0.
+    """
+    _check_number("realized price", realized)
+    _check_number("forecast", forecast)
     err = realized - forecast
+    if err != err:
+        raise InvalidConfig(f"forecast error of {forecast} for {realized} is undefined")
     return max(MAX_PAYOFF - PAYOFF_SCALE * err * err, 0.0)
 
 
@@ -257,9 +266,18 @@ def inject_mistrade(
     params: ExperimentParams,
 ) -> float:
     """With probability ``prob`` shift the decimal point one place
-    (x10 or x0.1, equiprobable), then clip to the admissible band."""
+    (x10 or x0.1, equiprobable), then clip to the admissible band.
+
+    A forecast or ``prob`` that is no int or float, a NaN, or a ``prob``
+    outside [0, 1] raises InvalidConfig; an infinite forecast is kept or
+    clipped to the band edge it points to.
+    """
+    _check_number("mis-trade probability", prob)
     if not 0.0 <= prob <= 1.0:
         raise InvalidConfig(f"probability must lie in [0, 1], got {prob}")
+    _check_number("forecast", forecast)
+    if forecast != forecast:
+        raise InvalidConfig("forecast must not be NaN")
     if prob == 0.0:
         return forecast
     if rng.random() >= prob:
@@ -393,10 +411,17 @@ def run(config: SimConfig) -> SimResult:
     one evaluation of the rule per period.  Noise traders draw their own,
     and forecast noise and mis-trades are applied trader by trader, so
     the random source is read in trader order as if every rule ran.
+
+    Per trader the loops call only the rule and the random draws: the
+    band clip of ``ExperimentParams.clamp``, the mis-trade of
+    ``inject_mistrade`` and the payoff of ``score_forecast`` are written
+    out inline, and give the same floats as those helpers.
     """
     params = config.params
-    clamp = params.clamp
+    p_min, p_max = params.p_min, params.p_max
     rng = random.Random(config.seed)
+    gauss, uniform = rng.gauss, rng.random
+    exp = math.exp
     lo = (params.p_min + params.dividend) / (1.0 + params.r)
     hi = (params.p_max + params.dividend) / (1.0 + params.r)
 
@@ -425,19 +450,33 @@ def run(config: SimConfig) -> SimResult:
     rows: List[List[float]] = []
     prices: List[float] = []
 
+    # Each clip below is ``clamp``: ``min(max(f, p_min), p_max)`` picks the
+    # same float (a NaN passes, a signed zero keeps its sign) by two tests.
     for target in range(1, config.horizon + 1):
         # the forecasts made at t = target - 1 see prices up to t = target - 2
-        shared = [clamp(rule(prev, last, target, rng)) for rule in rules]
+        shared = [p_min if (f := rule(prev, last, target, rng)) < p_min
+                  else p_max if f > p_max else f
+                  for rule in rules]
         if not per_trader:
             row = [shared[k] for k in slots]
         else:
             row = []
             for k, own in plan:
-                f = shared[k] if own is None else clamp(own(prev, last, target, rng))
+                if own is None:
+                    f = shared[k]
+                else:
+                    f = own(prev, last, target, rng)
+                    f = p_min if f < p_min else p_max if f > p_max else f
                 if noise_sigma > 0 and f > 0:
-                    f = clamp(f * _exp(rng.gauss(0.0, noise_sigma)))
-                if mistrade_prob > 0:
-                    f = inject_mistrade(f, rng, mistrade_prob, params)
+                    try:
+                        f *= exp(gauss(0.0, noise_sigma))
+                    except OverflowError:  # f times an infinite factor
+                        f = p_max
+                    else:
+                        f = p_min if f < p_min else p_max if f > p_max else f
+                if mistrade_prob > 0 and uniform() < mistrade_prob:
+                    f *= 10.0 if uniform() < 0.5 else 0.1
+                    f = p_min if f < p_min else p_max if f > p_max else f
                 row.append(f)
         p = clearing_price(row, params)
         if not (lo - 1e-9 <= p <= hi + 1e-9):
@@ -449,8 +488,14 @@ def run(config: SimConfig) -> SimResult:
         prev, last = last, p
 
     forecasts = tuple(zip(*rows))
-    # the last forecast's target price is never realized in-run
-    payoffs = tuple((*map(score_forecast, prices[1:], row), None) for row in forecasts)
+    # score_forecast of each realized price, as max(s, 0.0) picks it; the
+    # last forecast's target price is never realized in-run
+    realized = prices[1:]
+    payoffs = tuple(
+        (*[0.0 if (s := MAX_PAYOFF - PAYOFF_SCALE * (e := p - f) * e) < 0.0 else s
+           for p, f in zip(realized, row)], None)
+        for row in forecasts
+    )
 
     metadata = {
         "rng_algorithm": RNG_ALGORITHM,

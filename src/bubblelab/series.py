@@ -91,8 +91,18 @@ class ExperimentParams:
         return self.dividend / self.r
 
     def clamp(self, price: float) -> float:
-        """Clip a price into the admissible band."""
-        return min(max(price, self.p_min), self.p_max)
+        """Clip a price into the admissible band, so an infinity gives the
+        band edge it points to: ``min(max(price, p_min), p_max)``.  A price
+        that is no int or float, or a NaN, raises InvalidConfig."""
+        if type(price) is not float:
+            _check_number("price", price)
+        if price < self.p_min:
+            return self.p_min
+        if price > self.p_max:
+            return self.p_max
+        if price != price:
+            raise InvalidConfig("price must not be NaN")
+        return price
 
 
 def fundamental_price(params: ExperimentParams) -> float:

@@ -131,7 +131,6 @@ def _enclosure(p: float, df: int) -> tuple[float, float] | None:
     return None
 
 
-@lru_cache(maxsize=None, typed=True)
 def t_quantile(p: float, df: int) -> float:
     """Inverse CDF of the Student-t distribution.
 
@@ -147,8 +146,21 @@ def t_quantile(p: float, df: int) -> float:
     the incomplete-beta CDF this replaced did.  Results are cached since
     calibration sweeps ask for the same (p, df) pairs over and over, by
     type as well as value, so a df of 2.0 or True never reads the entry
-    of a checked 2 or 1.
+    of a checked 2 or 1.  The cache hashes the arguments before any
+    check runs, so an unhashable one is reported from its failed hash:
+    a hit costs no check.
     """
+    try:
+        return _cached_quantile(p, df)
+    except TypeError:  # unhashable: no number, so a check below raises
+        _check_df(df)
+        _check_number("p", p)
+        raise
+
+
+@lru_cache(maxsize=None, typed=True)
+def _cached_quantile(p: float, df: int) -> float:
+    """``t_quantile`` of hashable arguments."""
     _check_df(df)
     _check_number("p", p)
     if not 0.0 < p < 1.0:
@@ -156,7 +168,7 @@ def t_quantile(p: float, df: int) -> float:
     if p == 0.5:
         return 0.0
     if p < 0.5:
-        return -t_quantile(1.0 - p, df)
+        return -_cached_quantile(1.0 - p, df)
     try:
         known_lo, known_hi = _enclosure(p, df) or (-math.inf, math.inf)
     except (ArithmeticError, ValueError):
@@ -183,3 +195,8 @@ def t_quantile(p: float, df: int) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# the cache's counters and reset, as lru_cache names them
+t_quantile.cache_info = _cached_quantile.cache_info
+t_quantile.cache_clear = _cached_quantile.cache_clear

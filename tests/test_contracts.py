@@ -15,6 +15,7 @@ same examples and leaves no files behind.
 
 import math
 import os
+import random
 import sys
 import tempfile
 import types
@@ -91,13 +92,16 @@ MAX = sys.float_info.max
 
 NAN = st.just(math.nan)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-# every float, integral or not, and every bool, is no int to these checks
-NON_INTEGER = st.one_of(st.floats(), st.booleans())
+# every float, integral or not, every bool and a list of ints is no int to
+# these checks
+NON_INTEGER = st.one_of(st.floats(), st.booleans(), st.lists(st.integers(), max_size=2))
 NON_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 BELOW_MIN_WINDOW = st.integers(max_value=bubblelab.MIN_WINDOW - 1)
-# no int or float: text, None, a bool, a fraction, a complex number, a tuple
+# no int or float: text, None, a bool, a fraction, a complex number, a tuple,
+# a list (which no cache can hash)
 NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.fractions(0, 1),
-                         st.complex_numbers(), st.tuples(st.floats()))
+                         st.complex_numbers(), st.tuples(st.floats()),
+                         st.lists(st.floats(), max_size=2))
 # what float() cannot convert: text from letters no float is spelt with,
 # None, a complex number, a tuple
 NOT_FLOAT_CONVERTIBLE = st.one_of(st.text(alphabet="abcxyz,;", max_size=4), st.none(),
@@ -314,6 +318,28 @@ CONTRACTS = [
     Contract(clearing_price, "forecast count other than n_traders",
              st.integers(0, 12).filter(lambda n: n != PARAMS.n_traders),
              lambda n: clearing_price((60.0,) * n, PARAMS), InvalidConfig),
+    Contract(score_forecast, "price or forecast NaN",
+             st.tuples(st.integers(0, 1), st.sampled_from([60.0, math.inf, math.nan])),
+             lambda iv: score_forecast(*_replace((iv[1], iv[1]), iv[0], math.nan)),
+             InvalidConfig),
+    Contract(score_forecast, "price and forecast at one infinity",
+             st.sampled_from([math.inf, -math.inf]),
+             lambda v: score_forecast(v, v), InvalidConfig),
+    Contract(score_forecast, "price or forecast not a number",
+             st.tuples(st.integers(0, 1), NOT_A_NUMBER),
+             lambda iv: score_forecast(*_replace((60.0, 60.0), *iv)), InvalidConfig),
+    Contract(inject_mistrade, "forecast NaN", st.sampled_from([0.0, 0.5, 1.0]),
+             lambda prob: inject_mistrade(math.nan, random.Random(0), prob, PARAMS),
+             InvalidConfig),
+    Contract(inject_mistrade, "probability NaN or outside [0, 1]",
+             st.one_of(NAN, st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-15)),
+             lambda prob: inject_mistrade(60.0, random.Random(0), prob, PARAMS),
+             InvalidConfig),
+    Contract(inject_mistrade, "forecast not a number", NOT_A_NUMBER,
+             lambda f: inject_mistrade(f, random.Random(0), 0.5, PARAMS), InvalidConfig),
+    Contract(inject_mistrade, "probability not a number", NOT_A_NUMBER,
+             lambda prob: inject_mistrade(60.0, random.Random(0), prob, PARAMS),
+             InvalidConfig),
     # regression.py
     Contract(ols2, "data NaN or infinite",
              st.tuples(st.integers(0, 7), NON_FINITE),
@@ -416,14 +442,9 @@ CONTRACTS = [
              lambda w: classify_series(BUBBLE, PARAMS, window=w), InvalidConfig),
 ]
 
-# Left out of the table on purpose:
-# - score_forecast, inject_mistrade and ExperimentParams.clamp still pass a
-#   NaN through.  They run once per trader per period inside market.run,
-#   where every value they see is already checked, so a check there would
-#   cost the simulation on every call for inputs it never produces.
-# - Result types and readers of them: their inputs are built by the
-#   checked calls above, so they have no bad input of their own.
-PER_TRADER_PRIMITIVES = {score_forecast, inject_mistrade}
+# Left out of the table on purpose: result types and readers of them.
+# Their inputs are built by the checked calls above, so they have no bad
+# input of their own.
 TAKE_CHECKED_OBJECTS = {
     BubbleVerdict, SimResult, OlsFit, RationalBubbleFit, SweepGrid, InvalidCell,
     run, fundamental_price, table2_csv, grid_summary, grid_to_csv,
@@ -446,7 +467,7 @@ def test_every_public_callable_is_in_the_table_or_left_out_on_purpose():
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     }
     covered = {row.function for row in CONTRACTS}
-    assert public == covered | PER_TRADER_PRIMITIVES | TAKE_CHECKED_OBJECTS
+    assert public == covered | TAKE_CHECKED_OBJECTS
 
 
 @pytest.mark.parametrize("row", CONTRACTS, ids=[row.id for row in CONTRACTS])
@@ -473,6 +494,23 @@ def test_clearing_price_mean_of_forecasts_at_the_float_maximum():
 ], ids=["+inf", "-inf"])
 def test_clearing_price_clips_one_sided_infinities(forecasts, expected):
     assert clearing_price(forecasts, PARAMS) == expected
+
+
+# ExperimentParams.clamp is a method, so it has no row of the table
+@pytest.mark.parametrize("price", [math.nan, "60", None, True, 1j, [60.0]],
+                         ids=["nan", "text", "none", "bool", "complex", "list"])
+def test_clamp_rejects_a_nan_or_a_non_number(price):
+    with pytest.raises(InvalidConfig):
+        PARAMS.clamp(price)
+
+
+@pytest.mark.parametrize("params", [PARAMS, ExperimentParams(p_min=-0.0)],
+                         ids=["floor 0.0", "floor -0.0"])
+@pytest.mark.parametrize("price", [math.inf, -math.inf, 2000, 60, 1000.0, 0.0, -0.0, -5e-324])
+def test_clamp_is_min_of_max(params, price):
+    # repr tells -0.0 from 0.0 and 60 from 60.0
+    want = min(max(price, params.p_min), params.p_max)
+    assert repr(params.clamp(price)) == repr(want)
 
 
 @pytest.mark.parametrize("df, bad", [(2, 2.0), (1, True)], ids=["float", "bool"])

@@ -288,6 +288,19 @@ class TestRun:
         assert one.prices == two.prices
         assert one.forecasts == two.forecasts
 
+    def test_forecast_noise_past_the_float_range_gives_the_upper_edge(self):
+        # a factor exp(N(0, 1000)) leaves the float range in about half the draws
+        sigma, horizon = 1000.0, 10
+        result = run(_config([AgentSpec.fundamentalist()] * 6, horizon=horizon,
+                             seed=5, return_noise_sigma=sigma))
+        rng = random.Random(5)
+        draws = [[rng.gauss(0.0, sigma) for _ in range(6)] for _ in range(horizon)]
+        assert any(g > 710.0 for row in draws for g in row)  # math.exp overflows
+        for i, row in enumerate(draws):
+            for h, g in enumerate(row):
+                # past exp(700) the clip gives p_max whether or not exp overflows
+                assert result.forecasts[h][i] == PARAMS.clamp(60.0 * math.exp(min(g, 700.0)))
+
     def test_noise_changes_with_seed(self):
         agents = [AgentSpec.fundamentalist()] * 6
         one = run(_config(agents, seed=1, return_noise_sigma=0.05))

@@ -701,12 +701,16 @@ trader_rule = st.one_of(*RULES.values())
 
 # the default band, and one wide enough for extrapolations past the float range
 BANDS = [ExperimentParams(), ExperimentParams(p_max=1e300)]
+# the default floor, its negative zero, and a floor of 50.0, which a
+# mis-trade's x0.1 and forecast noise near the fundamental of 60 fall
+# below, so the band's lower edge clips them
+FLOORS = [0.0, -0.0, 50.0]
 
 
 def _seed_price(params):
     """A price near the fundamental, or anywhere in the band."""
-    return st.one_of(st.floats(min_value=0.0, max_value=200.0),
-                     st.floats(min_value=0.0, max_value=params.p_max))
+    return st.one_of(st.floats(min_value=params.p_min, max_value=200.0),
+                     st.floats(min_value=params.p_min, max_value=params.p_max))
 
 
 @pytest.mark.parametrize("kind", RULES)
@@ -737,7 +741,8 @@ def _flip_zeros(spec):
 def market_configs(draw):
     """Groups of 1-6 traders drawn from a pool of 1-3 rules, so twins are
     common; each trader gets its own, equal copy of its rule, and some
-    copies flip the sign of its zero parameters."""
+    copies flip the sign of its zero parameters.  The band's floor is one
+    of ``FLOORS`` and the seed prices lie inside the band."""
     n = draw(st.integers(min_value=1, max_value=6))
     pool = draw(st.lists(trader_rule, min_size=1, max_size=3))
     agents = [
@@ -746,7 +751,8 @@ def market_configs(draw):
     ]
     # a band up to 1e300 takes feedback rules and mis-trades past the float
     # range, through the rules' overflow fallbacks
-    params = ExperimentParams(n_traders=n, p_max=draw(st.sampled_from([b.p_max for b in BANDS])))
+    params = ExperimentParams(n_traders=n, p_min=draw(st.sampled_from(FLOORS)),
+                              p_max=draw(st.sampled_from([b.p_max for b in BANDS])))
     price = _seed_price(params)
     return SimConfig(
         params=params,
@@ -770,6 +776,12 @@ def market_configs(draw):
 @example(SimConfig(ExperimentParams(n_traders=2, p_max=1e300),
                    [AgentSpec.return_anchor(0.01, 0.5), AgentSpec.return_anchor(0.01, -0.5)],
                    horizon=5, initial_prices=(60.0 + 1e-13, 1e300)), 0, 2, True)
+# forecasts of 0.0 and -0.0, mis-traded every period, at a floor of -0.0:
+# each clip keeps the sign of a zero
+@example(SimConfig(ExperimentParams(n_traders=2, p_min=-0.0),
+                   [AgentSpec.rational_bubble(0.0, 0.0, 0.0),
+                    AgentSpec.rational_bubble(0.0, -0.0, -0.0)],
+                   horizon=5, mistrade_prob=1.0), 0, 2, True)
 def test_run_and_its_files_match_the_per_trader_reference(config, t0, decimals, with_forecasts):
     result = run(config)
     reference = run_reference(config)
@@ -792,7 +804,8 @@ def test_run_and_its_files_match_the_per_trader_reference(config, t0, decimals, 
 @PROPERTY
 @given(market_configs(), st.data())
 def test_integer_seed_prices_run_as_their_floats(config, data):
-    ints = tuple(data.draw(st.integers(0, min(int(config.params.p_max), 10**6)))
+    params = config.params
+    ints = tuple(data.draw(st.integers(math.ceil(params.p_min), min(int(params.p_max), 10**6)))
                  for _ in range(2))
     with_ints = dataclasses.replace(config, initial_prices=ints)
     with_floats = dataclasses.replace(config, initial_prices=tuple(map(float, ints)))
