@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -131,6 +132,8 @@ class SimConfig:
         _check_int("horizon", self.horizon)
         if self.horizon < 1:
             raise InvalidConfig(f"horizon must be at least 1, got {self.horizon}")
+        if self.horizon > sys.maxsize:  # no list of its periods can be built
+            raise InvalidConfig(f"horizon must not exceed sys.maxsize, got {self.horizon}")
         if len(self.agents) != self.params.n_traders:
             raise InvalidConfig(
                 f"need {self.params.n_traders} agents, got {len(self.agents)}"
@@ -181,7 +184,9 @@ class SimResult:
 
         ``metadata`` and ``t0`` go through ``json.dumps(indent=2)``; the
         price, forecast and payoff lists go through ``_json_array``, which
-        lets the C encoder write their numbers.
+        lets the C encoder write their numbers.  A forecast or payoff row
+        that several traders hold as one object, as ``run`` shares twin
+        traders' rows, is encoded once and its text repeated.
         """
         head = json.dumps({"metadata": self.metadata, "t0": self.prices.t0}, indent=2)
         return "".join([
@@ -213,10 +218,19 @@ def _json_array(values, depth: int) -> str:
 
 
 def _json_table(rows) -> str:
-    """A list of flat lists at depth 1, as ``json.dumps(indent=2)`` lays it out."""
+    """A list of flat lists at depth 1, as ``json.dumps(indent=2)`` lays it out.
+
+    Each distinct row object is encoded once.  The memo is keyed by
+    identity, never by ``==``: ``(0.0,) == (-0.0,)``, yet the two print
+    differently.
+    """
     if not rows:
         return "[]"
-    return "[\n    " + ",\n    ".join(_json_array(row, 2) for row in rows) + "\n  ]"
+    text = {}
+    for row in rows:
+        if id(row) not in text:
+            text[id(row)] = _json_array(row, 2)
+    return "[\n    " + ",\n    ".join([text[id(row)] for row in rows]) + "\n  ]"
 
 
 def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> float:
@@ -249,14 +263,19 @@ def score_forecast(realized: float, forecast: float) -> float:
 
     A price or forecast that is no int or float, or a NaN, raises
     InvalidConfig, and so do two infinities of one sign, whose error is
-    undefined; any other infinite error scores 0.
+    undefined, and an int price or forecast whose error lies past the
+    float range; any other infinite error scores 0.
     """
     _check_number("realized price", realized)
     _check_number("forecast", forecast)
-    err = realized - forecast
+    try:
+        err = realized - forecast
+        score = MAX_PAYOFF - PAYOFF_SCALE * err * err
+    except OverflowError:  # an int error that no float holds
+        raise InvalidConfig("forecast error is an int past the float range") from None
     if err != err:
         raise InvalidConfig(f"forecast error of {forecast} for {realized} is undefined")
-    return max(MAX_PAYOFF - PAYOFF_SCALE * err * err, 0.0)
+    return max(score, 0.0)
 
 
 def inject_mistrade(
@@ -268,9 +287,10 @@ def inject_mistrade(
     """With probability ``prob`` shift the decimal point one place
     (x10 or x0.1, equiprobable), then clip to the admissible band.
 
-    A forecast or ``prob`` that is no int or float, a NaN, or a ``prob``
-    outside [0, 1] raises InvalidConfig; an infinite forecast is kept or
-    clipped to the band edge it points to.
+    A forecast or ``prob`` that is no int or float, a NaN, a ``prob``
+    outside [0, 1] or an int forecast past the float range raises
+    InvalidConfig, before the random source is read; an infinite
+    forecast is kept or clipped to the band edge it points to.
     """
     _check_number("mis-trade probability", prob)
     if not 0.0 <= prob <= 1.0:
@@ -278,6 +298,10 @@ def inject_mistrade(
     _check_number("forecast", forecast)
     if forecast != forecast:
         raise InvalidConfig("forecast must not be NaN")
+    try:
+        float(forecast)
+    except OverflowError:  # as Series maps its values
+        raise InvalidConfig("forecast is an int past the float range") from None
     if prob == 0.0:
         return forecast
     if rng.random() >= prob:
@@ -295,9 +319,11 @@ def _exp(x: float) -> float:
 
 
 def _rule(spec: AgentSpec, params: ExperimentParams):
-    """The rule of ``spec`` as a function ``(prev, last, target, rng)`` of
-    the last two prices, the period being predicted and the random
-    source, returning the raw forecast before it is clipped to the band.
+    """The rule of ``spec`` as a function ``(prev, last, target, normal)``
+    of the last two prices, the period being predicted and a source of
+    standard normal draws (a no-argument callable, such as
+    ``random.Random.gauss``), returning the raw forecast before it is
+    clipped to the band.
 
     This is the one home of each rule's formula.  The model-based rules
     extrapolate their one-step growth twice, with the feedback term
@@ -306,25 +332,26 @@ def _rule(spec: AgentSpec, params: ExperimentParams):
     strictly positive, and so does return anchoring whose extrapolation
     is undefined (a negative feedback on a growth ratio past the float
     range).  An extrapolation past the float range gives an infinity.
-    ``prev`` is read only by return anchoring, and ``rng`` only by a
-    noise rule with a positive ``sigma``.
+    ``prev`` is read only by return anchoring, and ``normal`` only by a
+    noise rule with a positive ``sigma``, which adds ``normal() * sigma``
+    as ``gauss(0.0, sigma)`` adds its draw: ``0.0 + z * sigma``.
     """
     pf = params.fundamental
     kind = spec.kind
 
     if kind == FUNDAMENTALIST:
-        return lambda prev, last, target, rng: pf
+        return lambda prev, last, target, normal: pf
     if kind == NOISE:
         sigma = spec.sigma
         if sigma > 0:
-            return lambda prev, last, target, rng: pf + rng.gauss(0.0, sigma)
-        return lambda prev, last, target, rng: pf + 0.0  # a draw of 0.0: -0.0 gives 0.0
+            return lambda prev, last, target, normal: pf + (0.0 + normal() * sigma)
+        return lambda prev, last, target, normal: pf + 0.0  # a draw of 0.0: -0.0 gives 0.0
     if kind == NAIVE:
-        return lambda prev, last, target, rng: last
+        return lambda prev, last, target, normal: last
 
     a, b = spec.a, spec.b
     if kind == PRICE_ANCHOR:
-        def price_anchor(prev, last, target, rng):
+        def price_anchor(prev, last, target, normal):
             excess = last - pf
             if excess > 0:
                 return pf + excess * _exp(2.0 * (a + b * excess))
@@ -332,7 +359,7 @@ def _rule(spec: AgentSpec, params: ExperimentParams):
         return price_anchor
 
     if kind == RETURN_ANCHOR:
-        def return_anchor(prev, last, target, rng):
+        def return_anchor(prev, last, target, normal):
             exc_prev = prev - pf
             exc_last = last - pf
             if not (exc_prev > 0 and exc_last > 0):
@@ -351,7 +378,7 @@ def _rule(spec: AgentSpec, params: ExperimentParams):
     if kind == RATIONAL_BUBBLE:
         rate, scale, anchor = spec.rate, spec.scale, spec.anchor
 
-        def rational_bubble(prev, last, target, rng):
+        def rational_bubble(prev, last, target, normal):
             try:
                 return scale * (1.0 + rate) ** target + anchor
             except (OverflowError, ZeroDivisionError):  # or 0.0 to a negative power
@@ -392,7 +419,25 @@ def agent_forecast(
         raise InvalidConfig("noise agents need a random source")
     prev = values[-2] if len(values) > 1 else None
     target = history.t_end + 2  # the period being predicted
-    return params.clamp(_rule(spec, params)(prev, values[-1], target, rng))
+    normal = None if rng is None else rng.gauss
+    return params.clamp(_rule(spec, params)(prev, values[-1], target, normal))
+
+
+def _normals(uniform):
+    """Standard normal draws of ``random.Random.gauss``, read with ``next``.
+
+    ``uniform`` is the generator's ``random``.  Each pair of draws comes
+    from two uniforms by gauss's Box–Muller formulas, and the second is
+    held for the next read, as gauss holds it: the n-th draw is the z of
+    the n-th ``gauss(mu, sigma)``, which returns ``mu + z * sigma``, and
+    ``uniform`` is read exactly when gauss would read it.
+    """
+    tau, sqrt, log, cos, sin = math.tau, math.sqrt, math.log, math.cos, math.sin
+    while True:
+        x2pi = uniform() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+        yield cos(x2pi) * g2rad
+        yield sin(x2pi) * g2rad
 
 
 def run(config: SimConfig) -> SimResult:
@@ -411,16 +456,23 @@ def run(config: SimConfig) -> SimResult:
     one evaluation of the rule per period.  Noise traders draw their own,
     and forecast noise and mis-trades are applied trader by trader, so
     the random source is read in trader order as if every rule ran.
+    Without forecast noise and mis-trades, twin traders also share their
+    forecast row and their payoff row: one tuple object each, built and
+    scored once, which ``SimResult.to_json`` then encodes once.
 
-    Per trader the loops call only the rule and the random draws: the
-    band clip of ``ExperimentParams.clamp``, the mis-trade of
+    Every normal draw, a noise rule's and the forecast noise alike, comes
+    from one ``_normals`` source over the generator's uniforms, which
+    yields ``gauss``'s values in ``gauss``'s order without a method call
+    per draw.  Per trader the loops call only the rule and the random
+    draws: the band clip of ``ExperimentParams.clamp``, the mis-trade of
     ``inject_mistrade`` and the payoff of ``score_forecast`` are written
     out inline, and give the same floats as those helpers.
     """
     params = config.params
     p_min, p_max = params.p_min, params.p_max
     rng = random.Random(config.seed)
-    gauss, uniform = rng.gauss, rng.random
+    uniform = rng.random
+    normal = _normals(uniform).__next__
     exp = math.exp
     lo = (params.p_min + params.dividend) / (1.0 + params.r)
     hi = (params.p_max + params.dividend) / (1.0 + params.r)
@@ -444,7 +496,9 @@ def run(config: SimConfig) -> SimResult:
             index[key] = len(rules)
             rules.append(_rule(spec, params))
         plan.append((index[key], None))
-    slots = [k for k, _ in plan]
+    # per trader, its column of ``rows``: the shared forecasts, or with
+    # per-trader randomness its own
+    owners = range(len(plan)) if per_trader else [k for k, _ in plan]
 
     prev, last = config.initial_prices
     rows: List[List[float]] = []
@@ -454,22 +508,24 @@ def run(config: SimConfig) -> SimResult:
     # same float (a NaN passes, a signed zero keeps its sign) by two tests.
     for target in range(1, config.horizon + 1):
         # the forecasts made at t = target - 1 see prices up to t = target - 2
-        shared = [p_min if (f := rule(prev, last, target, rng)) < p_min
+        shared = [p_min if (f := rule(prev, last, target, normal)) < p_min
                   else p_max if f > p_max else f
                   for rule in rules]
         if not per_trader:
-            row = [shared[k] for k in slots]
+            rows.append(shared)
+            row = [shared[k] for k in owners]
         else:
             row = []
             for k, own in plan:
                 if own is None:
                     f = shared[k]
                 else:
-                    f = own(prev, last, target, rng)
+                    f = own(prev, last, target, normal)
                     f = p_min if f < p_min else p_max if f > p_max else f
                 if noise_sigma > 0 and f > 0:
+                    # gauss(0.0, sigma) is 0.0 + z * sigma; exp(-0.0) is exp(0.0)
                     try:
-                        f *= exp(gauss(0.0, noise_sigma))
+                        f *= exp(normal() * noise_sigma)
                     except OverflowError:  # f times an infinite factor
                         f = p_max
                     else:
@@ -478,24 +534,26 @@ def run(config: SimConfig) -> SimResult:
                     f *= 10.0 if uniform() < 0.5 else 0.1
                     f = p_min if f < p_min else p_max if f > p_max else f
                 row.append(f)
+            rows.append(row)
         p = clearing_price(row, params)
         if not (lo - 1e-9 <= p <= hi + 1e-9):
             raise AssertionError(
                 f"clearing price {p} escaped [{lo}, {hi}] at period {target - 1}"
             )
-        rows.append(row)
         prices.append(p)
         prev, last = last, p
 
-    forecasts = tuple(zip(*rows))
+    columns = tuple(zip(*rows))
     # score_forecast of each realized price, as max(s, 0.0) picks it; the
     # last forecast's target price is never realized in-run
     realized = prices[1:]
-    payoffs = tuple(
+    scored = [
         (*[0.0 if (s := MAX_PAYOFF - PAYOFF_SCALE * (e := p - f) * e) < 0.0 else s
-           for p, f in zip(realized, row)], None)
-        for row in forecasts
-    )
+           for p, f in zip(realized, column)], None)
+        for column in columns
+    ]
+    forecasts = tuple(columns[k] for k in owners)
+    payoffs = tuple(scored[k] for k in owners)
 
     metadata = {
         "rng_algorithm": RNG_ALGORITHM,

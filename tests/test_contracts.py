@@ -106,6 +106,8 @@ NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.fract
 # None, a complex number, a tuple
 NOT_FLOAT_CONVERTIBLE = st.one_of(st.text(alphabet="abcxyz,;", max_size=4), st.none(),
                                   st.complex_numbers(), st.tuples(st.floats()))
+# ints that no float holds
+PAST_FLOAT_RANGE = st.one_of(st.integers(min_value=2**1024), st.integers(max_value=-2**1024))
 # no Window: its bounds as a tuple or a list, a number, text, a range
 NOT_A_WINDOW = st.one_of(st.tuples(st.integers(0, 5), st.integers(10, 15)),
                          st.lists(st.integers(0, 15), min_size=2, max_size=2),
@@ -268,6 +270,8 @@ CONTRACTS = [
              InvalidConfig),
     Contract(SimConfig, "horizon below one", st.integers(max_value=0),
              lambda h: SimConfig(PARAMS, FUNDAMENTALISTS, h), InvalidConfig),
+    Contract(SimConfig, "horizon past sys.maxsize", st.integers(min_value=sys.maxsize + 1),
+             lambda h: SimConfig(PARAMS, FUNDAMENTALISTS, h), InvalidConfig),
     Contract(SimConfig, "seed outside 64 bits",
              st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
              lambda s: SimConfig(PARAMS, FUNDAMENTALISTS, 5, seed=s), InvalidConfig),
@@ -328,6 +332,10 @@ CONTRACTS = [
     Contract(score_forecast, "price or forecast not a number",
              st.tuples(st.integers(0, 1), NOT_A_NUMBER),
              lambda iv: score_forecast(*_replace((60.0, 60.0), *iv)), InvalidConfig),
+    Contract(score_forecast, "price or forecast an int past the float range",
+             st.tuples(st.integers(0, 1), PAST_FLOAT_RANGE, st.sampled_from([60, 60.0])),
+             lambda ivo: score_forecast(*_replace((ivo[2], ivo[2]), ivo[0], ivo[1])),
+             InvalidConfig),
     Contract(inject_mistrade, "forecast NaN", st.sampled_from([0.0, 0.5, 1.0]),
              lambda prob: inject_mistrade(math.nan, random.Random(0), prob, PARAMS),
              InvalidConfig),
@@ -335,6 +343,9 @@ CONTRACTS = [
              st.one_of(NAN, st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-15)),
              lambda prob: inject_mistrade(60.0, random.Random(0), prob, PARAMS),
              InvalidConfig),
+    Contract(inject_mistrade, "forecast an int past the float range",
+             st.tuples(PAST_FLOAT_RANGE, st.sampled_from([0.0, 0.5, 1.0])),
+             lambda fp: inject_mistrade(fp[0], random.Random(1), fp[1], PARAMS), InvalidConfig),
     Contract(inject_mistrade, "forecast not a number", NOT_A_NUMBER,
              lambda f: inject_mistrade(f, random.Random(0), 0.5, PARAMS), InvalidConfig),
     Contract(inject_mistrade, "probability not a number", NOT_A_NUMBER,

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,7 @@ from bubblelab import (
     InvalidConfig,
     PriceSeries,
     SimConfig,
+    SimResult,
     agent_forecast,
     clearing_price,
     inject_mistrade,
@@ -263,6 +266,20 @@ class TestSimConfig:
             SimConfig(**kwargs)
 
 
+    def test_horizon_past_sys_maxsize_is_refused_before_anything_is_allocated(self):
+        agents = [AgentSpec.fundamentalist()] * 6
+        assert _config(agents, horizon=sys.maxsize).horizon == sys.maxsize
+        tracemalloc.start()
+        try:
+            for horizon in (sys.maxsize + 1, 4 * sys.maxsize):
+                with pytest.raises(InvalidConfig, match="sys.maxsize"):
+                    _config(agents, horizon=horizon)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 class TestRun:
     def test_fundamentalists_hold_the_fixed_point(self):
         result = run(_config([AgentSpec.fundamentalist()] * 6))
@@ -387,6 +404,42 @@ class TestSharedRuleEvaluation:
             calls.clear()
             run(_config(_build_agents(preset, PARAMS), horizon=horizon, **kwargs))
             assert len(calls) == 2 * horizon, preset
+
+
+    def test_bubble_preset_twins_share_one_forecast_row_and_one_payoff_row(self):
+        result = run(_config(_build_agents("bubble", PARAMS), horizon=30,
+                             initial_prices=(66.0, 72.0)))
+        for rows in (result.forecasts, result.payoffs):
+            assert all(row is rows[0] for row in rows[:5])
+            assert rows[5] is not rows[0]
+        assert result.to_json() == sim_to_json_reference(result)
+
+    def test_json_encodes_rows_by_identity_so_signed_zeros_stay_apart(self):
+        # (0.0, 1.0) == (-0.0, 1.0), so a memo keyed by == would print one
+        # sign for both rows
+        plus, minus = (0.0, 1.0), (-0.0, 1.0)
+        result = SimResult(prices=PriceSeries(0, (60.0, 61.0)),
+                           forecasts=(plus, minus, plus), payoffs=(minus, plus, minus))
+        text = result.to_json()
+        assert text == sim_to_json_reference(result)
+        forecasts, payoffs = text.split('"payoffs"')
+        assert forecasts.count("-0.0") == 1 and payoffs.count("-0.0") == 2
+
+
+class TestNormalSource:
+    @pytest.mark.parametrize("seed", [0, 1, 20120601, 2**64 - 1])
+    @pytest.mark.parametrize("draws", [10_000, 10_001])
+    def test_yields_gauss_values_draw_for_draw(self, seed, draws):
+        # run draws every normal of a noisy run from this source; if
+        # CPython's gauss changes its formulas or its order, this fails
+        source, gauss = random.Random(seed), random.Random(seed)
+        normals = market._normals(source.random)
+        assert ([repr(next(normals)) for _ in range(draws)]
+                == [repr(gauss.gauss(0.0, 1.0)) for _ in range(draws)])
+        # after an odd count both hold a pair's second draw, and a uniform
+        # read in between comes next from the generator on both sides
+        assert repr(source.random()) == repr(gauss.random())
+        assert repr(next(normals)) == repr(gauss.gauss(0.0, 1.0))
 
 
 class TestSimResultSerialization:
