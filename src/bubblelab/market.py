@@ -322,8 +322,8 @@ def _rule(spec: AgentSpec, params: ExperimentParams):
     """The rule of ``spec`` as a function ``(prev, last, target, normal)``
     of the last two prices, the period being predicted and a source of
     standard normal draws (a no-argument callable, such as
-    ``random.Random.gauss``), returning the raw forecast before it is
-    clipped to the band.
+    ``lambda: rng.gauss(0.0, 1.0)``), returning the raw forecast before
+    it is clipped to the band.
 
     This is the one home of each rule's formula.  The model-based rules
     extrapolate their one-step growth twice, with the feedback term
@@ -419,7 +419,9 @@ def agent_forecast(
         raise InvalidConfig("noise agents need a random source")
     prev = values[-2] if len(values) > 1 else None
     target = history.t_end + 2  # the period being predicted
-    normal = None if rng is None else rng.gauss
+    # gauss's arguments have no defaults before Python 3.11; 0.0 + z is z
+    # for every z but -0.0, which then adds to the same 0.0 in the rule
+    normal = None if rng is None else (lambda: rng.gauss(0.0, 1.0))
     return params.clamp(_rule(spec, params)(prev, values[-1], target, normal))
 
 

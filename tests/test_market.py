@@ -160,6 +160,21 @@ class TestAgentForecast:
         assert abs(sum(draws) / len(draws) - 60.0) < 0.5
         assert max(draws) != min(draws)
 
+    def test_noise_agent_passes_gauss_its_arguments(self):
+        # Random.gauss has no default mu and sigma before Python 3.11
+        class ArgumentsRequired(random.Random):
+            def gauss(self, mu, sigma):
+                return super().gauss(mu, sigma)
+
+        spec = AgentSpec.noise(sigma=2.0)
+        hist = PriceSeries(0, (500.0,))
+        rng = ArgumentsRequired(5)
+        got = [agent_forecast(spec, hist, PARAMS, rng) for _ in range(5)]
+        want = random.Random(5)
+        assert [repr(f) for f in got] == [
+            repr(PARAMS.clamp(60.0 + want.gauss(0.0, 2.0))) for _ in range(5)
+        ]
+
     def test_forecast_clamped_to_band(self):
         hist = PriceSeries(0, (900.0, 990.0))
         spec = AgentSpec.price_anchor(a=1.0, b=0.01)
