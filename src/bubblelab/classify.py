@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -24,8 +23,8 @@ from .series import (
     ExperimentParams,
     PriceSeries,
     Window,
-    _check_min_window,
-    _check_number,
+    _check_finite,
+    _check_int,
     excess_series,
 )
 from .sweep import SweepGrid, sweep, sweep_summary
@@ -133,7 +132,7 @@ def detect_bubble_window(
     the longest candidate wins, earliest on ties.  A ``min_window`` that
     is not an integer of at least MIN_WINDOW raises InvalidConfig.
     """
-    _check_min_window(min_window)
+    _check_int("min_window", min_window, least=MIN_WINDOW)
     excess = excess_series(prices, params)
     vals = excess.values
     n = len(vals)
@@ -175,12 +174,10 @@ def classify_series(
     of at least MIN_WINDOW or an explicit ``window`` that is no Window or
     lies outside the series raises InvalidConfig.
     """
-    _check_number("theta", theta)
-    if not math.isfinite(theta):
-        raise InvalidConfig(f"theta must be finite, got {theta}")
+    _check_finite("theta", theta)
     if not 0.0 < theta <= 1.0:
         raise InvalidConfig(f"theta must lie in (0, 1], got {theta}")
-    _check_min_window(min_window)
+    _check_int("min_window", min_window, least=MIN_WINDOW)
     if window is not None:
         prices.window_values(window)  # raises InvalidConfig for a bad window
     win = window if window is not None else detect_bubble_window(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import FiniteHorizonSingularity, InvalidConfig, ReturnOverflow
-from .series import ExcessSeries, _check_int, _check_number
+from .series import ExcessSeries, _check_count, _check_finite, _check_int
 
 EXPONENTIAL = "exponential"
 PRICE_FEEDBACK = "price_feedback"
@@ -49,18 +49,13 @@ class GrowthModel:
         if self.variant not in (EXPONENTIAL, PRICE_FEEDBACK, RETURN_FEEDBACK):
             raise InvalidConfig(f"unknown model variant {self.variant!r}")
         for name in ("a", "b", "start"):
-            _check_number(f"parameter {name}", getattr(self, name))
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidConfig(f"parameter {name} must be finite")
+            _check_finite(f"parameter {name}", getattr(self, name))
         if not self.start > 0:
             raise InvalidConfig(f"initial excess price must be positive, got {self.start}")
         if self.initial_log_return is not None:
-            _check_number("initial log-return", self.initial_log_return)
-        if self.variant == RETURN_FEEDBACK:
-            if self.initial_log_return is None or not math.isfinite(
-                self.initial_log_return
-            ):
-                raise InvalidConfig("return feedback needs a finite initial log-return")
+            _check_finite("initial log-return", self.initial_log_return)
+        elif self.variant == RETURN_FEEDBACK:
+            raise InvalidConfig("return feedback needs a finite initial log-return")
 
     @staticmethod
     def exponential(a: float, start: float = 60.0) -> "GrowthModel":
@@ -92,9 +87,7 @@ def iterate(model: GrowthModel, steps: int, noise=None) -> ExcessSeries:
     FiniteHorizonSingularity once a value is no longer a positive finite
     float: it overflowed, became NaN or underflowed to zero.
     """
-    _check_int("steps", steps)
-    if steps < 0:
-        raise InvalidConfig(f"steps must be non-negative, got {steps}")
+    _check_count("steps", steps)
     values: List[float] = [model.start]
     g = model.initial_log_return if model.initial_log_return is not None else 0.0
     for t in range(1, steps + 1):
@@ -115,9 +108,9 @@ def iterate_noisy(
     model: GrowthModel, steps: int, sigma: float, seed: int
 ) -> ExcessSeries:
     """Iterate with Gaussian noise of std-dev ``sigma`` on each log-growth."""
-    _check_number("noise std-dev", sigma)
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InvalidConfig(f"noise std-dev must be finite and non-negative, got {sigma}")
+    _check_finite("noise std-dev", sigma)
+    if sigma < 0:
+        raise InvalidConfig(f"noise std-dev must be non-negative, got {sigma}")
     _check_int("seed", seed)
     rng = random.Random(seed)
     return iterate(model, steps, noise=lambda: rng.gauss(0.0, sigma))

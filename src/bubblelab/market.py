@@ -16,12 +16,19 @@ from __future__ import annotations
 import json
 import math
 import random
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InsufficientHistory, InvalidConfig
-from .series import ExperimentParams, PriceSeries, _check_int, _check_number, write_csv
+from .series import (
+    ExperimentParams,
+    PriceSeries,
+    _check_count,
+    _check_finite,
+    _check_int,
+    _check_number,
+    write_csv,
+)
 
 FUNDAMENTALIST = "fundamentalist"
 RATIONAL_BUBBLE = "rational_bubble"
@@ -58,9 +65,7 @@ class AgentSpec:
         if self.kind not in _KINDS:
             raise InvalidConfig(f"unknown agent kind {self.kind!r}")
         for name in ("rate", "scale", "anchor", "a", "b", "sigma"):
-            _check_number(f"agent parameter {name}", getattr(self, name))
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidConfig(f"agent parameter {name} must be finite")
+            _check_finite(f"agent parameter {name}", getattr(self, name))
         if self.sigma < 0:
             raise InvalidConfig(f"noise std-dev must be non-negative, got {self.sigma}")
 
@@ -129,11 +134,7 @@ class SimConfig:
             except TypeError:
                 raise InvalidConfig(
                     f"{name} must be a sequence, got {getattr(self, name)!r}") from None
-        _check_int("horizon", self.horizon)
-        if self.horizon < 1:
-            raise InvalidConfig(f"horizon must be at least 1, got {self.horizon}")
-        if self.horizon > sys.maxsize:  # no list of its periods can be built
-            raise InvalidConfig(f"horizon must not exceed sys.maxsize, got {self.horizon}")
+        _check_count("horizon", self.horizon, least=1)
         if len(self.agents) != self.params.n_traders:
             raise InvalidConfig(
                 f"need {self.params.n_traders} agents, got {len(self.agents)}"
@@ -143,12 +144,10 @@ class SimConfig:
             raise InvalidConfig(
                 f"mis-trade probability must lie in [0, 1], got {self.mistrade_prob}"
             )
-        _check_number("forecast noise std-dev", self.return_noise_sigma)
-        if not (math.isfinite(self.return_noise_sigma) and self.return_noise_sigma >= 0):
+        _check_finite("forecast noise std-dev", self.return_noise_sigma)
+        if self.return_noise_sigma < 0:
             raise InvalidConfig(
-                "forecast noise std-dev must be finite and non-negative, "
-                f"got {self.return_noise_sigma}"
-            )
+                f"forecast noise std-dev must be non-negative, got {self.return_noise_sigma}")
         _check_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in 64 bits")
@@ -238,13 +237,20 @@ def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> floa
     dividend, clipped to the admissible band (clipping is vacuous when
     the forecasts themselves respect the band: a mean that rounds past
     the band is clipped back into the forecasts' range).  Forecasts without a mean
-    (a NaN, or both infinities) raise InvalidConfig."""
+    (a NaN, or both infinities) raise InvalidConfig, and so does a forecast
+    that is no number or an int past the float range."""
     n = len(forecasts)
     if n != params.n_traders:
         raise InvalidConfig(f"expected {params.n_traders} forecasts, got {n}")
     try:
         mean = math.fsum(forecasts) / n
+    except TypeError:  # a forecast that is no number
+        for f in forecasts:
+            _check_number("forecast", f)
+        raise
     except OverflowError:  # the exact sum leaves the float range; the mean cannot
+        for f in forecasts:  # unless a forecast is an int that no float holds
+            _check_number("forecast", f)
         k = n.bit_length()  # 2**k > n, so the sum scaled by 2**-k stays in range
         mean = math.ldexp(math.fsum(math.ldexp(f, -k) for f in forecasts) / n, k)
     except ValueError:  # -inf + inf
@@ -261,10 +267,10 @@ def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> floa
 def score_forecast(realized: float, forecast: float) -> float:
     """Points earned for a forecast once the target price is realized.
 
-    A price or forecast that is no int or float, or a NaN, raises
-    InvalidConfig, and so do two infinities of one sign, whose error is
-    undefined, and an int price or forecast whose error lies past the
-    float range; any other infinite error scores 0.
+    A price or forecast that is no int or float, an int past the float
+    range or a NaN raises InvalidConfig, and so do two infinities of one
+    sign, whose error is undefined, and two ints whose error lies past
+    the float range; any other infinite error scores 0.
     """
     _check_number("realized price", realized)
     _check_number("forecast", forecast)
@@ -298,10 +304,6 @@ def inject_mistrade(
     _check_number("forecast", forecast)
     if forecast != forecast:
         raise InvalidConfig("forecast must not be NaN")
-    try:
-        float(forecast)
-    except OverflowError:  # as Series maps its values
-        raise InvalidConfig("forecast is an int past the float range") from None
     if prob == 0.0:
         return forecast
     if rng.random() >= prob:

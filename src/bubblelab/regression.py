@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Sequence, Tuple
 
 from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints
-from .series import ExcessSeries, PriceSeries, Window, _check_number, log_growth
+from .series import ExcessSeries, PriceSeries, Window, _check_finite, _finite_floats, log_growth
 from .studentt import t_quantile
 
 MODEL_PRICE = "price"
@@ -93,14 +93,11 @@ def _moment_rows(xs, ys) -> Tuple[list, int]:
 
     Returns ``(rows, p)``, a row ``(X, Y, X*X, X*Y, Y*Y, x)`` per pair
     with ``x == X / 2**p`` and ``y == Y / 2**p`` exactly: every finite
-    float is k * 2**e, so nothing is rounded.  A NaN or an infinity
-    raises InvalidConfig.
+    float is k * 2**e, so nothing is rounded.  Every value must be a
+    finite float: ``ols2`` checks its data, and a sweep's values and
+    their log growth are finite.
     """
-    ratios = []
-    for v in chain(xs, ys):
-        if not math.isfinite(v):
-            raise InvalidConfig(f"regression data must be finite, got {v}")
-        ratios.append(v.as_integer_ratio())
+    ratios = [v.as_integer_ratio() for v in chain(xs, ys)]
     p = max(den.bit_length() for _, den in ratios) - 1
     ints = [num << (p + 1 - den.bit_length()) for num, den in ratios]
     rows = [
@@ -264,11 +261,8 @@ def ols2(
     if n < 3:
         raise TooFewPoints(f"need at least 3 points for a two-parameter fit, got {n}")
 
-    try:
-        x = [float(v) for v in x]
-        y = [float(v) for v in y]
-    except (TypeError, ValueError, OverflowError) as exc:  # as Series maps its values
-        raise InvalidConfig(f"regression data must be numbers in the float range: {exc}") from None
+    x = _finite_floats("regression data", x)
+    y = _finite_floats("regression data", y)
     try:
         rows, p = _moment_rows(x, y)
         if _spread_start(rows, n) > n:
@@ -359,9 +353,7 @@ def fit_rational_bubble(
     parameters), which must be a finite number.  A rate or scale beyond
     the float range raises InvalidConfig.
     """
-    _check_number("anchor", anchor)
-    if not math.isfinite(anchor):
-        raise InvalidConfig(f"anchor must be finite, got {anchor}")
+    _check_finite("anchor", anchor)
     devs = []
     for t, p in enumerate(prices.window_values(window), window.start):
         d = p - anchor

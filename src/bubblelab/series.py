@@ -8,6 +8,7 @@ and all operations are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,25 +28,56 @@ from .errors import (
 MIN_WINDOW = 5
 
 
-def _check_int(name: str, value) -> None:
-    """Raise InvalidConfig unless ``value`` is an int (a bool is not)."""
+def _check_int(name: str, value, least: Optional[int] = None) -> None:
+    """Raise InvalidConfig unless ``value`` is an int (a bool is not) of
+    at least ``least``, when given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidConfig(f"{name} must be at least {least}, got {value}")
+
+
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Raise InvalidConfig unless ``value`` is a size: an integer of at
+    least ``least`` and at most ``sys.maxsize``, past which nothing of
+    that size can be built."""
+    _check_int(name, value, least)
+    if value > sys.maxsize:
+        raise InvalidConfig(
+            f"{name} must not exceed sys.maxsize, got a {value.bit_length()}-bit int")
 
 
 def _check_number(name: str, value) -> None:
-    """Raise InvalidConfig unless ``value`` is an int or a float (a bool
-    is not a number here)."""
+    """Raise InvalidConfig unless ``value`` is an int or a float that a
+    float holds: a bool is not a number here, nor is an int past the
+    float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise InvalidConfig(f"{name} is an int past the float range") from None
 
 
-def _check_min_window(min_window) -> None:
-    """Raise InvalidConfig unless ``min_window`` is an integer of at least
-    MIN_WINDOW."""
-    _check_int("min_window", min_window)
-    if min_window < MIN_WINDOW:
-        raise InvalidConfig(f"min_window must be at least {MIN_WINDOW}")
+def _check_finite(name: str, value) -> None:
+    """Raise InvalidConfig unless ``value`` is a finite number."""
+    _check_number(name, value)
+    if not math.isfinite(value):
+        raise InvalidConfig(f"{name} must be finite, got {value}")
+
+
+def _finite_floats(name: str, values) -> tuple:
+    """``values`` as a tuple of floats, each as ``float()`` makes it.
+    A value that ``float()`` refuses or that is not finite raises
+    InvalidConfig."""
+    try:
+        floats = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"{name} must be numbers in the float range: {exc}") from None
+    for i, v in enumerate(floats):
+        if not math.isfinite(v):
+            raise InvalidConfig(f"{name} must be finite, got {v} at offset {i}")
+    return floats
 
 
 @dataclass(frozen=True)
@@ -64,17 +96,12 @@ class ExperimentParams:
 
     def __post_init__(self):
         for name in ("r", "dividend", "p_min", "p_max"):
-            value = getattr(self, name)
-            _check_number(name, value)
-            if not math.isfinite(value):
-                raise InvalidConfig(f"{name} must be finite, got {value}")
+            _check_finite(name, getattr(self, name))
         if not self.r > 0:
             raise InvalidConfig(f"interest rate must be positive, got {self.r}")
         if self.dividend < 0:
             raise InvalidConfig(f"dividend must be non-negative, got {self.dividend}")
-        _check_int("n_traders", self.n_traders)
-        if self.n_traders < 1:
-            raise InvalidConfig(f"need at least one trader, got {self.n_traders}")
+        _check_count("n_traders", self.n_traders, least=1)
         if not self.p_min < self.p_max:
             raise InvalidConfig(
                 f"price band is empty: [{self.p_min}, {self.p_max}]"
@@ -93,7 +120,8 @@ class ExperimentParams:
     def clamp(self, price: float) -> float:
         """Clip a price into the admissible band, so an infinity gives the
         band edge it points to: ``min(max(price, p_min), p_max)``.  A price
-        that is no int or float, or a NaN, raises InvalidConfig."""
+        that is no int or float, an int past the float range or a NaN
+        raises InvalidConfig."""
         if type(price) is not float:
             _check_number("price", price)
         if price < self.p_min:
@@ -124,15 +152,9 @@ class Series:
 
     def __post_init__(self):
         _check_int("t0", self.t0)
-        try:
-            vals = tuple(float(v) for v in self.values)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidConfig(f"series values must be numbers: {exc}") from None
+        vals = _finite_floats("series values", self.values)
         if not vals:
             raise InvalidConfig("series needs at least one value")
-        for i, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise InvalidConfig(f"series has non-finite value at offset {i}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -320,9 +342,7 @@ def write_csv(path, series, forecasts=None, decimals: int = 2) -> None:
     presentation of the experimental data.  ``decimals`` that is not a
     non-negative integer raises InvalidConfig.
     """
-    _check_int("decimals", decimals)
-    if decimals < 0:
-        raise InvalidConfig(f"decimals must not be negative, got {decimals}")
+    _check_int("decimals", decimals, least=0)
     forecasts = forecasts or ()
     for col in forecasts:
         if len(col) != len(series):

@@ -16,7 +16,7 @@ import math
 from functools import lru_cache
 
 from .errors import InvalidConfig
-from .series import _check_number
+from .series import _check_count, _check_number
 
 _TWO_OVER_PI = 2.0 / math.pi
 # Above this |x| the tail beyond x is below 2**-500 for every df, so the
@@ -40,7 +40,7 @@ def t_cdf(x: float, df: int) -> float:
     its size allows; ``t_quantile`` never reads that tail, as it works
     on p > 0.5 by symmetry.
     """
-    _check_df(df)
+    _check_count("degrees of freedom", df, least=1)
     _check_number("x", x)
     if math.isnan(x):
         raise InvalidConfig("x must not be NaN")
@@ -62,11 +62,6 @@ def t_cdf(x: float, df: int) -> float:
     else:
         mass = (math.atan2(ax, root) + sin * (root / hyp) * total) * _TWO_OVER_PI
     return 0.5 + 0.5 * mass if x > 0 else 0.5 - 0.5 * mass
-
-
-def _check_df(df: int) -> None:
-    if not isinstance(df, int) or isinstance(df, bool) or df < 1:
-        raise InvalidConfig(f"degrees of freedom must be a positive integer, got {df!r}")
 
 
 # Quantile enclosure, as CDF distances in ulps of 1.0: Newton's root is
@@ -153,7 +148,7 @@ def t_quantile(p: float, df: int) -> float:
     try:
         return _cached_quantile(p, df)
     except TypeError:  # unhashable: no number, so a check below raises
-        _check_df(df)
+        _check_count("degrees of freedom", df, least=1)
         _check_number("p", p)
         raise
 
@@ -161,7 +156,7 @@ def t_quantile(p: float, df: int) -> float:
 @lru_cache(maxsize=None, typed=True)
 def _cached_quantile(p: float, df: int) -> float:
     """``t_quantile`` of hashable arguments."""
-    _check_df(df)
+    _check_count("degrees of freedom", df, least=1)
     _check_number("p", p)
     if not 0.0 < p < 1.0:
         raise InvalidConfig(f"probability must lie in (0, 1), got {p}")

@@ -25,7 +25,7 @@ from .regression import (
     _spread_start,
     _window_fits,
 )
-from .series import MIN_WINDOW, ExcessSeries, Window, _check_int, _check_min_window
+from .series import MIN_WINDOW, ExcessSeries, Window, _check_int
 from .studentt import t_quantile
 
 
@@ -76,7 +76,7 @@ def _span(excess, model, window, min_window):
     """Check a sweep's arguments; return the span (lo, hi) and its values."""
     if model not in _LAGS:
         raise InvalidConfig(f"model must be one of {sorted(_LAGS)}, got {model!r}")
-    _check_min_window(min_window)
+    _check_int("min_window", min_window, least=MIN_WINDOW)
     if window is None:
         return excess.t0, excess.t_end, excess.values
     vals = excess.window_values(window)  # checks the window before its bounds are read
@@ -329,10 +329,8 @@ def triangular_cell_count(n: int, min_window: int) -> int:
     """Count of windows of at least ``min_window`` points in a span of
     ``n`` points (none when n < min_window), for shape checks.  A
     negative ``n`` raises InvalidConfig."""
-    _check_int("n", n)
-    if n < 0:
-        raise InvalidConfig(f"n must not be negative, got {n}")
-    _check_min_window(min_window)
+    _check_int("n", n, least=0)
+    _check_int("min_window", min_window, least=MIN_WINDOW)
     k = max(0, n - min_window + 1)
     return k * (k + 1) // 2
 

@@ -4,10 +4,12 @@ tolerance, one visible pass/fail line per criterion.
 Lines go to the real stdout so they show up in a normal pytest run.
 """
 
+import json
 import math
 import random
 import time
-from collections import Counter
+
+import pytest
 
 from bubblelab import (
     ExperimentParams,
@@ -16,7 +18,6 @@ from bubblelab import (
     PriceSeries,
     SimConfig,
     Window,
-    classify_series,
     clearing_price,
     discrete_returns,
     fit_price_model,
@@ -33,6 +34,7 @@ from bubblelab import (
 )
 from bubblelab.cli import main as cli_main
 
+import _power_golden
 from _expected import TABLE2_EXPECTED
 from _oracles import brute_force_ols, t_quantile_bisect
 
@@ -152,36 +154,40 @@ def test_criterion_5_statistical_machinery():
             f"coverage {coverage:.4f}, {elapsed:.1f}s")
 
 
-def test_criterion_6_power_and_false_positives():
+@pytest.fixture(scope="module")
+def power_study():
+    """Criterion 6's 3 x 1000 seeded classifications, made once for the
+    criterion and its golden: each scenario's records by seed, and the
+    seconds they took."""
     start = time.perf_counter()
+    records = _power_golden.classify_all()
+    return records, time.perf_counter() - start
 
-    def rates(model, steps, sigma):
-        counts = Counter()
-        for seed in range(1000):
-            excess = iterate_noisy(model, steps, sigma, seed)
-            verdict = classify_series(excess.to_prices(PARAMS), PARAMS)
-            counts[verdict.label] += 1
-        return counts
 
-    price_counts = rates(GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0),
-                         20, 0.01)
-    price_rate = price_counts["anchoring_on_price"] / 1000.0
+def test_criterion_6_power_and_false_positives(power_study):
+    records, elapsed = power_study
 
-    return_counts = rates(
-        GrowthModel.return_feedback(0.02, 0.6, initial_log_return=0.25, start=60.0),
-        40, 0.003)
-    return_rate = return_counts["anchoring_on_return"] / 1000.0
+    def rate(scenario, label):
+        return sum(rec[0] == label for rec in records[scenario]) / _power_golden.SEEDS
 
-    exp_counts = rates(GrowthModel.exponential(math.log(1.1), 60.0), 20, 0.01)
-    exp_rate = exp_counts["rational_exponential"] / 1000.0
-
-    elapsed = time.perf_counter() - start
+    price_rate = rate("price_feedback", "anchoring_on_price")
+    return_rate = rate("return_feedback", "anchoring_on_return")
+    exp_rate = rate("exponential", "rational_exponential")
     ok = (price_rate >= 0.90 and return_rate >= 0.80 and exp_rate >= 0.95
           and elapsed < 120.0)
     _report(6, "classification power and false-positive control over 1000 seeds each",
             ok,
             f"price {price_rate:.3f} (>=0.90), return {return_rate:.3f} (>=0.80), "
             f"exponential {exp_rate:.3f} (>=0.95), {elapsed:.0f}s")
+
+
+def test_power_study_verdicts_match_their_golden(power_study):
+    # the rates above leave room for dozens of verdicts to move; this pins
+    # each one (regenerate with tests/_power_golden.py)
+    records, _ = power_study
+    golden = json.loads(_power_golden.GOLDEN.read_text())
+    differences = _power_golden.differences(records, golden)
+    assert not differences, "\n".join(differences)
 
 
 def test_criterion_7_sweep_structure():

@@ -18,6 +18,7 @@ import os
 import random
 import sys
 import tempfile
+import tracemalloc
 import types
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,6 +109,19 @@ NOT_FLOAT_CONVERTIBLE = st.one_of(st.text(alphabet="abcxyz,;", max_size=4), st.n
                                   st.complex_numbers(), st.tuples(st.floats()))
 # ints that no float holds
 PAST_FLOAT_RANGE = st.one_of(st.integers(min_value=2**1024), st.integers(max_value=-2**1024))
+# One strategy per parameter kind draws every class of value that no
+# parameter of that kind takes, so a class added here reaches every row of
+# the kind.  A number is an int or a float that a float holds; a finite
+# number is one that is also finite; a count is a size, an int from 0 to
+# sys.maxsize.  A count's sizes past sys.maxsize are ints past the float
+# range, on which code without the size check fails at once: just past
+# sys.maxsize, it would run that many steps or CDF terms.
+HOSTILE_NUMBER = st.one_of(PAST_FLOAT_RANGE, NOT_A_NUMBER)
+HOSTILE_FINITE = st.one_of(HOSTILE_NUMBER, NON_FINITE)
+HOSTILE_COUNT = st.one_of(NON_INTEGER, st.integers(max_value=-1), PAST_FLOAT_RANGE)
+# what a sequence of finite floats refuses: what float() cannot convert, or
+# converts to no finite float
+HOSTILE_FLOAT = st.one_of(NOT_FLOAT_CONVERTIBLE, PAST_FLOAT_RANGE, NON_FINITE)
 # no Window: its bounds as a tuple or a list, a number, text, a range
 NOT_A_WINDOW = st.one_of(st.tuples(st.integers(0, 5), st.integers(10, 15)),
                          st.lists(st.integers(0, 15), min_size=2, max_size=2),
@@ -150,9 +164,9 @@ CONTRACTS = [
              st.tuples(st.sampled_from(["r", "dividend", "p_min", "p_max"]), NON_FINITE),
              lambda kv: ExperimentParams(**dict([kv])), InvalidConfig),
     Contract(ExperimentParams, "constant not a number",
-             st.tuples(st.sampled_from(["r", "dividend", "p_min", "p_max"]), NOT_A_NUMBER),
+             st.tuples(st.sampled_from(["r", "dividend", "p_min", "p_max"]), HOSTILE_FINITE),
              lambda kv: ExperimentParams(**dict([kv])), InvalidConfig),
-    Contract(ExperimentParams, "n_traders not an integer", NON_INTEGER,
+    Contract(ExperimentParams, "n_traders not an integer", HOSTILE_COUNT,
              lambda v: ExperimentParams(n_traders=v), InvalidConfig),
     Contract(ExperimentParams, "no traders", st.integers(max_value=0),
              lambda v: ExperimentParams(n_traders=v), InvalidConfig),
@@ -165,7 +179,7 @@ CONTRACTS = [
     Contract(Series, "value NaN or infinite", st.tuples(st.integers(0, 4), NON_FINITE),
              lambda iv: Series(0, _replace((1.0,) * 5, *iv)), InvalidConfig),
     Contract(Series, "value not a number",
-             st.tuples(st.integers(0, 4), NOT_FLOAT_CONVERTIBLE),
+             st.tuples(st.integers(0, 4), HOSTILE_FLOAT),
              lambda iv: Series(0, _replace((1.0,) * 5, *iv)), InvalidConfig),
     Contract(Series, "no values", st.integers(), lambda t0: Series(t0, ()), InvalidConfig),
     Contract(Series, "t0 not an integer", NON_INTEGER,
@@ -217,7 +231,8 @@ CONTRACTS = [
              lambda kv: GrowthModel("price_feedback", **{"a": 0.1, **dict([kv])}),
              InvalidConfig),
     Contract(GrowthModel, "parameter not a number",
-             st.tuples(st.sampled_from(["a", "b", "start", "initial_log_return"]), NOT_A_NUMBER),
+             st.tuples(st.sampled_from(["a", "b", "start", "initial_log_return"]),
+                       HOSTILE_FINITE),
              lambda kv: GrowthModel("return_feedback",
                                     **{"a": 0.1, "initial_log_return": 0.1, **dict([kv])}),
              InvalidConfig),
@@ -226,7 +241,7 @@ CONTRACTS = [
     Contract(GrowthModel, "initial log-return NaN or infinite", NON_FINITE,
              lambda v: GrowthModel.return_feedback(0.1, 0.5, initial_log_return=v),
              InvalidConfig),
-    Contract(iterate, "steps not an integer", NON_INTEGER,
+    Contract(iterate, "steps not an integer", HOSTILE_COUNT,
              lambda v: iterate(GrowthModel.exponential(0.1), v), InvalidConfig),
     Contract(iterate, "negative steps", st.integers(max_value=-1),
              lambda v: iterate(GrowthModel.exponential(0.1), v), InvalidConfig),
@@ -237,14 +252,17 @@ CONTRACTS = [
     Contract(iterate_noisy, "noise NaN, infinite or negative",
              st.one_of(NON_FINITE, st.floats(max_value=-1e-300)),
              lambda s: iterate_noisy(GrowthModel.exponential(0.1), 3, s, 0), InvalidConfig),
-    Contract(iterate_noisy, "noise not a number", NOT_A_NUMBER,
+    Contract(iterate_noisy, "noise not a number", HOSTILE_FINITE,
              lambda s: iterate_noisy(GrowthModel.exponential(0.1), 3, s, 0), InvalidConfig),
     Contract(iterate_noisy, "seed not an integer", NON_INTEGER,
              lambda v: iterate_noisy(GrowthModel.exponential(0.1), 3, 0.1, v), InvalidConfig),
     Contract(table2, "parameter NaN or infinite",
              st.tuples(st.sampled_from(["a1", "a2", "b2"]), NON_FINITE),
              lambda kv: table2(**dict([kv])), InvalidConfig),
-    Contract(table2, "steps not an integer", NON_INTEGER,
+    Contract(table2, "parameter not a number",
+             st.tuples(st.sampled_from(["a1", "a2", "b2", "start"]), HOSTILE_FINITE),
+             lambda kv: table2(**dict([kv])), InvalidConfig),
+    Contract(table2, "steps not an integer", HOSTILE_COUNT,
              lambda v: table2(steps=v), InvalidConfig),
     Contract(table2, "exponential column decays to zero", st.floats(-1e308, -750.0),
              lambda a: table2(a1=a), FiniteHorizonSingularity),
@@ -258,14 +276,15 @@ CONTRACTS = [
              lambda kv: AgentSpec("noise", **dict([kv])), InvalidConfig),
     Contract(AgentSpec, "parameter not a number",
              st.tuples(st.sampled_from(["rate", "scale", "anchor", "a", "b", "sigma"]),
-                       NOT_A_NUMBER),
+                       HOSTILE_FINITE),
              lambda kv: AgentSpec("noise", **dict([kv])), InvalidConfig),
     Contract(AgentSpec, "negative noise", st.floats(max_value=-1e-300),
              lambda s: AgentSpec.noise(s), InvalidConfig),
     Contract(AgentSpec, "unknown kind", st.text(max_size=5),
              lambda kind: AgentSpec(kind), InvalidConfig),
     Contract(SimConfig, "horizon or seed not an integer",
-             st.tuples(st.sampled_from(["horizon", "seed"]), NON_INTEGER),
+             st.one_of(st.tuples(st.just("horizon"), HOSTILE_COUNT),
+                       st.tuples(st.just("seed"), NON_INTEGER)),
              lambda kv: SimConfig(PARAMS, FUNDAMENTALISTS, **{"horizon": 5, **dict([kv])}),
              InvalidConfig),
     Contract(SimConfig, "horizon below one", st.integers(max_value=0),
@@ -287,16 +306,12 @@ CONTRACTS = [
              lambda p: SimConfig(PARAMS, FUNDAMENTALISTS, 5, initial_prices=(60.0, p)),
              InvalidConfig),
     Contract(SimConfig, "seed price not a number",
-             st.tuples(st.sampled_from([0, 1]),
-                       st.one_of(st.text(max_size=4), st.none(), st.booleans(),
-                                 st.fractions(0, 100), st.tuples(st.floats()))),
+             st.tuples(st.sampled_from([0, 1]), st.one_of(HOSTILE_FINITE, st.fractions(0, 100))),
              lambda iv: SimConfig(PARAMS, FUNDAMENTALISTS, 5,
                                   initial_prices=_replace((60.0, 60.0), *iv)),
              InvalidConfig),
     Contract(SimConfig, "mis-trade probability or forecast noise not a number",
-             st.tuples(st.sampled_from(["mistrade_prob", "return_noise_sigma"]),
-                       st.one_of(st.text(max_size=4), st.none(), st.booleans(),
-                                 st.fractions(0, 1), st.tuples(st.floats()))),
+             st.tuples(st.sampled_from(["mistrade_prob", "return_noise_sigma"]), HOSTILE_FINITE),
              lambda kv: SimConfig(PARAMS, FUNDAMENTALISTS, 5, **dict([kv])), InvalidConfig),
     Contract(SimConfig, "agents or seed prices not iterable",
              st.tuples(st.sampled_from(["agents", "initial_prices"]),
@@ -319,6 +334,14 @@ CONTRACTS = [
     Contract(clearing_price, "forecasts at both infinities",
              st.permutations([math.inf, -math.inf, 60.0, 60.0, 60.0, 60.0]),
              lambda fs: clearing_price(fs, PARAMS), InvalidConfig),
+    # a bool or a Fraction is a number to math.fsum, and so to the mean
+    Contract(clearing_price, "forecast not a number",
+             st.tuples(st.integers(0, 5),
+                       st.one_of(NOT_FLOAT_CONVERTIBLE, st.lists(st.floats(), max_size=2))),
+             lambda iv: clearing_price(_replace((60.0,) * 6, *iv), PARAMS), InvalidConfig),
+    Contract(clearing_price, "forecast an int past the float range",
+             st.tuples(st.integers(0, 5), PAST_FLOAT_RANGE),
+             lambda iv: clearing_price(_replace((60.0,) * 6, *iv), PARAMS), InvalidConfig),
     Contract(clearing_price, "forecast count other than n_traders",
              st.integers(0, 12).filter(lambda n: n != PARAMS.n_traders),
              lambda n: clearing_price((60.0,) * n, PARAMS), InvalidConfig),
@@ -330,7 +353,7 @@ CONTRACTS = [
              st.sampled_from([math.inf, -math.inf]),
              lambda v: score_forecast(v, v), InvalidConfig),
     Contract(score_forecast, "price or forecast not a number",
-             st.tuples(st.integers(0, 1), NOT_A_NUMBER),
+             st.tuples(st.integers(0, 1), HOSTILE_NUMBER),
              lambda iv: score_forecast(*_replace((60.0, 60.0), *iv)), InvalidConfig),
     Contract(score_forecast, "price or forecast an int past the float range",
              st.tuples(st.integers(0, 1), PAST_FLOAT_RANGE, st.sampled_from([60, 60.0])),
@@ -346,9 +369,9 @@ CONTRACTS = [
     Contract(inject_mistrade, "forecast an int past the float range",
              st.tuples(PAST_FLOAT_RANGE, st.sampled_from([0.0, 0.5, 1.0])),
              lambda fp: inject_mistrade(fp[0], random.Random(1), fp[1], PARAMS), InvalidConfig),
-    Contract(inject_mistrade, "forecast not a number", NOT_A_NUMBER,
+    Contract(inject_mistrade, "forecast not a number", HOSTILE_NUMBER,
              lambda f: inject_mistrade(f, random.Random(0), 0.5, PARAMS), InvalidConfig),
-    Contract(inject_mistrade, "probability not a number", NOT_A_NUMBER,
+    Contract(inject_mistrade, "probability not a number", HOSTILE_NUMBER,
              lambda prob: inject_mistrade(60.0, random.Random(0), prob, PARAMS),
              InvalidConfig),
     # regression.py
@@ -357,7 +380,7 @@ CONTRACTS = [
              lambda iv: ols2(*_columns(_replace((1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 4.0, 8.0), *iv))),
              InvalidConfig),
     Contract(ols2, "data not a number",
-             st.tuples(st.integers(0, 7), NOT_FLOAT_CONVERTIBLE),
+             st.tuples(st.integers(0, 7), HOSTILE_FLOAT),
              lambda iv: ols2(*_columns(_replace((1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 4.0, 8.0), *iv))),
              InvalidConfig),
     Contract(ols2, "lengths differ", st.integers(0, 10).filter(lambda n: n != 4),
@@ -388,7 +411,7 @@ CONTRACTS = [
              lambda w: fit_return_model(EXCESS, w), InvalidConfig),
     Contract(fit_rational_bubble, "anchor NaN or -inf", st.sampled_from([math.nan, -math.inf]),
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), InvalidConfig),
-    Contract(fit_rational_bubble, "anchor not a number", NOT_A_NUMBER,
+    Contract(fit_rational_bubble, "anchor not a number", HOSTILE_FINITE,
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), InvalidConfig),
     Contract(fit_rational_bubble, "window not a Window", NOT_A_WINDOW,
              lambda w: fit_rational_bubble(BUBBLE, w), InvalidConfig),
@@ -403,16 +426,16 @@ CONTRACTS = [
              InvalidConfig),
     # studentt.py
     Contract(t_cdf, "NaN x", NAN, lambda x: t_cdf(x, 3), InvalidConfig),
-    Contract(t_cdf, "x not a number", NOT_A_NUMBER, lambda x: t_cdf(x, 3), InvalidConfig),
-    Contract(t_cdf, "df not a positive integer", st.one_of(NON_INTEGER, st.integers(max_value=0)),
+    Contract(t_cdf, "x not a number", HOSTILE_NUMBER, lambda x: t_cdf(x, 3), InvalidConfig),
+    Contract(t_cdf, "df not a positive integer", st.one_of(HOSTILE_COUNT, st.just(0)),
              lambda df: t_cdf(1.0, df), InvalidConfig),
     Contract(t_quantile, "probability NaN, infinite or outside (0, 1)",
              st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0)),
              lambda p: t_quantile(p, 3), InvalidConfig),
-    Contract(t_quantile, "probability not a number", NOT_A_NUMBER,
+    Contract(t_quantile, "probability not a number", HOSTILE_NUMBER,
              lambda p: t_quantile(p, 3), InvalidConfig),
     Contract(t_quantile, "df not a positive integer",
-             st.one_of(NON_INTEGER, st.integers(max_value=0)),
+             st.one_of(HOSTILE_COUNT, st.just(0)),
              lambda df: t_quantile(0.975, df), InvalidConfig),
     # sweep.py
     Contract(sweep, "min_window not an integer", NON_INTEGER,
@@ -441,7 +464,7 @@ CONTRACTS = [
     Contract(classify_series, "theta NaN, infinite or outside (0, 1]",
              st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0 + 1e-15)),
              lambda theta: classify_series(BUBBLE, PARAMS, theta=theta), InvalidConfig),
-    Contract(classify_series, "theta not a number", NOT_A_NUMBER,
+    Contract(classify_series, "theta not a number", HOSTILE_FINITE,
              lambda theta: classify_series(BUBBLE, PARAMS, theta=theta), InvalidConfig),
     Contract(classify_series, "min_window not an integer", NON_INTEGER,
              lambda m: classify_series(BUBBLE, PARAMS, min_window=m), InvalidConfig),
@@ -508,8 +531,9 @@ def test_clearing_price_clips_one_sided_infinities(forecasts, expected):
 
 
 # ExperimentParams.clamp is a method, so it has no row of the table
-@pytest.mark.parametrize("price", [math.nan, "60", None, True, 1j, [60.0]],
-                         ids=["nan", "text", "none", "bool", "complex", "list"])
+@pytest.mark.parametrize("price", [math.nan, "60", None, True, 1j, [60.0], 10**400],
+                         ids=["nan", "text", "none", "bool", "complex", "list",
+                              "int past the float range"])
 def test_clamp_rejects_a_nan_or_a_non_number(price):
     with pytest.raises(InvalidConfig):
         PARAMS.clamp(price)
@@ -522,6 +546,27 @@ def test_clamp_is_min_of_max(params, price):
     # repr tells -0.0 from 0.0 and 60 from 60.0
     want = min(max(price, params.p_min), params.p_max)
     assert repr(params.clamp(price)) == repr(want)
+
+
+# 10**400 comes first: code without the size check fails on it at once,
+# where sys.maxsize + 1 would run that many steps or CDF terms
+@pytest.mark.parametrize("call", [
+    lambda n: ExperimentParams(n_traders=n),
+    lambda n: iterate(GrowthModel.exponential(0.1), n),
+    lambda n: table2(steps=n),
+    lambda n: t_cdf(1.0, n),
+    lambda n: t_quantile(0.975, n),
+], ids=["n_traders", "iterate steps", "table2 steps", "t_cdf df", "t_quantile df"])
+def test_a_size_past_sys_maxsize_is_refused_before_anything_is_allocated(call):
+    tracemalloc.start()
+    try:
+        for n in (10**400, sys.maxsize + 1, 4 * sys.maxsize):
+            with pytest.raises(InvalidConfig, match="sys.maxsize"):
+                call(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("df, bad", [(2, 2.0), (1, True)], ids=["float", "bool"])
