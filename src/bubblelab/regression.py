@@ -56,37 +56,6 @@ class OlsFit:
     perfect: bool = False
 
 
-class _OpenFit:
-    """An unfrozen twin of ``OlsFit`` with the same slots, for ``_fit``.
-
-    The frozen dataclass ``__init__`` stores each of its 11 fields with
-    its own ``object.__setattr__`` call, which made building the result
-    about a third of a warm sweep cell's cost.
-    """
-
-    __slots__ = OlsFit.__slots__
-
-    def __init__(self, model, a, b, se_a, se_b, a_lower, b_lower, n, df, r2, perfect):
-        self.model = model
-        self.a = a
-        self.b = b
-        self.se_a = se_a
-        self.se_b = se_b
-        self.a_lower = a_lower
-        self.b_lower = b_lower
-        self.n = n
-        self.df = df
-        self.r2 = r2
-        self.perfect = perfect
-
-
-def _fit(model: str, numbers: tuple) -> OlsFit:
-    """The ``OlsFit`` of ``model`` with the kernel's ``numbers``."""
-    fit = _OpenFit(model, *numbers)
-    fit.__class__ = OlsFit  # same slot layout: from here on a frozen OlsFit
-    return fit
-
-
 def _moment_rows(xs, ys) -> Tuple[list, int]:
     """Exact integer images of finite float pairs on one power-of-two
     scale, with the products the moments sum.
@@ -131,7 +100,7 @@ def _fit_moments(
     the regressor must not be constant), with lower bounds ``tq``
     standard errors below each coefficient.  Returns the fit's numbers,
     ``(a, b, se_a, se_b, a_lower, b_lower, n, df, r2, perfect)``: the
-    fields of ``OlsFit`` after ``model``, in order (``_fit`` builds one).
+    fields of ``OlsFit`` after ``model``, in order.
 
     Every quantity is an exact rational until its one rounding to float
     (int / int true division is correctly rounded): the slope b, then the
@@ -271,7 +240,7 @@ def ols2(
             )
         sx, sy, sxx, sxy, syy, _ = map(sum, zip(*rows))
         tq = t_quantile(0.95 if one_sided else 0.975, n - 2)
-        return _fit(model, _fit_moments(n, sx, sy, sxx, sxy, syy, p, tq))
+        return OlsFit(model, *_fit_moments(n, sx, sy, sxx, sxy, syy, p, tq))
     except OverflowError as exc:  # from the kernel's int / int
         raise InvalidConfig(f"regression fit beyond the float range: {exc}") from None
 

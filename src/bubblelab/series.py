@@ -28,13 +28,23 @@ from .errors import (
 MIN_WINDOW = 5
 
 
+def _int_text(value: int) -> str:
+    """An int as an error message prints it: in decimal, or by its sign
+    and bit length where ``str`` refuses it (past 4,300 digits by default
+    from Python 3.11 on), so that building the message cannot fail."""
+    try:
+        return f"{value}"
+    except ValueError:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int"
+
+
 def _check_int(name: str, value, least: Optional[int] = None) -> None:
     """Raise InvalidConfig unless ``value`` is an int (a bool is not) of
     at least ``least``, when given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
-        raise InvalidConfig(f"{name} must be at least {least}, got {value}")
+        raise InvalidConfig(f"{name} must be at least {least}, got {_int_text(value)}")
 
 
 def _check_count(name: str, value, least: int = 0) -> None:
@@ -171,8 +181,8 @@ class Series:
             raise InvalidConfig(f"window must be a Window, got {window!r}")
         if window.start < self.t0 or window.end > self.t_end:
             raise InvalidConfig(
-                f"window [{window.start}, {window.end}] outside series range "
-                f"[{self.t0}, {self.t_end}]"
+                f"window [{_int_text(window.start)}, {_int_text(window.end)}] outside "
+                f"series range [{_int_text(self.t0)}, {_int_text(self.t_end)}]"
             )
         return self.values[window.start - self.t0 : window.end - self.t0 + 1]
 
@@ -197,7 +207,7 @@ class Window:
         _check_int("window end", self.end)
         if self.end < self.start + MIN_WINDOW - 1:
             raise InvalidConfig(
-                f"window [{self.start}, {self.end}] shorter than "
+                f"window [{_int_text(self.start)}, {_int_text(self.end)}] shorter than "
                 f"{MIN_WINDOW} points"
             )
 
@@ -340,9 +350,11 @@ def write_csv(path, series, forecasts=None, decimals: int = 2) -> None:
 
     Values are printed with a fixed number of decimals, matching the
     presentation of the experimental data.  ``decimals`` that is not a
-    non-negative integer raises InvalidConfig.
+    non-negative integer below 2**31 raises InvalidConfig.
     """
     _check_int("decimals", decimals, least=0)
+    if decimals >= 2**31:  # % formatting takes a precision that a C int holds
+        raise InvalidConfig(f"decimals must be below 2**31, got {_int_text(decimals)}")
     forecasts = forecasts or ()
     for col in forecasts:
         if len(col) != len(series):

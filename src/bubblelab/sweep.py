@@ -11,14 +11,13 @@ inside its own window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import InvalidConfig
 from .regression import (
     _LAGS,
     OlsFit,
-    _fit,
     _fit_moments,
     _moment_rows,
     _pairs,
@@ -169,7 +168,7 @@ def sweep(
         for e in range(first_e, fit_e):
             cells[s, e] = _DEGENERATE
         for e, numbers in enumerate(_window_fits(rows, p, spread, tqs), fit_e):
-            cells[s, e] = _fit(model, numbers)
+            cells[s, e] = OlsFit(model, *numbers)
         for e in range(max(first_e, bad), hi + 1):
             cells[s, e] = _BLOCKED
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
@@ -322,7 +321,7 @@ def sweep_summary(
         if best is None or numbers[5] > best[5]:
             best, best_key = numbers, key
     return _summary(model, min_window, triangular_cell_count(hi + 1 - lo, min_window), n_sig,
-                    errors, best_key, None if best is None else _fit(model, best))
+                    errors, best_key, best)
 
 
 def triangular_cell_count(n: int, min_window: int) -> int:
@@ -363,7 +362,7 @@ def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] 
     ``grid_summary(sweep(...))``, with the same arguments, in one pass
     that holds no grid.  Each start's rows are formatted from the
     kernel's numbers and written at once, and tallied by
-    ``grid_summary``'s rules; only the best window's fit is built.
+    ``grid_summary``'s rules; no fit object is built.
 
     The arguments are checked before ``path`` is opened, so an
     InvalidConfig leaves no file behind.
@@ -395,13 +394,13 @@ def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] 
             _count_errors(errors, fit_e - first_e, hi + 1 - first_blocked)
             fh.write("".join(lines))
     return _summary(model, min_window, triangular_cell_count(hi + 1 - lo, min_window), n_sig,
-                    errors, best_key, None if best is None else _fit(model, best))
+                    errors, best_key, best)
 
 
 def _summary(model, min_window, n_cells, n_sig, errors, best_key, best) -> dict:
     """The summary dict of a grid's tallies: ``errors`` counts invalid
-    cells by error kind in first-seen order, and ``best`` is the fit of
-    the window ``best_key`` (None when no cell is valid)."""
+    cells by error kind in first-seen order, and ``best`` is the kernel's
+    numbers of the window ``best_key`` (None when no cell is valid)."""
     n_valid = n_cells - sum(errors.values())
     return {
         "model": model,
@@ -414,7 +413,7 @@ def _summary(model, min_window, n_cells, n_sig, errors, best_key, best) -> dict:
         "best_window": None if best is None else {
             "start": best_key[0],
             "end": best_key[1],
-            "fit": {name: getattr(best, name) for name in _FIT_FIELDS},
+            "fit": dict(zip(_FIT_FIELDS, (model, *best))),
         },
     }
 
@@ -439,4 +438,5 @@ def grid_summary(grid: SweepGrid) -> dict:
                 best, best_key = cell, key
         else:
             errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
-    return _summary(grid.model, grid.min_window, len(grid.cells), n_sig, errors, best_key, best)
+    return _summary(grid.model, grid.min_window, len(grid.cells), n_sig, errors, best_key,
+                    None if best is None else astuple(best)[1:])

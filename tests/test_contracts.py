@@ -97,7 +97,16 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # these checks
 NON_INTEGER = st.one_of(st.floats(), st.booleans(), st.lists(st.integers(), max_size=2))
 NON_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
-BELOW_MIN_WINDOW = st.integers(max_value=bubblelab.MIN_WINDOW - 1)
+# ints of more than 4,300 digits, which str() refuses from Python 3.11 on
+# unless told otherwise: an error message must name them another way
+UNPRINTABLE_POSITIVE = st.integers(10**4300, 10**4400)
+UNPRINTABLE_NEGATIVE = st.integers(-10**4400, -10**4300)
+UNPRINTABLE = st.one_of(UNPRINTABLE_POSITIVE, UNPRINTABLE_NEGATIVE)
+NEGATIVE = st.one_of(st.integers(max_value=-1), UNPRINTABLE_NEGATIVE)
+BELOW_MIN_WINDOW = st.one_of(st.integers(max_value=bubblelab.MIN_WINDOW - 1),
+                             UNPRINTABLE_NEGATIVE)
+# the start of a window that is outside BUBBLE, whose span is [0, 19]
+START_PAST_BUBBLE = st.one_of(st.integers(16, 40), UNPRINTABLE)
 # no int or float: text, None, a bool, a fraction, a complex number, a tuple,
 # a list (which no cache can hash)
 NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.fractions(0, 1),
@@ -118,7 +127,7 @@ PAST_FLOAT_RANGE = st.one_of(st.integers(min_value=2**1024), st.integers(max_val
 # sys.maxsize, it would run that many steps or CDF terms.
 HOSTILE_NUMBER = st.one_of(PAST_FLOAT_RANGE, NOT_A_NUMBER)
 HOSTILE_FINITE = st.one_of(HOSTILE_NUMBER, NON_FINITE)
-HOSTILE_COUNT = st.one_of(NON_INTEGER, st.integers(max_value=-1), PAST_FLOAT_RANGE)
+HOSTILE_COUNT = st.one_of(NON_INTEGER, NEGATIVE, PAST_FLOAT_RANGE)
 # what a sequence of finite floats refuses: what float() cannot convert, or
 # converts to no finite float
 HOSTILE_FLOAT = st.one_of(NOT_FLOAT_CONVERTIBLE, PAST_FLOAT_RANGE, NON_FINITE)
@@ -168,7 +177,8 @@ CONTRACTS = [
              lambda kv: ExperimentParams(**dict([kv])), InvalidConfig),
     Contract(ExperimentParams, "n_traders not an integer", HOSTILE_COUNT,
              lambda v: ExperimentParams(n_traders=v), InvalidConfig),
-    Contract(ExperimentParams, "no traders", st.integers(max_value=0),
+    Contract(ExperimentParams, "no traders",
+             st.one_of(st.integers(max_value=0), UNPRINTABLE_NEGATIVE),
              lambda v: ExperimentParams(n_traders=v), InvalidConfig),
     Contract(ExperimentParams, "rate not positive", NON_POSITIVE,
              lambda v: ExperimentParams(r=v), InvalidConfig),
@@ -186,11 +196,14 @@ CONTRACTS = [
              lambda t0: Series(t0, (1.0, 2.0)), InvalidConfig),
     Contract(Series, "window not a Window", NOT_A_WINDOW,
              BUBBLE.window_values, InvalidConfig),
+    Contract(Series, "window outside the series", START_PAST_BUBBLE,
+             lambda s: BUBBLE.window_values(Window(s, s + 4)), InvalidConfig),
     Contract(Window, "bound not an integer",
              st.tuples(st.booleans(), NON_INTEGER),
              lambda sv: Window(sv[1], 20) if sv[0] else Window(0, sv[1]), InvalidConfig),
-    Contract(Window, "shorter than MIN_WINDOW", st.integers(-10, 3),
-             lambda d: Window(7, 7 + d), InvalidConfig),
+    Contract(Window, "shorter than MIN_WINDOW",
+             st.tuples(st.one_of(st.just(7), UNPRINTABLE), st.integers(-10, 3)),
+             lambda sd: Window(sd[0], sd[0] + sd[1]), InvalidConfig),
     Contract(discrete_returns, "non-positive value", st.tuples(st.integers(0, 4), NON_POSITIVE),
              lambda iv: discrete_returns(Series(0, _replace((1.0,) * 5, *iv))),
              NonPositiveExcess),
@@ -223,7 +236,12 @@ CONTRACTS = [
              lambda n: write_csv(os.devnull, BUBBLE, forecasts=((60.0,) * n,)), InvalidConfig),
     Contract(write_csv, "decimals not an integer", NON_INTEGER,
              lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
-    Contract(write_csv, "decimals negative", st.integers(max_value=-1),
+    Contract(write_csv, "decimals negative", NEGATIVE,
+             lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
+    # never a value from 10**6 to 2**31 - 1: % formatting takes it, and
+    # writes that many digits
+    Contract(write_csv, "decimals past a C int",
+             st.one_of(st.integers(min_value=2**31), UNPRINTABLE_POSITIVE),
              lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
     # growth.py
     Contract(GrowthModel, "parameter NaN or infinite",
@@ -243,7 +261,7 @@ CONTRACTS = [
              InvalidConfig),
     Contract(iterate, "steps not an integer", HOSTILE_COUNT,
              lambda v: iterate(GrowthModel.exponential(0.1), v), InvalidConfig),
-    Contract(iterate, "negative steps", st.integers(max_value=-1),
+    Contract(iterate, "negative steps", NEGATIVE,
              lambda v: iterate(GrowthModel.exponential(0.1), v), InvalidConfig),
     Contract(iterate, "growth past the float range", st.floats(710.0, 1e308),
              lambda a: iterate(GrowthModel.exponential(a), 3), FiniteHorizonSingularity),
@@ -287,7 +305,8 @@ CONTRACTS = [
                        st.tuples(st.just("seed"), NON_INTEGER)),
              lambda kv: SimConfig(PARAMS, FUNDAMENTALISTS, **{"horizon": 5, **dict([kv])}),
              InvalidConfig),
-    Contract(SimConfig, "horizon below one", st.integers(max_value=0),
+    Contract(SimConfig, "horizon below one",
+             st.one_of(st.integers(max_value=0), UNPRINTABLE_NEGATIVE),
              lambda h: SimConfig(PARAMS, FUNDAMENTALISTS, h), InvalidConfig),
     Contract(SimConfig, "horizon past sys.maxsize", st.integers(min_value=sys.maxsize + 1),
              lambda h: SimConfig(PARAMS, FUNDAMENTALISTS, h), InvalidConfig),
@@ -397,7 +416,7 @@ CONTRACTS = [
              st.tuples(st.integers(0, 9), NON_POSITIVE),
              lambda iv: fit_price_model(Series(0, _replace((1.0, 2.0) * 5, *iv)), Window(0, 9)),
              NonPositiveExcess),
-    Contract(fit_price_model, "window outside the series", st.integers(16, 40),
+    Contract(fit_price_model, "window outside the series", START_PAST_BUBBLE,
              lambda s: fit_price_model(EXCESS, Window(s, s + 4)), InvalidConfig),
     Contract(fit_price_model, "window not a Window", NOT_A_WINDOW,
              lambda w: fit_price_model(EXCESS, w), InvalidConfig),
@@ -405,7 +424,8 @@ CONTRACTS = [
              st.tuples(st.integers(0, 9), NON_POSITIVE),
              lambda iv: fit_return_model(Series(0, _replace((1.0, 2.0) * 5, *iv)), Window(0, 9)),
              NonPositiveExcess),
-    Contract(fit_return_model, "window outside the series", st.integers(-40, -1),
+    Contract(fit_return_model, "window outside the series",
+             st.one_of(st.integers(-40, -1), UNPRINTABLE),
              lambda s: fit_return_model(EXCESS, Window(s, s + 4)), InvalidConfig),
     Contract(fit_return_model, "window not a Window", NOT_A_WINDOW,
              lambda w: fit_return_model(EXCESS, w), InvalidConfig),
@@ -445,13 +465,13 @@ CONTRACTS = [
     Contract(sweep, "unknown model",
              st.text(max_size=8).filter(lambda m: m not in ("price", "return")),
              lambda m: sweep(EXCESS, m), InvalidConfig),
-    Contract(sweep, "window outside the series", st.integers(16, 40),
+    Contract(sweep, "window outside the series", START_PAST_BUBBLE,
              lambda s: sweep(EXCESS, "return", Window(s, s + 4)), InvalidConfig),
     Contract(sweep, "window not a Window", NOT_A_WINDOW,
              lambda w: sweep(EXCESS, "price", w), InvalidConfig),
     Contract(triangular_cell_count, "n not an integer", NON_INTEGER,
              lambda n: triangular_cell_count(n, 5), InvalidConfig),
-    Contract(triangular_cell_count, "n negative", st.integers(max_value=-1),
+    Contract(triangular_cell_count, "n negative", NEGATIVE,
              lambda n: triangular_cell_count(n, 5), InvalidConfig),
     Contract(triangular_cell_count, "min_window not an integer of at least MIN_WINDOW",
              st.one_of(NON_INTEGER, BELOW_MIN_WINDOW),
@@ -470,7 +490,7 @@ CONTRACTS = [
              lambda m: classify_series(BUBBLE, PARAMS, min_window=m), InvalidConfig),
     Contract(classify_series, "min_window below MIN_WINDOW", BELOW_MIN_WINDOW,
              lambda m: classify_series(BUBBLE, PARAMS, min_window=m), InvalidConfig),
-    Contract(classify_series, "window outside the series", st.integers(16, 40),
+    Contract(classify_series, "window outside the series", START_PAST_BUBBLE,
              lambda s: classify_series(BUBBLE, PARAMS, window=Window(s, s + 4)), InvalidConfig),
     Contract(classify_series, "window not a Window", NOT_A_WINDOW,
              lambda w: classify_series(BUBBLE, PARAMS, window=w), InvalidConfig),
