@@ -8,7 +8,24 @@ ingestion problems too; any other exception is a bug, not a bad input.
 ``IngestError`` is the base of the three ingestion errors (malformed row,
 non-contiguous time, out-of-range value); each carries the 1-based
 ``line`` of the input file it refers to.
+
+``_text`` prints a caller's value in every message, so that building a
+message never fails.
 """
+
+
+def _text(value, show=str) -> str:
+    """``value`` as an error message prints it: ``show(value)`` (``str``
+    or ``repr``) where that works; else an int by its sign and bit length
+    (``str`` refuses ints past 4,300 digits by default from Python 3.11
+    on) and any other value by its type, such as a list holding such an
+    int."""
+    try:
+        return show(value)
+    except Exception:
+        if isinstance(value, int):
+            return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int"
+        return f"a {type(value).__name__}"
 
 
 class BubbleLabError(Exception):
@@ -55,7 +72,7 @@ class NonPositiveExcess(BubbleLabError):
     """
 
     def __init__(self, index: int, message: str = ""):
-        super().__init__(message or f"non-positive excess price at t={index}")
+        super().__init__(message or f"non-positive excess price at t={_text(index)}")
         self.index = index
 
 
@@ -67,7 +84,7 @@ class ReturnOverflow(BubbleLabError):
     """
 
     def __init__(self, index: int):
-        super().__init__(f"discrete return at t={index} leaves the float range")
+        super().__init__(f"discrete return at t={_text(index)} leaves the float range")
         self.index = index
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import FiniteHorizonSingularity, InvalidConfig, ReturnOverflow
-from .series import ExcessSeries, _check_count, _check_finite, _check_int
+from .series import ExcessSeries, _check_choice, _check_count, _check_finite, _check_int
 
 EXPONENTIAL = "exponential"
 PRICE_FEEDBACK = "price_feedback"
@@ -46,8 +46,8 @@ class GrowthModel:
     initial_log_return: Optional[float] = None
 
     def __post_init__(self):
-        if self.variant not in (EXPONENTIAL, PRICE_FEEDBACK, RETURN_FEEDBACK):
-            raise InvalidConfig(f"unknown model variant {self.variant!r}")
+        _check_choice("model variant", self.variant,
+                      (EXPONENTIAL, PRICE_FEEDBACK, RETURN_FEEDBACK))
         for name in ("a", "b", "start"):
             _check_finite(f"parameter {name}", getattr(self, name))
         if not self.start > 0:
@@ -108,9 +108,7 @@ def iterate_noisy(
     model: GrowthModel, steps: int, sigma: float, seed: int
 ) -> ExcessSeries:
     """Iterate with Gaussian noise of std-dev ``sigma`` on each log-growth."""
-    _check_finite("noise std-dev", sigma)
-    if sigma < 0:
-        raise InvalidConfig(f"noise std-dev must be non-negative, got {sigma}")
+    _check_finite("noise std-dev", sigma, least=0)
     _check_int("seed", seed)
     rng = random.Random(seed)
     return iterate(model, steps, noise=lambda: rng.gauss(0.0, sigma))

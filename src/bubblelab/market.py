@@ -19,10 +19,11 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InsufficientHistory, InvalidConfig
+from .errors import InsufficientHistory, InvalidConfig, _text
 from .series import (
     ExperimentParams,
     PriceSeries,
+    _check_choice,
     _check_count,
     _check_finite,
     _check_int,
@@ -62,12 +63,10 @@ class AgentSpec:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidConfig(f"unknown agent kind {self.kind!r}")
+        _check_choice("agent kind", self.kind, _KINDS)
         for name in ("rate", "scale", "anchor", "a", "b", "sigma"):
-            _check_finite(f"agent parameter {name}", getattr(self, name))
-        if self.sigma < 0:
-            raise InvalidConfig(f"noise std-dev must be non-negative, got {self.sigma}")
+            _check_finite(f"agent parameter {name}", getattr(self, name),
+                          0 if name == "sigma" else None)
 
     @staticmethod
     def fundamentalist() -> "AgentSpec":
@@ -133,7 +132,7 @@ class SimConfig:
                 object.__setattr__(self, name, tuple(getattr(self, name)))
             except TypeError:
                 raise InvalidConfig(
-                    f"{name} must be a sequence, got {getattr(self, name)!r}") from None
+                    f"{name} must be a sequence, got {_text(getattr(self, name), repr)}") from None
         _check_count("horizon", self.horizon, least=1)
         if len(self.agents) != self.params.n_traders:
             raise InvalidConfig(
@@ -144,10 +143,7 @@ class SimConfig:
             raise InvalidConfig(
                 f"mis-trade probability must lie in [0, 1], got {self.mistrade_prob}"
             )
-        _check_finite("forecast noise std-dev", self.return_noise_sigma)
-        if self.return_noise_sigma < 0:
-            raise InvalidConfig(
-                f"forecast noise std-dev must be non-negative, got {self.return_noise_sigma}")
+        _check_finite("forecast noise std-dev", self.return_noise_sigma, least=0)
         _check_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in 64 bits")
@@ -377,20 +373,18 @@ def _rule(spec: AgentSpec, params: ExperimentParams):
             return pf if math.isnan(total) else pf + exc_last * _exp(total)
         return return_anchor
 
-    if kind == RATIONAL_BUBBLE:
-        rate, scale, anchor = spec.rate, spec.scale, spec.anchor
+    # RATIONAL_BUBBLE, the one kind left: AgentSpec takes no other
+    rate, scale, anchor = spec.rate, spec.scale, spec.anchor
 
-        def rational_bubble(prev, last, target, normal):
-            try:
-                return scale * (1.0 + rate) ** target + anchor
-            except (OverflowError, ZeroDivisionError):  # or 0.0 to a negative power
-                # an infinite growth factor, negative only for a negative
-                # base to an odd power
-                growth = -math.inf if 1.0 + rate < 0.0 and target % 2 else math.inf
-                return scale * growth + anchor if scale else anchor
-        return rational_bubble
-
-    raise InvalidConfig(f"unknown agent kind {kind!r}")  # pragma: no cover - AgentSpec validates
+    def rational_bubble(prev, last, target, normal):
+        try:
+            return scale * (1.0 + rate) ** target + anchor
+        except (OverflowError, ZeroDivisionError):  # or 0.0 to a negative power
+            # an infinite growth factor, negative only for a negative
+            # base to an odd power
+            growth = -math.inf if 1.0 + rate < 0.0 and target % 2 else math.inf
+            return scale * growth + anchor if scale else anchor
+    return rational_bubble
 
 
 # Rules that read more than the last price, with the error for a shorter history.

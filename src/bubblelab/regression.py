@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence, Tuple
 
-from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints
+from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints, _text
 from .series import ExcessSeries, PriceSeries, Window, _check_finite, _finite_floats, log_growth
 from .studentt import t_quantile
 
@@ -327,7 +327,7 @@ def fit_rational_bubble(
     for t, p in enumerate(prices.window_values(window), window.start):
         d = p - anchor
         if d <= 0:
-            raise NonPositiveExcess(t, f"price at t={t} does not exceed anchor {anchor}")
+            raise NonPositiveExcess(t, f"price at t={_text(t)} does not exceed anchor {anchor}")
         devs.append(math.log(d))
     fit = ols2(range(len(devs)), devs, model=MODEL_RATIONAL, one_sided=one_sided)
     tq = t_quantile(0.95 if one_sided else 0.975, fit.df)

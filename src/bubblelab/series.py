@@ -19,6 +19,7 @@ from .errors import (
     NonPositiveExcess,
     OutOfRange,
     ReturnOverflow,
+    _text,
 )
 
 # Smallest admissible calibration window, in price points.  Five points
@@ -28,23 +29,13 @@ from .errors import (
 MIN_WINDOW = 5
 
 
-def _int_text(value: int) -> str:
-    """An int as an error message prints it: in decimal, or by its sign
-    and bit length where ``str`` refuses it (past 4,300 digits by default
-    from Python 3.11 on), so that building the message cannot fail."""
-    try:
-        return f"{value}"
-    except ValueError:
-        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit int"
-
-
 def _check_int(name: str, value, least: Optional[int] = None) -> None:
     """Raise InvalidConfig unless ``value`` is an int (a bool is not) of
     at least ``least``, when given."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        raise InvalidConfig(f"{name} must be an integer, got {_text(value, repr)}")
     if least is not None and value < least:
-        raise InvalidConfig(f"{name} must be at least {least}, got {_int_text(value)}")
+        raise InvalidConfig(f"{name} must be at least {least}, got {_text(value)}")
 
 
 def _check_count(name: str, value, least: int = 0) -> None:
@@ -62,18 +53,28 @@ def _check_number(name: str, value) -> None:
     float holds: a bool is not a number here, nor is an int past the
     float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+        raise InvalidConfig(f"{name} must be a number, got {_text(value, repr)}")
     try:
         float(value)
     except OverflowError:
         raise InvalidConfig(f"{name} is an int past the float range") from None
 
 
-def _check_finite(name: str, value) -> None:
-    """Raise InvalidConfig unless ``value`` is a finite number."""
+def _check_finite(name: str, value, least: Optional[float] = None) -> None:
+    """Raise InvalidConfig unless ``value`` is a finite number of at
+    least ``least``, when given."""
     _check_number(name, value)
     if not math.isfinite(value):
         raise InvalidConfig(f"{name} must be finite, got {value}")
+    if least is not None and value < least:
+        raise InvalidConfig(f"{name} must be at least {least}, got {value}")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    """Raise InvalidConfig unless ``value`` is one of the sequence
+    ``choices``."""
+    if value not in choices:
+        raise InvalidConfig(f"{name} must be one of {list(choices)}, got {_text(value, repr)}")
 
 
 def _finite_floats(name: str, values) -> tuple:
@@ -106,11 +107,9 @@ class ExperimentParams:
 
     def __post_init__(self):
         for name in ("r", "dividend", "p_min", "p_max"):
-            _check_finite(name, getattr(self, name))
+            _check_finite(name, getattr(self, name), 0 if name == "dividend" else None)
         if not self.r > 0:
             raise InvalidConfig(f"interest rate must be positive, got {self.r}")
-        if self.dividend < 0:
-            raise InvalidConfig(f"dividend must be non-negative, got {self.dividend}")
         _check_count("n_traders", self.n_traders, least=1)
         if not self.p_min < self.p_max:
             raise InvalidConfig(
@@ -178,11 +177,11 @@ class Series:
         """Values on the inclusive [start, end] window, which must be a
         ``Window`` inside the series."""
         if not isinstance(window, Window):
-            raise InvalidConfig(f"window must be a Window, got {window!r}")
+            raise InvalidConfig(f"window must be a Window, got {_text(window, repr)}")
         if window.start < self.t0 or window.end > self.t_end:
             raise InvalidConfig(
-                f"window [{_int_text(window.start)}, {_int_text(window.end)}] outside "
-                f"series range [{_int_text(self.t0)}, {_int_text(self.t_end)}]"
+                f"window [{_text(window.start)}, {_text(window.end)}] outside "
+                f"series range [{_text(self.t0)}, {_text(self.t_end)}]"
             )
         return self.values[window.start - self.t0 : window.end - self.t0 + 1]
 
@@ -207,7 +206,7 @@ class Window:
         _check_int("window end", self.end)
         if self.end < self.start + MIN_WINDOW - 1:
             raise InvalidConfig(
-                f"window [{_int_text(self.start)}, {_int_text(self.end)}] shorter than "
+                f"window [{_text(self.start)}, {_text(self.end)}] shorter than "
                 f"{MIN_WINDOW} points"
             )
 
@@ -236,7 +235,7 @@ def discrete_returns(series: Series) -> Series:
         if v <= 0:
             raise NonPositiveExcess(
                 series.t0 + i,
-                f"non-positive value at t={series.t0 + i}; "
+                f"non-positive value at t={_text(series.t0 + i)}; "
                 "discrete returns need strictly positive levels",
             )
     rets = tuple(vals[i + 1] / vals[i] - 1.0 for i in range(len(vals) - 1))
@@ -350,19 +349,32 @@ def write_csv(path, series, forecasts=None, decimals: int = 2) -> None:
 
     Values are printed with a fixed number of decimals, matching the
     presentation of the experimental data.  ``decimals`` that is not a
-    non-negative integer below 2**31 raises InvalidConfig.
+    non-negative integer below 2**31, ``forecasts`` that are not columns
+    of the series' length holding finite numbers in the float range, or
+    times that ``str`` refuses, raise InvalidConfig before ``path`` is
+    opened.
     """
     _check_int("decimals", decimals, least=0)
     if decimals >= 2**31:  # % formatting takes a precision that a C int holds
-        raise InvalidConfig(f"decimals must be below 2**31, got {_int_text(decimals)}")
+        raise InvalidConfig(f"decimals must be below 2**31, got {_text(decimals)}")
+    try:
+        str(series.t0), str(series.t_end)  # every t between prints if both ends do
+    except ValueError as exc:
+        raise InvalidConfig(f"the series' times cannot be written: {exc}") from None
     forecasts = forecasts or ()
-    for col in forecasts:
-        if len(col) != len(series):
-            raise InvalidConfig("forecast columns must match the series length")
+    try:
+        short = any(len(col) != len(series) for col in forecasts)
+        row = ",".join(["%d"] + [f"%.{decimals}f"] * (1 + len(forecasts))) + "\n"
+        times = range(series.t0, series.t0 + len(series))
+        body = "".join([row % values for values in zip(times, series.values, *forecasts)])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(
+            f"forecasts must be columns of numbers in the float range: {exc}") from None
+    if short:
+        raise InvalidConfig("forecast columns must match the series length")
+    if "n" in body:  # %f spells only a NaN or an infinity with a letter
+        for h, col in enumerate(forecasts, 1):
+            _finite_floats(f"forecast column h{h}", col)
     cols = ["t", "price"] + [f"h{h + 1}" for h in range(len(forecasts))]
-    row = ",".join(["%d"] + [f"%.{decimals}f"] * (1 + len(forecasts)))
-    times = range(series.t0, series.t0 + len(series))
-    out = [",".join(cols)]
-    out += [row % values for values in zip(times, series.values, *forecasts)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(",".join(cols) + "\n" + body)

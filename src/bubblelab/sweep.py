@@ -14,7 +14,6 @@ import math
 from dataclasses import astuple, dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
-from .errors import InvalidConfig
 from .regression import (
     _LAGS,
     OlsFit,
@@ -24,7 +23,7 @@ from .regression import (
     _spread_start,
     _window_fits,
 )
-from .series import MIN_WINDOW, ExcessSeries, Window, _check_int
+from .series import MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_int
 from .studentt import t_quantile
 
 
@@ -73,8 +72,7 @@ class SweepGrid:
 
 def _span(excess, model, window, min_window):
     """Check a sweep's arguments; return the span (lo, hi) and its values."""
-    if model not in _LAGS:
-        raise InvalidConfig(f"model must be one of {sorted(_LAGS)}, got {model!r}")
+    _check_choice("model", model, sorted(_LAGS))
     _check_int("min_window", min_window, least=MIN_WINDOW)
     if window is None:
         return excess.t0, excess.t_end, excess.values

@@ -18,7 +18,9 @@ period loop (``sim_to_json_reference``, ``write_csv_reference`` and
 ``run_reference``), and its original forecast rules, one ``kind`` test
 after another over the whole history (``agent_forecast_reference``):
 they define the floats and bytes that ``run``, ``agent_forecast``,
-``SimResult.to_json`` and ``write_csv`` must reproduce.
+``SimResult.to_json`` and ``write_csv`` must reproduce.  So are
+``sweep_summary``'s float estimates (``filter_estimates``), restated so
+that an exact comparison with the kernel audits their error bound.
 """
 
 from __future__ import annotations
@@ -240,6 +242,61 @@ def spread_start_loop(xs, first: int) -> int:
         if hi - lo > 32.0 * sys.float_info.epsilon * max(abs(lo), abs(hi), 1.0):
             return n
     return len(xs) + 1
+
+
+# sweep_summary's filter, restated: the relative distance its docstring
+# proves between each float estimate and the kernel's lower bound (2**-40
+# of the estimate's scale), the guard's factor and the least standard
+# error it estimates in floats
+FILTER_TOLERANCE = Fraction(1, 2**40)
+FILTER_GUARD = 2.0**58
+FILTER_TINY = 2.0**-1000
+
+
+def filter_estimates(n, sx, sy, sxx, sxy, syy, p, tq):
+    """``sweep_summary``'s float estimates of one cell's lower bounds,
+    from the exact moments of its scaled pairs (X = x * 2**p and so on,
+    as ``_fit_moments`` takes them) and the t-quantile ``tq``.
+
+    Returns ``(b_lower, b_scale, upper, a)``: the estimate of the
+    kernel's b_lower, its scale |b| + tq * se_b, and the filter's
+    ``upper``, the estimate plus 2**-40 of its scale.  ``a`` is
+    ``(a_lower, a_scale, a_upper, guard)``: the estimate of the kernel's
+    a_lower times 2**p, its scale m / n + tq * se_a (m as the filter
+    forms it), the estimate plus 2**-40 of that scale, and whether the
+    guard cxx * (cyy + m**2) <= 2**58 * det holds; or None where one of
+    its ints leaves the float range.  The whole is None where the filter
+    hands the cell to the kernel unestimated: an int or a bound beyond
+    the float range, or a standard error below 2**-1000.
+    """
+    cxx = n * sxx - sx * sx
+    cxy = n * sxy - sx * sy
+    cyy = n * syy - sy * sy
+    try:
+        fxx = float(cxx)
+        fdet = float(cxx * cyy - cxy * cxy)
+        b = float(cxy) / fxx
+        se_b = math.sqrt(fdet / (n - 2)) / fxx
+        b_scale = abs(b) + tq * se_b
+        db = float(FILTER_TOLERANCE) * b_scale
+        b_lower = b - tq * se_b
+    except OverflowError:
+        return None
+    if not (se_b >= FILTER_TINY and db < math.inf):
+        return None
+    upper = b_lower + db
+    try:
+        fsy = float(sy)
+        bsx = b * float(sx)
+        m = abs(fsy) + abs(bsx) + math.ldexp(n, p - 1022)
+        se_a = se_b * math.sqrt(float(sxx) / n)
+        a_scale = m / n + tq * se_a
+        a_lower = (fsy - bsx) / n - tq * se_a
+        guard = fxx * (float(cyy) + m * m) <= FILTER_GUARD * fdet
+    except OverflowError:
+        return b_lower, b_scale, upper, None
+    return b_lower, b_scale, upper, (a_lower, a_scale,
+                                     a_lower + float(FILTER_TOLERANCE) * a_scale, guard)
 
 
 def t_quantile_reference(p: float, df: int) -> float:

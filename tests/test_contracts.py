@@ -29,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bubblelab
+from bubblelab.errors import _text
+from bubblelab.sweep import sweep_summary, write_grid
 from bubblelab import (
     AgentSpec,
     BubbleLabError,
@@ -93,15 +95,18 @@ MAX = sys.float_info.max
 
 NAN = st.just(math.nan)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-# every float, integral or not, every bool and a list of ints is no int to
-# these checks
-NON_INTEGER = st.one_of(st.floats(), st.booleans(), st.lists(st.integers(), max_size=2))
-NON_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 # ints of more than 4,300 digits, which str() refuses from Python 3.11 on
-# unless told otherwise: an error message must name them another way
+# unless told otherwise: an error message must name them another way, and
+# a list holding one, which repr() refuses for the same reason
 UNPRINTABLE_POSITIVE = st.integers(10**4300, 10**4400)
 UNPRINTABLE_NEGATIVE = st.integers(-10**4400, -10**4300)
 UNPRINTABLE = st.one_of(UNPRINTABLE_POSITIVE, UNPRINTABLE_NEGATIVE)
+UNPRINTABLE_IN_A_LIST = st.lists(UNPRINTABLE, min_size=1, max_size=1)
+# every float, integral or not, every bool and a list of ints is no int to
+# these checks
+NON_INTEGER = st.one_of(st.floats(), st.booleans(), st.lists(st.integers(), max_size=2),
+                        UNPRINTABLE_IN_A_LIST)
+NON_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 NEGATIVE = st.one_of(st.integers(max_value=-1), UNPRINTABLE_NEGATIVE)
 BELOW_MIN_WINDOW = st.one_of(st.integers(max_value=bubblelab.MIN_WINDOW - 1),
                              UNPRINTABLE_NEGATIVE)
@@ -111,7 +116,7 @@ START_PAST_BUBBLE = st.one_of(st.integers(16, 40), UNPRINTABLE)
 # a list (which no cache can hash)
 NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.none(), st.booleans(), st.fractions(0, 1),
                          st.complex_numbers(), st.tuples(st.floats()),
-                         st.lists(st.floats(), max_size=2))
+                         st.lists(st.floats(), max_size=2), UNPRINTABLE_IN_A_LIST)
 # what float() cannot convert: text from letters no float is spelt with,
 # None, a complex number, a tuple
 NOT_FLOAT_CONVERTIBLE = st.one_of(st.text(alphabet="abcxyz,;", max_size=4), st.none(),
@@ -135,7 +140,8 @@ HOSTILE_FLOAT = st.one_of(NOT_FLOAT_CONVERTIBLE, PAST_FLOAT_RANGE, NON_FINITE)
 NOT_A_WINDOW = st.one_of(st.tuples(st.integers(0, 5), st.integers(10, 15)),
                          st.lists(st.integers(0, 15), min_size=2, max_size=2),
                          st.integers(), st.text(max_size=3),
-                         st.builds(range, st.integers(0, 5), st.integers(10, 15)))
+                         st.builds(range, st.integers(0, 5), st.integers(10, 15)),
+                         UNPRINTABLE, UNPRINTABLE_IN_A_LIST)
 
 
 def _replace(values, i, v):
@@ -211,11 +217,17 @@ CONTRACTS = [
              lambda tiny: discrete_returns(Series(0, (tiny, 1e300))), ReturnOverflow),
     Contract(discrete_returns, "one value", st.floats(1.0, 1e3),
              lambda v: discrete_returns(Series(0, (v,))), InvalidConfig),
+    Contract(discrete_returns, "non-positive value at an unprintable t", UNPRINTABLE,
+             lambda t0: discrete_returns(Series(t0, (1.0, -1.0))), NonPositiveExcess),
+    Contract(discrete_returns, "return past the float range at an unprintable t", UNPRINTABLE,
+             lambda t0: discrete_returns(Series(t0, (1e-320, 1e300))), ReturnOverflow),
     Contract(log_excess_returns, "non-positive value", st.tuples(st.integers(0, 4), NON_POSITIVE),
              lambda iv: log_excess_returns(Series(0, _replace((1.0,) * 5, *iv))),
              NonPositiveExcess),
     Contract(log_excess_returns, "one value", st.floats(1.0, 1e3),
              lambda v: log_excess_returns(Series(0, (v,))), InvalidConfig),
+    Contract(log_excess_returns, "non-positive value at an unprintable t", UNPRINTABLE,
+             lambda t0: log_excess_returns(Series(t0, (1.0, -1.0))), NonPositiveExcess),
     Contract(excess_series, "excess past the float range", st.floats(-MAX, -0.8e308),
              lambda p: excess_series(
                  Series(0, (p,)),
@@ -234,6 +246,20 @@ CONTRACTS = [
     Contract(write_csv, "forecast column of another length",
              st.integers(0, 40).filter(lambda n: n != len(BUBBLE)),
              lambda n: write_csv(os.devnull, BUBBLE, forecasts=((60.0,) * n,)), InvalidConfig),
+    Contract(write_csv, "forecast NaN or infinite", st.tuples(st.integers(0, 19), NON_FINITE),
+             lambda iv: write_csv(os.devnull, BUBBLE, forecasts=(_replace((60.0,) * 20, *iv),)),
+             InvalidConfig),
+    Contract(write_csv, "forecast not a number",
+             st.tuples(st.integers(0, 19), NOT_FLOAT_CONVERTIBLE),
+             lambda iv: write_csv(os.devnull, BUBBLE, forecasts=(_replace((60.0,) * 20, *iv),)),
+             InvalidConfig),
+    Contract(write_csv, "forecast an int past the float range",
+             st.tuples(st.integers(0, 19), PAST_FLOAT_RANGE),
+             lambda iv: write_csv(os.devnull, BUBBLE, forecasts=(_replace((60.0,) * 20, *iv),)),
+             InvalidConfig),
+    Contract(write_csv, "forecast column not a sequence",
+             st.one_of(st.none(), st.floats(), st.integers(), st.booleans()),
+             lambda col: write_csv(os.devnull, BUBBLE, forecasts=(col,)), InvalidConfig),
     Contract(write_csv, "decimals not an integer", NON_INTEGER,
              lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
     Contract(write_csv, "decimals negative", NEGATIVE,
@@ -254,6 +280,8 @@ CONTRACTS = [
              lambda kv: GrowthModel("return_feedback",
                                     **{"a": 0.1, "initial_log_return": 0.1, **dict([kv])}),
              InvalidConfig),
+    Contract(GrowthModel, "variant an unprintable int", UNPRINTABLE,
+             lambda v: GrowthModel(v, 0.1), InvalidConfig),
     Contract(GrowthModel, "non-positive start", NON_POSITIVE,
              lambda v: GrowthModel.exponential(0.1, start=v), InvalidConfig),
     Contract(GrowthModel, "initial log-return NaN or infinite", NON_FINITE,
@@ -300,6 +328,7 @@ CONTRACTS = [
              lambda s: AgentSpec.noise(s), InvalidConfig),
     Contract(AgentSpec, "unknown kind", st.text(max_size=5),
              lambda kind: AgentSpec(kind), InvalidConfig),
+    Contract(AgentSpec, "kind an unprintable int", UNPRINTABLE, AgentSpec, InvalidConfig),
     Contract(SimConfig, "horizon or seed not an integer",
              st.one_of(st.tuples(st.just("horizon"), HOSTILE_COUNT),
                        st.tuples(st.just("seed"), NON_INTEGER)),
@@ -437,6 +466,9 @@ CONTRACTS = [
              lambda w: fit_rational_bubble(BUBBLE, w), InvalidConfig),
     Contract(fit_rational_bubble, "anchor not below every price", st.floats(62.0, MAX),
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), NonPositiveExcess),
+    Contract(fit_rational_bubble, "anchor not below a price at an unprintable t", UNPRINTABLE,
+             lambda t0: fit_rational_bubble(PriceSeries(t0, (50.0,) * 5), Window(t0, t0 + 4)),
+             NonPositiveExcess),
     # four deviations near 1e300 and a last one near 1e-300: the fitted line
     # meets the window start above exp's range, at log scale (6h - l) / 5 > 920
     Contract(fit_rational_bubble, "scale beyond the float range",
@@ -464,6 +496,8 @@ CONTRACTS = [
              lambda m: sweep(EXCESS, "price", min_window=m), InvalidConfig),
     Contract(sweep, "unknown model",
              st.text(max_size=8).filter(lambda m: m not in ("price", "return")),
+             lambda m: sweep(EXCESS, m), InvalidConfig),
+    Contract(sweep, "model an unprintable int", UNPRINTABLE,
              lambda m: sweep(EXCESS, m), InvalidConfig),
     Contract(sweep, "window outside the series", START_PAST_BUBBLE,
              lambda s: sweep(EXCESS, "return", Window(s, s + 4)), InvalidConfig),
@@ -602,3 +636,79 @@ def test_fit_rational_bubble_names_a_bad_anchor(anchor):
     # a non-finite anchor was blamed on the regression data
     with pytest.raises(InvalidConfig, match="^anchor must be"):
         fit_rational_bubble(BUBBLE, Window(0, 9), anchor=anchor)
+
+
+HUGE = 10**5000  # its message names it by its 16,610 bits where str() refuses it
+
+
+def _str_refuses(value):
+    try:
+        str(value)
+    except ValueError:  # past the int digit limit (4,300 by default, Python 3.11 on)
+        return True
+    return False
+
+
+STR_REFUSES_HUGE = _str_refuses(HUGE)
+
+
+@pytest.mark.parametrize("call, error, shown", [
+    pytest.param(lambda: sweep(EXCESS, HUGE), InvalidConfig, "a 16610-bit int", id="sweep model"),
+    pytest.param(lambda: sweep_summary(EXCESS, -HUGE), InvalidConfig, "a negative 16610-bit int",
+                 id="sweep_summary model"),
+    pytest.param(lambda: write_grid(os.devnull, EXCESS, HUGE), InvalidConfig,
+                 "a 16610-bit int", id="write_grid model"),
+    pytest.param(lambda: AgentSpec(HUGE), InvalidConfig, "a 16610-bit int", id="AgentSpec kind"),
+    pytest.param(lambda: GrowthModel(HUGE, 0.1), InvalidConfig, "a 16610-bit int",
+                 id="GrowthModel variant"),
+    pytest.param(lambda: GrowthModel("exponential", [HUGE]), InvalidConfig, "a list",
+                 id="GrowthModel a"),
+    pytest.param(lambda: table2(steps=[HUGE]), InvalidConfig, "a list", id="table2 steps"),
+    pytest.param(lambda: Window([HUGE], 9), InvalidConfig, "a list", id="Window start"),
+    pytest.param(lambda: BUBBLE.window_values([HUGE]), InvalidConfig, "a list",
+                 id="window_values window"),
+    pytest.param(lambda: sweep(EXCESS, "price", [HUGE]), InvalidConfig, "a list",
+                 id="sweep window"),
+    pytest.param(lambda: classify_series(BUBBLE, PARAMS, window=[HUGE]), InvalidConfig,
+                 "a list", id="classify_series window"),
+    pytest.param(lambda: classify_series(BUBBLE, PARAMS, theta=[HUGE]), InvalidConfig,
+                 "a list", id="classify_series theta"),
+    pytest.param(lambda: t_cdf([HUGE], 3), InvalidConfig, "a list", id="t_cdf x"),
+    pytest.param(lambda: ExperimentParams(r=[HUGE]), InvalidConfig, "a list",
+                 id="ExperimentParams r"),
+    pytest.param(lambda: score_forecast([HUGE], 1.0), InvalidConfig, "a list",
+                 id="score_forecast price"),
+    pytest.param(lambda: SimConfig(PARAMS, HUGE, 5), InvalidConfig, "a 16610-bit int",
+                 id="SimConfig agents"),
+    pytest.param(lambda: log_excess_returns(Series(HUGE, (1.0, -1.0))), NonPositiveExcess,
+                 "t=a 16610-bit int", id="log_excess_returns t"),
+    pytest.param(lambda: discrete_returns(Series(HUGE, (1e-320, 1e300))), ReturnOverflow,
+                 "t=a 16610-bit int", id="discrete_returns overflow t"),
+    pytest.param(lambda: discrete_returns(Series(-HUGE, (1.0, -1.0))), NonPositiveExcess,
+                 "t=a negative 16610-bit int", id="discrete_returns non-positive t"),
+    # a time that str() prints is written
+    pytest.param(lambda: write_csv(os.devnull, Series(HUGE, (60.0,))), InvalidConfig,
+                 "times cannot be written", id="write_csv t",
+                 marks=pytest.mark.skipif(not STR_REFUSES_HUGE, reason="str() prints 10**5000")),
+    pytest.param(lambda: fit_rational_bubble(PriceSeries(HUGE, (50.0,) * 5),
+                                             Window(HUGE, HUGE + 4)),
+                 NonPositiveExcess, "t=a 16610-bit int", id="fit_rational_bubble t"),
+])
+def test_a_message_names_a_value_that_str_or_repr_refuses(call, error, shown):
+    # each of these messages raised a bare ValueError while it was built
+    with pytest.raises(BubbleLabError) as info:
+        call()
+    assert type(info.value) is error
+    if STR_REFUSES_HUGE:
+        assert shown in str(info.value)
+
+
+def test_a_value_that_cannot_be_printed_is_named_by_its_type():
+    class Opaque:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    assert _text(Opaque(), repr) == "a Opaque"
+    if STR_REFUSES_HUGE:
+        assert _text(-HUGE) == "a negative 16610-bit int"
+    assert _text(2.5) == "2.5" and _text("x", repr) == "'x'"

@@ -13,6 +13,7 @@ import math
 import random
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -65,12 +66,14 @@ from bubblelab import (
     write_csv,
 )
 from bubblelab.cli import main as cli_main
-from bubblelab.regression import _moment_rows, _spread_start
-from bubblelab.sweep import sweep_summary, write_grid
+from bubblelab.regression import _fit_moments, _moment_rows, _spread_start
+from bubblelab.sweep import _starts, sweep_summary, write_grid
 
 from _oracles import (
+    FILTER_TOLERANCE,
     agent_forecast_reference,
     exact_fit_stats,
+    filter_estimates,
     sqrt_of_rounded,
     exact_ols,
     run_reference,
@@ -499,6 +502,43 @@ def test_each_cell_is_significant_where_its_sub_span_tallies_say(
         got = (significant(s, e) - significant(s + 1, e) - significant(s, e - 1)
                + significant(s + 1, e - 1))
         assert got == want, (s, e)
+
+
+def filter_error_ratios(values, model, one_sided):
+    """Yield, for every fitted cell of ``values`` (t0 = 0) whose float
+    estimates pass the guard, each estimate's distance from the kernel's
+    lower bound as a share of the 2**-40 of its scale that
+    ``sweep_summary``'s docstring allows; assert on the way that the
+    kernel's lower bounds never exceed the filter's upper bounds, which
+    hold without the guard.  All in exact arithmetic."""
+    for s, rows, p, tqs, spread, _ in _starts(model, 0, len(values) - 1, values, 5, one_sided):
+        n = sx = sy = sxx = sxy = syy = 0
+        for x, y, xx, xy, yy, _ in rows:
+            n += 1
+            sx, sy, sxx, sxy, syy = sx + x, sy + y, sxx + xx, sxy + xy, syy + yy
+            estimates = n >= spread and filter_estimates(n, sx, sy, sxx, sxy, syy, p, tqs[n])
+            if not estimates:
+                continue
+            kernel = _fit_moments(n, sx, sy, sxx, sxy, syy, p, tqs[n])
+            b_lower, b_scale, upper, a = estimates
+            kernel_b = Fraction(kernel[5])
+            assert kernel_b <= Fraction(upper), (s, n)
+            if a is None:
+                continue
+            a_lower, a_scale, a_upper, guard = a
+            kernel_a = Fraction(kernel[4]) * 2**p  # at the estimate's scale
+            assert kernel_a <= Fraction(a_upper), (s, n)
+            if guard:
+                yield abs(Fraction(b_lower) - kernel_b) / (FILTER_TOLERANCE * Fraction(b_scale))
+                yield abs(Fraction(a_lower) - kernel_a) / (FILTER_TOLERANCE * Fraction(a_scale))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(tally_series(), st.sampled_from(["price", "return"]), st.booleans())
+def test_filter_estimates_lie_within_their_bound_of_the_kernel(values, model, one_sided):
+    # the tally properties check only the filter's decisions, which a bound
+    # that is wrong but rarely reached would pass; this checks the bound
+    assert all(ratio <= 1 for ratio in filter_error_ratios(tuple(values), model, one_sided))
 
 
 @settings(PROPERTY, max_examples=300)
