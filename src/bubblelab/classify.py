@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .errors import InvalidConfig, NonPositiveExcess
+from .errors import InvalidConfig, NonPositiveExcess, _text
 from .regression import MODEL_PRICE, MODEL_RETURN, RationalBubbleFit, fit_rational_bubble
 from .series import (
     MIN_WINDOW,
@@ -103,11 +103,16 @@ class BubbleVerdict:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The verdict as JSON text.  A window whose ends ``str`` refuses
+        (ints past 4,300 digits) raises InvalidConfig."""
+        try:
+            return json.dumps(self.to_json_dict(), indent=2)
+        except ValueError as exc:
+            raise InvalidConfig(f"the verdict's window cannot be written: {exc}") from None
 
     def summary_line(self) -> str:
         win = (
-            f"window [{self.bubble_window.start}, {self.bubble_window.end}]"
+            f"window [{_text(self.bubble_window.start)}, {_text(self.bubble_window.end)}]"
             if self.bubble_window
             else "no bubble window"
         )
@@ -133,7 +138,12 @@ def detect_bubble_window(
     is not an integer of at least MIN_WINDOW raises InvalidConfig.
     """
     _check_int("min_window", min_window, least=MIN_WINDOW)
-    excess = excess_series(prices, params)
+    return _detect(excess_series(prices, params), min_window)
+
+
+def _detect(excess: ExcessSeries, min_window: int) -> Optional[Window]:
+    """``detect_bubble_window`` on the excess series ``excess`` already
+    built, for a ``min_window`` already checked."""
     vals = excess.values
     n = len(vals)
     best: Optional[Window] = None
@@ -173,6 +183,9 @@ def classify_series(
     A ``theta`` outside (0, 1], a ``min_window`` that is not an integer
     of at least MIN_WINDOW or an explicit ``window`` that is no Window or
     lies outside the series raises InvalidConfig.
+
+    The excess series is built once, and both detection and the
+    window's sweeps read it.
     """
     _check_finite("theta", theta)
     if not 0.0 < theta <= 1.0:
@@ -180,49 +193,45 @@ def classify_series(
     _check_int("min_window", min_window, least=MIN_WINDOW)
     if window is not None:
         prices.window_values(window)  # raises InvalidConfig for a bad window
-    win = window if window is not None else detect_bubble_window(
-        prices, params, min_window=min_window
-    )
-
-    def verdict(label, pf=0.0, rf=0.0, rational=None, summaries=(None, None), excess=None):
-        return BubbleVerdict(
-            label=label,
-            price_fraction=pf,
-            return_fraction=rf,
-            bubble_window=win,
-            rational_fit=rational,
-            price_summary=summaries[0],
-            return_summary=summaries[1],
-            excess=excess,
-            theta=theta,
-            min_window=min_window,
-            one_sided=one_sided,
-        )
-
+    excess = excess_series(prices, params)
+    win = window if window is not None else _detect(excess, min_window)
+    pf = rf = 0.0
+    rational = window_excess = None
+    summaries = (None, None)
     if win is None:
-        return verdict(ERRATIC)
-    if len(win) < min_window + 2:
-        return verdict(TOO_SHORT)
-
-    excess = ExcessSeries(win.start, excess_series(prices, params).window_values(win))
-    summaries = tuple(
-        sweep_summary(excess, model, win, min_window, one_sided)
-        for model in (MODEL_PRICE, MODEL_RETURN)
-    )
-    # a grid without a valid cell has no significant share; it counts as 0
-    pf, rf = (summary["significant_fraction"] or 0.0 for summary in summaries)
-
-    try:
-        rational = fit_rational_bubble(
-            prices, win, anchor=params.fundamental, one_sided=one_sided
-        )
-    except NonPositiveExcess:
-        rational = None  # explicit window dipping to the fundamental
-
-    if pf < theta and rf < theta:
-        label = RATIONAL_EXPONENTIAL
-    elif rf > pf:
-        label = ANCHORING_ON_RETURN
+        label = ERRATIC
+    elif len(win) < min_window + 2:
+        label = TOO_SHORT
     else:
-        label = ANCHORING_ON_PRICE
-    return verdict(label, pf, rf, rational, summaries, excess)
+        window_excess = ExcessSeries(win.start, excess.window_values(win))
+        summaries = tuple(
+            sweep_summary(window_excess, model, win, min_window, one_sided)
+            for model in (MODEL_PRICE, MODEL_RETURN)
+        )
+        # a grid without a valid cell has no significant share; it counts as 0
+        pf, rf = (summary["significant_fraction"] or 0.0 for summary in summaries)
+        try:
+            rational = fit_rational_bubble(
+                prices, win, anchor=params.fundamental, one_sided=one_sided
+            )
+        except NonPositiveExcess:
+            rational = None  # explicit window dipping to the fundamental
+        if pf < theta and rf < theta:
+            label = RATIONAL_EXPONENTIAL
+        elif rf > pf:
+            label = ANCHORING_ON_RETURN
+        else:
+            label = ANCHORING_ON_PRICE
+    return BubbleVerdict(
+        label=label,
+        price_fraction=pf,
+        return_fraction=rf,
+        bubble_window=win,
+        rational_fit=rational,
+        price_summary=summaries[0],
+        return_summary=summaries[1],
+        excess=window_excess,
+        theta=theta,
+        min_window=min_window,
+        one_sided=one_sided,
+    )

@@ -138,11 +138,7 @@ class SimConfig:
             raise InvalidConfig(
                 f"need {self.params.n_traders} agents, got {len(self.agents)}"
             )
-        _check_number("mis-trade probability", self.mistrade_prob)
-        if not 0.0 <= self.mistrade_prob <= 1.0:
-            raise InvalidConfig(
-                f"mis-trade probability must lie in [0, 1], got {self.mistrade_prob}"
-            )
+        _check_finite("mis-trade probability", self.mistrade_prob, least=0, most=1)
         _check_finite("forecast noise std-dev", self.return_noise_sigma, least=0)
         _check_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
@@ -294,9 +290,7 @@ def inject_mistrade(
     InvalidConfig, before the random source is read; an infinite
     forecast is kept or clipped to the band edge it points to.
     """
-    _check_number("mis-trade probability", prob)
-    if not 0.0 <= prob <= 1.0:
-        raise InvalidConfig(f"probability must lie in [0, 1], got {prob}")
+    _check_finite("mis-trade probability", prob, least=0, most=1)
     _check_number("forecast", forecast)
     if forecast != forecast:
         raise InvalidConfig("forecast must not be NaN")

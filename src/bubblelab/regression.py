@@ -184,6 +184,12 @@ def _spread_start(rows, first):
     return n
 
 
+def _t_bound(one_sided: bool, df: int) -> float:
+    """The t-quantile of the lower bounds at ``df`` degrees of freedom:
+    t(0.95, df) when ``one_sided``, else t(0.975, df)."""
+    return t_quantile(0.95 if one_sided else 0.975, df)
+
+
 def _window_fits(rows, p, spread, tqs):
     """Yield, shortest first, the kernel's numbers of every window of at
     least ``spread`` of the pairs that starts at the first pair (``rows``
@@ -239,7 +245,7 @@ def ols2(
                 f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
             )
         sx, sy, sxx, sxy, syy, _ = map(sum, zip(*rows))
-        tq = t_quantile(0.95 if one_sided else 0.975, n - 2)
+        tq = _t_bound(one_sided, n - 2)
         return OlsFit(model, *_fit_moments(n, sx, sy, sxx, sxy, syy, p, tq))
     except OverflowError as exc:  # from the kernel's int / int
         raise InvalidConfig(f"regression fit beyond the float range: {exc}") from None
@@ -330,8 +336,7 @@ def fit_rational_bubble(
             raise NonPositiveExcess(t, f"price at t={_text(t)} does not exceed anchor {anchor}")
         devs.append(math.log(d))
     fit = ols2(range(len(devs)), devs, model=MODEL_RATIONAL, one_sided=one_sided)
-    tq = t_quantile(0.95 if one_sided else 0.975, fit.df)
-    slope_hi = fit.b + tq * fit.se_b
+    slope_hi = fit.b + _t_bound(one_sided, fit.df) * fit.se_b
     try:
         return RationalBubbleFit(
             rate=math.expm1(fit.b),

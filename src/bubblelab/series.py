@@ -60,14 +60,17 @@ def _check_number(name: str, value) -> None:
         raise InvalidConfig(f"{name} is an int past the float range") from None
 
 
-def _check_finite(name: str, value, least: Optional[float] = None) -> None:
+def _check_finite(name: str, value, least: Optional[float] = None,
+                  most: Optional[float] = None) -> None:
     """Raise InvalidConfig unless ``value`` is a finite number of at
-    least ``least``, when given."""
+    least ``least`` and at most ``most``, each when given."""
     _check_number(name, value)
     if not math.isfinite(value):
         raise InvalidConfig(f"{name} must be finite, got {value}")
     if least is not None and value < least:
         raise InvalidConfig(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise InvalidConfig(f"{name} must be at most {most}, got {value}")
 
 
 def _check_choice(name: str, value, choices) -> None:

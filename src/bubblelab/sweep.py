@@ -21,10 +21,10 @@ from .regression import (
     _moment_rows,
     _pairs,
     _spread_start,
+    _t_bound,
     _window_fits,
 )
 from .series import MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_int
-from .studentt import t_quantile
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,28 @@ def _span(excess, model, window, min_window):
 
 
 def _starts(model, lo, hi, vals, min_window, one_sided):
-    """Yield (s, rows, p, tqs, spread, bad) for every start s in [lo, hi]
-    (vals holds the span's values), in order: how the windows from s are
-    laid out, decided once for every sweep.
+    """Yield (s, rows, p, tqs, spread, degenerate, blocked) for every
+    start s in [lo, hi] (vals holds the span's values), in order: how the
+    windows from s are laid out, decided once for every sweep.
 
-    ``bad`` is the first t >= s whose value is not positive (hi + 1 when
-    none), so every window from s that reaches it fails there.  ``rows``
-    holds the moment rows of the pairs of [s, bad - 1], scaled by 2**p
-    (see ``_moment_rows``), and is empty when s's run of positive values
-    holds no window of ``min_window`` points.  ``spread`` is the least
-    pair count at which the float regressors of ``rows`` are not
-    degenerate (``_spread_start``), at least ``first``, the pair count of
-    the shortest window: the windows from s with fewer pairs are
-    degenerate, and those with ``spread`` up to len(rows) pairs are
-    fitted.  ``tqs`` is the sweep's table of the lower bounds'
-    t-quantile at each pair count (its index) from ``first`` up to
-    len(rows); it is extended once per run, and only for a run with
-    rows, so a ``min_window`` longer than the data allocates nothing.
+    Let bad be the first t >= s whose value is not positive (hi + 1 when
+    none).  ``degenerate`` and ``blocked`` are ranges of window ends:
+    the windows from s that end in ``degenerate`` have a constant
+    regressor, and those that end in ``blocked`` reach bad and fail
+    there.  The windows that end between them, from ``degenerate.stop``
+    on, are fitted.  ``rows`` holds the moment rows of the pairs of
+    [s, bad - 1], scaled by 2**p (see ``_moment_rows``), and is empty
+    when s's run of positive values holds no window of ``min_window``
+    points.  ``spread`` is the pair count of the first fitted window:
+    the least at which the float regressors of ``rows`` are not
+    degenerate (``_spread_start``), and at least ``first``, the pair
+    count of the shortest window.  ``tqs`` is the sweep's table of the
+    lower bounds' t-quantile at each pair count (its index) from
+    ``first`` up to len(rows); it is extended once per run, and only for
+    a run with rows, so a ``min_window`` longer than the data allocates
+    nothing.
     """
     first = min_window - 1 - _LAGS[model]
-    level = 0.95 if one_sided else 0.975
     tqs = []
     run0 = lo
     while run0 <= hi:
@@ -115,23 +117,27 @@ def _starts(model, lo, hi, vals, min_window, one_sided):
             rows, p = _moment_rows(*_pairs(model, vals[run0 - lo : bad - lo], run0))
             if len(tqs) <= len(rows):
                 tqs += [None] * (first - len(tqs))
-                tqs += [t_quantile(level, n - 2) for n in range(len(tqs), len(rows) + 1)]
+                tqs += [_t_bound(one_sided, n - 2) for n in range(len(tqs), len(rows) + 1)]
         else:  # no window of the run is long enough to fit
             rows, p = (), 0
         for s in range(run0, run_end):
             # pair s - run0 is the first pair of the windows that start at s
             rows_s = rows[s - run0 :]
-            yield s, rows_s, p, tqs, max(_spread_start(rows_s, first), first), bad
+            spread = max(_spread_start(rows_s, first), first)
+            first_e = s + min_window - 1
+            # the windows of first up to spread - 1 pairs are degenerate
+            yield (s, rows_s, p, tqs, spread, range(first_e, first_e + spread - first),
+                   range(max(first_e, bad), hi + 1))
         run0 = run_end
 
 
 def _count_errors(errors, degenerate, blocked):
     """Add one start's invalid cells to ``errors``: its ``degenerate``
-    windows come first in key order, then its ``blocked`` ones, so each
-    kind is seen in key order."""
-    for kind, count in ((_DEGENERATE.error_kind, degenerate), (_BLOCKED.error_kind, blocked)):
-        if count > 0:
-            errors[kind] = errors.get(kind, 0) + count
+    windows come first in key order, then its ``blocked`` ones (ranges
+    of ends from ``_starts``), so each kind is seen in key order."""
+    for kind, ends in ((_DEGENERATE.error_kind, degenerate), (_BLOCKED.error_kind, blocked)):
+        if ends:
+            errors[kind] = errors.get(kind, 0) + len(ends)
 
 
 def sweep(
@@ -156,18 +162,16 @@ def sweep(
     OLS kernel turns into a fit, so a grid costs O(N^2) rather than O(N^3).
     """
     lo, hi, vals = _span(excess, model, window, min_window)
-    # the window ending at e holds e - s - lag pairs, at least 3 (see
-    # MIN_WINDOW), so no cell has TooFewPoints
-    lag = _LAGS[model]
+    # every window holds at least 3 pairs (see MIN_WINDOW), so no cell has
+    # TooFewPoints
     cells = {}
-    for s, rows, p, tqs, spread, bad in _starts(model, lo, hi, vals, min_window, one_sided):
-        first_e = s + min_window - 1
-        fit_e = s + lag + spread  # the end of the first fitted window
-        for e in range(first_e, fit_e):
+    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
+                                                                min_window, one_sided):
+        for e in degenerate:
             cells[s, e] = _DEGENERATE
-        for e, numbers in enumerate(_window_fits(rows, p, spread, tqs), fit_e):
+        for e, numbers in enumerate(_window_fits(rows, p, spread, tqs), degenerate.stop):
             cells[s, e] = OlsFit(model, *numbers)
-        for e in range(max(first_e, bad), hi + 1):
+        for e in blocked:
             cells[s, e] = _BLOCKED
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
 
@@ -237,7 +241,6 @@ def sweep_summary(
     bounds too large for a float go to the kernel.
     """
     lo, hi, vals = _span(excess, model, window, min_window)
-    lag = _LAGS[model]
     n_sig = 0
     errors: Dict[str, int] = {}
     floor = -math.inf
@@ -245,9 +248,9 @@ def sweep_summary(
     # kernel's arguments) of each cell that may be the best window, in
     # key order
     kept = []
-    for s, rows, p, tqs, spread, bad in _starts(model, lo, hi, vals, min_window, one_sided):
-        first_e = s + min_window - 1
-        _count_errors(errors, s + lag + spread - first_e, hi + 1 - max(first_e, bad))
+    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
+                                                                min_window, one_sided):
+        _count_errors(errors, degenerate, blocked)
         n = sx = sy = sxx = sxy = syy = 0
         for x, y, xx, xy, yy, _ in rows:
             n += 1
@@ -306,8 +309,8 @@ def sweep_summary(
                 significant = numbers[4] > 0.0 and upper > 0.0  # a_lower
             if significant:
                 n_sig += 1
-            if upper >= floor:
-                kept.append((upper, (s, s + n + lag), numbers,
+            if upper >= floor:  # the window of spread pairs ends at degenerate.stop
+                kept.append((upper, (s, degenerate.stop + n - spread), numbers,
                              (n, sx, sy, sxx, sxy, syy, p, tq)))
                 if lower > floor:
                     floor = lower
@@ -366,18 +369,15 @@ def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] 
     InvalidConfig leaves no file behind.
     """
     lo, hi, vals = _span(excess, model, window, min_window)
-    lag = _LAGS[model]
     n_sig = 0
     errors: Dict[str, int] = {}
     best = best_key = None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_CSV_HEADER)
-        for s, rows, p, tqs, spread, bad in _starts(model, lo, hi, vals, min_window, one_sided):
-            first_e = s + min_window - 1
-            e = fit_e = s + lag + spread
-            lines = [_INVALID_ROW % (model, s, d, _DEGENERATE.error_kind)
-                     for d in range(first_e, fit_e)]
-            for numbers in _window_fits(rows, p, spread, tqs):
+        for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
+                                                                    min_window, one_sided):
+            lines = [_INVALID_ROW % (model, s, d, _DEGENERATE.error_kind) for d in degenerate]
+            for e, numbers in enumerate(_window_fits(rows, p, spread, tqs), degenerate.stop):
                 a, b, se_a, se_b, a_lower, b_lower, n, _, r2, _ = numbers
                 lines.append(_VALID_ROW % (model, s, e, a, b, se_a, se_b,
                                            a_lower, b_lower, n, r2))
@@ -385,11 +385,8 @@ def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] 
                     n_sig += 1
                 if best is None or b_lower > best[5]:
                     best, best_key = numbers, (s, e)
-                e += 1
-            first_blocked = max(first_e, bad)
-            lines += [_INVALID_ROW % (model, s, d, _BLOCKED.error_kind)
-                      for d in range(first_blocked, hi + 1)]
-            _count_errors(errors, fit_e - first_e, hi + 1 - first_blocked)
+            lines += [_INVALID_ROW % (model, s, d, _BLOCKED.error_kind) for d in blocked]
+            _count_errors(errors, degenerate, blocked)
             fh.write("".join(lines))
     return _summary(model, min_window, triangular_cell_count(hi + 1 - lo, min_window), n_sig,
                     errors, best_key, best)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import bubblelab.classify as classify_module
 from bubblelab import (
     EXPERIMENT_GROUP_WINDOWS,
     ExperimentParams,
@@ -12,11 +13,20 @@ from bubblelab import (
     Window,
     classify_series,
     detect_bubble_window,
+    excess_series,
     iterate,
     iterate_noisy,
 )
 
 PARAMS = ExperimentParams()
+
+
+def _str_refuses(n):
+    try:
+        str(n)
+    except ValueError:
+        return True
+    return False
 
 
 def _prices_from_model(model, steps, sigma=None, seed=0):
@@ -204,6 +214,36 @@ class TestClassifySeries:
         verdict = classify_series(PriceSeries(0, tuple([60.0] * 30)), PARAMS)
         line = verdict.summary_line()
         assert "erratic" in line and "no bubble window" in line
+
+    def test_a_window_past_4300_digits_prints_and_refuses_json(self):
+        t0 = 10**5000
+        if not _str_refuses(t0):
+            pytest.skip("str prints every int on this Python (3.11 refuses this one)")
+        verdict = classify_series(PriceSeries(t0, tuple(60.0 + 2.0 * 1.1**t for t in range(20))),
+                                  PARAMS)
+        assert verdict.label == "rational_exponential"
+        assert verdict.summary_line().endswith("window [a 16610-bit int, a 16610-bit int])")
+        with pytest.raises(InvalidConfig, match="verdict's window cannot be written"):
+            verdict.to_json()
+
+    @pytest.mark.parametrize("vals, window, label", [
+        (tuple(60.0 + 2.0 * 1.1**t for t in range(20)), None, "rational_exponential"),
+        (tuple(60.0 + 2.0 * 1.1**t for t in range(20)), Window(3, 18), "rational_exponential"),
+        ((60.0,) * 30, None, "erratic"),
+        ((55.0,) * 5 + (61.0, 62.0, 63.5, 65.0, 67.0, 69.0) + (55.0,) * 5, None, "too_short"),
+        (tuple(60.0 + 2.0 * 1.1**t for t in range(20)), Window(3, 8), "too_short"),
+    ], ids=["detected", "explicit", "erratic", "detected too short", "explicit too short"])
+    def test_one_excess_series_per_classification(self, monkeypatch, vals, window, label):
+        calls = []
+
+        def counted(prices, params):
+            calls.append(prices)
+            return excess_series(prices, params)
+
+        monkeypatch.setattr(classify_module, "excess_series", counted)
+        verdict = classify_series(PriceSeries(0, vals), PARAMS, window=window)
+        assert verdict.label == label
+        assert len(calls) == 1
 
 
 class TestVerdictGrids:

@@ -133,6 +133,13 @@ PAST_FLOAT_RANGE = st.one_of(st.integers(min_value=2**1024), st.integers(max_val
 HOSTILE_NUMBER = st.one_of(PAST_FLOAT_RANGE, NOT_A_NUMBER)
 HOSTILE_FINITE = st.one_of(HOSTILE_NUMBER, NON_FINITE)
 HOSTILE_COUNT = st.one_of(NON_INTEGER, NEGATIVE, PAST_FLOAT_RANGE)
+# what no probability in [0, 1] is: what no finite number is, an infinity,
+# or a float outside [0, 1], the nearest ones too (a row whose range
+# excludes an endpoint adds it); the table's 25 draws need not hit every
+# edge, so test_a_probability_at_each_edge_is_refused calls each one
+PROBABILITY_EDGES = (math.nan, math.inf, -math.inf, -5e-324, math.nextafter(1.0, 2.0))
+HOSTILE_PROBABILITY = st.one_of(st.sampled_from(PROBABILITY_EDGES), HOSTILE_FINITE,
+                                st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-15))
 # what a sequence of finite floats refuses: what float() cannot convert, or
 # converts to no finite float
 HOSTILE_FLOAT = st.one_of(NOT_FLOAT_CONVERTIBLE, PAST_FLOAT_RANGE, NON_FINITE)
@@ -342,8 +349,7 @@ CONTRACTS = [
     Contract(SimConfig, "seed outside 64 bits",
              st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)),
              lambda s: SimConfig(PARAMS, FUNDAMENTALISTS, 5, seed=s), InvalidConfig),
-    Contract(SimConfig, "mis-trade probability NaN or outside [0, 1]",
-             st.one_of(NAN, st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-15)),
+    Contract(SimConfig, "mis-trade probability NaN or outside [0, 1]", HOSTILE_PROBABILITY,
              lambda p: SimConfig(PARAMS, FUNDAMENTALISTS, 5, mistrade_prob=p), InvalidConfig),
     Contract(SimConfig, "forecast noise NaN, infinite or negative",
              st.one_of(NON_FINITE, st.floats(max_value=-1e-300)),
@@ -410,8 +416,7 @@ CONTRACTS = [
     Contract(inject_mistrade, "forecast NaN", st.sampled_from([0.0, 0.5, 1.0]),
              lambda prob: inject_mistrade(math.nan, random.Random(0), prob, PARAMS),
              InvalidConfig),
-    Contract(inject_mistrade, "probability NaN or outside [0, 1]",
-             st.one_of(NAN, st.floats(max_value=-1e-300), st.floats(min_value=1.0 + 1e-15)),
+    Contract(inject_mistrade, "probability NaN or outside [0, 1]", HOSTILE_PROBABILITY,
              lambda prob: inject_mistrade(60.0, random.Random(0), prob, PARAMS),
              InvalidConfig),
     Contract(inject_mistrade, "forecast an int past the float range",
@@ -482,7 +487,7 @@ CONTRACTS = [
     Contract(t_cdf, "df not a positive integer", st.one_of(HOSTILE_COUNT, st.just(0)),
              lambda df: t_cdf(1.0, df), InvalidConfig),
     Contract(t_quantile, "probability NaN, infinite or outside (0, 1)",
-             st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0)),
+             st.one_of(HOSTILE_PROBABILITY, st.sampled_from([0.0, -0.0, 1.0])),
              lambda p: t_quantile(p, 3), InvalidConfig),
     Contract(t_quantile, "probability not a number", HOSTILE_NUMBER,
              lambda p: t_quantile(p, 3), InvalidConfig),
@@ -516,7 +521,7 @@ CONTRACTS = [
     Contract(detect_bubble_window, "min_window below MIN_WINDOW", BELOW_MIN_WINDOW,
              lambda m: detect_bubble_window(BUBBLE, PARAMS, min_window=m), InvalidConfig),
     Contract(classify_series, "theta NaN, infinite or outside (0, 1]",
-             st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0 + 1e-15)),
+             st.one_of(HOSTILE_PROBABILITY, st.sampled_from([0.0, -0.0])),
              lambda theta: classify_series(BUBBLE, PARAMS, theta=theta), InvalidConfig),
     Contract(classify_series, "theta not a number", HOSTILE_FINITE,
              lambda theta: classify_series(BUBBLE, PARAMS, theta=theta), InvalidConfig),
@@ -566,6 +571,22 @@ def test_bad_input_raises_its_typed_error(row, data):
     with pytest.raises(BubbleLabError) as info:
         row.call(value)
     assert type(info.value) is row.error, info.value
+
+
+PROBABILITY_ROWS = [row for row in CONTRACTS if row.id in (
+    "SimConfig-mis-trade probability NaN or outside [0, 1]",
+    "inject_mistrade-probability NaN or outside [0, 1]",
+    "t_quantile-probability NaN, infinite or outside (0, 1)",
+    "classify_series-theta NaN, infinite or outside (0, 1]",
+)]
+
+
+@pytest.mark.parametrize("value", PROBABILITY_EDGES)
+@pytest.mark.parametrize("row", PROBABILITY_ROWS, ids=[row.id for row in PROBABILITY_ROWS])
+def test_a_probability_at_each_edge_is_refused(row, value):
+    assert len(PROBABILITY_ROWS) == 4
+    with pytest.raises(row.error):
+        row.call(value)
 
 
 def test_clearing_price_mean_of_forecasts_at_the_float_maximum():

@@ -511,7 +511,8 @@ def filter_error_ratios(values, model, one_sided):
     ``sweep_summary``'s docstring allows; assert on the way that the
     kernel's lower bounds never exceed the filter's upper bounds, which
     hold without the guard.  All in exact arithmetic."""
-    for s, rows, p, tqs, spread, _ in _starts(model, 0, len(values) - 1, values, 5, one_sided):
+    for s, rows, p, tqs, spread, _, _ in _starts(model, 0, len(values) - 1, values, 5,
+                                                 one_sided):
         n = sx = sy = sxx = sxy = syy = 0
         for x, y, xx, xy, yy, _ in rows:
             n += 1
