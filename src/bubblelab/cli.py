@@ -96,11 +96,11 @@ def _build_agents(preset: str, params: ExperimentParams) -> tuple:
         specs = [AgentSpec.price_anchor(a=math.log(1.09), b=1e-4) for _ in range(h - 1)]
         specs.append(AgentSpec.naive())
         return tuple(specs)
-    if preset == "noise":
-        specs = [AgentSpec.fundamentalist() for _ in range(h - 1)]
-        specs.append(AgentSpec.noise(sigma=5.0))
-        return tuple(specs)
-    raise InvalidConfig(f"unknown agent preset {preset!r}")
+    # "noise", the one preset left: argparse's choices, and
+    # _apply_config_file's check of them, refuse any other
+    specs = [AgentSpec.fundamentalist() for _ in range(h - 1)]
+    specs.append(AgentSpec.noise(sigma=5.0))
+    return tuple(specs)
 
 
 def _parse_pair(text: str, what: str, conv=float) -> tuple:

@@ -143,19 +143,26 @@ def t_quantile(p: float, df: int) -> float:
     type as well as value, so a df of 2.0 or True never reads the entry
     of a checked 2 or 1.  The cache hashes the arguments before any
     check runs, so an unhashable one is reported from its failed hash:
-    a hit costs no check.
+    a hit costs no check.  An unhashable subclass of int or float passes
+    the checks, and raises InvalidConfig as well.
     """
     try:
         return _cached_quantile(p, df)
-    except TypeError:  # unhashable: no number, so a check below raises
+    except TypeError:  # unhashable: no number, or a subclass that refuses hash()
         _check_count("degrees of freedom", df, least=1)
         _check_number("p", p)
-        raise
+        raise InvalidConfig("p and degrees of freedom must be hashable") from None
 
 
 @lru_cache(maxsize=None, typed=True)
 def _cached_quantile(p: float, df: int) -> float:
-    """``t_quantile`` of hashable arguments."""
+    """``t_quantile`` of hashable arguments.
+
+    The bracket ``[0, hi]`` doubles ``hi`` from 1.0 while ``below(hi)``,
+    which is False by ``hi = 2**501``: past ``_SATURATION = 2**500``
+    ``t_cdf`` is 1.0, not below p < 1, and ``known_lo`` is at most 2**500,
+    as its enclosure check found ``t_cdf(known_lo) < p``.
+    """
     _check_count("degrees of freedom", df, least=1)
     _check_number("p", p)
     if not 0.0 < p < 1.0:
@@ -179,8 +186,6 @@ def _cached_quantile(p: float, df: int) -> float:
     lo, hi = 0.0, 1.0
     while below(hi):
         hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError("quantile bracket expansion failed")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -57,6 +57,17 @@ class TestDetectBubbleWindow:
         vals = [55.0] + [90.0, 85.0, 80.0, 75.0, 70.0, 65.0, 62.0] + [55.0] * 3
         assert detect_bubble_window(PriceSeries(0, tuple(vals)), PARAMS) is None
 
+    def test_a_run_that_ends_where_it_starts_is_not_a_bubble(self):
+        # a candidate must end strictly higher than it starts
+        vals = [55.0] + [70.0] * 8 + [55.0]
+        assert detect_bubble_window(PriceSeries(0, tuple(vals)), PARAMS) is None
+
+    def test_the_earliest_of_two_equally_long_runs_wins(self):
+        up = [61.0 + t for t in range(8)]
+        vals = [55.0] + up + [50.0] + up + [40.0]
+        win = detect_bubble_window(PriceSeries(0, tuple(vals)), PARAMS)
+        assert (win.start, win.end) == (2, 8)
+
     def test_longest_run_wins(self):
         up1 = [61.0 + t for t in range(6)]
         up2 = [61.0 + 2 * t for t in range(12)]

@@ -173,6 +173,15 @@ class TestSimulate:
         hi = (band.p_max + band.dividend) / (1.0 + band.r)
         assert max(doc["prices"]) == hi
 
+    def test_prices_past_the_rounded_discounted_band_clear_inside_the_band(self, tmp_path):
+        # (p_min + D)/(1 + r) rounds below p_min; the run once stopped on
+        # an AssertionError here and wrote no files
+        assert run_cli("simulate", "--agents", "fundamentalist", "--horizon", "3",
+                       "--params", "r=7.5,D=7.5e43,p_min=1e43,p_max=1.0000000000000003e43",
+                       "--outdir", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "simulation.json").read_text())
+        assert all(1e43 <= p <= 1.0000000000000003e43 for p in doc["prices"])
+
     def test_non_finite_inputs_are_config_errors(self, tmp_path, capsys):
         for flags in (("--params", "r=inf"), ("--params", "p_max=inf"),
                       ("--noise-sigma", "nan"), ("--noise-sigma", "inf")):

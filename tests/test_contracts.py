@@ -151,6 +151,15 @@ NOT_A_WINDOW = st.one_of(st.tuples(st.integers(0, 5), st.integers(10, 15)),
                          UNPRINTABLE, UNPRINTABLE_IN_A_LIST)
 
 
+# numbers to every check, yet no cache can hash them
+class UnhashableFloat(float):
+    __hash__ = None
+
+
+class UnhashableInt(int):
+    __hash__ = None
+
+
 def _replace(values, i, v):
     return values[:i] + (v,) + values[i + 1:]
 
@@ -413,6 +422,9 @@ CONTRACTS = [
              st.tuples(st.integers(0, 1), PAST_FLOAT_RANGE, st.sampled_from([60, 60.0])),
              lambda ivo: score_forecast(*_replace((ivo[2], ivo[2]), ivo[0], ivo[1])),
              InvalidConfig),
+    Contract(score_forecast, "two ints whose error is past the float range",
+             st.sampled_from([(int(MAX), -int(MAX)), (-int(MAX), int(MAX))]),
+             lambda pf: score_forecast(*pf), InvalidConfig),
     Contract(inject_mistrade, "forecast NaN", st.sampled_from([0.0, 0.5, 1.0]),
              lambda prob: inject_mistrade(math.nan, random.Random(0), prob, PARAMS),
              InvalidConfig),
@@ -494,6 +506,9 @@ CONTRACTS = [
     Contract(t_quantile, "df not a positive integer",
              st.one_of(HOSTILE_COUNT, st.just(0)),
              lambda df: t_quantile(0.975, df), InvalidConfig),
+    Contract(t_quantile, "probability or df a number the cache cannot hash",
+             st.sampled_from([(UnhashableFloat(0.9), 3), (0.9, UnhashableInt(3))]),
+             lambda pdf: t_quantile(*pdf), InvalidConfig),
     # sweep.py
     Contract(sweep, "min_window not an integer", NON_INTEGER,
              lambda m: sweep(EXCESS, "price", min_window=m), InvalidConfig),

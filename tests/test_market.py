@@ -248,6 +248,9 @@ class TestSimConfig:
             _config(agents, initial_prices=(60.0, 1200.0))
         with pytest.raises(InvalidConfig):
             _config(agents, seed=-1)
+        for prices in [(60.0,), (60.0,) * 3]:
+            with pytest.raises(InvalidConfig, match="exactly two seed prices"):
+                _config(agents, initial_prices=prices)
 
     @pytest.mark.parametrize("horizon", [2.5, 10.0, "10", True])
     def test_horizon_must_be_an_int(self, horizon):
@@ -373,6 +376,17 @@ class TestRun:
             assert lo - 1e-9 <= p <= hi + 1e-9
         assert max(result.prices.values) == pytest.approx(hi, abs=1e-9)
 
+    def test_prices_past_the_rounded_discounted_band_stay_in_the_band(self):
+        # (p_min + D)/(1 + r) rounds below p_min here, yet each price is
+        # clamp's, inside [p_min, p_max]
+        params = ExperimentParams(r=7.5, dividend=7.5e43, p_min=1e43,
+                                  p_max=1.0000000000000003e43)
+        config = SimConfig(params=params, agents=(AgentSpec.fundamentalist(),) * 6,
+                           horizon=3, initial_prices=(params.fundamental,) * 2)
+        assert (params.p_min + params.dividend) / (1.0 + params.r) < params.p_min
+        for p in run(config).prices.values:
+            assert params.p_min <= p <= params.p_max
+
     def test_mistrades_perturb_prices(self):
         agents = [AgentSpec.fundamentalist()] * 6
         calm = run(_config(agents, seed=5))
@@ -467,6 +481,10 @@ class TestSimResultSerialization:
         assert payload["forecasts"][2] == list(result.forecasts[2])
         assert payload["payoffs"][0][-1] is None
         assert payload["metadata"]["seed"] == 4
+
+    def test_json_of_an_empty_row_and_an_empty_table(self):
+        result = SimResult(prices=PriceSeries(0, (60.0,)), forecasts=((),), payoffs=())
+        assert result.to_json() == sim_to_json_reference(result)
 
     def test_csv_round_trips_through_loader(self, tmp_path):
         agents = [AgentSpec.price_anchor(math.log(1.09), 1e-4)] * 6

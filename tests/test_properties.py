@@ -67,9 +67,12 @@ from bubblelab import (
 )
 from bubblelab.cli import main as cli_main
 from bubblelab.regression import _fit_moments, _moment_rows, _spread_start
-from bubblelab.sweep import _starts, sweep_summary, write_grid
+from bubblelab.sweep import (_FILTER_GUARD, _FILTER_TINY, _FILTER_TOLERANCE, _starts,
+                             sweep_summary, write_grid)
 
 from _oracles import (
+    FILTER_GUARD,
+    FILTER_TINY,
     FILTER_TOLERANCE,
     agent_forecast_reference,
     exact_fit_stats,
@@ -532,6 +535,14 @@ def filter_error_ratios(values, model, one_sided):
             if guard:
                 yield abs(Fraction(b_lower) - kernel_b) / (FILTER_TOLERANCE * Fraction(b_scale))
                 yield abs(Fraction(a_lower) - kernel_a) / (FILTER_TOLERANCE * Fraction(a_scale))
+
+
+def test_the_filter_oracle_holds_the_production_constants():
+    # the oracle restates the filter; a margin changed in sweep alone would
+    # leave the audit below checking the old one
+    assert FILTER_TOLERANCE == _FILTER_TOLERANCE
+    assert FILTER_GUARD == _FILTER_GUARD
+    assert FILTER_TINY == _FILTER_TINY
 
 
 @settings(PROPERTY, max_examples=300)

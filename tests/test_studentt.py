@@ -112,6 +112,19 @@ class TestTQuantile:
             for p in (0.95, 0.975, 0.05, 0.025):
                 assert t_quantile(p, df) == t_quantile_reference(p, df), (p, df)
 
+    @pytest.mark.parametrize("p, df", [(1 - 1e-10, 3), (0.9999999999999949, 1)],
+                             ids=["newton-does-not-converge", "edge-check-fails"])
+    def test_equals_reference_bisection_without_an_enclosure(self, p, df):
+        assert studentt._enclosure(p, df) is None
+        assert t_quantile(p, df) == t_quantile_reference(p, df)
+
+    def test_equals_reference_bisection_when_the_enclosure_raises(self, monkeypatch):
+        # a zero density makes Newton's first step divide by zero
+        monkeypatch.setattr(studentt, "_t_pdf", lambda x, df: 0.0)
+        t_quantile.cache_clear()
+        for p, df in ((0.975, 7), (0.95, 30)):
+            assert t_quantile(p, df) == t_quantile_reference(p, df)
+
     def test_cold_quantile_cdf_evaluations(self, monkeypatch):
         calls = 0
         cdf = studentt.t_cdf
