@@ -24,6 +24,7 @@ from .series import (
     PriceSeries,
     Window,
     _check_finite,
+    _check_flag,
     _check_int,
     excess_series,
 )
@@ -180,9 +181,10 @@ def classify_series(
     wins the anchoring label, provided it reaches ``theta``.  Ties break
     toward price anchoring (the lower-lag model).  An explicit ``window``
     overrides detection, letting callers reproduce published windows.
-    A ``theta`` outside (0, 1], a ``min_window`` that is not an integer
-    of at least MIN_WINDOW or an explicit ``window`` that is no Window or
-    lies outside the series raises InvalidConfig.
+    A ``theta`` outside (0, 1], a ``one_sided`` other than True or
+    False, a ``min_window`` that is not an integer of at least MIN_WINDOW
+    or an explicit ``window`` that is no Window or lies outside the
+    series raises InvalidConfig.
 
     The excess series is built once, and both detection and the
     window's sweeps read it.
@@ -190,6 +192,7 @@ def classify_series(
     _check_finite("theta", theta)
     if not 0.0 < theta <= 1.0:
         raise InvalidConfig(f"theta must lie in (0, 1], got {theta}")
+    _check_flag("one_sided", one_sided)
     _check_int("min_window", min_window, least=MIN_WINDOW)
     if window is not None:
         prices.window_values(window)  # raises InvalidConfig for a bad window

@@ -15,7 +15,8 @@ from itertools import chain
 from typing import Sequence, Tuple
 
 from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints, _text
-from .series import ExcessSeries, PriceSeries, Window, _check_finite, _finite_floats, log_growth
+from .series import (ExcessSeries, PriceSeries, Window, _check_finite, _check_flag,
+                     _finite_floats, log_growth)
 from .studentt import t_quantile
 
 MODEL_PRICE = "price"
@@ -190,27 +191,6 @@ def _t_bound(one_sided: bool, df: int) -> float:
     return t_quantile(0.95 if one_sided else 0.975, df)
 
 
-def _window_fits(rows, p, spread, tqs):
-    """Yield, shortest first, the kernel's numbers of every window of at
-    least ``spread`` of the pairs that starts at the first pair (``rows``
-    as from ``_moment_rows``, scaled by 2**p).  ``spread`` is where the
-    float regressors stop being degenerate (see ``_spread_start``), so
-    every window yielded is fitted; ``tqs`` holds the t-quantile of each
-    pair count from ``spread`` up to len(rows).  Each window adds one
-    pair to the exact moments of the one before.
-    """
-    n = sx = sy = sxx = sxy = syy = 0
-    for x, y, xx, xy, yy, _ in rows:
-        n += 1
-        sx += x
-        sy += y
-        sxx += xx
-        sxy += xy
-        syy += yy
-        if n >= spread:
-            yield _fit_moments(n, sx, sy, sxx, sxy, syy, p, tqs[n])
-
-
 def ols2(
     x: Sequence[float],
     y: Sequence[float],
@@ -222,14 +202,16 @@ def ols2(
     Residual variance uses n-2 degrees of freedom; the lower confidence
     bounds subtract t(0.975, df) standard errors (t(0.95, df) when
     ``one_sided`` is set).  Non-finite data, x and y of different
-    lengths, data that are no numbers, or data or a fit beyond the float
-    range raise InvalidConfig.
+    lengths, data that are no numbers, data or a fit beyond the float
+    range, or a ``one_sided`` other than True or False raise
+    InvalidConfig.
 
     The one window is fitted directly: the spread test of the float
     regressors (``_spread_start``) raises DegenerateRegressor, and
     otherwise the kernel fits one set of exact row sums with one
     t-quantile.
     """
+    _check_flag("one_sided", one_sided)
     n = len(x)
     if n != len(y):
         raise InvalidConfig(f"x and y lengths differ: {n} vs {len(y)}")
@@ -326,9 +308,11 @@ def fit_rational_bubble(
     deviation scale at the window start.  Every price in the window must
     exceed the anchor (default: the fundamental under standard
     parameters), which must be a finite number.  A rate or scale beyond
-    the float range raises InvalidConfig.
+    the float range, or a ``one_sided`` other than True or False, raises
+    InvalidConfig.
     """
     _check_finite("anchor", anchor)
+    _check_flag("one_sided", one_sided)
     devs = []
     for t, p in enumerate(prices.window_values(window), window.start):
         d = p - anchor

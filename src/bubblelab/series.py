@@ -80,6 +80,13 @@ def _check_choice(name: str, value, choices) -> None:
         raise InvalidConfig(f"{name} must be one of {list(choices)}, got {_text(value, repr)}")
 
 
+def _check_flag(name: str, value) -> None:
+    """Raise InvalidConfig unless ``value`` is True or False: no other
+    object, 0, 1 and NaN included, stands for a truth value here."""
+    if value is not True and value is not False:
+        raise InvalidConfig(f"{name} must be True or False, got {_text(value, repr)}")
+
+
 def _finite_floats(name: str, values) -> tuple:
     """``values`` as a tuple of floats, each as ``float()`` makes it.
     A value that ``float()`` refuses or that is not finite raises

@@ -11,20 +11,13 @@ inside its own window.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, Optional, Tuple, Union
 
-from .regression import (
-    _LAGS,
-    OlsFit,
-    _fit_moments,
-    _moment_rows,
-    _pairs,
-    _spread_start,
-    _t_bound,
-    _window_fits,
-)
-from .series import MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_int
+from .regression import _LAGS, OlsFit, _fit_moments, _moment_rows, _pairs, _spread_start, _t_bound
+from .series import MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_flag, _check_int
 
 
 @dataclass(frozen=True)
@@ -41,8 +34,10 @@ Cell = Union[OlsFit, InvalidCell]
 _BLOCKED = InvalidCell("NonPositiveExcess")
 _DEGENERATE = InvalidCell("DegenerateRegressor")
 
-# an OlsFit's field names in declaration order, the keys of a best window's "fit"
+# an OlsFit's field names in declaration order, the keys of a best window's "fit";
+# _numbers reads a fit's numbers, the fields after model, as the kernel returns them
 _FIT_FIELDS = tuple(f.name for f in fields(OlsFit))
+_numbers = attrgetter(*_FIT_FIELDS[1:])
 
 # sweep_summary's float filter: the relative distance it allows between
 # its float estimates and the kernel's lower bounds, the factor by which
@@ -70,10 +65,11 @@ class SweepGrid:
         return sum(1 for c in self.cells.values() if isinstance(c, OlsFit))
 
 
-def _span(excess, model, window, min_window):
+def _span(excess, model, window, min_window, one_sided):
     """Check a sweep's arguments; return the span (lo, hi) and its values."""
     _check_choice("model", model, sorted(_LAGS))
     _check_int("min_window", min_window, least=MIN_WINDOW)
+    _check_flag("one_sided", one_sided)
     if window is None:
         return excess.t0, excess.t_end, excess.values
     vals = excess.window_values(window)  # checks the window before its bounds are read
@@ -131,13 +127,31 @@ def _starts(model, lo, hi, vals, min_window, one_sided):
         run0 = run_end
 
 
-def _count_errors(errors, degenerate, blocked):
-    """Add one start's invalid cells to ``errors``: its ``degenerate``
-    windows come first in key order, then its ``blocked`` ones (ranges
-    of ends from ``_starts``), so each kind is seen in key order."""
-    for kind, ends in ((_DEGENERATE.error_kind, degenerate), (_BLOCKED.error_kind, blocked)):
-        if ends:
-            errors[kind] = errors.get(kind, 0) + len(ends)
+def _cells(model, lo, hi, vals, min_window, one_sided):
+    """Yield (s, row) for every start s in [lo, hi], in order, where
+    ``row`` lists the (end, cell) of every window from s in key order:
+    the ``_DEGENERATE`` marker of each ``degenerate`` end, then the
+    kernel's numbers (a tuple, see ``_fit_moments``) of each fitted
+    window, then the ``_BLOCKED`` marker of each ``blocked`` end (see
+    ``_starts``).  The fitted windows grow one pair at a time, each
+    adding its pair to the exact moments of the one before.
+    """
+    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
+                                                                min_window, one_sided):
+        row = [(e, _DEGENERATE) for e in degenerate]
+        shift = degenerate.stop - spread  # the window of n pairs ends at shift + n
+        n = sx = sy = sxx = sxy = syy = 0
+        for x, y, xx, xy, yy, _ in rows:
+            n += 1
+            sx += x
+            sy += y
+            sxx += xx
+            sxy += xy
+            syy += yy
+            if n >= spread:
+                row.append((shift + n, _fit_moments(n, sx, sy, sxx, sxy, syy, p, tqs[n])))
+        row += [(e, _BLOCKED) for e in blocked]
+        yield s, row
 
 
 def sweep(
@@ -150,29 +164,23 @@ def sweep(
     """Fit ``model`` on every window of at least ``min_window`` points
     inside ``window`` (the whole series when None).
 
-    A ``window`` that is no Window or lies outside the series, or a
-    ``min_window`` that is not an integer of at least MIN_WINDOW, raises
-    InvalidConfig.  Per-window errors (windows crossing non-positive
-    excess prices, degenerate regressors) become invalid-cell markers
-    rather than failing the sweep.
+    A ``window`` that is no Window or lies outside the series, a
+    ``min_window`` that is not an integer of at least MIN_WINDOW, or a
+    ``one_sided`` other than True or False raises InvalidConfig.
+    Per-window errors (windows crossing non-positive excess prices,
+    degenerate regressors) become invalid-cell markers rather than
+    failing the sweep.
 
     Each cell equals ``fit_price_model``/``fit_return_model`` on its
     window, bit for bit, but costs O(1): for a fixed start the window
     grows one point at a time, updating exact moment sums that the shared
     OLS kernel turns into a fit, so a grid costs O(N^2) rather than O(N^3).
     """
-    lo, hi, vals = _span(excess, model, window, min_window)
+    lo, hi, vals = _span(excess, model, window, min_window, one_sided)
     # every window holds at least 3 pairs (see MIN_WINDOW), so no cell has
     # TooFewPoints
-    cells = {}
-    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
-                                                                min_window, one_sided):
-        for e in degenerate:
-            cells[s, e] = _DEGENERATE
-        for e, numbers in enumerate(_window_fits(rows, p, spread, tqs), degenerate.stop):
-            cells[s, e] = OlsFit(model, *numbers)
-        for e in blocked:
-            cells[s, e] = _BLOCKED
+    cells = {(s, e): OlsFit(model, *cell) if type(cell) is tuple else cell
+             for s, row in _cells(model, lo, hi, vals, min_window, one_sided) for e, cell in row}
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
 
 
@@ -240,7 +248,7 @@ def sweep_summary(
     Standard errors below 2**-1000, where floats lose bits, and ints or
     bounds too large for a float go to the kernel.
     """
-    lo, hi, vals = _span(excess, model, window, min_window)
+    lo, hi, vals = _span(excess, model, window, min_window, one_sided)
     n_sig = 0
     errors: Dict[str, int] = {}
     floor = -math.inf
@@ -250,7 +258,9 @@ def sweep_summary(
     kept = []
     for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
                                                                 min_window, one_sided):
-        _count_errors(errors, degenerate, blocked)
+        for kind, ends in ((_DEGENERATE.error_kind, degenerate), (_BLOCKED.error_kind, blocked)):
+            if ends:
+                errors[kind] = errors.get(kind, 0) + len(ends)
         n = sx = sy = sxx = sxy = syy = 0
         for x, y, xx, xy, yy, _ in rows:
             n += 1
@@ -341,55 +351,82 @@ _VALID_ROW = "%s,%d,%d" + ",%.17g" * 6 + ",%d,%.17g,true,\n"
 _INVALID_ROW = "%s,%d,%d,,,,,,,,,false,%s\n"
 
 
-def _csv_row(model: str, key: Tuple[int, int], cell: Cell) -> str:
-    """The grid CSV line, newline included, of the cell at window ``key``."""
-    s, e = key
-    if isinstance(cell, OlsFit):
-        return _VALID_ROW % (model, s, e, cell.a, cell.b, cell.se_a, cell.se_b,
-                             cell.a_lower, cell.b_lower, cell.n, cell.r2)
-    return _INVALID_ROW % (model, s, e, cell.error_kind)
+def _csv_lines(model: str, s: int, row) -> str:
+    """The grid CSV lines, newlines included, of the cells ``row`` of
+    start ``s``: (end, cell) pairs in key order, where a cell is the
+    kernel's numbers (a tuple) or an invalid cell."""
+    lines = []
+    for e, cell in row:
+        if type(cell) is tuple:
+            a, b, se_a, se_b, a_lower, b_lower, n, _, r2, _ = cell
+            lines.append(_VALID_ROW % (model, s, e, a, b, se_a, se_b, a_lower, b_lower, n, r2))
+        else:
+            lines.append(_INVALID_ROW % (model, s, e, cell.error_kind))
+    return "".join(lines)
+
+
+def _grid_rows(grid: SweepGrid):
+    """Yield (s, row) for each run of ``grid``'s keys that share the start
+    s, as ``_cells`` yields them: a cell is valid exactly when it is an
+    OlsFit (a subclass too), and then passes on as its numbers."""
+    for s, items in groupby(grid.cells.items(), lambda item: item[0][0]):
+        yield s, [(e, _numbers(cell) if isinstance(cell, OlsFit) else cell)
+                  for (_, e), cell in items]
 
 
 def grid_to_csv(grid: SweepGrid) -> str:
     """Long-format export, one row per cell in (start, end) order,
     plottable as a triangle map."""
-    rows = (_csv_row(grid.model, key, cell) for key, cell in grid.cells.items())
-    return _CSV_HEADER + "".join(rows)
+    return _CSV_HEADER + "".join(_csv_lines(grid.model, s, row) for s, row in _grid_rows(grid))
+
+
+def _written(fh, model: str, starts):
+    """Pass on each (s, row) of ``starts`` once its CSV lines are written
+    to ``fh``, in one write."""
+    for s, row in starts:
+        fh.write(_csv_lines(model, s, row))
+        yield s, row
 
 
 def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] = None,
                min_window: int = MIN_WINDOW, one_sided: bool = False) -> dict:
     """Write ``grid_to_csv(sweep(...))`` to ``path`` and return
     ``grid_summary(sweep(...))``, with the same arguments, in one pass
-    that holds no grid.  Each start's rows are formatted from the
-    kernel's numbers and written at once, and tallied by
-    ``grid_summary``'s rules; no fit object is built.
+    that holds no grid: each start's cells, from the stream that
+    ``sweep`` reads, are written at once by ``grid_to_csv``'s formatter
+    and tallied by ``grid_summary``'s tally; no fit object is built.
 
     The arguments are checked before ``path`` is opened, so an
     InvalidConfig leaves no file behind.
     """
-    lo, hi, vals = _span(excess, model, window, min_window)
-    n_sig = 0
-    errors: Dict[str, int] = {}
-    best = best_key = None
+    lo, hi, vals = _span(excess, model, window, min_window, one_sided)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_CSV_HEADER)
-        for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
-                                                                    min_window, one_sided):
-            lines = [_INVALID_ROW % (model, s, d, _DEGENERATE.error_kind) for d in degenerate]
-            for e, numbers in enumerate(_window_fits(rows, p, spread, tqs), degenerate.stop):
-                a, b, se_a, se_b, a_lower, b_lower, n, _, r2, _ = numbers
-                lines.append(_VALID_ROW % (model, s, e, a, b, se_a, se_b,
-                                           a_lower, b_lower, n, r2))
-                if a_lower > 0.0 and b_lower > 0.0:
+        starts = _cells(model, lo, hi, vals, min_window, one_sided)
+        return _tally(model, min_window, _written(fh, model, starts))
+
+
+def _tally(model: str, min_window: int, starts) -> dict:
+    """The summary dict of the cells of ``starts``, (s, row) pairs as
+    ``_cells`` yields them, by ``grid_summary``'s rules: it counts the
+    cells, the significant ones, the invalid ones by error kind in
+    first-seen order, and takes the first window with the greatest
+    b_lower."""
+    n_cells = n_sig = 0
+    errors: Dict[str, int] = {}
+    best = best_key = None
+    for s, row in starts:
+        n_cells += len(row)
+        for e, cell in row:
+            if type(cell) is tuple:
+                b_lower = cell[5]
+                if cell[4] > 0.0 and b_lower > 0.0:  # a_lower and b_lower
                     n_sig += 1
                 if best is None or b_lower > best[5]:
-                    best, best_key = numbers, (s, e)
-            lines += [_INVALID_ROW % (model, s, d, _BLOCKED.error_kind) for d in blocked]
-            _count_errors(errors, degenerate, blocked)
-            fh.write("".join(lines))
-    return _summary(model, min_window, triangular_cell_count(hi + 1 - lo, min_window), n_sig,
-                    errors, best_key, best)
+                    best, best_key = cell, (s, e)
+            else:
+                errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
+    return _summary(model, min_window, n_cells, n_sig, errors, best_key, best)
 
 
 def _summary(model, min_window, n_cells, n_sig, errors, best_key, best) -> dict:
@@ -421,17 +458,4 @@ def grid_summary(grid: SweepGrid) -> dict:
     A cell is significant when both lower confidence bounds are strictly
     positive, and ``significant_fraction`` is None when no cell is
     valid.  ``sweep_summary`` gives the same dict without a grid."""
-    n_sig = 0
-    errors: Dict[str, int] = {}
-    best = best_key = None
-    for key, cell in grid.cells.items():
-        if isinstance(cell, OlsFit):
-            b_lower = cell.b_lower
-            if cell.a_lower > 0.0 and b_lower > 0.0:
-                n_sig += 1
-            if best is None or b_lower > best.b_lower:
-                best, best_key = cell, key
-        else:
-            errors[cell.error_kind] = errors.get(cell.error_kind, 0) + 1
-    return _summary(grid.model, grid.min_window, len(grid.cells), n_sig, errors, best_key,
-                    None if best is None else astuple(best)[1:])
+    return _tally(grid.model, grid.min_window, _grid_rows(grid))

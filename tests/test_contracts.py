@@ -143,6 +143,12 @@ HOSTILE_PROBABILITY = st.one_of(st.sampled_from(PROBABILITY_EDGES), HOSTILE_FINI
 # what a sequence of finite floats refuses: what float() cannot convert, or
 # converts to no finite float
 HOSTILE_FLOAT = st.one_of(NOT_FLOAT_CONVERTIBLE, PAST_FLOAT_RANGE, NON_FINITE)
+# what no flag is: a flag is True or False, and no other object, though
+# it equals one of them (0, 1, 0.0) or has a truth value (None, text, NaN,
+# a list); the table's 25 draws need not hit every one, so
+# test_a_flag_other_than_true_or_false_is_refused calls each one
+FLAG_EDGES = (None, "two-sided", "one-sided", 0, 1, 0.0, math.nan, [])
+HOSTILE_FLAG = st.sampled_from(FLAG_EDGES)
 # no Window: its bounds as a tuple or a list, a number, text, a range
 NOT_A_WINDOW = st.one_of(st.tuples(st.integers(0, 5), st.integers(10, 15)),
                          st.lists(st.integers(0, 15), min_size=2, max_size=2),
@@ -167,6 +173,18 @@ def _replace(values, i, v):
 def _columns(values):
     """Split eight values into the x and y of a four-point fit."""
     return values[:4], values[4:]
+
+
+def _write_grid(**kwargs):
+    """write_grid of EXCESS's price grid into a fresh directory; a call
+    that raises must leave no file behind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.csv"
+        try:
+            return write_grid(path, EXCESS, "price", **kwargs)
+        except BubbleLabError:
+            assert not path.exists()
+            raise
 
 
 def _load(body: str):
@@ -458,6 +476,9 @@ CONTRACTS = [
              lambda v: ols2((v, v + 1, v + 2), (1.0, 2.0, 4.0)), InvalidConfig),
     Contract(ols2, "slope beyond the float range", st.floats(1e296, 1e307),
              lambda v: ols2((0.0, 1e-13, 2e-13), (0.0, v, 2 * v)), InvalidConfig),
+    Contract(ols2, "one_sided not True or False", HOSTILE_FLAG,
+             lambda f: ols2((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 4.0, 8.0), one_sided=f),
+             InvalidConfig),
     Contract(fit_price_model, "non-positive excess in the window",
              st.tuples(st.integers(0, 9), NON_POSITIVE),
              lambda iv: fit_price_model(Series(0, _replace((1.0, 2.0) * 5, *iv)), Window(0, 9)),
@@ -466,6 +487,8 @@ CONTRACTS = [
              lambda s: fit_price_model(EXCESS, Window(s, s + 4)), InvalidConfig),
     Contract(fit_price_model, "window not a Window", NOT_A_WINDOW,
              lambda w: fit_price_model(EXCESS, w), InvalidConfig),
+    Contract(fit_price_model, "one_sided not True or False", HOSTILE_FLAG,
+             lambda f: fit_price_model(EXCESS, Window(0, 9), one_sided=f), InvalidConfig),
     Contract(fit_return_model, "non-positive excess in the window",
              st.tuples(st.integers(0, 9), NON_POSITIVE),
              lambda iv: fit_return_model(Series(0, _replace((1.0, 2.0) * 5, *iv)), Window(0, 9)),
@@ -475,12 +498,16 @@ CONTRACTS = [
              lambda s: fit_return_model(EXCESS, Window(s, s + 4)), InvalidConfig),
     Contract(fit_return_model, "window not a Window", NOT_A_WINDOW,
              lambda w: fit_return_model(EXCESS, w), InvalidConfig),
+    Contract(fit_return_model, "one_sided not True or False", HOSTILE_FLAG,
+             lambda f: fit_return_model(EXCESS, Window(0, 9), one_sided=f), InvalidConfig),
     Contract(fit_rational_bubble, "anchor NaN or -inf", st.sampled_from([math.nan, -math.inf]),
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), InvalidConfig),
     Contract(fit_rational_bubble, "anchor not a number", HOSTILE_FINITE,
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), InvalidConfig),
     Contract(fit_rational_bubble, "window not a Window", NOT_A_WINDOW,
              lambda w: fit_rational_bubble(BUBBLE, w), InvalidConfig),
+    Contract(fit_rational_bubble, "one_sided not True or False", HOSTILE_FLAG,
+             lambda f: fit_rational_bubble(BUBBLE, Window(0, 9), one_sided=f), InvalidConfig),
     Contract(fit_rational_bubble, "anchor not below every price", st.floats(62.0, MAX),
              lambda a: fit_rational_bubble(BUBBLE, Window(0, 9), anchor=a), NonPositiveExcess),
     Contract(fit_rational_bubble, "anchor not below a price at an unprintable t", UNPRINTABLE,
@@ -523,6 +550,8 @@ CONTRACTS = [
              lambda s: sweep(EXCESS, "return", Window(s, s + 4)), InvalidConfig),
     Contract(sweep, "window not a Window", NOT_A_WINDOW,
              lambda w: sweep(EXCESS, "price", w), InvalidConfig),
+    Contract(sweep, "one_sided not True or False", HOSTILE_FLAG,
+             lambda f: sweep(EXCESS, "price", one_sided=f), InvalidConfig),
     Contract(triangular_cell_count, "n not an integer", NON_INTEGER,
              lambda n: triangular_cell_count(n, 5), InvalidConfig),
     Contract(triangular_cell_count, "n negative", NEGATIVE,
@@ -548,7 +577,20 @@ CONTRACTS = [
              lambda s: classify_series(BUBBLE, PARAMS, window=Window(s, s + 4)), InvalidConfig),
     Contract(classify_series, "window not a Window", NOT_A_WINDOW,
              lambda w: classify_series(BUBBLE, PARAMS, window=w), InvalidConfig),
+    Contract(classify_series, "one_sided not True or False", HOSTILE_FLAG,
+             lambda f: classify_series(BUBBLE, PARAMS, one_sided=f), InvalidConfig),
 ]
+
+# The same contract for callables of bubblelab.sweep that the package does
+# not export: the summary of a sweep without its grid, and the grid written
+# as it is swept, which must refuse before it opens its file.
+MODULE_CONTRACTS = [
+    Contract(sweep_summary, "one_sided not True or False", HOSTILE_FLAG,
+             lambda f: sweep_summary(EXCESS, "price", one_sided=f), InvalidConfig),
+    Contract(write_grid, "one_sided not True or False", HOSTILE_FLAG,
+             lambda f: _write_grid(one_sided=f), InvalidConfig),
+]
+EVERY_CONTRACT = CONTRACTS + MODULE_CONTRACTS
 
 # Left out of the table on purpose: result types and readers of them.
 # Their inputs are built by the checked calls above, so they have no bad
@@ -578,7 +620,7 @@ def test_every_public_callable_is_in_the_table_or_left_out_on_purpose():
     assert public == covered | TAKE_CHECKED_OBJECTS
 
 
-@pytest.mark.parametrize("row", CONTRACTS, ids=[row.id for row in CONTRACTS])
+@pytest.mark.parametrize("row", EVERY_CONTRACT, ids=[row.id for row in EVERY_CONTRACT])
 @CONTRACT
 @given(data=st.data())
 def test_bad_input_raises_its_typed_error(row, data):
@@ -602,6 +644,18 @@ def test_a_probability_at_each_edge_is_refused(row, value):
     assert len(PROBABILITY_ROWS) == 4
     with pytest.raises(row.error):
         row.call(value)
+
+
+FLAG_ROWS = [row for row in EVERY_CONTRACT if row.values is HOSTILE_FLAG]
+
+
+@pytest.mark.parametrize("value", FLAG_EDGES, ids=repr)
+@pytest.mark.parametrize("row", FLAG_ROWS, ids=[row.id for row in FLAG_ROWS])
+def test_a_flag_other_than_true_or_false_is_refused(row, value):
+    assert len(FLAG_ROWS) == 8
+    with pytest.raises(row.error) as info:
+        row.call(value)
+    assert str(info.value) == f"one_sided must be True or False, got {value!r}"
 
 
 def test_clearing_price_mean_of_forecasts_at_the_float_maximum():

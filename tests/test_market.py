@@ -9,6 +9,7 @@ import pytest
 from bubblelab import (
     AgentSpec,
     ExperimentParams,
+    GrowthModel,
     InsufficientHistory,
     InvalidConfig,
     PriceSeries,
@@ -17,6 +18,7 @@ from bubblelab import (
     agent_forecast,
     clearing_price,
     inject_mistrade,
+    iterate,
     load_csv,
     run,
     score_forecast,
@@ -401,6 +403,46 @@ class TestRun:
         assert meta["horizon"] == 5
         assert meta["params"]["r"] == 0.05
         assert [a["kind"] for a in meta["agents"]] == ["fundamentalist"] * 6
+
+
+class TestClosedLoop:
+    # The clearing price of identical forecasts F is (F + D)/(1 + r), and
+    # pf + D = pf * (1 + r), so the excess price is x_t = (F - pf)/(1 + r).
+    # A price anchor forecasts F - pf = x * exp(2 * (a + b * x)), and a
+    # return anchor F - pf = x * exp(a(2 + b) + b(1 + b) * g), g being the
+    # last log growth: the market is the feedback model with the mapped
+    # parameters until a forecast is clipped to the band.
+    @pytest.mark.parametrize("kind, a, b, r, seeds, periods", [
+        ("price", 0.06, 1e-4, 0.05, (60.0, 60.0), 23),
+        ("return", 0.03, 0.4, 0.05, (60.0, 61.2), 51),
+        ("price", 0.03, 2e-4, 0.05, (5.0, 5.0), 60),
+        ("price", 0.06, 1e-4, 0.02, (60.0, 60.0), 18),
+        ("price", 0.06, 1e-4, 0.1, (60.0, 60.0), 40),
+        ("return", 0.03, 0.4, 0.02, (60.0, 61.2), 23),
+        ("return", 0.06, 0.4, 0.1, (20.0, 21.0), 34),
+        ("return", 0.0284, 0.422, 0.05, (1.0, 1.05), 60),
+    ])
+    def test_identical_anchor_traders_follow_the_mapped_feedback_model(
+        self, kind, a, b, r, seeds, periods
+    ):
+        params = ExperimentParams(r=r)
+        pf = params.fundamental
+        spec = (AgentSpec.price_anchor if kind == "price" else AgentSpec.return_anchor)(a, b)
+        config = SimConfig(params, (spec,) * params.n_traders, 60,
+                           initial_prices=(pf + seeds[0], pf + seeds[1]))
+        result = run(config)
+        x2, x1 = (p - pf for p in config.initial_prices)
+        if kind == "price":
+            model = GrowthModel.price_feedback(2 * a - math.log1p(r), 2 * b, start=x1)
+        else:
+            model = GrowthModel.return_feedback(a * (2 + b) - math.log1p(r), b * (1 + b),
+                                                initial_log_return=math.log(x1 / x2), start=x1)
+        # up to the first period whose forecast is clipped to the band
+        inside = [params.p_min < f < params.p_max for f in result.forecasts[0]]
+        assert (inside + [False]).index(False) == periods
+        want = iterate(model, periods).values[1:]
+        for t, (p, x) in enumerate(zip(result.prices.values, want)):
+            assert abs((p - pf) - x) <= 2**-40 * x, t
 
 
 class TestSharedRuleEvaluation:

@@ -16,6 +16,7 @@ from bubblelab import (
     InvalidConfig,
     OlsFit,
     PriceSeries,
+    SweepGrid,
     Window,
     classify_series,
     fit_price_model,
@@ -361,6 +362,33 @@ class TestGridExport:
         assert summary["significant_fraction"] is None
         assert summary["best_window"] is None
         assert "NonPositiveExcess" in summary["invalid_by_error"]
+
+    def test_a_hand_built_grid_reads_each_cell_by_its_class(self):
+        # a cell is valid exactly when it is an OlsFit, a subclass too; any
+        # other cell, an InvalidCell subclass too, is read by its error_kind
+        class Fit(OlsFit):
+            __slots__ = ()
+
+        class Custom(InvalidCell):
+            pass
+
+        fit = fit_price_model(_feedback_excess(12), Window(0, 9))
+        sub = Fit(*dataclasses.astuple(fit))
+        cells = {(0, 9): sub, (0, 10): Custom("Custom"),
+                 (1, 10): InvalidCell("DegenerateRegressor")}
+        grid = SweepGrid(model="price", span=(0, 11), min_window=10, cells=cells)
+        summary = grid_summary(grid)
+        assert (summary["cells"], summary["valid_cells"]) == (3, 1)
+        assert list(summary["invalid_by_error"].items()) == [("Custom", 1),
+                                                              ("DegenerateRegressor", 1)]
+        assert summary["best_window"] == {"start": 0, "end": 9, "fit": dataclasses.asdict(fit)}
+        plain = grid_to_csv(dataclasses.replace(grid, cells={(0, 9): fit}))
+        assert grid_to_csv(grid).split("\n") == [
+            *plain.split("\n")[:2],
+            "price,0,10,,,,,,,,,false,Custom",
+            "price,1,10,,,,,,,,,false,DegenerateRegressor",
+            "",
+        ]
 
 
 class TestOlsFitImmutability:
