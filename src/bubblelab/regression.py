@@ -61,20 +61,16 @@ def _moment_rows(xs, ys) -> Tuple[list, int]:
     """Exact integer images of finite float pairs on one power-of-two
     scale, with the products the moments sum.
 
-    Returns ``(rows, p)``, a row ``(X, Y, X*X, X*Y, Y*Y, x)`` per pair
-    with ``x == X / 2**p`` and ``y == Y / 2**p`` exactly: every finite
-    float is k * 2**e, so nothing is rounded.  Every value must be a
-    finite float: ``ols2`` checks its data, and a sweep's values and
-    their log growth are finite.
+    Returns ``(rows, p)``, a row ``(X, Y, X*X, X*Y, Y*Y)`` per pair with
+    ``x == X / 2**p`` and ``y == Y / 2**p`` exactly: every finite float
+    is k * 2**e, so nothing is rounded.  Every value must be a finite
+    float: ``ols2`` checks its data, and a sweep's values and their log
+    growth are finite.
     """
     ratios = [v.as_integer_ratio() for v in chain(xs, ys)]
     p = max(den.bit_length() for _, den in ratios) - 1
     ints = [num << (p + 1 - den.bit_length()) for num, den in ratios]
-    rows = [
-        (x, y, x * x, x * y, y * y, xv)
-        for x, y, xv in zip(ints[: len(xs)], ints[len(xs) :], xs)
-    ]
-    return rows, p
+    return [(x, y, x * x, x * y, y * y) for x, y in zip(ints[: len(xs)], ints[len(xs) :])], p
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -158,31 +154,35 @@ def _fit_moments(
     return a, b, se_a, se_b, a - tq * se_a, b - tq * se_b, n, df, r2, nssr == 0
 
 
-def _spread_start(rows, first):
-    """The least pair count n >= ``first`` (at least 1) at which the
-    float regressors of ``rows[:n]`` (rows as from ``_moment_rows``) are
-    not degenerate, or len(rows) + 1 when there is none.
+def _spread_starts(xs, first):
+    """The spread start of every offset i of the float regressors ``xs``:
+    the least pair count n >= ``first`` (at least 1) at which xs[i:i+n]
+    is not degenerate, or len(xs) - i + 1 when there is none.  A window
+    is degenerate when fl(hi - lo) <= 2**-47 * m, with lo and hi its
+    least and greatest value and m = max(|lo|, |hi|, 1).
 
-    A window that grows by a point widens its spread at least as much as
-    its scale max(|x|, 1), so once the spread passes the test every
-    longer window does: the first ``first`` regressors are tested at
-    once, then one more at a time.
+    One two-pointer pass: the end i + n of the first window that passes
+    never falls as i grows, so each search carries on from the last end
+    (and once no window passes, none from a later start does).  That
+    holds because a window that contains a passing window passes.  Add
+    a point to a passing window, say a new greatest value h' > hi (the
+    least is alike).  If m does not grow, fl(h' - lo) >= fl(hi - lo), as
+    rounding is monotone.  If m grows, to m' = h' > 1, then h' - lo >=
+    (hi - lo) + (m' - m) exactly, and fl(hi - lo) > 2**-47 * m, a float,
+    gives hi - lo > 2**-47 * m, so h' - lo > 2**-47 * m'; fl(h' - lo) is
+    then exact when lo >= h'/2 (Sterbenz) and else at least h'/2, a
+    float; either way above 2**-47 * m'.
     """
-    xs = [row[5] for row in rows[:first]]
-    if len(xs) < first:
-        return len(rows) + 1
-    xmin, xmax = min(xs), max(xs)
-    n = first
-    while not xmax - xmin > _DEGENERACY * max(abs(xmax), abs(xmin), 1.0):
-        if n == len(rows):
-            return n + 1
-        xv = rows[n][5]
-        n += 1
-        if xv < xmin:
-            xmin = xv
-        elif xv > xmax:
-            xmax = xv
-    return n
+    starts, end = [], 0
+    for i in range(len(xs)):
+        end = max(end, i + first)
+        while end <= len(xs):
+            lo, hi = min(xs[i:end]), max(xs[i:end])
+            if hi - lo > _DEGENERACY * max(abs(hi), abs(lo), 1.0):
+                break
+            end += 1
+        starts.append(min(end, len(xs) + 1) - i)
+    return starts
 
 
 def _t_bound(one_sided: bool, df: int) -> float:
@@ -207,7 +207,7 @@ def ols2(
     InvalidConfig.
 
     The one window is fitted directly: the spread test of the float
-    regressors (``_spread_start``) raises DegenerateRegressor, and
+    regressors (``_spread_starts``) raises DegenerateRegressor, and
     otherwise the kernel fits one set of exact row sums with one
     t-quantile.
     """
@@ -220,13 +220,13 @@ def ols2(
 
     x = _finite_floats("regression data", x)
     y = _finite_floats("regression data", y)
+    if _spread_starts(x, n)[0] > n:
+        raise DegenerateRegressor(
+            f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
+        )
     try:
         rows, p = _moment_rows(x, y)
-        if _spread_start(rows, n) > n:
-            raise DegenerateRegressor(
-                f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
-            )
-        sx, sy, sxx, sxy, syy, _ = map(sum, zip(*rows))
+        sx, sy, sxx, sxy, syy = map(sum, zip(*rows))
         tq = _t_bound(one_sided, n - 2)
         return OlsFit(model, *_fit_moments(n, sx, sy, sxx, sxy, syy, p, tq))
     except OverflowError as exc:  # from the kernel's int / int

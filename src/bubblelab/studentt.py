@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, _text
 from .series import _check_count, _check_number
 
 _TWO_OVER_PI = 2.0 / math.pi
@@ -138,7 +138,9 @@ def t_quantile(p: float, df: int) -> float:
     bisection visits the same points and returns the same float as
     without it, in about 19 CDF evaluations instead of 55.  Each costs
     O(df), so a cold quantile takes longer above df of about 500 than
-    the incomplete-beta CDF this replaced did.  Results are cached since
+    the incomplete-beta CDF this replaced did.  A p below 0.5 is answered
+    as minus the quantile of 1 - p, so a p of at most 2**-54, whose
+    1 - p rounds to 1, raises InvalidConfig.  Results are cached since
     calibration sweeps ask for the same (p, df) pairs over and over, by
     type as well as value, so a df of 2.0 or True never reads the entry
     of a checked 2 or 1.  The cache hashes the arguments before any
@@ -170,6 +172,8 @@ def _cached_quantile(p: float, df: int) -> float:
     if p == 0.5:
         return 0.0
     if p < 0.5:
+        if 1.0 - p == 1.0:  # p <= 2**-54: its mirror 1 - p rounds to 1
+            raise InvalidConfig(f"probability {_text(p)} is too close to 0: 1 - p rounds to 1")
         return -_cached_quantile(1.0 - p, df)
     try:
         known_lo, known_hi = _enclosure(p, df) or (-math.inf, math.inf)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import groupby
+from itertools import groupby, zip_longest
 from operator import attrgetter
 from typing import Dict, Optional, Tuple, Union
 
-from .regression import _LAGS, OlsFit, _fit_moments, _moment_rows, _pairs, _spread_start, _t_bound
+from .regression import (_LAGS, OlsFit, _fit_moments, _moment_rows, _pairs, _spread_starts,
+                         _t_bound)
 from .series import MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_flag, _check_int
 
 
@@ -90,13 +91,13 @@ def _starts(model, lo, hi, vals, min_window, one_sided):
     [s, bad - 1], scaled by 2**p (see ``_moment_rows``), and is empty
     when s's run of positive values holds no window of ``min_window``
     points.  ``spread`` is the pair count of the first fitted window:
-    the least at which the float regressors of ``rows`` are not
-    degenerate (``_spread_start``), and at least ``first``, the pair
-    count of the shortest window.  ``tqs`` is the sweep's table of the
-    lower bounds' t-quantile at each pair count (its index) from
-    ``first`` up to len(rows); it is extended once per run, and only for
-    a run with rows, so a ``min_window`` longer than the data allocates
-    nothing.
+    the least n >= ``first``, the pair count of the shortest window, at
+    which the float regressors of rows[:n] are not degenerate, or
+    len(rows) + 1 when there is none (``_spread_starts``, one pass per
+    run).  ``tqs`` is the sweep's table of the lower bounds' t-quantile
+    at each pair count (its index) from ``first`` up to len(rows); it is
+    extended once per run, and only for a run with rows, so a
+    ``min_window`` longer than the data allocates nothing.
     """
     first = min_window - 1 - _LAGS[model]
     tqs = []
@@ -110,20 +111,21 @@ def _starts(model, lo, hi, vals, min_window, one_sided):
         if bad - run0 >= min_window:
             # some window inside the run is long enough: fit them all from
             # one set of pairs and one integer image of the run
-            rows, p = _moment_rows(*_pairs(model, vals[run0 - lo : bad - lo], run0))
+            xs, ys = _pairs(model, vals[run0 - lo : bad - lo], run0)
+            rows, p = _moment_rows(xs, ys)
+            spreads = _spread_starts(xs, first)
             if len(tqs) <= len(rows):
                 tqs += [None] * (first - len(tqs))
                 tqs += [_t_bound(one_sided, n - 2) for n in range(len(tqs), len(rows) + 1)]
         else:  # no window of the run is long enough to fit
-            rows, p = (), 0
-        for s in range(run0, run_end):
+            rows, p, spreads = (), 0, ()
+        # a start past the run's pairs has no rows, so its spread is 1
+        for s, spread in zip_longest(range(run0, run_end), spreads, fillvalue=1):
             # pair s - run0 is the first pair of the windows that start at s
-            rows_s = rows[s - run0 :]
-            spread = max(_spread_start(rows_s, first), first)
             first_e = s + min_window - 1
             # the windows of first up to spread - 1 pairs are degenerate
-            yield (s, rows_s, p, tqs, spread, range(first_e, first_e + spread - first),
-                   range(max(first_e, bad), hi + 1))
+            yield (s, rows[s - run0 :], p, tqs, spread,
+                   range(first_e, first_e + spread - first), range(max(first_e, bad), hi + 1))
         run0 = run_end
 
 
@@ -141,7 +143,7 @@ def _cells(model, lo, hi, vals, min_window, one_sided):
         row = [(e, _DEGENERATE) for e in degenerate]
         shift = degenerate.stop - spread  # the window of n pairs ends at shift + n
         n = sx = sy = sxx = sxy = syy = 0
-        for x, y, xx, xy, yy, _ in rows:
+        for x, y, xx, xy, yy in rows:
             n += 1
             sx += x
             sy += y
@@ -262,7 +264,7 @@ def sweep_summary(
             if ends:
                 errors[kind] = errors.get(kind, 0) + len(ends)
         n = sx = sy = sxx = sxy = syy = 0
-        for x, y, xx, xy, yy, _ in rows:
+        for x, y, xx, xy, yy in rows:
             n += 1
             sx += x
             sy += y

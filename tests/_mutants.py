@@ -16,7 +16,8 @@ directory, the one text is replaced there, and pytest runs the row's
 tests in a child interpreter.  The tool prints each row's status and
 exits 1 when a status differs from the table, or when a row's text does
 not occur exactly once, so a stale row cannot pass quietly.  Stdlib
-only, and not part of tier-1: the whole table takes a few minutes.
+only, and not part of tier-1: the whole table takes a few minutes.  CI
+runs it on one leg as a report that does not gate.
 """
 
 from __future__ import annotations
@@ -68,11 +69,34 @@ MUTANTS = [
     Mutant("filter-subnormal-term", "sweep.py",
            "m += math.ldexp(n, p - 1022)", "m += 0.0",
            SWEEP_PROPERTIES,
-           "survived", "no draw puts a lower bound near 2**-1022 * 2**p (ROADMAP item 5)"),
+           "equivalent", "without it the filter can misjudge only a cell whose m / n + t * se_a "
+                         "is below about 2**-1030, as 2**-40 of that covers the kernel's "
+                         "subnormal rounding (and m**2 never moves the guard); there "
+                         "|mean y| < 2**-1030 forces sum y = 0, as a log growth is 0 or a "
+                         "multiple of 2**-106, and se_b >= 2**-1000 holds every residual below "
+                         "n * 2**-1030, which for the price model (x > 0) makes every y 0 and "
+                         "for the return model (x and y log growths) makes the points exactly "
+                         "collinear: det = 0 either way, so the kernel fits the cell"),
     Mutant("filter-a-margin", "sweep.py",
            "a_lower - da > 0.0", "a_lower > 0.0",
            SWEEP_PROPERTIES,
-           "survived", "no draw puts a_lower within the filter's error of 0 (ROADMAP item 5)"),
+           "killed", "a cell whose a_lower the estimate puts above 0 and the kernel at or "
+                     "below it is not significant"),
+    Mutant("filter-a-upper-margin", "sweep.py",
+           "if a_lower + da >= 0.0:", "if a_lower >= 0.0:",
+           SWEEP_PROPERTIES,
+           "killed", "a cell whose a_lower the estimate puts at or below 0 and the kernel "
+                     "above it is significant"),
+    Mutant("filter-b-lower-margin", "sweep.py",
+           "lower = b_lower - db", "lower = b_lower",
+           SWEEP_PROPERTIES,
+           "killed", "a cell whose b_lower the estimate puts above 0 and the kernel at or "
+                     "below it is not significant"),
+    Mutant("filter-b-upper-margin", "sweep.py",
+           "upper = b_lower + db", "upper = b_lower",
+           SWEEP_PROPERTIES,
+           "killed", "a cell whose b_lower the estimate puts below 0 and the kernel above "
+                     "it is significant"),
     Mutant("filter-keep-on-ties", "sweep.py",
            "if upper >= floor:", "if upper > floor:",
            SWEEP_PROPERTIES,
@@ -94,6 +118,15 @@ MUTANTS = [
            ("tests/test_sweep.py::TestGridExport::"
             "test_a_hand_built_grid_reads_each_cell_by_its_class",),
            "killed", "grid_to_csv prints an InvalidCell subclass as an invalid row"),
+    Mutant("spread-test-at-the-threshold", "regression.py",
+           "if hi - lo > _DEGENERACY", "if hi - lo >= _DEGENERACY",
+           ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
+           "killed", "a spread of exactly 32 ulps of its scale is still degenerate"),
+    Mutant("spread-end-not-carried", "regression.py",
+           "end = max(end, i + first)", "end = i + first",
+           ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
+           "equivalent", "the first passing end never falls as the start moves right, so "
+                         "searching afresh from each start finds the same ends, only slower"),
     Mutant("flag-any-truthy-value", "series.py",
            "if value is not True and value is not False:",
            "if not value and value is not False:",

@@ -720,6 +720,19 @@ def test_t_quantile_cache_never_skips_the_df_check(df, bad):
         t_quantile(0.975, bad)
 
 
+@pytest.mark.parametrize("p", [1e-17, 2.0**-54, 5e-324], ids=["1e-17", "2**-54", "5e-324"])
+def test_t_quantile_names_a_probability_whose_complement_rounds_to_1(p):
+    # the p < 0.5 branch recursed on 1 - p == 1.0 and blamed the caller for 1.0
+    with pytest.raises(InvalidConfig) as info:
+        t_quantile(p, 3)
+    assert str(info.value) == f"probability {p} is too close to 0: 1 - p rounds to 1"
+
+
+def test_t_quantile_answers_the_least_probability_whose_complement_is_below_1():
+    p = math.nextafter(2.0**-54, 1.0)
+    assert t_quantile(p, 3) == -t_quantile(1.0 - p, 3) < 0.0
+
+
 @pytest.mark.parametrize("anchor", [math.nan, math.inf, -math.inf, "60", True],
                          ids=["nan", "inf", "-inf", "text", "bool"])
 def test_fit_rational_bubble_names_a_bad_anchor(anchor):

@@ -26,6 +26,7 @@ from bubblelab import (
 from bubblelab import market
 from bubblelab.cli import _build_agents
 
+import _closed_loop_golden
 from _oracles import run_reference, sim_to_json_reference
 
 PARAMS = ExperimentParams()
@@ -443,6 +444,13 @@ class TestClosedLoop:
         want = iterate(model, periods).values[1:]
         for t, (p, x) in enumerate(zip(result.prices.values, want)):
             assert abs((p - pf) - x) <= 2**-40 * x, t
+
+    def test_label_counts_match_their_golden(self):
+        # markets mapped onto criterion 6's scenarios, and the bubble preset,
+        # classified over 40 seeds per noise level; no bound, only the counts
+        # (regenerate with tests/_closed_loop_golden.py)
+        golden = json.loads(_closed_loop_golden.GOLDEN.read_text())
+        assert _closed_loop_golden.label_counts() == golden
 
 
 class TestSharedRuleEvaluation:

@@ -66,7 +66,7 @@ from bubblelab import (
     write_csv,
 )
 from bubblelab.cli import main as cli_main
-from bubblelab.regression import _fit_moments, _moment_rows, _spread_start
+from bubblelab.regression import _fit_moments, _spread_starts
 from bubblelab.sweep import (_FILTER_GUARD, _FILTER_TINY, _FILTER_TOLERANCE, _starts,
                              sweep_summary, write_grid)
 
@@ -285,9 +285,9 @@ def regressor_values(draw):
 @settings(PROPERTY, max_examples=500)
 @given(regressor_values())
 def test_spread_start_equals_a_plain_loop(xs):
-    rows, _ = _moment_rows(xs, [0.0] * len(xs))
     for first in range(1, len(xs) + 3):
-        assert _spread_start(rows, first) == spread_start_loop(xs, first), first
+        want = [spread_start_loop(xs[i:], first) for i in range(len(xs))]
+        assert _spread_starts(xs, first) == want, first
 
 
 @PROPERTY
@@ -517,7 +517,7 @@ def filter_error_ratios(values, model, one_sided):
     for s, rows, p, tqs, spread, _, _ in _starts(model, 0, len(values) - 1, values, 5,
                                                  one_sided):
         n = sx = sy = sxx = sxy = syy = 0
-        for x, y, xx, xy, yy, _ in rows:
+        for x, y, xx, xy, yy in rows:
             n += 1
             sx, sy, sxx, sxy, syy = sx + x, sy + y, sxx + xx, sxy + xy, syy + yy
             estimates = n >= spread and filter_estimates(n, sx, sy, sxx, sxy, syy, p, tqs[n])
@@ -551,6 +551,130 @@ def test_filter_estimates_lie_within_their_bound_of_the_kernel(values, model, on
     # the tally properties check only the filter's decisions, which a bound
     # that is wrong but rarely reached would pass; this checks the bound
     assert all(ratio <= 1 for ratio in filter_error_ratios(tuple(values), model, one_sided))
+
+
+# the growth models of the boundary series: criterion 6's price scenario,
+# and return feedback whose windows often cross a_lower = 0
+BOUNDARY_MODELS = {
+    "price": GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0),
+    "return": GrowthModel.return_feedback(0.0, 0.97, initial_log_return=0.3, start=60.0),
+}
+
+
+def whole_window_cell(values, model):
+    """The kernel's numbers and the filter's estimates (see
+    ``filter_estimates``) of the window that spans ``values`` (t0 = 0,
+    two-sided), or None where the window is degenerate or the filter
+    hands it to the kernel unestimated."""
+    _, rows, p, tqs, spread, _, _ = next(_starts(model, 0, len(values) - 1, values,
+                                                 len(values), False))
+    n = len(rows)
+    if spread > n:
+        return None
+    moments = (n, *map(sum, zip(*rows)), p, tqs[n])
+    estimates = filter_estimates(*moments)
+    if estimates is None or estimates[3] is None:
+        return None
+    return _fit_moments(*moments), estimates
+
+
+def sign_change(values, model, bound):
+    """Two adjacent floats (lo, hi) for the last of ``values``, within a
+    factor 1.25 of it, between which the kernel's a_lower (``bound`` 4)
+    or b_lower (5) of the whole-series window changes sign: a bisection
+    over the floats.  None where it keeps its sign there, or a probe is
+    no estimated cell."""
+    def positive(v):
+        cell = whole_window_cell(values[:-1] + [v], model)
+        return None if cell is None else cell[0][bound] > 0.0
+
+    lo, hi = values[-1] / 1.25, values[-1] * 1.25
+    at_lo = positive(lo)
+    if at_lo is None or positive(hi) in (None, at_lo):
+        return None
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        at_mid = positive(mid)
+        if at_mid is None:
+            return None
+        if at_mid == at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def boundary_values(model, steps, seed, shift, bound, side):
+    """A noisy ``BOUNDARY_MODELS`` series of ``steps`` steps whose
+    next-to-last value is moved up by ``shift`` units of 2**-50 of itself
+    and whose last value is the float on ``side`` (0 or 1) of the sign
+    change of the whole-series window's ``bound`` (see ``sign_change``):
+    so that bound lies a few ulps of its scale from 0.  None where it
+    does not change sign."""
+    values = list(iterate_noisy(BOUNDARY_MODELS[model], steps, 0.01, seed).values)
+    values[-2] *= 1.0 + shift * 2.0**-50
+    change = sign_change(values, model, bound)
+    if change is None:
+        return None
+    return values[:-1] + [change[side]]
+
+
+@st.composite
+def boundary_series(draw):
+    """A model and excess values whose whole-series window has a kernel
+    lower bound within a few ulps of its scale from 0 (``boundary_values``),
+    scaled by a power of two.  The price model's cells scale with its
+    regressor: at 2**-50 and 2**300 the filter still estimates them, and
+    at 2**1000 its slope and b_lower lie near 2**-1013, by the subnormal
+    range, while at 2**-1000 and 2**1000 the filter's ints leave the
+    float range and the kernel decides."""
+    model = draw(st.sampled_from(["price", "return"]))
+    values = boundary_values(model, draw(st.integers(10, 16)), draw(st.integers(0, 99)),
+                             draw(st.integers(0, 15)), draw(st.sampled_from([4, 5])),
+                             draw(st.sampled_from([0, 1])))
+    assume(values is not None)
+    scale = 2.0 ** draw(st.sampled_from([0, 0, 0, -50, 300, -1000, 1000]))
+    return model, [v * scale for v in values]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(boundary_series())
+def test_filtered_tally_at_boundary_cells_equals_the_grid_summary(series):
+    model, values = series
+    excess = ExcessSeries(0, tuple(values))
+    assert repr(sweep_summary(excess, model)) == repr(grid_summary(sweep(excess, model)))
+
+
+# boundary_values arguments (found by a search over seeds and shifts)
+# whose whole-series window the filter's float estimate and the kernel
+# put on two sides of 0, by bound and side: the a_lower ones with
+# b_lower proven above 0 and the guard holding, so the filter's margin
+# on a_lower alone keeps the decision from the estimate
+SPLIT_CELLS = [
+    ("price", 12, 11, 2, 4, 1),  # a_lower: estimate > 0 >= kernel
+    ("price", 14, 9, 0, 4, 1),
+    ("price", 14, 16, 0, 4, 1),
+    ("price", 12, 4, 2, 4, 0),  # a_lower: kernel > 0 >= estimate
+    ("price", 14, 17, 1, 4, 0),
+    ("price", 12, 9, 0, 5, 0),  # b_lower: estimate > 0 >= kernel
+    ("return", 14, 18, 0, 5, 1),
+    ("price", 12, 22, 3, 5, 1),  # b_lower: kernel > 0 >= estimate
+    ("return", 14, 5, 0, 5, 0),
+    ("price", 12, 28, 5, 5, 1),  # b_lower: kernel > 0 > estimate, and a_lower > 0
+    ("price", 13, 30, 1, 5, 1),
+]
+
+
+@pytest.mark.parametrize("args", SPLIT_CELLS, ids=lambda args: "-".join(map(str, args)))
+def test_filtered_tally_at_cells_split_by_0_equals_the_grid_summary(args):
+    model, bound = args[0], args[4]
+    values = boundary_values(*args)
+    kernel, (b_lower, b_scale, _, (a_lower, _, _, guard)) = whole_window_cell(values, model)
+    # the draw still straddles: the estimate and the kernel differ in sign
+    assert ((a_lower if bound == 4 else b_lower) > 0.0) != (kernel[bound] > 0.0)
+    if bound == 4:
+        assert guard and b_lower - float(FILTER_TOLERANCE) * b_scale > 0.0
+    excess = ExcessSeries(0, tuple(values))
+    assert repr(sweep_summary(excess, model)) == repr(grid_summary(sweep(excess, model)))
 
 
 @settings(PROPERTY, max_examples=300)
