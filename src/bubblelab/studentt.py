@@ -87,10 +87,6 @@ def _t_pdf(x: float, df: int) -> float:
 
 def _quantile_guess(p: float, df: int) -> float:
     """Approximate t quantile for p > 0.5, the start of Newton's method."""
-    if df == 1:
-        return 1.0 / math.tan(math.pi * (1.0 - p))
-    if df == 2:
-        return (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
     # normal quantile (Abramowitz & Stegun 26.2.23, error below 4.5e-4),
     # then the Cornish-Fisher expansion of the t quantile in 1/df
     t = math.sqrt(-2.0 * math.log1p(-p))

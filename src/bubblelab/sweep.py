@@ -245,8 +245,17 @@ def sweep_summary(
 
     The filter allows 2**-40 of the scale: 256 times the 2**-48 these
     bounds add up to, which also covers the rounding of the decision
-    arithmetic itself.  A term n * 2**(p - 1022) in m covers the absolute
-    rounding of the kernel's unscaled floats below the normal range.
+    arithmetic itself.  Below the normal range the kernel's unscaled
+    floats round to an absolute 2**-1074, which 2**-40 of the scale
+    covers unless m / n + t * se_a is below about 2**-1030, and no cell
+    the filter decides gets there: |mean y| < 2**-1030 forces sum y = 0,
+    as a log growth is 0 or a multiple of 2**-106, and se_b >= 2**-1000
+    holds every residual below n * 2**-1030, which for the price model
+    (x > 0) makes every y 0 and for the return model (x and y log
+    growths) the points exactly collinear: det = 0 either way, so the
+    kernel fits the cell.  For the same reason cyy + m**2 is 0 or at
+    least 2**-212 (unscaled), so the guard holds that rounding's share
+    of rho far below 2**-48.
     Standard errors below 2**-1000, where floats lose bits, and ints or
     bounds too large for a float go to the kernel.
     """
@@ -300,7 +309,6 @@ def sweep_summary(
                     fsy = float(sy)
                     bsx = b * float(sx)
                     m = (fsy if fsy > 0.0 else -fsy) + (bsx if bsx > 0.0 else -bsx)
-                    m += math.ldexp(n, p - 1022)
                     if upper >= 0.0:
                         se_a = se_b * math.sqrt(float(sxx) / n)
                         a_lower = (fsy - bsx) / n - tq * se_a

@@ -66,17 +66,6 @@ MUTANTS = [
            "_FILTER_GUARD = 2.0**58", "_FILTER_GUARD = 2.0**70",
            ("tests/test_properties.py::test_the_filter_oracle_holds_the_production_constants",),
            "killed", "the filter-bound audit reads the production guard"),
-    Mutant("filter-subnormal-term", "sweep.py",
-           "m += math.ldexp(n, p - 1022)", "m += 0.0",
-           SWEEP_PROPERTIES,
-           "equivalent", "without it the filter can misjudge only a cell whose m / n + t * se_a "
-                         "is below about 2**-1030, as 2**-40 of that covers the kernel's "
-                         "subnormal rounding (and m**2 never moves the guard); there "
-                         "|mean y| < 2**-1030 forces sum y = 0, as a log growth is 0 or a "
-                         "multiple of 2**-106, and se_b >= 2**-1000 holds every residual below "
-                         "n * 2**-1030, which for the price model (x > 0) makes every y 0 and "
-                         "for the return model (x and y log growths) makes the points exactly "
-                         "collinear: det = 0 either way, so the kernel fits the cell"),
     Mutant("filter-a-margin", "sweep.py",
            "a_lower - da > 0.0", "a_lower > 0.0",
            SWEEP_PROPERTIES,
@@ -127,6 +116,17 @@ MUTANTS = [
            ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
            "equivalent", "the first passing end never falls as the start moves right, so "
                          "searching afresh from each start finds the same ends, only slower"),
+    Mutant("enclosure-margin-below-the-guard", "studentt.py",
+           "_ENCLOSURE_MARGIN = 256 * 2.0**-52", "_ENCLOSURE_MARGIN = 2 * 2.0**-52",
+           ("tests/test_studentt.py",),
+           "killed", "edges 2 units of 2**-52 from p cannot clear the guard of 128, so "
+                     "the enclosure falls back at p = 0.95 and 0.975 and a cold quantile "
+                     "takes more CDF evaluations"),
+    Mutant("enclosure-without-guard", "studentt.py",
+           "_GUARD = 128 * 2.0**-52", "_GUARD = 0.0",
+           ("tests/test_studentt.py",),
+           "killed", "an edge whose t_cdf lies 18 units of 2**-52 past p, inside t_cdf's "
+                     "error, is no enclosure"),
     Mutant("flag-any-truthy-value", "series.py",
            "if value is not True and value is not False:",
            "if not value and value is not False:",

@@ -288,7 +288,7 @@ def filter_estimates(n, sx, sy, sxx, sxy, syy, p, tq):
     try:
         fsy = float(sy)
         bsx = b * float(sx)
-        m = abs(fsy) + abs(bsx) + math.ldexp(n, p - 1022)
+        m = abs(fsy) + abs(bsx)
         se_a = se_b * math.sqrt(float(sxx) / n)
         a_scale = m / n + tq * se_a
         a_lower = (fsy - bsx) / n - tq * se_a

@@ -1,14 +1,20 @@
-"""Report the statement lines of ``src/bubblelab`` that tier-1 never runs.
+"""Report the statement lines of ``src/bubblelab`` that tier-1 never runs,
+and the ``if`` statements that it runs only one way.
 
 Runs the tier-1 suite in this process under a ``sys.settrace`` line
 tracer, and the interpreters the tests start (the CLI runs of
 ``test_cli``, ``test_imports`` and ``test_golden_diff``) under the same
 tracer, through a ``sitecustomize`` module on their ``PYTHONPATH``.
 A statement line is the first line of a statement that the compiler
-emits code for.  Each code object is traced until all of its lines have
-run, and then no longer.
+emits code for.  An ``if`` (an ``elif`` too) goes true when the line
+that runs after its test is the first line of its body, and false when
+another line runs next or the frame returns right after the test, as a
+function does that ends in the ``if``; a test that raises goes neither
+way.  Each code object is traced until all of its lines have run and
+each of its ``if`` statements has gone both ways, and then no longer.
 
-    python tests/_reach.py            # exit 1 on an unreached line outside ALLOWED
+    python tests/_reach.py            # exit 1 on an unreached line outside ALLOWED,
+                                      # or a one-way if outside ONE_WAY
     python tests/_reach.py -x         # further arguments go to pytest
 
 Stdlib only, and not part of tier-1: tracing makes the suite about three
@@ -43,6 +49,10 @@ ALLOWED = {
         "float(): only a number whose conversion changes between two calls gets here",
 }
 
+# (module, enclosing function or class, if statement) -> why no test runs
+# it both ways
+ONE_WAY: dict = {}
+
 # what a traced child runs first: it loads this file by path and traces
 # into a report of its own, written when the child exits
 _SITECUSTOMIZE = """\
@@ -54,50 +64,87 @@ reach.trace_child({package!r}, {reports!r})
 """
 
 
-def trace(package: str) -> dict:
+def trace(package: str) -> tuple:
     """Trace every line this thread runs from now on in the files under
     the directory ``package`` (with a trailing separator).  Returns
-    ``{filename: set of line numbers}``, filled in as the lines run."""
+    ``(reached, taken)``: ``{filename: set of line numbers}`` and
+    ``{filename: set of (if line, outcome)}``, filled in as they run."""
     reached: dict = {}
-    tracers: dict = {}  # code object -> its line tracer, or None when untraced
+    taken: dict = {}
+    tests: dict = {}  # filename -> its if_tests()
+    codes: dict = {}  # code object -> what it has left to run, or None when untraced
 
     def call(frame, event, arg):
         code = frame.f_code
-        if code in tracers:
-            return tracers[code]
-        if not code.co_filename.startswith(package):
-            tracers[code] = None
+        if code not in codes:
+            name = code.co_filename
+            if not name.startswith(package):
+                codes[code] = None
+                return None
+            if name not in tests:
+                tests[name] = if_tests(name)
+            seen, went = reached.setdefault(name, set()), taken.setdefault(name, set())
+            lines = {line for _, _, line in code.co_lines() if line is not None}
+            ifs = {if_line for if_line, _, _ in tests[name].values() if if_line in lines}
+            codes[code] = (name, seen, lines - seen, went,
+                           {(i, way) for i in ifs for way in (True, False)} - went)
+        if codes[code] is None:
             return None
-        seen = reached.setdefault(code.co_filename, set())
-        left = {line for _, _, line in code.co_lines() if line is not None} - seen
+        name, seen, left, went, ways = codes[code]
+        own_tests = tests[name]
+        last = None
 
-        def line(frame, event, arg):
+        def local(frame, event, arg):
+            nonlocal last
             if event == "line":
-                seen.add(frame.f_lineno)
-                left.discard(frame.f_lineno)
-                if not left:  # every line of this code has run
-                    tracers[code] = None
+                line = frame.f_lineno
+                if last in own_tests:
+                    if_line, body, test = own_tests[last]
+                    if line not in test:
+                        went.add((if_line, line == body))
+                        ways.discard((if_line, line == body))
+                seen.add(line)
+                left.discard(line)
+                last = line
+                if not left and not ways:  # every line ran, every if went both ways
+                    codes[code] = None
                     return None
-            return line
+            elif event == "return" and last in own_tests:  # fell through the end
+                went.add((own_tests[last][0], False))
+                ways.discard((own_tests[last][0], False))
+            elif event == "exception":
+                last = None
+            return local
 
-        tracers[code] = line
-        return line
+        return local
 
     sys.settrace(call)
-    return reached
+    return reached, taken
 
 
 def trace_child(package: str, reports: str) -> None:
     """Trace this process as ``trace`` does, and write what it reached to a
     file of its own under ``reports`` when it exits."""
-    reached = trace(package)
+    reached, taken = trace(package)
 
     def write():
         sys.settrace(None)
         lines = [f"{line}\t{name}\n" for name, seen in reached.items() for line in seen]
+        lines += [f"{line}{'+' if way else '-'}\t{name}\n"
+                  for name, went in taken.items() for line, way in went]
         Path(reports, f"{os.getpid()}.txt").write_text("".join(lines), encoding="utf-8")
 
     atexit.register(write)
+
+
+def if_tests(path) -> dict:
+    """``{line: (if line, first line of its body, its test's lines)}`` for
+    each line of the test of each ``if`` statement of the module at
+    ``path``."""
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    return {line: (node.lineno, node.body[0].lineno, test)
+            for node in ast.walk(tree) if isinstance(node, ast.If)
+            for test in [range(node.lineno, node.test.end_lineno + 1)] for line in test}
 
 
 def statement_lines(path: Path) -> dict:
@@ -145,7 +192,7 @@ def main(argv) -> int:
         os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
         cwd = os.getcwd()
         os.chdir(tmp)
-        reached = trace(f"{PACKAGE}{os.sep}")
+        reached, taken = trace(f"{PACKAGE}{os.sep}")
         try:
             status = pytest.main([str(TESTS), "--rootdir", str(TESTS.parent),
                                   "-p", "no:cacheprovider", "-q",
@@ -158,32 +205,53 @@ def main(argv) -> int:
         for report in children:
             for entry in report.read_text(encoding="utf-8").splitlines():
                 line, _, name = entry.partition("\t")
-                reached.setdefault(name, set()).add(int(line))
+                if line[-1] in "+-":
+                    taken.setdefault(name, set()).add((int(line[:-1]), line[-1] == "+"))
+                else:
+                    reached.setdefault(name, set()).add(int(line))
 
-    total, missed = 0, []
+    total, missed, n_ifs, both, one_way = 0, [], 0, 0, []
     for path in sorted(PACKAGE.glob("*.py")):
         lines, seen = statement_lines(path), reached.get(str(path), set())
+        went = taken.get(str(path), set())
         total += len(lines)
-        missed.extend((path.name, line, scope, text)
+        missed.extend((path.name, line, scope, text, "UNREACHED")
                       for line, (scope, text) in lines.items() if line not in seen)
+        for line in sorted({if_line for if_line, _, _ in if_tests(path).values()}):
+            n_ifs += 1
+            ways = [way for way in (True, False) if (line, way) in went]
+            both += len(ways) == 2
+            if line in seen and len(ways) < 2:  # an unreached if is an unreached line
+                flaw = f"ONE-WAY: ran only {str(ways[0]).lower()}" if ways else "NO WAY: raised"
+                one_way.append((path.name, line, *lines[line], flaw))
     print(f"\nreach: {total - len(missed)} of {total} statement lines of src/bubblelab ran, "
           f"{len(children)} traced child processes included")
     failed = status != 0
     if failed:
         print(f"reach: pytest exited {int(status)}, so what ran is incomplete")
-    found = set()
-    for module, line, scope, text in missed:
-        key = (module, scope, text)
-        found.add(key)
-        why = ALLOWED.get(key)
-        failed |= why is None
-        print(f"{module}:{line}  {scope or '<module>'}  {text}")
-        print(f"    {'allowed: ' + why if why else 'UNREACHED'}")
-    for module, scope, text in sorted(ALLOWED.keys() - found):
-        failed = True
-        print(f"STALE allow-list entry, now reached or gone: {module}  {scope}  {text}")
+    failed |= _judge(missed, ALLOWED)
+    print(f"reach: {both} of {n_ifs} if statements of src/bubblelab ran both ways")
+    failed |= _judge(one_way, ONE_WAY)
     return 1 if failed else 0
 
+
+def _judge(entries, allowed: dict) -> bool:
+    """Print each (module, line, scope, text, flaw) of ``entries`` with the
+    reason ``allowed`` gives for it, or its flaw where there is none, and
+    each key of ``allowed`` that no entry matches.  True when an entry has
+    no reason or a key is stale."""
+    failed, found = False, set()
+    for module, line, scope, text, flaw in entries:
+        key = (module, scope, text)
+        found.add(key)
+        why = allowed.get(key)
+        failed |= why is None
+        print(f"{module}:{line}  {scope or '<module>'}  {text}")
+        print(f"    {'allowed: ' + why if why else flaw}")
+    for module, scope, text in sorted(allowed.keys() - found):
+        failed = True
+        print(f"STALE allow-list entry, now reached or gone: {module}  {scope}  {text}")
+    return failed
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
