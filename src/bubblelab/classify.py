@@ -28,7 +28,7 @@ from .series import (
     _check_int,
     excess_series,
 )
-from .sweep import SweepGrid, sweep, sweep_summary
+from .sweep import SweepGrid, _summaries, sweep
 
 ERRATIC = "erratic"
 TOO_SHORT = "too_short"
@@ -187,7 +187,9 @@ def classify_series(
     series raises InvalidConfig.
 
     The excess series is built once, and both detection and the
-    window's sweeps read it.
+    window's sweeps read it; both sweeps read one window table per run
+    of the window (one log growth, one integer image, one t-quantile
+    table).
     """
     _check_finite("theta", theta)
     if not 0.0 < theta <= 1.0:
@@ -207,10 +209,8 @@ def classify_series(
         label = TOO_SHORT
     else:
         window_excess = ExcessSeries(win.start, excess.window_values(win))
-        summaries = tuple(
-            sweep_summary(window_excess, model, win, min_window, one_sided)
-            for model in (MODEL_PRICE, MODEL_RETURN)
-        )
+        summaries = _summaries(window_excess, (MODEL_PRICE, MODEL_RETURN), win, min_window,
+                               one_sided)
         # a grid without a valid cell has no significant share; it counts as 0
         pf, rf = (summary["significant_fraction"] or 0.0 for summary in summaries)
         try:

@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 from typing import Sequence, Tuple
 
 from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints, _text
@@ -57,12 +58,12 @@ class OlsFit:
     perfect: bool = False
 
 
-def _moment_rows(xs, ys) -> Tuple[list, int]:
-    """Exact integer images of finite float pairs on one power-of-two
-    scale, with the products the moments sum.
+def _images(xs, ys) -> Tuple[list, list, int]:
+    """Exact integer images of two columns of finite floats on one
+    power-of-two scale.
 
-    Returns ``(rows, p)``, a row ``(X, Y, X*X, X*Y, Y*Y)`` per pair with
-    ``x == X / 2**p`` and ``y == Y / 2**p`` exactly: every finite float
+    Returns ``(X, Y, p)``, with ``x == X / 2**p`` for each value x of
+    ``xs`` and its image X, and likewise for ``ys``: every finite float
     is k * 2**e, so nothing is rounded.  Every value must be a finite
     float: ``ols2`` checks its data, and a sweep's values and their log
     growth are finite.
@@ -70,7 +71,7 @@ def _moment_rows(xs, ys) -> Tuple[list, int]:
     ratios = [v.as_integer_ratio() for v in chain(xs, ys)]
     p = max(den.bit_length() for _, den in ratios) - 1
     ints = [num << (p + 1 - den.bit_length()) for num, den in ratios]
-    return [(x, y, x * x, x * y, y * y) for x, y in zip(ints[: len(xs)], ints[len(xs) :])], p
+    return ints[: len(xs)], ints[len(xs) :], p
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
@@ -171,17 +172,26 @@ def _spread_starts(xs, first):
     (hi - lo) + (m' - m) exactly, and fl(hi - lo) > 2**-47 * m, a float,
     gives hi - lo > 2**-47 * m, so h' - lo > 2**-47 * m'; fl(h' - lo) is
     then exact when lo >= h'/2 (Sterbenz) and else at least h'/2, a
-    float; either way above 2**-47 * m'.
+    float; either way above 2**-47 * m'.  For the same reason an offset
+    whose first two values pass has the spread start max(first, 2), the
+    least window that holds them, without a search; the last end then
+    lies at or below its end, so the next search carries on as before.
     """
+    size = len(xs)
+    least = max(first, 2)  # one value alone never passes
     starts, end = [], 0
-    for i in range(len(xs)):
+    for i in range(size):
+        if i + least <= size and abs(xs[i + 1] - xs[i]) > _DEGENERACY * max(
+                abs(xs[i]), abs(xs[i + 1]), 1.0):
+            starts.append(least)
+            continue
         end = max(end, i + first)
-        while end <= len(xs):
+        while end <= size:
             lo, hi = min(xs[i:end]), max(xs[i:end])
             if hi - lo > _DEGENERACY * max(abs(hi), abs(lo), 1.0):
                 break
             end += 1
-        starts.append(min(end, len(xs) + 1) - i)
+        starts.append(min(end, size + 1) - i)
     return starts
 
 
@@ -189,6 +199,25 @@ def _t_bound(one_sided: bool, df: int) -> float:
     """The t-quantile of the lower bounds at ``df`` degrees of freedom:
     t(0.95, df) when ``one_sided``, else t(0.975, df)."""
     return t_quantile(0.95 if one_sided else 0.975, df)
+
+
+# the lower bounds' t-quantile by pair count n (at df n - 2), one list per
+# level, filled in as sweeps need them and kept for later sweeps: a memo of
+# t_quantile, whose entries only ever go from None to their one value
+_T_TABLES: dict = {False: [], True: []}
+
+
+def _t_table(one_sided: bool, first: int, last: int) -> list:
+    """The ``_T_TABLES`` list of ``one_sided``, with entry n set to
+    ``_t_bound(one_sided, n - 2)`` for every pair count n from ``first``
+    (at least 3) to ``last``; an entry that no sweep has asked for is
+    None."""
+    tqs = _T_TABLES[one_sided]
+    tqs += [None] * (last + 1 - len(tqs))  # nothing when it is long enough
+    for n in range(first, last + 1):
+        if tqs[n] is None:
+            tqs[n] = _t_bound(one_sided, n - 2)
+    return tqs
 
 
 def ols2(
@@ -225,10 +254,10 @@ def ols2(
             f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
         )
     try:
-        rows, p = _moment_rows(x, y)
-        sx, sy, sxx, sxy, syy = map(sum, zip(*rows))
-        tq = _t_bound(one_sided, n - 2)
-        return OlsFit(model, *_fit_moments(n, sx, sy, sxx, sxy, syy, p, tq))
+        xs, ys, p = _images(x, y)
+        moments = (sum(xs), sum(ys), sum(map(mul, xs, xs)), sum(map(mul, xs, ys)),
+                   sum(map(mul, ys, ys)))
+        return OlsFit(model, *_fit_moments(n, *moments, p, _t_bound(one_sided, n - 2)))
     except OverflowError as exc:  # from the kernel's int / int
         raise InvalidConfig(f"regression fit beyond the float range: {exc}") from None
 
@@ -243,6 +272,48 @@ def _pairs(model: str, values: Sequence[float], t0: int) -> Tuple[Sequence, list
     g = log_growth(values, t0)
     lag = _LAGS[model]
     return (g if lag else values)[:-1], g[lag:]
+
+
+def _window_table(values: Sequence[float], t0: int, models, min_window: int,
+                  one_sided: bool) -> tuple:
+    """What the sweeps of ``models`` over the windows of a run of positive
+    ``values`` (from t0, at least ``min_window`` of them) read, built
+    once: ``(p, tqs, {model: (rows, spreads)})``.
+
+    The run's log growth g is taken once.  The price model pairs g[t]
+    with the level v[t-1], the return model with g[t-1] (see ``_pairs``).
+    The levels (when the price model is swept) and g have exact integer
+    images on one scale 2**p (see ``_images``), and each model's ``rows``
+    hold the moment row (X, Y, X*X, X*Y, Y*Y) of each of its pairs, made
+    from product columns: the squares of g's images are the price rows'
+    Y*Y and, shifted by one, the return rows' X*X and Y*Y.  ``spreads``
+    is the spread start of each offset of the model's float regressors
+    (``_spread_starts``), from the pair count of a window of
+    ``min_window`` points.  ``tqs`` is the lower bounds' t-quantile by
+    pair count (``_t_table``), filled in from the least such count to
+    the most pairs.
+
+    One scale for both models moves no fit and no summary: the kernel's
+    numbers depend only on the pairs, and the float filter of
+    ``sweep_summary`` decides only what those numbers decide, with
+    estimates that are free of the scale or scale with 2**p in step, so
+    a larger p can only push a cell's ints past the float range, which
+    sends that cell to the kernel.
+    """
+    g = log_growth(values, t0)
+    levels = values[:-1] if MODEL_PRICE in models else ()
+    xs_price, ys, p = _images(levels, g)
+    squares = [y * y for y in ys]
+    by_model = {}
+    for model in models:
+        lag = _LAGS[model]
+        xs, xxs = (ys, squares) if lag else (xs_price, [x * x for x in xs_price])
+        ys_lag = ys[lag:]
+        rows = list(zip(xs, ys_lag, xxs, map(mul, xs, ys_lag), squares[lag:]))
+        by_model[model] = rows, _spread_starts(g[:-1] if lag else levels, min_window - 1 - lag)
+    lags = [_LAGS[model] for model in models]
+    tqs = _t_table(one_sided, min_window - 1 - max(lags), len(values) - 1 - min(lags))
+    return p, tqs, by_model
 
 
 def fit_price_model(

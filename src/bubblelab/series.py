@@ -358,15 +358,14 @@ def write_csv(path, series, forecasts=None, decimals: int = 2) -> None:
     """Write a series (price or excess) in the `t,price[,h1..hH]` format.
 
     Values are printed with a fixed number of decimals, matching the
-    presentation of the experimental data.  ``decimals`` that is not a
-    non-negative integer below 2**31, ``forecasts`` that are not columns
-    of the series' length holding finite numbers in the float range, or
-    times that ``str`` refuses, raise InvalidConfig before ``path`` is
-    opened.
+    presentation of the experimental data.  ``decimals`` that is not an
+    integer from 0 to 1074, ``forecasts`` that are not columns of the
+    series' length holding finite numbers in the float range, or times
+    that ``str`` refuses, raise InvalidConfig before ``path`` is opened.
     """
     _check_int("decimals", decimals, least=0)
-    if decimals >= 2**31:  # % formatting takes a precision that a C int holds
-        raise InvalidConfig(f"decimals must be below 2**31, got {_text(decimals)}")
+    if decimals > 1074:  # no float has more digits after the point: 2**-1074 has 1074
+        raise InvalidConfig(f"decimals must be at most 1074, got {_text(decimals)}")
     try:
         str(series.t0), str(series.t_end)  # every t between prints if both ends do
     except ValueError as exc:

@@ -16,8 +16,7 @@ from itertools import groupby, zip_longest
 from operator import attrgetter
 from typing import Dict, Optional, Tuple, Union
 
-from .regression import (_LAGS, OlsFit, _fit_moments, _moment_rows, _pairs, _spread_starts,
-                         _t_bound)
+from .regression import _LAGS, OlsFit, _fit_moments, _window_table
 from .series import MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_flag, _check_int
 
 
@@ -66,21 +65,42 @@ class SweepGrid:
         return sum(1 for c in self.cells.values() if isinstance(c, OlsFit))
 
 
-def _span(excess, model, window, min_window, one_sided):
-    """Check a sweep's arguments; return the span (lo, hi) and its values."""
-    _check_choice("model", model, sorted(_LAGS))
+def _layout(excess, models, window, min_window, one_sided):
+    """Check a sweep's arguments; return its span (lo, hi) and the runs
+    of the span's values, in order: a (run0, bad, table) per run, where
+    values are positive from run0 up to (excluding) t = bad, or bad ==
+    run0 for a value that is not positive.  ``table`` is the run's
+    ``_window_table`` for ``models``, or None when the run holds no
+    window of ``min_window`` points, so a ``min_window`` longer than the
+    data builds nothing."""
+    for model in models:
+        _check_choice("model", model, sorted(_LAGS))
     _check_int("min_window", min_window, least=MIN_WINDOW)
     _check_flag("one_sided", one_sided)
     if window is None:
-        return excess.t0, excess.t_end, excess.values
-    vals = excess.window_values(window)  # checks the window before its bounds are read
-    return window.start, window.end, vals
+        lo, hi, vals = excess.t0, excess.t_end, excess.values
+    else:
+        vals = excess.window_values(window)  # checks the window before its bounds are read
+        lo, hi = window.start, window.end
+    runs = []
+    run0 = lo
+    while run0 <= hi:
+        bad = run0
+        while bad <= hi and vals[bad - lo] > 0:
+            bad += 1
+        table = None
+        if bad - run0 >= min_window:
+            table = _window_table(vals[run0 - lo : bad - lo], run0, models, min_window, one_sided)
+        runs.append((run0, bad, table))
+        run0 = max(bad, run0 + 1)
+    return lo, hi, runs
 
 
-def _starts(model, lo, hi, vals, min_window, one_sided):
+def _starts(model, hi, runs, min_window):
     """Yield (s, rows, p, tqs, spread, degenerate, blocked) for every
-    start s in [lo, hi] (vals holds the span's values), in order: how the
-    windows from s are laid out, decided once for every sweep.
+    start s of the span that ends at ``hi``, in order, from its ``runs``
+    (see ``_layout``): how the windows from s are laid out, decided once
+    for every sweep.
 
     Let bad be the first t >= s whose value is not positive (hi + 1 when
     none).  ``degenerate`` and ``blocked`` are ranges of window ends:
@@ -88,58 +108,40 @@ def _starts(model, lo, hi, vals, min_window, one_sided):
     regressor, and those that end in ``blocked`` reach bad and fail
     there.  The windows that end between them, from ``degenerate.stop``
     on, are fitted.  ``rows`` holds the moment rows of the pairs of
-    [s, bad - 1], scaled by 2**p (see ``_moment_rows``), and is empty
-    when s's run of positive values holds no window of ``min_window``
-    points.  ``spread`` is the pair count of the first fitted window:
-    the least n >= ``first``, the pair count of the shortest window, at
-    which the float regressors of rows[:n] are not degenerate, or
-    len(rows) + 1 when there is none (``_spread_starts``, one pass per
-    run).  ``tqs`` is the sweep's table of the lower bounds' t-quantile
-    at each pair count (its index) from ``first`` up to len(rows); it is
-    extended once per run, and only for a run with rows, so a
-    ``min_window`` longer than the data allocates nothing.
+    [s, bad - 1], scaled by 2**p, and ``tqs`` the t-quantiles by pair
+    count, from the run's window table (see ``_window_table``); ``rows``
+    is empty when s's run holds no window of ``min_window`` points.
+    ``spread`` is the pair count of the first fitted window: the least
+    n >= ``first``, the pair count of the shortest window, at which the
+    float regressors of rows[:n] are not degenerate, or len(rows) + 1
+    when there is none.
     """
     first = min_window - 1 - _LAGS[model]
-    tqs = []
-    run0 = lo
-    while run0 <= hi:
-        # Values are strictly positive from run0 up to (excluding) t = bad.
-        bad = run0
-        while bad <= hi and vals[bad - lo] > 0:
-            bad += 1
-        run_end = max(bad, run0 + 1)
-        if bad - run0 >= min_window:
-            # some window inside the run is long enough: fit them all from
-            # one set of pairs and one integer image of the run
-            xs, ys = _pairs(model, vals[run0 - lo : bad - lo], run0)
-            rows, p = _moment_rows(xs, ys)
-            spreads = _spread_starts(xs, first)
-            if len(tqs) <= len(rows):
-                tqs += [None] * (first - len(tqs))
-                tqs += [_t_bound(one_sided, n - 2) for n in range(len(tqs), len(rows) + 1)]
-        else:  # no window of the run is long enough to fit
-            rows, p, spreads = (), 0, ()
+    for run0, bad, table in runs:
+        rows, p, tqs, spreads = (), 0, (), ()
+        if table is not None:
+            p, tqs, by_model = table
+            rows, spreads = by_model[model]
         # a start past the run's pairs has no rows, so its spread is 1
-        for s, spread in zip_longest(range(run0, run_end), spreads, fillvalue=1):
+        for s, spread in zip_longest(range(run0, max(bad, run0 + 1)), spreads, fillvalue=1):
             # pair s - run0 is the first pair of the windows that start at s
             first_e = s + min_window - 1
             # the windows of first up to spread - 1 pairs are degenerate
             yield (s, rows[s - run0 :], p, tqs, spread,
                    range(first_e, first_e + spread - first), range(max(first_e, bad), hi + 1))
-        run0 = run_end
 
 
-def _cells(model, lo, hi, vals, min_window, one_sided):
-    """Yield (s, row) for every start s in [lo, hi], in order, where
-    ``row`` lists the (end, cell) of every window from s in key order:
-    the ``_DEGENERATE`` marker of each ``degenerate`` end, then the
-    kernel's numbers (a tuple, see ``_fit_moments``) of each fitted
-    window, then the ``_BLOCKED`` marker of each ``blocked`` end (see
-    ``_starts``).  The fitted windows grow one pair at a time, each
-    adding its pair to the exact moments of the one before.
+def _cells(model, hi, runs, min_window):
+    """Yield (s, row) for every start s of the span that ends at ``hi``,
+    in order, from its ``runs`` (see ``_layout``), where ``row`` lists
+    the (end, cell) of every window from s in key order: the
+    ``_DEGENERATE`` marker of each ``degenerate`` end, then the kernel's
+    numbers (a tuple, see ``_fit_moments``) of each fitted window, then
+    the ``_BLOCKED`` marker of each ``blocked`` end (see ``_starts``).
+    The fitted windows grow one pair at a time, each adding its pair to
+    the exact moments of the one before.
     """
-    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
-                                                                min_window, one_sided):
+    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, hi, runs, min_window):
         row = [(e, _DEGENERATE) for e in degenerate]
         shift = degenerate.stop - spread  # the window of n pairs ends at shift + n
         n = sx = sy = sxx = sxy = syy = 0
@@ -178,11 +180,11 @@ def sweep(
     grows one point at a time, updating exact moment sums that the shared
     OLS kernel turns into a fit, so a grid costs O(N^2) rather than O(N^3).
     """
-    lo, hi, vals = _span(excess, model, window, min_window, one_sided)
+    lo, hi, runs = _layout(excess, (model,), window, min_window, one_sided)
     # every window holds at least 3 pairs (see MIN_WINDOW), so no cell has
     # TooFewPoints
     cells = {(s, e): OlsFit(model, *cell) if type(cell) is tuple else cell
-             for s, row in _cells(model, lo, hi, vals, min_window, one_sided) for e, cell in row}
+             for s, row in _cells(model, hi, runs, min_window) for e, cell in row}
     return SweepGrid(model=model, span=(lo, hi), min_window=min_window, cells=cells)
 
 
@@ -259,7 +261,21 @@ def sweep_summary(
     Standard errors below 2**-1000, where floats lose bits, and ints or
     bounds too large for a float go to the kernel.
     """
-    lo, hi, vals = _span(excess, model, window, min_window, one_sided)
+    return _summaries(excess, (model,), window, min_window, one_sided)[0]
+
+
+def _summaries(excess, models, window, min_window, one_sided) -> tuple:
+    """``sweep_summary`` of each of ``models`` with the other arguments,
+    all read from one window table per run (see ``_layout``)."""
+    lo, hi, runs = _layout(excess, models, window, min_window, one_sided)
+    n_cells = triangular_cell_count(hi + 1 - lo, min_window)
+    return tuple(_filtered_summary(model, hi, runs, min_window, n_cells) for model in models)
+
+
+def _filtered_summary(model, hi, runs, min_window, n_cells) -> dict:
+    """``sweep_summary`` of ``model`` over the span that ends at ``hi``
+    and holds ``n_cells`` cells, from its ``runs``: the float filter and
+    its kernel fits, as ``sweep_summary`` describes them."""
     n_sig = 0
     errors: Dict[str, int] = {}
     floor = -math.inf
@@ -267,8 +283,7 @@ def sweep_summary(
     # kernel's arguments) of each cell that may be the best window, in
     # key order
     kept = []
-    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, lo, hi, vals,
-                                                                min_window, one_sided):
+    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, hi, runs, min_window):
         for kind, ends in ((_DEGENERATE.error_kind, degenerate), (_BLOCKED.error_kind, blocked)):
             if ends:
                 errors[kind] = errors.get(kind, 0) + len(ends)
@@ -341,8 +356,7 @@ def sweep_summary(
             numbers = _fit_moments(*moments)
         if best is None or numbers[5] > best[5]:
             best, best_key = numbers, key
-    return _summary(model, min_window, triangular_cell_count(hi + 1 - lo, min_window), n_sig,
-                    errors, best_key, best)
+    return _summary(model, min_window, n_cells, n_sig, errors, best_key, best)
 
 
 def triangular_cell_count(n: int, min_window: int) -> int:
@@ -409,10 +423,10 @@ def write_grid(path, excess: ExcessSeries, model: str, window: Optional[Window] 
     The arguments are checked before ``path`` is opened, so an
     InvalidConfig leaves no file behind.
     """
-    lo, hi, vals = _span(excess, model, window, min_window, one_sided)
+    _, hi, runs = _layout(excess, (model,), window, min_window, one_sided)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_CSV_HEADER)
-        starts = _cells(model, lo, hi, vals, min_window, one_sided)
+        starts = _cells(model, hi, runs, min_window)
         return _tally(model, min_window, _written(fh, model, starts))
 
 

@@ -17,7 +17,7 @@ tests in a child interpreter.  The tool prints each row's status and
 exits 1 when a status differs from the table, or when a row's text does
 not occur exactly once, so a stale row cannot pass quietly.  Stdlib
 only, and not part of tier-1: the whole table takes a few minutes.  CI
-runs it on one leg as a report that does not gate.
+runs it on one leg, and fails when it exits 1.
 """
 
 from __future__ import annotations
@@ -116,6 +116,21 @@ MUTANTS = [
            ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
            "equivalent", "the first passing end never falls as the start moves right, so "
                          "searching afresh from each start finds the same ends, only slower"),
+    Mutant("spread-shortcut-at-the-threshold", "regression.py",
+           "abs(xs[i + 1] - xs[i]) > _DEGENERACY", "abs(xs[i + 1] - xs[i]) >= _DEGENERACY",
+           ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
+           "killed", "two values exactly 32 ulps of their scale apart are still degenerate, "
+                     "so their offset's spread start needs a search"),
+    Mutant("return-rows-at-the-wrong-lag", "regression.py",
+           "ys_lag = ys[lag:]", "ys_lag = ys[2 * lag:]",
+           ("tests/test_properties.py::test_every_sweep_cell_equals_the_standalone_fit",),
+           "killed", "a return row pairs g[t-1] with g[t], as the standalone fit does, not "
+                     "with g[t+1]"),
+    Mutant("quantile-table-read-by-df", "sweep.py",
+           "tq = tqs[n]", "tq = tqs[n - 2]",
+           ("tests/test_properties.py::test_filtered_tally_equals_the_grid_summary",),
+           "killed", "the quantile table is indexed by pair count, so its entry n - 2 holds "
+                     "the quantile of df n - 4, or None"),
     Mutant("enclosure-margin-below-the-guard", "studentt.py",
            "_ENCLOSURE_MARGIN = 256 * 2.0**-52", "_ENCLOSURE_MARGIN = 2 * 2.0**-52",
            ("tests/test_studentt.py",),

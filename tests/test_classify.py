@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -17,6 +18,9 @@ from bubblelab import (
     iterate,
     iterate_noisy,
 )
+
+# the module, which the package's sweep function hides as an attribute
+sweep_module = importlib.import_module("bubblelab.sweep")
 
 PARAMS = ExperimentParams()
 
@@ -255,6 +259,22 @@ class TestClassifySeries:
         verdict = classify_series(PriceSeries(0, vals), PARAMS, window=window)
         assert verdict.label == label
         assert len(calls) == 1
+
+    def test_one_window_table_per_classification(self, monkeypatch):
+        # both models' sweeps of a window of one run of positive values read
+        # one table: one log growth, one integer image, one quantile table
+        calls = []
+        build = sweep_module._window_table
+
+        def counted(values, t0, models, min_window, one_sided):
+            calls.append(models)
+            return build(values, t0, models, min_window, one_sided)
+
+        monkeypatch.setattr(sweep_module, "_window_table", counted)
+        model = GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0)
+        verdict = classify_series(_prices_from_model(model, 20, sigma=0.01, seed=9), PARAMS)
+        assert verdict.label == "anchoring_on_price"
+        assert calls == [("price", "return")]
 
 
 class TestVerdictGrids:

@@ -298,10 +298,11 @@ CONTRACTS = [
              lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
     Contract(write_csv, "decimals negative", NEGATIVE,
              lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
-    # never a value from 10**6 to 2**31 - 1: % formatting takes it, and
-    # writes that many digits
+    # every value from 1075 up: no float has more than 1074 digits after the
+    # point (2**-1074 has exactly 1074), so more decimals would only make %
+    # formatting write zeros, about one character per decimal and number
     Contract(write_csv, "decimals past a C int",
-             st.one_of(st.integers(min_value=2**31), UNPRINTABLE_POSITIVE),
+             st.one_of(st.integers(min_value=1075), UNPRINTABLE_POSITIVE),
              lambda d: write_csv(os.devnull, BUBBLE, decimals=d), InvalidConfig),
     # growth.py
     Contract(GrowthModel, "parameter NaN or infinite",

@@ -67,7 +67,7 @@ from bubblelab import (
 )
 from bubblelab.cli import main as cli_main
 from bubblelab.regression import _fit_moments, _spread_starts
-from bubblelab.sweep import (_FILTER_GUARD, _FILTER_TINY, _FILTER_TOLERANCE, _starts,
+from bubblelab.sweep import (_FILTER_GUARD, _FILTER_TINY, _FILTER_TOLERANCE, _layout, _starts,
                              sweep_summary, write_grid)
 
 from _oracles import (
@@ -514,8 +514,8 @@ def filter_error_ratios(values, model, one_sided):
     ``sweep_summary``'s docstring allows; assert on the way that the
     kernel's lower bounds never exceed the filter's upper bounds, which
     hold without the guard.  All in exact arithmetic."""
-    for s, rows, p, tqs, spread, _, _ in _starts(model, 0, len(values) - 1, values, 5,
-                                                 one_sided):
+    _, hi, runs = _layout(ExcessSeries(0, values), (model,), None, 5, one_sided)
+    for s, rows, p, tqs, spread, _, _ in _starts(model, hi, runs, 5):
         n = sx = sy = sxx = sxy = syy = 0
         for x, y, xx, xy, yy in rows:
             n += 1
@@ -566,8 +566,8 @@ def whole_window_cell(values, model):
     ``filter_estimates``) of the window that spans ``values`` (t0 = 0,
     two-sided), or None where the window is degenerate or the filter
     hands it to the kernel unestimated."""
-    _, rows, p, tqs, spread, _, _ = next(_starts(model, 0, len(values) - 1, values,
-                                                 len(values), False))
+    _, hi, runs = _layout(ExcessSeries(0, tuple(values)), (model,), None, len(values), False)
+    _, rows, p, tqs, spread, _, _ = next(_starts(model, hi, runs, len(values)))
     n = len(rows)
     if spread > n:
         return None
@@ -775,9 +775,13 @@ def test_cli_grid_files_are_the_library_grids(prices, confidence, min_window):
 
 @st.composite
 def classify_inputs(draw):
-    """Prices with random excess or a noisy price-feedback bubble, an
-    optional explicit window (which may cross the fundamental, or be too
-    short to sweep) and a minimum window."""
+    """Prices with random excess or a noisy price-feedback bubble, their
+    parameters, an optional explicit window (which may cross the
+    fundamental, or be too short to sweep) and a minimum window.  Some
+    prices are the excess scaled by 2**k, k in {-1000, -60, 300}, on a
+    zero fundamental, so that prices equal excess: the levels' scale then
+    lies far from the growth's, which a classification's window table puts
+    on one power-of-two scale with it."""
     if draw(st.booleans()):
         excess = draw(st.lists(excess_value, min_size=5, max_size=20))
     else:  # mostly significant windows
@@ -785,19 +789,25 @@ def classify_inputs(draw):
         steps = draw(st.integers(8, 20))
         excess = iterate_noisy(model, steps, sigma=0.02, seed=draw(st.integers(0, 999))).values
     t0 = draw(st.integers(-3, 3))
-    prices = PriceSeries(t0, tuple(60.0 + v for v in excess))
+    scale = draw(st.sampled_from([None, -1000, -60, 300]))
+    if scale is None:
+        params = ExperimentParams()
+        prices = PriceSeries(t0, tuple(60.0 + v for v in excess))
+    else:
+        params = ExperimentParams(dividend=0.0)
+        prices = PriceSeries(t0, tuple(math.ldexp(v, scale) for v in excess))
     window = None
     if draw(st.booleans()):
         lo = draw(st.integers(t0, prices.t_end - 4))
         window = Window(lo, draw(st.integers(lo + 4, prices.t_end)))
-    return prices, window, draw(st.sampled_from([5, 6]))
+    return prices, params, window, draw(st.sampled_from([5, 6]))
 
 
 @PROPERTY
 @given(classify_inputs())
 def test_verdict_fractions_are_the_grid_summaries(inputs):
-    prices, window, min_window = inputs
-    verdict = classify_series(prices, ExperimentParams(), min_window=min_window, window=window)
+    prices, params, window, min_window = inputs
+    verdict = classify_series(prices, params, min_window=min_window, window=window)
     doc = verdict.to_json_dict()
     for fraction, key in ((verdict.price_fraction, "price_grid"),
                           (verdict.return_fraction, "return_grid")):
@@ -811,8 +821,9 @@ def test_verdict_fractions_are_the_grid_summaries(inputs):
 @PROPERTY
 @given(classify_inputs(), st.booleans())
 def test_verdict_grids_are_sweeps_of_its_window(inputs, one_sided):
-    prices, window, min_window = inputs
-    params = ExperimentParams()
+    # the verdict's summaries come from one window table for both models,
+    # its grids from a one-model sweep each
+    prices, params, window, min_window = inputs
     verdict = classify_series(prices, params, min_window=min_window, one_sided=one_sided,
                               window=window)
     if verdict.label in (ERRATIC, TOO_SHORT):
