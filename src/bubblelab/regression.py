@@ -201,25 +201,6 @@ def _t_bound(one_sided: bool, df: int) -> float:
     return t_quantile(0.95 if one_sided else 0.975, df)
 
 
-# the lower bounds' t-quantile by pair count n (at df n - 2), one list per
-# level, filled in as sweeps need them and kept for later sweeps: a memo of
-# t_quantile, whose entries only ever go from None to their one value
-_T_TABLES: dict = {False: [], True: []}
-
-
-def _t_table(one_sided: bool, first: int, last: int) -> list:
-    """The ``_T_TABLES`` list of ``one_sided``, with entry n set to
-    ``_t_bound(one_sided, n - 2)`` for every pair count n from ``first``
-    (at least 3) to ``last``; an entry that no sweep has asked for is
-    None."""
-    tqs = _T_TABLES[one_sided]
-    tqs += [None] * (last + 1 - len(tqs))  # nothing when it is long enough
-    for n in range(first, last + 1):
-        if tqs[n] is None:
-            tqs[n] = _t_bound(one_sided, n - 2)
-    return tqs
-
-
 def ols2(
     x: Sequence[float],
     y: Sequence[float],
@@ -272,48 +253,6 @@ def _pairs(model: str, values: Sequence[float], t0: int) -> Tuple[Sequence, list
     g = log_growth(values, t0)
     lag = _LAGS[model]
     return (g if lag else values)[:-1], g[lag:]
-
-
-def _window_table(values: Sequence[float], t0: int, models, min_window: int,
-                  one_sided: bool) -> tuple:
-    """What the sweeps of ``models`` over the windows of a run of positive
-    ``values`` (from t0, at least ``min_window`` of them) read, built
-    once: ``(p, tqs, {model: (rows, spreads)})``.
-
-    The run's log growth g is taken once.  The price model pairs g[t]
-    with the level v[t-1], the return model with g[t-1] (see ``_pairs``).
-    The levels (when the price model is swept) and g have exact integer
-    images on one scale 2**p (see ``_images``), and each model's ``rows``
-    hold the moment row (X, Y, X*X, X*Y, Y*Y) of each of its pairs, made
-    from product columns: the squares of g's images are the price rows'
-    Y*Y and, shifted by one, the return rows' X*X and Y*Y.  ``spreads``
-    is the spread start of each offset of the model's float regressors
-    (``_spread_starts``), from the pair count of a window of
-    ``min_window`` points.  ``tqs`` is the lower bounds' t-quantile by
-    pair count (``_t_table``), filled in from the least such count to
-    the most pairs.
-
-    One scale for both models moves no fit and no summary: the kernel's
-    numbers depend only on the pairs, and the float filter of
-    ``sweep_summary`` decides only what those numbers decide, with
-    estimates that are free of the scale or scale with 2**p in step, so
-    a larger p can only push a cell's ints past the float range, which
-    sends that cell to the kernel.
-    """
-    g = log_growth(values, t0)
-    levels = values[:-1] if MODEL_PRICE in models else ()
-    xs_price, ys, p = _images(levels, g)
-    squares = [y * y for y in ys]
-    by_model = {}
-    for model in models:
-        lag = _LAGS[model]
-        xs, xxs = (ys, squares) if lag else (xs_price, [x * x for x in xs_price])
-        ys_lag = ys[lag:]
-        rows = list(zip(xs, ys_lag, xxs, map(mul, xs, ys_lag), squares[lag:]))
-        by_model[model] = rows, _spread_starts(g[:-1] if lag else levels, min_window - 1 - lag)
-    lags = [_LAGS[model] for model in models]
-    tqs = _t_table(one_sided, min_window - 1 - max(lags), len(values) - 1 - min(lags))
-    return p, tqs, by_model
 
 
 def fit_price_model(

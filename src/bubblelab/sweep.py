@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import groupby, zip_longest
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Dict, Optional, Tuple, Union
 
-from .regression import _LAGS, OlsFit, _fit_moments, _window_table
-from .series import MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_flag, _check_int
+from .regression import (_LAGS, MODEL_PRICE, OlsFit, _fit_moments, _images, _spread_starts,
+                         _t_bound)
+from .series import (MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_flag, _check_int,
+                     log_growth)
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,49 @@ class SweepGrid:
 
     def n_valid(self) -> int:
         return sum(1 for c in self.cells.values() if isinstance(c, OlsFit))
+
+
+def _window_table(values, t0, models, min_window, one_sided) -> tuple:
+    """What the sweeps of ``models`` over the windows of a run of positive
+    ``values`` (from t0, at least ``min_window`` of them) read, built
+    once: ``(p, tqs, {model: (rows, spreads)})``.
+
+    The run's log growth g is taken once.  The price model pairs g[t]
+    with the level v[t-1], the return model with g[t-1] (see
+    ``regression._pairs``).  The levels (when the price model is swept)
+    and g have exact integer images on one scale 2**p (see ``_images``),
+    and each model's ``rows`` hold the moment row (X, Y, X*X, X*Y, Y*Y)
+    of each of its pairs, made from product columns: the squares of g's
+    images are the price rows' Y*Y and, shifted by one, the return rows'
+    X*X and Y*Y.  ``spreads`` is the spread start of each offset of the
+    model's float regressors (``_spread_starts``), from the pair count
+    of a window of ``min_window`` points.  ``tqs`` holds the lower
+    bounds' t-quantile (``_t_bound``) at entry n for every pair count n
+    of a window of the run, read from ``t_quantile``'s cache; the entries
+    below the least such count are None.
+
+    One scale for both models moves no fit and no summary: the kernel's
+    numbers depend only on the pairs, and the float filter of
+    ``sweep_summary`` decides only what those numbers decide, with
+    estimates that are free of the scale or scale with 2**p in step, so
+    a larger p can only push a cell's ints past the float range, which
+    sends that cell to the kernel.
+    """
+    g = log_growth(values, t0)
+    levels = values[:-1] if MODEL_PRICE in models else ()
+    xs_price, ys, p = _images(levels, g)
+    squares = [y * y for y in ys]
+    by_model = {}
+    for model in models:
+        lag = _LAGS[model]
+        xs, xxs = (ys, squares) if lag else (xs_price, [x * x for x in xs_price])
+        ys_lag = ys[lag:]
+        rows = list(zip(xs, ys_lag, xxs, map(mul, xs, ys_lag), squares[lag:]))
+        by_model[model] = rows, _spread_starts(g[:-1] if lag else levels, min_window - 1 - lag)
+    lags = [_LAGS[model] for model in models]
+    first, last = min_window - 1 - max(lags), len(values) - 1 - min(lags)
+    tqs = [None] * first + [_t_bound(one_sided, n - 2) for n in range(first, last + 1)]
+    return p, tqs, by_model
 
 
 def _layout(excess, models, window, min_window, one_sided):

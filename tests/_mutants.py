@@ -121,7 +121,7 @@ MUTANTS = [
            ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
            "killed", "two values exactly 32 ulps of their scale apart are still degenerate, "
                      "so their offset's spread start needs a search"),
-    Mutant("return-rows-at-the-wrong-lag", "regression.py",
+    Mutant("return-rows-at-the-wrong-lag", "sweep.py",
            "ys_lag = ys[lag:]", "ys_lag = ys[2 * lag:]",
            ("tests/test_properties.py::test_every_sweep_cell_equals_the_standalone_fit",),
            "killed", "a return row pairs g[t-1] with g[t], as the standalone fit does, not "
@@ -131,6 +131,39 @@ MUTANTS = [
            ("tests/test_properties.py::test_filtered_tally_equals_the_grid_summary",),
            "killed", "the quantile table is indexed by pair count, so its entry n - 2 holds "
                      "the quantile of df n - 4, or None"),
+    Mutant("quantile-list-shifted", "sweep.py",
+           "tqs = [None] * first +", "tqs = [None] * (first - 1) +",
+           ("tests/test_properties.py::test_every_sweep_cell_equals_the_standalone_fit",),
+           "killed", "entry n of a window table's quantile list holds the quantile of n "
+                     "pairs, not of n + 1"),
+    Mutant("layout-start-at-hi", "sweep.py",
+           "while run0 <= hi:", "while run0 < hi:",
+           SWEEP_PROPERTIES,
+           "equivalent", "min_window >= 5, so a start at hi holds no window and yields no "
+                         "cell"),
+    Mutant("detect-zero-opens-a-run", "classify.py",
+           "vals[i] <= 0", "vals[i] < 0",
+           ("tests/test_classify.py::TestDetectBubbleWindow::test_a_zero_excess_opens_no_run",),
+           "killed", "an excess of 0 is not positive, so no run starts there"),
+    Mutant("detect-zero-extends-a-run", "classify.py",
+           "vals[j + 1] > 0", "vals[j + 1] >= 0",
+           ("tests/test_classify.py::TestDetectBubbleWindow::test_a_zero_excess_ends_a_run",),
+           "killed", "an excess of 0 ends the run before it"),
+    Mutant("theta-reached-by-price", "classify.py",
+           "pf < theta", "pf <= theta",
+           ("tests/test_classify.py::TestClassifySeries::"
+            "test_a_fraction_equal_to_theta_reaches_it",),
+           "killed", "a price fraction equal to theta reaches it"),
+    Mutant("theta-reached-by-return", "classify.py",
+           "rf < theta", "rf <= theta",
+           ("tests/test_classify.py::TestClassifySeries::"
+            "test_a_fraction_equal_to_theta_reaches_it",),
+           "killed", "a return fraction equal to theta reaches it"),
+    Mutant("rate-at-the-lower-end", "regression.py",
+           "self.rate_lower > r", "self.rate_lower >= r",
+           ("tests/test_regression.py::TestFitRationalBubble::"
+            "test_interval_tests_rate_above_market",),
+           "killed", "an interval does not lie above its own lower end"),
     Mutant("enclosure-margin-below-the-guard", "studentt.py",
            "_ENCLOSURE_MARGIN = 256 * 2.0**-52", "_ENCLOSURE_MARGIN = 2 * 2.0**-52",
            ("tests/test_studentt.py",),

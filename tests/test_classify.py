@@ -18,6 +18,7 @@ from bubblelab import (
     iterate,
     iterate_noisy,
 )
+from bubblelab.studentt import t_quantile
 
 # the module, which the package's sweep function hides as an attribute
 sweep_module = importlib.import_module("bubblelab.sweep")
@@ -71,6 +72,20 @@ class TestDetectBubbleWindow:
         vals = [55.0] + up + [50.0] + up + [40.0]
         win = detect_bubble_window(PriceSeries(0, tuple(vals)), PARAMS)
         assert (win.start, win.end) == (2, 8)
+
+    def test_a_zero_excess_opens_no_run(self):
+        # excess -1, 0, 1, 3, ...: the run starts at the first positive
+        # value, t = 2, and the window at its first grown point
+        vals = (59.0, 60.0, 61.0, 63.0, 66.0, 70.0, 75.0, 81.0, 88.0, 96.0, 105.0, 115.0)
+        win = detect_bubble_window(PriceSeries(0, vals), PARAMS)
+        assert (win.start, win.end) == (3, 11)
+
+    def test_a_zero_excess_ends_a_run(self):
+        # the excess of 0 at t = 8 ends the run of t = 0..7, so the rise
+        # after it is a run of its own, too short for a window
+        vals = (61.0, 62.0, 64.0, 67.0, 71.0, 76.0, 82.0, 89.0, 60.0, 90.0, 100.0)
+        win = detect_bubble_window(PriceSeries(0, vals), PARAMS)
+        assert (win.start, win.end) == (1, 7)
 
     def test_longest_run_wins(self):
         up1 = [61.0 + t for t in range(6)]
@@ -128,6 +143,34 @@ class TestClassifySeries:
             if classify_series(prices, PARAMS).label == "anchoring_on_return":
                 hits += 1
         assert hits >= 28
+
+    @pytest.mark.parametrize("model, steps, sigma, seed, label", [
+        (GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0), 20, 0.01, 9,
+         "anchoring_on_price"),
+        (GrowthModel.return_feedback(0.02, 0.6, initial_log_return=0.25, start=60.0), 40, 0.003,
+         1, "anchoring_on_return"),
+    ], ids=["price", "return"])
+    def test_a_fraction_equal_to_theta_reaches_it(self, model, steps, sigma, seed, label):
+        prices = _prices_from_model(model, steps, sigma=sigma, seed=seed)
+        verdict = classify_series(prices, PARAMS)
+        assert verdict.label == label
+        won = max(verdict.price_fraction, verdict.return_fraction)
+        assert min(verdict.price_fraction, verdict.return_fraction) < won
+        assert classify_series(prices, PARAMS, theta=won).label == label
+
+    def test_sweeps_read_the_one_quantile_memo(self):
+        # with t_quantile's cache cleared, a classification looks up once
+        # each df that its cells use, and the rational fit's df: no other
+        # memo of quantiles outlives a sweep
+        model = GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0)
+        prices = _prices_from_model(model, 20, sigma=0.01, seed=9)
+        classify_series(prices, PARAMS)
+        t_quantile.cache_clear()
+        verdict = classify_series(prices, PARAMS)
+        misses = t_quantile.cache_info().misses
+        dfs = {cell.df for grid in (verdict.price_grid, verdict.return_grid)
+               for _, cell in grid.valid_items()}
+        assert misses == len(dfs | {verdict.rational_fit.ols.df}) == 18
 
     def test_determinism(self):
         model = GrowthModel.price_feedback(math.log(1.09), 1.5e-4, 60.0)

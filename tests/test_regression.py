@@ -220,6 +220,7 @@ class TestFitRationalBubble:
         fit = fit_rational_bubble(PriceSeries(0, tuple(vals)), Window(0, 14))
         assert fit.exceeds_rate(0.05)
         assert not fit.exceeds_rate(fit.rate_upper + 0.01)
+        assert not fit.exceeds_rate(fit.rate_lower)  # the interval must lie strictly above
 
     def test_price_touching_anchor(self):
         vals = tuple([70.0, 72.0, 60.0, 75.0, 80.0, 85.0])
