@@ -85,22 +85,17 @@ def _build_agents(preset: str, params: ExperimentParams) -> tuple:
     from .market import AgentSpec
 
     h = params.n_traders
+    # one spec per kind of trader, repeated: run shares twins anyway
     if preset == "fundamentalist":
-        return tuple(AgentSpec.fundamentalist() for _ in range(h))
+        return (AgentSpec.fundamentalist(),) * h
     if preset == "rational":
-        return tuple(
-            AgentSpec.rational_bubble(rate=params.r, scale=5.0, anchor=params.fundamental)
-            for _ in range(h)
-        )
+        return (AgentSpec.rational_bubble(rate=params.r, scale=5.0,
+                                          anchor=params.fundamental),) * h
     if preset == "bubble":
-        specs = [AgentSpec.price_anchor(a=math.log(1.09), b=1e-4) for _ in range(h - 1)]
-        specs.append(AgentSpec.naive())
-        return tuple(specs)
+        return (AgentSpec.price_anchor(a=math.log(1.09), b=1e-4),) * (h - 1) + (AgentSpec.naive(),)
     # "noise", the one preset left: argparse's choices, and
     # _apply_config_file's check of them, refuse any other
-    specs = [AgentSpec.fundamentalist() for _ in range(h - 1)]
-    specs.append(AgentSpec.noise(sigma=5.0))
-    return tuple(specs)
+    return (AgentSpec.fundamentalist(),) * (h - 1) + (AgentSpec.noise(sigma=5.0),)
 
 
 def _parse_pair(text: str, what: str, conv=float) -> tuple:

@@ -75,11 +75,17 @@ def _images(xs, ys) -> Tuple[list, list, int]:
 
 
 def _sqrt_ratio(num: int, den: int) -> float:
-    """sqrt(num / den) for positive ints whose ratio may lie below the
-    normal float range: the ratio is scaled by 4**k into that range,
-    rounded once, and its root scaled back by 2**-k, which is exact.
-    For a normal ratio the result equals math.sqrt(num / den)."""
-    k = max(0, (den.bit_length() - num.bit_length()) // 2 + 1)
+    """sqrt(num / den) for ints num >= 0 and den > 0, the ratio rounded
+    once: the one root of the kernel's standard errors.  Above the least
+    normal float the ratio is rounded as it is; at or below it, it is
+    scaled by 4**k into the normal range, rounded there, and its root
+    scaled back by 2**-k, which is exact, so a positive ratio never has
+    the root 0.  A ratio that rounds to the least normal float but lies
+    below it exactly is thus rounded at the finer scale too."""
+    ratio = num / den
+    if ratio > _MIN_NORMAL:
+        return math.sqrt(ratio)
+    k = (den.bit_length() - num.bit_length()) // 2 + 1
     return math.ldexp(math.sqrt((num << 2 * k) / den), -k)
 
 
@@ -107,9 +113,10 @@ def _fit_moments(
     are formed from the centred sums n*Sxx - Sx**2 (and likewise for xy
     and yy), in which the common scale cancels.  The result therefore
     depends only on the pairs, not on the scale or on the order in which
-    the moments were summed.  A squared standard error below the normal
-    float range is rounded at a power-of-4 scale (``_sqrt_ratio``), so an
-    imperfect fit never reports a standard error of 0.
+    the moments were summed.  Both standard errors are rooted by
+    ``_sqrt_ratio``, which rounds a squared standard error below the
+    normal float range at a power-of-4 scale, so an imperfect fit never
+    reports a standard error of 0.
     """
     cxx = n * sxx - sx * sx  # n * sum((x - mean x)^2) * 4**p
     cxy = n * sxy - sx * sy
@@ -136,14 +143,8 @@ def _fit_moments(
         nssr += r * r
     df = n - 2
     den = df * cxx << 2 * (q - p)  # df * n * sum((x - mean x)^2) * 4**q
-    var_a = nssr * sxx / (n * den << 2 * p)
-    var_b = nssr / den
-    if (var_a < _MIN_NORMAL or var_b < _MIN_NORMAL) and nssr:
-        se_a = _sqrt_ratio(nssr * sxx, n * den << 2 * p)
-        se_b = _sqrt_ratio(nssr, den)
-    else:
-        se_a = math.sqrt(var_a)
-        se_b = math.sqrt(var_b)
+    se_a = _sqrt_ratio(nssr * sxx, n * den << 2 * p)
+    se_b = _sqrt_ratio(nssr, den)
     if cyy:
         sst = cyy << 2 * (q - p)  # n * sum((y - mean y)^2) * 4**q
         r2 = (sst - nssr) / sst
@@ -155,12 +156,20 @@ def _fit_moments(
     return a, b, se_a, se_b, a - tq * se_a, b - tq * se_b, n, df, r2, nssr == 0
 
 
+def _apart(a: float, b: float) -> bool:
+    """The spread test: True when fl(|b - a|) > 2**-47 * max(|a|, |b|, 1),
+    that is when floats a and b lie more than 32 ulps of their scale
+    apart."""
+    return abs(b - a) > _DEGENERACY * max(abs(a), abs(b), 1.0)
+
+
 def _spread_starts(xs, first):
     """The spread start of every offset i of the float regressors ``xs``:
     the least pair count n >= ``first`` (at least 1) at which xs[i:i+n]
     is not degenerate, or len(xs) - i + 1 when there is none.  A window
-    is degenerate when fl(hi - lo) <= 2**-47 * m, with lo and hi its
-    least and greatest value and m = max(|lo|, |hi|, 1).
+    is degenerate when its least and greatest value lo and hi fail the
+    spread test ``_apart(lo, hi)``: fl(hi - lo) <= 2**-47 * m, with m =
+    max(|lo|, |hi|, 1).  The shortcut below and the search both call it.
 
     One two-pointer pass: the end i + n of the first window that passes
     never falls as i grows, so each search carries on from the last end
@@ -181,15 +190,11 @@ def _spread_starts(xs, first):
     least = max(first, 2)  # one value alone never passes
     starts, end = [], 0
     for i in range(size):
-        if i + least <= size and abs(xs[i + 1] - xs[i]) > _DEGENERACY * max(
-                abs(xs[i]), abs(xs[i + 1]), 1.0):
+        if i + least <= size and _apart(xs[i], xs[i + 1]):
             starts.append(least)
             continue
         end = max(end, i + first)
-        while end <= size:
-            lo, hi = min(xs[i:end]), max(xs[i:end])
-            if hi - lo > _DEGENERACY * max(abs(hi), abs(lo), 1.0):
-                break
+        while end <= size and not _apart(min(xs[i:end]), max(xs[i:end])):
             end += 1
         starts.append(min(end, size + 1) - i)
     return starts

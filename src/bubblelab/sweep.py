@@ -252,7 +252,10 @@ def sweep_summary(
     whose upper bound lies below the floor is beaten by some cell, so
     only the cells whose upper bound reaches the floor are kept, in key
     order, and the kernel fits those that are left at the end; the first
-    strict maximum among them is the best window.
+    strict maximum among them is the best window.  A kept cell carries
+    only the kernel's arguments, its exact moments, so the end is the one
+    place where a kept cell is fitted: a cell the floats cannot decide is
+    fitted in the loop, and once more at the end if it is still kept.
 
     The sign rule settles a cell before any float work once the floor is
     > 0.  The regressor is not constant, so cxx = n*Sxx - Sx**2 > 0, and
@@ -324,9 +327,8 @@ def _filtered_summary(model, hi, runs, min_window, n_cells) -> dict:
     n_sig = 0
     errors: Dict[str, int] = {}
     floor = -math.inf
-    # (upper bound of b_lower, key, the kernel's numbers or None, the
-    # kernel's arguments) of each cell that may be the best window, in
-    # key order
+    # (upper bound of b_lower, key, the kernel's arguments) of each cell
+    # that may be the best window, in key order
     kept = []
     for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, hi, runs, min_window):
         for kind, ends in ((_DEGENERATE.error_kind, degenerate), (_BLOCKED.error_kind, blocked)):
@@ -348,7 +350,6 @@ def _filtered_summary(model, hi, runs, min_window, n_cells) -> dict:
             cxx = n * sxx - sx * sx
             cyy = n * syy - sy * sy
             tq = tqs[n]
-            numbers = None
             # significant: False or True where floats decide it, None where
             # the kernel must; upper and lower bound the kernel's b_lower
             # (lower only where it is proven above the floor)
@@ -390,15 +391,14 @@ def _filtered_summary(model, hi, runs, min_window, n_cells) -> dict:
             if significant:
                 n_sig += 1
             if upper >= floor:  # the window of spread pairs ends at degenerate.stop
-                kept.append((upper, (s, degenerate.stop + n - spread), numbers,
+                kept.append((upper, (s, degenerate.stop + n - spread),
                              (n, sx, sy, sxx, sxy, syy, p, tq)))
                 if lower > floor:
                     floor = lower
                     kept = [k for k in kept if k[0] >= floor]
     best = best_key = None
-    for _, key, numbers, moments in kept:
-        if numbers is None:
-            numbers = _fit_moments(*moments)
+    for _, key, moments in kept:
+        numbers = _fit_moments(*moments)
         if best is None or numbers[5] > best[5]:
             best, best_key = numbers, key
     return _summary(model, min_window, n_cells, n_sig, errors, best_key, best)

@@ -108,19 +108,20 @@ MUTANTS = [
             "test_a_hand_built_grid_reads_each_cell_by_its_class",),
            "killed", "grid_to_csv prints an InvalidCell subclass as an invalid row"),
     Mutant("spread-test-at-the-threshold", "regression.py",
-           "if hi - lo > _DEGENERACY", "if hi - lo >= _DEGENERACY",
+           "abs(b - a) > _DEGENERACY", "abs(b - a) >= _DEGENERACY",
            ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
-           "killed", "a spread of exactly 32 ulps of its scale is still degenerate"),
+           "killed", "a spread of exactly 32 ulps of its scale is still degenerate, in "
+                     "the shortcut and in the search alike"),
     Mutant("spread-end-not-carried", "regression.py",
            "end = max(end, i + first)", "end = i + first",
            ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
            "equivalent", "the first passing end never falls as the start moves right, so "
                          "searching afresh from each start finds the same ends, only slower"),
-    Mutant("spread-shortcut-at-the-threshold", "regression.py",
-           "abs(xs[i + 1] - xs[i]) > _DEGENERACY", "abs(xs[i + 1] - xs[i]) >= _DEGENERACY",
-           ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
-           "killed", "two values exactly 32 ulps of their scale apart are still degenerate, "
-                     "so their offset's spread start needs a search"),
+    Mutant("root-rescales-at-the-least-normal", "regression.py",
+           "if ratio > _MIN_NORMAL:", "if ratio >= _MIN_NORMAL:",
+           ("tests/test_properties.py::test_the_kernel_root_is_the_root_of_the_rounded_ratio",),
+           "killed", "a ratio just below the least normal float that rounds up to it is "
+                     "rounded at a finer scale, so its root is one ulp lower"),
     Mutant("return-rows-at-the-wrong-lag", "sweep.py",
            "ys_lag = ys[lag:]", "ys_lag = ys[2 * lag:]",
            ("tests/test_properties.py::test_every_sweep_cell_equals_the_standalone_fit",),

@@ -66,7 +66,7 @@ from bubblelab import (
     write_csv,
 )
 from bubblelab.cli import main as cli_main
-from bubblelab.regression import _fit_moments, _spread_starts
+from bubblelab.regression import _fit_moments, _spread_starts, _sqrt_ratio
 from bubblelab.sweep import (_FILTER_GUARD, _FILTER_TINY, _FILTER_TOLERANCE, _layout, _starts,
                              sweep_summary, write_grid)
 
@@ -175,6 +175,28 @@ def test_ols2_standard_errors_and_r2_are_correctly_rounded(data):
     assert fit.se_b == sqrt_of_rounded(se_b2)
     assert fit.r2 == r2
     assert fit.perfect == perfect
+
+
+@st.composite
+def root_ratios(draw):
+    """(num, den) with num >= 0 and den > 0 whose ratio lies anywhere from
+    about 2**-2214 to 2**1000: normal, subnormal and far below both."""
+    num = draw(st.integers(0, 2**64))
+    den = draw(st.integers(2**63, 2**64))
+    shift = draw(st.integers(-2150, 999))
+    return (num << shift, den) if shift >= 0 else (num, den << -shift)
+
+
+@PROPERTY
+@given(root_ratios())
+@example((0, 1))
+@example((0, 3 << 2100))
+@example((1, 2**1022))  # exactly the least normal float
+# 2**-1022 - 2**-1075 rounds to the least normal float, but lies below it
+@example((2**53 - 1, 2**1075))
+def test_the_kernel_root_is_the_root_of_the_rounded_ratio(ratio):
+    num, den = ratio
+    assert _sqrt_ratio(num, den) == sqrt_of_rounded(Fraction(num, den))
 
 
 @PROPERTY

@@ -305,6 +305,30 @@ class TestSweepSummary:
         assert sweep_summary(excess, "price") == grid_summary(grid)
         assert len(exact_fits) == 1
 
+    def test_the_power_study_fits_one_cell_per_sweep(self, monkeypatch):
+        # README: "the kernel fits one cell per sweep, 600 in all", over the
+        # first 100 seeds of each scenario of the power study (acceptance
+        # criterion 6).  Every kept cell is fitted once, at the end of its
+        # filter, and the floats decide every other cell.  Only the sweep's
+        # kernel is counted: the rational fit calls its own
+        fits = 0
+        kernel = sweep_module._fit_moments
+
+        def counted(*args):
+            nonlocal fits
+            fits += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(sweep_module, "_fit_moments", counted)
+        params = ExperimentParams()
+        calls = []
+        for model, steps, sigma in POWER_SCENARIOS:
+            for seed in range(100):
+                fits = 0
+                classify_series(iterate_noisy(model, steps, sigma, seed).to_prices(params), params)
+                calls.append(fits)
+        assert calls == [2] * 300  # 600 in all
+
 
     def test_min_window_beyond_the_data_allocates_nothing(self):
         # no run of the series holds a window, so no sweep builds rows or
