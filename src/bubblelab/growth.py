@@ -19,10 +19,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 from typing import List, Optional, Tuple
 
 from .errors import FiniteHorizonSingularity, InvalidConfig, ReturnOverflow
-from .series import ExcessSeries, _check_choice, _check_count, _check_finite, _check_int
+from .series import (ExcessSeries, _check_choice, _check_count, _check_finite, _check_int,
+                     _normals)
 
 EXPONENTIAL = "exponential"
 PRICE_FEEDBACK = "price_feedback"
@@ -74,44 +77,51 @@ class GrowthModel:
         )
 
 
-def _step_log_growth(model: GrowthModel, level: float, prev_g: float) -> float:
-    # the exponential variant is price feedback with b = 0
-    return model.a + model.b * (prev_g if model.variant == RETURN_FEEDBACK else level)
-
-
 def iterate(model: GrowthModel, steps: int, noise=None) -> ExcessSeries:
     """Run the model forward, returning excess prices at t = 0..steps.
 
-    ``noise`` is an optional callable returning an additive perturbation
-    of each step's log-growth (see iterate_noisy).  Raises
+    The model's rule is read once: each step's log-growth is
+    a + b * g[t-1] for return feedback and a + b * excess[t-1] otherwise
+    (the exponential variant is price feedback with b = 0).  ``noise`` is
+    an optional callable returning an additive perturbation of each
+    step's log-growth (see iterate_noisy).  Raises
     FiniteHorizonSingularity once a value is no longer a positive finite
     float: it overflowed, became NaN or underflowed to zero.
     """
     _check_count("steps", steps)
-    values: List[float] = [model.start]
+    a, b, level = model.a, model.b, model.start
+    on_return = model.variant == RETURN_FEEDBACK
+    values: List[float] = [level]
     g = model.initial_log_return if model.initial_log_return is not None else 0.0
     for t in range(1, steps + 1):
-        g = _step_log_growth(model, values[-1], g)
+        g = a + b * (g if on_return else level)
         if noise is not None:
             g += noise()
         try:
-            nxt = values[-1] * math.exp(g)
+            level = level * math.exp(g)
         except OverflowError:
-            nxt = math.inf
-        if not 0.0 < nxt < math.inf:
+            level = math.inf
+        if not 0.0 < level < math.inf:
             raise FiniteHorizonSingularity(t - 1)
-        values.append(nxt)
+        values.append(level)
     return ExcessSeries(0, tuple(values))
 
 
 def iterate_noisy(
     model: GrowthModel, steps: int, sigma: float, seed: int
 ) -> ExcessSeries:
-    """Iterate with Gaussian noise of std-dev ``sigma`` on each log-growth."""
+    """Iterate with Gaussian noise of std-dev ``sigma`` on each log-growth.
+
+    The noise of each step is ``random.Random(seed).gauss(0.0, sigma)``'s
+    next value, ``0.0 + z * sigma``, with z read from the package's one
+    normal source (``series._normals``) and scaled by builtins, so a step
+    calls no method of the generator.
+    """
     _check_finite("noise std-dev", sigma, least=0)
     _check_int("seed", seed)
-    rng = random.Random(seed)
-    return iterate(model, steps, noise=lambda: rng.gauss(0.0, sigma))
+    zs = _normals(random.Random(seed).random)
+    noise = map(add, repeat(0.0), map(mul, zs, repeat(sigma)))  # 0.0 + z * sigma
+    return iterate(model, steps, noise=noise.__next__)
 
 
 @dataclass(frozen=True)

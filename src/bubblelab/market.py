@@ -28,6 +28,7 @@ from .series import (
     _check_finite,
     _check_int,
     _check_number,
+    _normals,
     write_csv,
 )
 
@@ -413,23 +414,6 @@ def agent_forecast(
     # for every z but -0.0, which then adds to the same 0.0 in the rule
     normal = None if rng is None else (lambda: rng.gauss(0.0, 1.0))
     return params.clamp(_rule(spec, params)(prev, values[-1], target, normal))
-
-
-def _normals(uniform):
-    """Standard normal draws of ``random.Random.gauss``, read with ``next``.
-
-    ``uniform`` is the generator's ``random``.  Each pair of draws comes
-    from two uniforms by gauss's Box–Muller formulas, and the second is
-    held for the next read, as gauss holds it: the n-th draw is the z of
-    the n-th ``gauss(mu, sigma)``, which returns ``mu + z * sigma``, and
-    ``uniform`` is read exactly when gauss would read it.
-    """
-    tau, sqrt, log, cos, sin = math.tau, math.sqrt, math.log, math.cos, math.sin
-    while True:
-        x2pi = uniform() * tau
-        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
-        yield cos(x2pi) * g2rad
-        yield sin(x2pi) * g2rad
 
 
 def run(config: SimConfig) -> SimResult:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
+from operator import mul, sub
 from typing import Sequence, Tuple
 
 from .errors import DegenerateRegressor, InvalidConfig, NonPositiveExcess, TooFewPoints, _text
@@ -65,8 +65,9 @@ def _images(xs, ys) -> Tuple[list, list, int]:
     Returns ``(X, Y, p)``, with ``x == X / 2**p`` for each value x of
     ``xs`` and its image X, and likewise for ``ys``: every finite float
     is k * 2**e, so nothing is rounded.  Every value must be a finite
-    float: ``ols2`` checks its data, and a sweep's values and their log
-    growth are finite.
+    float: ``ols2`` and ``fit_rational_bubble`` check their data, and a
+    sweep's values and their log growth are finite.  An empty ``xs``
+    gives the images of ``ys`` alone.
     """
     ratios = [v.as_integer_ratio() for v in chain(xs, ys)]
     p = max(den.bit_length() for _, den in ratios) - 1
@@ -239,10 +240,19 @@ def ols2(
         raise DegenerateRegressor(
             f"regressor spread {max(x) - min(x):g} is indistinguishable from constant"
         )
+    xs, ys, p = _images(x, y)
+    moments = (sum(xs), sum(ys), sum(map(mul, xs, xs)), sum(map(mul, xs, ys)),
+               sum(map(mul, ys, ys)))
+    return _fit(model, n, moments, p, one_sided)
+
+
+def _fit(model: str, n: int, moments: tuple, p: int, one_sided: bool) -> OlsFit:
+    """The ``OlsFit`` of ``n`` pairs from their exact scaled moments
+    ``(Sx, Sy, Sxx, Sxy, Syy)`` on the scale 2**p (see ``_fit_moments``):
+    the one place fitted data becomes an ``OlsFit``, shared by ``ols2``
+    and ``fit_rational_bubble``.  A fit beyond the float range raises
+    InvalidConfig."""
     try:
-        xs, ys, p = _images(x, y)
-        moments = (sum(xs), sum(ys), sum(map(mul, xs, xs)), sum(map(mul, xs, ys)),
-                   sum(map(mul, ys, ys)))
         return OlsFit(model, *_fit_moments(n, *moments, p, _t_bound(one_sided, n - 2)))
     except OverflowError as exc:  # from the kernel's int / int
         raise InvalidConfig(f"regression fit beyond the float range: {exc}") from None
@@ -325,16 +335,24 @@ def fit_rational_bubble(
     parameters), which must be a finite number.  A rate or scale beyond
     the float range, or a ``one_sided`` other than True or False, raises
     InvalidConfig.
+
+    The fit is ``ols2(range(n), logs, model="rational")``, bit for bit,
+    without the checks the integer time column always passes: only the
+    log deviations get integer images Y on the scale 2**p, and the
+    column's moments are closed forms on that scale, Sx = n(n-1)/2 * 2**p
+    and Sxx = (n-1)n(2n-1)/6 * 4**p, with Sxy from one ``map`` over Y.
     """
     _check_finite("anchor", anchor)
     _check_flag("one_sided", one_sided)
-    devs = []
-    for t, p in enumerate(prices.window_values(window), window.start):
-        d = p - anchor
-        if d <= 0:
-            raise NonPositiveExcess(t, f"price at t={_text(t)} does not exceed anchor {anchor}")
-        devs.append(math.log(d))
-    fit = ols2(range(len(devs)), devs, model=MODEL_RATIONAL, one_sided=one_sided)
+    devs = list(map(sub, prices.window_values(window), repeat(anchor)))  # p - anchor
+    if min(devs) <= 0:
+        t = window.start + [d > 0 for d in devs].index(False)
+        raise NonPositiveExcess(t, f"price at t={_text(t)} does not exceed anchor {anchor}")
+    _, ys, p = _images((), _finite_floats("regression data", map(math.log, devs)))
+    n = len(ys)
+    moments = ((n * (n - 1) // 2) << p, sum(ys), ((n - 1) * n * (2 * n - 1) // 6) << 2 * p,
+               sum(map(mul, range(n), ys)) << p, sum(map(mul, ys, ys)))
+    fit = _fit(MODEL_RATIONAL, n, moments, p, one_sided)
     slope_hi = fit.b + _t_bound(one_sided, fit.df) * fit.se_b
     try:
         return RationalBubbleFit(

@@ -90,15 +90,36 @@ def _check_flag(name: str, value) -> None:
 def _finite_floats(name: str, values) -> tuple:
     """``values`` as a tuple of floats, each as ``float()`` makes it.
     A value that ``float()`` refuses or that is not finite raises
-    InvalidConfig."""
+    InvalidConfig, which names the offset of the first non-finite one.
+    Both the conversion and the check run in builtins (``map``); the
+    offsets are walked only once the check has failed."""
     try:
-        floats = tuple(float(v) for v in values)
+        floats = tuple(map(float, values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"{name} must be numbers in the float range: {exc}") from None
-    for i, v in enumerate(floats):
-        if not math.isfinite(v):
-            raise InvalidConfig(f"{name} must be finite, got {v} at offset {i}")
+    if not all(map(math.isfinite, floats)):
+        i = list(map(math.isfinite, floats)).index(False)
+        raise InvalidConfig(f"{name} must be finite, got {floats[i]} at offset {i}")
     return floats
+
+
+def _normals(uniform):
+    """Standard normal draws of ``random.Random.gauss``, read with ``next``.
+
+    ``uniform`` is the generator's ``random``.  Each pair of draws comes
+    from two uniforms by gauss's Box–Muller formulas, and the second is
+    held for the next read, as gauss holds it: the n-th draw is the z of
+    the n-th ``gauss(mu, sigma)``, which returns ``mu + z * sigma``, and
+    ``uniform`` is read exactly when gauss would read it.  The one normal
+    source of the package: ``market.run`` and ``growth.iterate_noisy``
+    both draw from it.
+    """
+    tau, sqrt, log, cos, sin = math.tau, math.sqrt, math.log, math.cos, math.sin
+    while True:
+        x2pi = uniform() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+        yield cos(x2pi) * g2rad
+        yield sin(x2pi) * g2rad
 
 
 @dataclass(frozen=True)
@@ -198,7 +219,7 @@ class Series:
     def to_prices(self, params: ExperimentParams) -> Series:
         """Shift an excess series back above the fundamental."""
         pf = params.fundamental
-        return Series(self.t0, tuple(v + pf for v in self.values))
+        return Series(self.t0, tuple(map(pf.__radd__, self.values)))  # v + pf
 
 
 PriceSeries = ExcessSeries = Series
@@ -227,7 +248,7 @@ class Window:
 def excess_series(prices: PriceSeries, params: ExperimentParams) -> ExcessSeries:
     """Subtract the fundamental price from every observation."""
     pf = params.fundamental
-    return ExcessSeries(prices.t0, tuple(v - pf for v in prices.values))
+    return ExcessSeries(prices.t0, tuple(map(pf.__rsub__, prices.values)))  # v - pf
 
 
 def discrete_returns(series: Series) -> Series:

@@ -7,7 +7,9 @@ integers, so the CDF is the finite sum of Abramowitz & Stegun 26.7.3
 defined by bisection on that CDF.  Newton's method on the CDF, with the
 t density as derivative, only narrows down which of the bisection's
 comparisons need a CDF evaluation: the others' outcome is already known,
-so the result is the same float either way.
+so the result is the same float either way.  It does so only up to df
+2000, the range of the CDF's stated error bound; above it a quantile is
+plain bisection.
 """
 
 from __future__ import annotations
@@ -70,8 +72,10 @@ def t_cdf(x: float, df: int) -> float:
 # wrong where the floating-point t_cdf falls by more than _GUARD as x grows.
 # t_cdf's absolute error stays below 64 ulps of 1.0 up to df 2000, so it
 # falls by at most 128; the margin leaves room for Newton's residual.
+# Above df 2000 no such bound is stated, so there is no enclosure.
 _ENCLOSURE_MARGIN = 256 * 2.0**-52
 _GUARD = 128 * 2.0**-52
+_ENCLOSURE_MAX_DF = 2000
 _NEWTON_STEPS = 8
 
 
@@ -103,10 +107,14 @@ def _quantile_guess(p: float, df: int) -> float:
 
 def _enclosure(p: float, df: int) -> tuple[float, float] | None:
     """``(lo, hi)`` around the t quantile for p > 0.5, checked to satisfy
-    ``t_cdf(lo) < p <= t_cdf(hi)`` with ``_GUARD`` to spare; None when
-    Newton's method does not converge or a check fails.  A Newton iterate
-    that leaves the finite range raises ValueError or ZeroDivisionError.
+    ``t_cdf(lo) < p <= t_cdf(hi)`` with ``_GUARD`` to spare; None above
+    df ``_ENCLOSURE_MAX_DF``, where the guard rests on no error bound, or
+    when Newton's method does not converge or a check fails.  A Newton
+    iterate that leaves the finite range raises ValueError or
+    ZeroDivisionError.
     """
+    if df > _ENCLOSURE_MAX_DF:
+        return None
     x = _quantile_guess(p, df)
     for _ in range(_NEWTON_STEPS):
         r = t_cdf(x, df) - p
@@ -130,16 +138,17 @@ def t_quantile(p: float, df: int) -> float:
     and 0.975 for df up to 200 (measured at most 43 and 82).  A Newton
     enclosure ``[lo, hi]``, checked with ``t_cdf`` at both edges, only
     skips the comparisons whose outcome it already knows: a point at or
-    below ``lo`` lies below p, one at or above ``hi`` does not.  So the
-    bisection visits the same points and returns the same float as
-    without it, in about 19 CDF evaluations instead of 55.  Each costs
-    O(df), so a cold quantile takes longer above df of about 500 than
-    the incomplete-beta CDF this replaced did.  A p below 0.5 is answered
-    as minus the quantile of 1 - p, so a p of at most 2**-54, whose
-    1 - p rounds to 1, raises InvalidConfig.  Results are cached since
-    calibration sweeps ask for the same (p, df) pairs over and over, by
-    type as well as value, so a df of 2.0 or True never reads the entry
-    of a checked 2 or 1.  The cache hashes the arguments before any
+    below ``lo`` lies below p, one at or above ``hi`` does not.  So up to
+    df 2000, where ``t_cdf``'s error bound holds, the bisection visits
+    the same points and returns the same float as without it, in about
+    19 CDF evaluations instead of 55; above df 2000 it runs without an
+    enclosure.  Each evaluation costs O(df), so a cold quantile takes
+    longer above df of about 500 than the incomplete-beta CDF this
+    replaced did.  A p below 0.5 is answered as minus the quantile of
+    1 - p, so a p of at most 2**-54, whose 1 - p rounds to 1, raises
+    InvalidConfig.  Results are cached since calibration sweeps ask for
+    the same (p, df) pairs over and over, by type as well as value, so a
+    df of 2.0 or True never reads the entry of a checked 2 or 1.  The cache hashes the arguments before any
     check runs, so an unhashable one is reported from its failed hash:
     a hit costs no check.  An unhashable subclass of int or float passes
     the checks, and raises InvalidConfig as well.

@@ -160,6 +160,11 @@ MUTANTS = [
            ("tests/test_classify.py::TestClassifySeries::"
             "test_a_fraction_equal_to_theta_reaches_it",),
            "killed", "a return fraction equal to theta reaches it"),
+    Mutant("rational-sum-of-squares-drops-a-term", "regression.py",
+           "(2 * n - 1) // 6", "(2 * n) // 6",
+           ("tests/test_properties.py::test_the_rational_fit_is_ols2_of_its_log_deviations",),
+           "killed", "the closed-form sum of t**2 over 0..n-1 is (n-1)n(2n-1)/6, the moment "
+                     "ols2 sums from the time column"),
     Mutant("rate-at-the-lower-end", "regression.py",
            "self.rate_lower > r", "self.rate_lower >= r",
            ("tests/test_regression.py::TestFitRationalBubble::"
@@ -176,6 +181,11 @@ MUTANTS = [
            ("tests/test_studentt.py",),
            "killed", "an edge whose t_cdf lies 18 units of 2**-52 past p, inside t_cdf's "
                      "error, is no enclosure"),
+    Mutant("enclosure-past-its-error-bound", "studentt.py",
+           "_ENCLOSURE_MAX_DF = 2000", "_ENCLOSURE_MAX_DF = 10000",
+           ("tests/test_studentt.py::TestTQuantile::test_equals_reference_bisection_above_df_2000",),
+           "killed", "above df 2000 t_cdf's error bound is not stated, and a Newton interval "
+                     "read another float than the bisection at (0.95, 7349)"),
     Mutant("flag-any-truthy-value", "series.py",
            "if value is not True and value is not False:",
            "if not value and value is not False:",

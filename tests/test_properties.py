@@ -50,6 +50,7 @@ from bubblelab import (
     discrete_returns,
     excess_series,
     fit_price_model,
+    fit_rational_bubble,
     fit_return_model,
     grid_summary,
     grid_to_csv,
@@ -212,6 +213,42 @@ def test_ols2_rejects_non_finite_data(data, bad, in_x, draw):
     target[draw.draw(st.integers(0, len(target) - 1))] = bad
     with pytest.raises(InvalidConfig):
         ols2(xs, ys)
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=5, max_size=30),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.sampled_from([-60, 0, 300]),
+    st.integers(-500, 500).filter(bool),
+    st.booleans(),
+)
+def test_the_rational_fit_is_ols2_of_its_log_deviations(devs, anchor, k, start, one_sided):
+    # the closed-form moments of t - start against the fit they replace,
+    # on windows that start off t = 0 and levels scaled by 2**k
+    scale = 2.0**k
+    anchor *= scale
+    prices = PriceSeries(start - 2, (anchor + scale,) * 2 + tuple(anchor + d * scale for d in devs))
+    window = Window(start, start + len(devs) - 1)
+    logs = [math.log(p - anchor) for p in prices.window_values(window)]
+    fit = fit_rational_bubble(prices, window, anchor, one_sided=one_sided)
+    reference = ols2(range(len(logs)), logs, model="rational", one_sided=one_sided)
+    assert repr(fit.ols) == repr(reference)
+
+
+@PROPERTY
+@given(
+    st.lists(finite, min_size=1, max_size=30),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.data(),
+)
+def test_a_series_names_its_first_non_finite_offset(values, bad, draw):
+    offset = draw.draw(st.integers(0, len(values) - 1))
+    values[offset] = bad
+    for later in draw.draw(st.lists(st.integers(offset, len(values) - 1), max_size=3)):
+        values[later] = draw.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    with pytest.raises(InvalidConfig, match=f"at offset {offset}$"):
+        Series(0, tuple(values))
 
 
 @PROPERTY
@@ -1100,6 +1137,30 @@ def test_ols2_returns_a_finite_fit_or_a_typed_error(data):
     except BubbleLabError:
         return
     assert all(math.isfinite(getattr(fit, name)) for name in FIT_FLOATS)
+
+
+def _outcome(thunk) -> str:
+    """The ``repr`` of what ``thunk()`` returns, or of what it raises."""
+    try:
+        return repr(thunk())
+    except BubbleLabError as exc:
+        return repr(exc)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([GrowthModel.exponential(math.log(1.1)),
+                     GrowthModel.price_feedback(math.log(1.09), 3.5e-4),
+                     GrowthModel.return_feedback(0.02, 0.6, 0.05)]),
+    st.integers(0, 40),
+    st.one_of(st.sampled_from([0, 0.0]), st.floats(min_value=0.0, max_value=0.5)),
+    st.integers(-2**64, 2**64),
+)
+def test_iterate_noisy_is_iterate_with_gauss_noise(model, steps, sigma, seed):
+    # its draws come from the package's normal source, not from gauss
+    rng = random.Random(seed)
+    noisy = _outcome(lambda: iterate_noisy(model, steps, sigma, seed))
+    assert noisy == _outcome(lambda: iterate(model, steps, noise=lambda: rng.gauss(0.0, sigma)))
 
 
 @st.composite

@@ -112,6 +112,13 @@ class TestTQuantile:
             for p in (0.95, 0.975, 0.05, 0.025):
                 assert t_quantile(p, df) == t_quantile_reference(p, df), (p, df)
 
+    # above df 2000, past t_cdf's stated error bound, there is no
+    # enclosure; a Newton interval read another float at these pairs
+    @pytest.mark.parametrize("p, df", [(0.95, 7349), (0.975, 8189), (0.95, 8524)])
+    def test_equals_reference_bisection_above_df_2000(self, p, df):
+        assert studentt._enclosure(p, df) is None
+        assert t_quantile(p, df) == t_quantile_reference(p, df)
+
     # at (0.9999999999999949, 8) Newton converges, but t_cdf(hi) lies only
     # 18 units of 2**-52 above p, inside the guard
     @pytest.mark.parametrize("p, df", [(1 - 1e-10, 3), (0.9999999999999949, 8)],
