@@ -140,7 +140,10 @@ def cmd_simulate(args) -> int:
     from .market import SimConfig, run
 
     params = parse_params(args.params)
-    agents = _build_agents(args.agents, params)
+    try:
+        agents = _build_agents(args.agents, params)
+    except MemoryError:  # a repeat of a spec past the longest tuple
+        raise InvalidConfig(f"n_traders {params.n_traders} is more than a tuple holds") from None
     if args.initial_prices:
         initial = _parse_pair(args.initial_prices, "initial prices")
     elif args.agents == "bubble":

@@ -16,7 +16,7 @@ from itertools import groupby, zip_longest
 from operator import attrgetter, mul
 from typing import Dict, Optional, Tuple, Union
 
-from .regression import (_LAGS, MODEL_PRICE, OlsFit, _fit_moments, _images, _spread_starts,
+from .regression import (_LAGS, MODEL_PRICE, OlsFit, _apart, _fit_moments, _images,
                          _t_bound)
 from .series import (MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_flag, _check_int,
                      log_growth)
@@ -65,6 +65,46 @@ class SweepGrid:
 
     def n_valid(self) -> int:
         return sum(1 for c in self.cells.values() if isinstance(c, OlsFit))
+
+
+def _spread_starts(xs, first):
+    """The spread start of every offset i of the float regressors ``xs``:
+    the least pair count n >= ``first`` (at least 1) at which xs[i:i+n]
+    is not degenerate, or len(xs) - i + 1 when there is none.  A window
+    is degenerate when its least and greatest value lo and hi fail the
+    spread test ``regression._apart(lo, hi)``: fl(hi - lo) <= 2**-47 *
+    m, with m = max(|lo|, |hi|, 1).  The shortcut below and the search
+    both call it, as ``ols2`` does on its one window's least and greatest
+    value; by the lemma below, a window's cell is degenerate exactly when
+    ``ols2`` raises DegenerateRegressor on its pairs.
+
+    One two-pointer pass: the end i + n of the first window that passes
+    never falls as i grows, so each search carries on from the last end
+    (and once no window passes, none from a later start does).  That
+    holds because a window that contains a passing window passes.  Add
+    a point to a passing window, say a new greatest value h' > hi (the
+    least is alike).  If m does not grow, fl(h' - lo) >= fl(hi - lo), as
+    rounding is monotone.  If m grows, to m' = h' > 1, then h' - lo >=
+    (hi - lo) + (m' - m) exactly, and fl(hi - lo) > 2**-47 * m, a float,
+    gives hi - lo > 2**-47 * m, so h' - lo > 2**-47 * m'; fl(h' - lo) is
+    then exact when lo >= h'/2 (Sterbenz) and else at least h'/2, a
+    float; either way above 2**-47 * m'.  For the same reason an offset
+    whose first two values pass has the spread start max(first, 2), the
+    least window that holds them, without a search; the last end then
+    lies at or below its end, so the next search carries on as before.
+    """
+    size = len(xs)
+    least = max(first, 2)  # one value alone never passes
+    starts, end = [], 0
+    for i in range(size):
+        if i + least <= size and _apart(xs[i], xs[i + 1]):
+            starts.append(least)
+            continue
+        end = max(end, i + first)
+        while end <= size and not _apart(min(xs[i:end]), max(xs[i:end])):
+            end += 1
+        starts.append(min(end, size + 1) - i)
+    return starts
 
 
 def _window_table(values, t0, models, min_window, one_sided) -> tuple:

@@ -57,6 +57,7 @@ GOLDEN_CASES = {
     "plotdata_plain": ("plotdata", "--input", "inputs/crash.csv"),
     "table2_short": ("table2", "--steps", "5"),
     "error_config": ("simulate", "--params", "r=0"),
+    "error_traders": ("simulate", "--params", "H=4611686018427387904"),
     "error_ingest": ("sweep", "--input", "inputs/malformed.csv"),
     "error_compute": ("plotdata", "--input", "inputs/zeros.csv"),
 }

@@ -109,14 +109,32 @@ MUTANTS = [
            "killed", "grid_to_csv prints an InvalidCell subclass as an invalid row"),
     Mutant("spread-test-at-the-threshold", "regression.py",
            "abs(b - a) > _DEGENERACY", "abs(b - a) >= _DEGENERACY",
-           ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
+           ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",
+            "tests/test_properties.py::"
+            "test_ols2_is_degenerate_exactly_when_the_plain_loop_finds_no_spread"),
            "killed", "a spread of exactly 32 ulps of its scale is still degenerate, in "
-                     "the shortcut and in the search alike"),
-    Mutant("spread-end-not-carried", "regression.py",
+                     "the sweep's shortcut and search and in ols2's one window alike"),
+    Mutant("spread-end-not-carried", "sweep.py",
            "end = max(end, i + first)", "end = i + first",
            ("tests/test_properties.py::test_spread_start_equals_a_plain_loop",),
            "equivalent", "the first passing end never falls as the start moves right, so "
                          "searching afresh from each start finds the same ends, only slower"),
+    Mutant("ols2-spread-of-its-ends", "regression.py",
+           "if not _apart(min(x), max(x)):", "if not _apart(x[0], x[-1]):",
+           ("tests/test_properties.py::"
+            "test_ols2_is_degenerate_exactly_when_the_plain_loop_finds_no_spread",),
+           "killed", "ols2 tests the spread of its least and greatest regressor, which "
+                     "need not be its first and last"),
+    Mutant("intercept-refinement-drops-the-centred-part", "regression.py",
+           "nssr = (nssr << 2 * k) + r * r", "nssr = nssr + r * r",
+           ("tests/test_properties.py::test_near_proportional_fits_match_the_exact_oracles",),
+           "killed", "refining the residual grid to the intercept's bits rescales the "
+                     "centred part of the residual sum as well as the remainder"),
+    Mutant("intercept-refinement-at-zero-bits", "regression.py",
+           "if k > 0:", "if k >= 0:",
+           ("tests/test_properties.py::test_near_proportional_fits_match_the_exact_oracles",),
+           "equivalent", "at k = 0 both branches shift by 0 bits and add r**2, so either "
+                         "may take it"),
     Mutant("root-rescales-at-the-least-normal", "regression.py",
            "if ratio > _MIN_NORMAL:", "if ratio >= _MIN_NORMAL:",
            ("tests/test_properties.py::test_the_kernel_root_is_the_root_of_the_rounded_ratio",),

@@ -190,6 +190,17 @@ class TestSimulate:
         assert not (tmp_path / "simulation.json").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("agents", ["bubble", "noise", "rational", "fundamentalist"])
+    def test_a_trader_count_no_tuple_holds_is_config_error(self, agents, tmp_path, capsys):
+        # 2**62 references are more than the longest tuple, so the repeat
+        # fails at once and allocates nothing
+        code = run_cli("simulate", "--agents", agents, "--params", f"H={2**62}",
+                       "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: n_traders {2**62} is more than a tuple holds\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepCommand:
     def test_feedback_series_all_cells_positive_b(self, tmp_path):

@@ -67,9 +67,9 @@ from bubblelab import (
     write_csv,
 )
 from bubblelab.cli import main as cli_main
-from bubblelab.regression import _fit_moments, _spread_starts, _sqrt_ratio
-from bubblelab.sweep import (_FILTER_GUARD, _FILTER_TINY, _FILTER_TOLERANCE, _layout, _starts,
-                             sweep_summary, write_grid)
+from bubblelab.regression import _fit_moments, _sqrt_ratio
+from bubblelab.sweep import (_FILTER_GUARD, _FILTER_TINY, _FILTER_TOLERANCE, _layout,
+                             _spread_starts, _starts, sweep_summary, write_grid)
 
 from _oracles import (
     FILTER_GUARD,
@@ -347,6 +347,90 @@ def test_spread_start_equals_a_plain_loop(xs):
     for first in range(1, len(xs) + 3):
         want = [spread_start_loop(xs[i:], first) for i in range(len(xs))]
         assert _spread_starts(xs, first) == want, first
+
+
+@st.composite
+def threshold_regressors(draw):
+    """At least 3 regressors whose spread lies within 33 steps either side
+    of the spread test's threshold 2**-47 * max(|x|, 1), at a scale 2**k,
+    k from -1000 to 40.  ``big`` is the value of greatest magnitude and
+    sets the threshold (below 1 its floor of 1 does); the other end lies
+    the threshold plus j steps below it, a step being an ulp of ``big``
+    or of the threshold, whichever is coarser.  j = 0 with ``big`` a
+    power of 2, or below 1, is a spread of exactly the threshold."""
+    k = draw(st.integers(-1000, 40))
+    mantissa = draw(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)))
+    big = math.copysign(math.ldexp(mantissa, k), draw(st.sampled_from([1.0, -1.0])))
+    threshold = 2.0**-47 * max(abs(big), 1.0)
+    step = max(math.ulp(big), math.ulp(threshold))
+    j = draw(st.integers(-33, 33))
+    other = big - math.copysign(threshold + j * step, big)
+    inner = (big + other) / 2
+    rest = draw(st.lists(st.sampled_from([big, other, inner]), min_size=1, max_size=6))
+    return draw(st.permutations([big, other, *rest]))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(threshold_regressors(), st.data())
+def test_ols2_is_degenerate_exactly_when_the_plain_loop_finds_no_spread(xs, data):
+    ys = data.draw(st.lists(finite, min_size=len(xs), max_size=len(xs)))
+    try:
+        ols2(xs, ys)
+        degenerate = False
+    except DegenerateRegressor:
+        degenerate = True
+    assert degenerate == (spread_start_loop(xs, len(xs)) > len(xs))
+
+
+def intercept_refines(xs, ys):
+    """Whether ``_fit_moments`` refines its residual grid for ``ols2(xs,
+    ys)``: the fitted intercept needs finer bits than the grid 2**-q, q
+    the data's scale p plus the slope's fractional bits."""
+    fit = ols2(xs, ys)
+    p = max(Fraction(v).denominator for v in (*xs, *ys)).bit_length() - 1
+    q = p + fit.b.as_integer_ratio()[1].bit_length() - 1
+    return fit.a.as_integer_ratio()[1].bit_length() - 1 > q
+
+
+@st.composite
+def proportional_data(draw):
+    """y close to c * x: a slope c and regressors x of a few significant
+    bits at one scale, each y rounded from c * x and nudged by 0 to 3
+    ulps.  The fitted intercept is then tiny against the data, so its
+    float often needs finer bits than the slope and the data together."""
+    n = draw(st.integers(3, 10))
+    scale = draw(st.integers(-30, 30))
+    xs = [math.ldexp(v, scale) for v in draw(
+        st.lists(st.integers(1, 2**12), min_size=n, max_size=n, unique=True))]
+    c = draw(st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: abs(v) > 1e-3))
+    nudges = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return xs, [c * x + j * math.ulp(c * x) for x, j in zip(xs, nudges)]
+
+
+# one draw of each kind: the intercept within the grid, and finer than it
+GRID_INTERCEPT = ([-1.0, 0.0, 1.0], [1.0, 0.0, 2.0])
+FINER_INTERCEPT = ([0.0, 1.0, 2.0], [0.0, 0.125, 0.125])
+
+
+def test_the_pinned_draws_take_both_sides_of_the_intercept_refinement():
+    assert not intercept_refines(*GRID_INTERCEPT)
+    assert intercept_refines(*FINER_INTERCEPT)
+
+
+@PROPERTY
+@given(proportional_data())
+@example(GRID_INTERCEPT)
+@example(FINER_INTERCEPT)
+def test_near_proportional_fits_match_the_exact_oracles(data):
+    xs, ys = data
+    fit = ols2(xs, ys)  # distinct regressors, never degenerate
+    a_exact, b_exact = exact_ols(xs, ys)
+    assert (fit.b, fit.a) == (float(b_exact), float(a_exact))
+    se_a2, se_b2, r2, perfect = exact_fit_stats(xs, ys, fit.a, fit.b)
+    assert fit.se_a == sqrt_of_rounded(se_a2)
+    assert fit.se_b == sqrt_of_rounded(se_b2)
+    assert fit.r2 == r2
+    assert fit.perfect == perfect
 
 
 @PROPERTY
