@@ -7,9 +7,12 @@ no gamma function) and by the package's closed forms in 40-digit
 formula), least squares by derivative-free descent on
 the raw sum of squared residuals (no normal equations) and by centred
 and residual-by-residual sums over ``fractions.Fraction`` (no integer
-moments), window counts by a loop (no closed form), and the first
+moments), window counts by a loop (no closed form), runs of positive
+excess by grouping values by sign (no index scan), and the first
 non-degenerate window by taking each window's spread afresh (no running
-minimum and maximum).
+minimum and maximum).  ``bubble_window_loop`` restates the bubble
+detection loop as it was first written, run by run, so that a rewrite of
+detection is checked against it.
 
 ``t_quantile_reference`` is the exception: it is the package's original
 bisection of ``t_cdf``, kept verbatim because it defines the float that
@@ -32,6 +35,7 @@ import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import groupby
 from statistics import NormalDist
 from typing import List, Optional
 
@@ -230,6 +234,46 @@ def triangular_cell_count_loop(start_range, end_range, min_window):
         if first_e <= end_range[1]:
             total += end_range[1] - first_e + 1
     return total
+
+
+def bubble_window_loop(vals, t0: int, min_window: int):
+    """The bubble window of the excess values ``vals`` from t0, as
+    ``(start, end)`` or None, by the detection loop as first written: a
+    loop over the starts of runs of positive values, each run extended
+    one value at a time, entered at its first grown point, kept when it
+    spans at least ``min_window`` points and ends higher than it starts,
+    the first of the longest winning."""
+    n = len(vals)
+    best = None
+    i = 0
+    while i < n:
+        if vals[i] <= 0:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and vals[j + 1] > 0:
+            j += 1
+        s, e = i + 1, j
+        if e - s + 1 >= min_window and vals[e] > vals[s]:
+            if best is None or e - s > best[1] - best[0]:
+                best = (t0 + s, t0 + e)
+        i = j + 1
+    return best
+
+
+def positive_runs_grouped(vals, t0: int) -> list:
+    """The ``(run0, bad)`` of each run of the excess values ``vals`` from
+    t0, found by grouping the values by sign with ``itertools.groupby``:
+    a group of positive values from t = run0 gives (run0, bad), bad the
+    first t past it, and each value that is not positive gives (t, t)."""
+    runs = []
+    for positive, group in groupby(range(len(vals)), key=lambda k: vals[k] > 0):
+        offsets = list(group)
+        if positive:
+            runs.append((t0 + offsets[0], t0 + offsets[-1] + 1))
+        else:
+            runs += [(t0 + k, t0 + k) for k in offsets]
+    return runs
 
 
 def spread_start_loop(xs, first: int) -> int:

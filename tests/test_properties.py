@@ -76,10 +76,12 @@ from _oracles import (
     FILTER_TINY,
     FILTER_TOLERANCE,
     agent_forecast_reference,
+    bubble_window_loop,
     exact_fit_stats,
     filter_estimates,
     sqrt_of_rounded,
     exact_ols,
+    positive_runs_grouped,
     run_reference,
     sim_to_json_reference,
     spread_start_loop,
@@ -914,6 +916,66 @@ def test_cli_grid_files_are_the_library_grids(prices, confidence, min_window):
                 if command == "sweep":
                     summary = json.loads((out / "sweep_summary.json").read_text())
                     assert summary[model] == json.loads(json.dumps(grid_summary(grid)))
+
+
+@st.composite
+def detection_series(draw):
+    """Prices on the fundamental of ``ExperimentParams()`` whose excess
+    alternates gaps and runs, and a ``min_window`` from 5 to 8.  A gap
+    holds zero or negative excess (none before the first run, at times);
+    a run of positive excess rises, ends where its window starts, or
+    wanders, and is often as long as the run before it, so that equally
+    long runs meet."""
+    fundamental = ExperimentParams().fundamental
+    gap_value = st.one_of(st.just(fundamental), st.floats(min_value=1.0, max_value=fundamental))
+    prices = draw(st.lists(gap_value, max_size=2))
+    length = draw(st.integers(1, 12))
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            prices += draw(st.lists(gap_value, min_size=1, max_size=2))
+        length = draw(st.one_of(st.just(length), st.integers(1, 12)))
+        run = [fundamental + x for x in draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                                                      min_size=length, max_size=length))]
+        shape = draw(st.sampled_from(["rises", "ends-where-it-starts", "wanders"]))
+        if shape == "rises":
+            run.sort()
+        elif shape == "ends-where-it-starts" and length > 2:
+            run[-1] = run[1]  # the window opens at the run's second value
+        prices += run
+    prices += draw(st.lists(gap_value, max_size=2))
+    return PriceSeries(draw(st.integers(-5, 5)), tuple(prices)), draw(st.integers(5, 8))
+
+
+# the series of test_classify.TestDetectBubbleWindow
+TABLE_PRICES = iterate(GrowthModel.price_feedback(math.log(1.09), 1e-4, 60.0), 23).to_prices(
+    ExperimentParams())
+UP, RISE = tuple(61.0 + t for t in range(8)), tuple(61.0 + 2 * t for t in range(12))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(detection_series())
+@example((PriceSeries(0, (60.0,) * 30), 5))
+@example((TABLE_PRICES, 5))
+@example((PriceSeries(7, TABLE_PRICES.values), 5))
+@example((PriceSeries(0, (55.0,) * 10 + (61.0, 63.0, 66.0) + (55.0,) * 10), 5))
+@example((PriceSeries(0, (55.0, 90.0, 85.0, 80.0, 75.0, 70.0, 65.0, 62.0, 55.0, 55.0, 55.0)), 5))
+@example((PriceSeries(0, (55.0,) + (70.0,) * 8 + (55.0,)), 5))
+@example((PriceSeries(0, (55.0,) + UP + (50.0,) + UP + (40.0,)), 5))
+@example((PriceSeries(0, (59.0, 60.0, 61.0, 63.0, 66.0, 70.0, 75.0, 81.0, 88.0, 96.0, 105.0,
+                          115.0)), 5))
+@example((PriceSeries(0, (61.0, 62.0, 64.0, 67.0, 71.0, 76.0, 82.0, 89.0, 60.0, 90.0, 100.0)), 5))
+@example((PriceSeries(0, (55.0,) + UP[:6] + (50.0,) + RISE + (40.0,)), 5))
+def test_detection_equals_the_first_written_loop(series):
+    prices, min_window = series
+    params = ExperimentParams()
+    excess = excess_series(prices, params)
+    window = detect_bubble_window(prices, params, min_window)
+    got = None if window is None else (window.start, window.end)
+    assert got == bubble_window_loop(excess.values, excess.t0, min_window)
+    # the sweeps lay out the same runs of positive excess
+    _, _, runs = _layout(excess, ("price", "return"), None, min_window, False)
+    assert [(run0, bad) for run0, bad, _ in runs] == positive_runs_grouped(excess.values,
+                                                                           excess.t0)
 
 
 @st.composite
