@@ -28,7 +28,7 @@ from .series import (
     _check_int,
     excess_series,
 )
-from .sweep import SweepGrid, _summaries, sweep
+from .sweep import SweepGrid, _runs, _summaries, sweep
 
 ERRATIC = "erratic"
 TOO_SHORT = "too_short"
@@ -144,24 +144,18 @@ def detect_bubble_window(
 
 def _detect(excess: ExcessSeries, min_window: int) -> Optional[Window]:
     """``detect_bubble_window`` on the excess series ``excess`` already
-    built, for a ``min_window`` already checked."""
+    built, for a ``min_window`` already checked: one judgement of each
+    run of ``sweep._runs``, the scan the sweeps' layout reads too.  A
+    run values[i:j] is entered at s = i + 1 and ends at e = j - 1; a
+    value that is not positive (j == i) spans no points."""
     vals = excess.values
-    n = len(vals)
     best: Optional[Window] = None
-    i = 0
-    while i < n:
-        if vals[i] <= 0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and vals[j + 1] > 0:
-            j += 1
-        s, e = i + 1, j  # window starts at the first grown point
+    for i, j in _runs(vals):
+        s, e = i + 1, j - 1  # the window starts at the first grown point
         if e - s + 1 >= min_window and vals[e] > vals[s]:
             win = Window(excess.t0 + s, excess.t0 + e)
             if best is None or len(win) > len(best):
                 best = win
-        i = j + 1
     return best
 
 

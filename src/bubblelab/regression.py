@@ -226,16 +226,19 @@ def _fit(model: str, n: int, moments: tuple, p: int, one_sided: bool) -> OlsFit:
         raise InvalidConfig(f"regression fit beyond the float range: {exc}") from None
 
 
-def _pairs(model: str, values: Sequence[float], t0: int) -> Tuple[Sequence, list]:
-    """The (x, y) pairs ``model`` regresses on ``values`` starting at t0.
-
-    y is the log growth g[t] = log(v[t]/v[t-1]).  The price model's x is
-    the level v[t-1]; the return model's x is g[t-1], one lag further
-    back, so it yields one pair fewer.
+def _pairs(model: str, levels: Sequence, growth: Sequence) -> Tuple[Sequence, Sequence]:
+    """The (x, y) columns ``model`` regresses, selected from the columns
+    ``levels`` and ``growth`` of one window: y is growth[lag:] and x is
+    (growth if lag else levels)[:len(growth) - lag], the lag of
+    ``_LAGS``.  For a window's values v and their log growth g[t] =
+    log(v[t]/v[t-1]), levels is v[:-1], so the price model pairs g[t]
+    with the level v[t-1] and the return model with g[t-1], one lag
+    further back, which yields one pair fewer.  Any columns aligned as
+    those are select alike: the sweep's window table passes their
+    integer images and the images' squares.
     """
-    g = log_growth(values, t0)
     lag = _LAGS[model]
-    return (g if lag else values)[:-1], g[lag:]
+    return (growth if lag else levels)[: len(growth) - lag], growth[lag:]
 
 
 def fit_price_model(
@@ -247,7 +250,8 @@ def fit_price_model(
     (start, end]; a positive slope means the growth rate itself grows
     with the price level.
     """
-    xs, ys = _pairs(MODEL_PRICE, excess.window_values(window), window.start)
+    values = excess.window_values(window)
+    xs, ys = _pairs(MODEL_PRICE, values[:-1], log_growth(values, window.start))
     return ols2(xs, ys, model=MODEL_PRICE, one_sided=one_sided)
 
 
@@ -260,7 +264,8 @@ def fit_return_model(
     so a window of the same length yields one fewer observation; only
     data inside [start, end] is touched.
     """
-    xs, ys = _pairs(MODEL_RETURN, excess.window_values(window), window.start)
+    values = excess.window_values(window)
+    xs, ys = _pairs(MODEL_RETURN, values[:-1], log_growth(values, window.start))
     return ols2(xs, ys, model=MODEL_RETURN, one_sided=one_sided)
 
 

@@ -16,7 +16,7 @@ from itertools import groupby, zip_longest
 from operator import attrgetter, mul
 from typing import Dict, Optional, Tuple, Union
 
-from .regression import (_LAGS, MODEL_PRICE, OlsFit, _apart, _fit_moments, _images,
+from .regression import (_LAGS, MODEL_PRICE, OlsFit, _apart, _fit_moments, _images, _pairs,
                          _t_bound)
 from .series import (MIN_WINDOW, ExcessSeries, Window, _check_choice, _check_flag, _check_int,
                      log_growth)
@@ -112,19 +112,21 @@ def _window_table(values, t0, models, min_window, one_sided) -> tuple:
     ``values`` (from t0, at least ``min_window`` of them) read, built
     once: ``(p, tqs, {model: (rows, spreads)})``.
 
-    The run's log growth g is taken once.  The price model pairs g[t]
-    with the level v[t-1], the return model with g[t-1] (see
-    ``regression._pairs``).  The levels (when the price model is swept)
-    and g have exact integer images on one scale 2**p (see ``_images``),
-    and each model's ``rows`` hold the moment row (X, Y, X*X, X*Y, Y*Y)
-    of each of its pairs, made from product columns: the squares of g's
-    images are the price rows' Y*Y and, shifted by one, the return rows'
-    X*X and Y*Y.  ``spreads`` is the spread start of each offset of the
-    model's float regressors (``_spread_starts``), from the pair count
-    of a window of ``min_window`` points.  ``tqs`` holds the lower
-    bounds' t-quantile (``_t_bound``) at entry n for every pair count n
-    of a window of the run, read from ``t_quantile``'s cache; the entries
-    below the least such count are None.
+    The run's log growth g is taken once.  The levels v[:-1] (when the
+    price model is swept) and g have exact integer images on one scale
+    2**p (see ``_images``), and each model's ``rows`` hold the moment
+    row (X, Y, X*X, X*Y, Y*Y) of each of its pairs.  Which pairs a model
+    regresses is the one rule of ``regression._pairs``: it selects the
+    model's float regressors from the levels and g, its X and Y from
+    their images, and its X*X and Y*Y from the images' squares, so the
+    squares of g's images serve the price rows' Y*Y and the return rows'
+    X*X and Y*Y alike.  ``spreads`` is the spread start of each offset
+    of the model's float regressors (``_spread_starts``), from the pair
+    count of a window of ``min_window`` points: a window has as many
+    pairs fewer than the run as it has points fewer.  ``tqs`` holds the
+    lower bounds' t-quantile (``_t_bound``) at entry n for every pair
+    count n of a window of the run, read from ``t_quantile``'s cache;
+    the entries below the least such count are None.
 
     One scale for both models moves no fit and no summary: the kernel's
     numbers depend only on the pairs, and the float filter of
@@ -135,29 +137,46 @@ def _window_table(values, t0, models, min_window, one_sided) -> tuple:
     """
     g = log_growth(values, t0)
     levels = values[:-1] if MODEL_PRICE in models else ()
-    xs_price, ys, p = _images(levels, g)
-    squares = [y * y for y in ys]
+    x_images, y_images, p = _images(levels, g)
+    x_squares, y_squares = [x * x for x in x_images], [y * y for y in y_images]
+    extra = len(values) - min_window  # points, and so pairs, beyond the shortest window
     by_model = {}
     for model in models:
-        lag = _LAGS[model]
-        xs, xxs = (ys, squares) if lag else (xs_price, [x * x for x in xs_price])
-        ys_lag = ys[lag:]
-        rows = list(zip(xs, ys_lag, xxs, map(mul, xs, ys_lag), squares[lag:]))
-        by_model[model] = rows, _spread_starts(g[:-1] if lag else levels, min_window - 1 - lag)
-    lags = [_LAGS[model] for model in models]
-    first, last = min_window - 1 - max(lags), len(values) - 1 - min(lags)
-    tqs = [None] * first + [_t_bound(one_sided, n - 2) for n in range(first, last + 1)]
+        xs, ys = _pairs(model, x_images, y_images)
+        xxs, yys = _pairs(model, x_squares, y_squares)
+        rows = list(zip(xs, ys, xxs, map(mul, xs, ys), yys))
+        by_model[model] = rows, _spread_starts(_pairs(model, levels, g)[0], len(rows) - extra)
+    counts = [len(rows) for rows, _ in by_model.values()]
+    first = min(counts) - extra
+    tqs = [None] * first + [_t_bound(one_sided, n - 2) for n in range(first, max(counts) + 1)]
     return p, tqs, by_model
+
+
+def _runs(values):
+    """Yield (i, j) for each run of ``values``, in order: values[i:j] are
+    positive, and j is the first offset at or after i whose value is not
+    (len(values) when there is none).  A value that is not positive is a
+    run of its own, with j == i.  The one scan for runs of positive
+    excess: bubble detection (``classify._detect``) and the sweeps'
+    layout (``_layout``) both read it."""
+    size = len(values)
+    i = 0
+    while i < size:
+        j = i
+        while j < size and values[j] > 0:
+            j += 1
+        yield i, j
+        i = max(j, i + 1)
 
 
 def _layout(excess, models, window, min_window, one_sided):
     """Check a sweep's arguments; return its span (lo, hi) and the runs
-    of the span's values, in order: a (run0, bad, table) per run, where
-    values are positive from run0 up to (excluding) t = bad, or bad ==
-    run0 for a value that is not positive.  ``table`` is the run's
-    ``_window_table`` for ``models``, or None when the run holds no
-    window of ``min_window`` points, so a ``min_window`` longer than the
-    data builds nothing."""
+    of the span's values (see ``_runs``), in order and on the time axis:
+    a (run0, bad, table) per run, where values are positive from run0 up
+    to (excluding) t = bad, or bad == run0 for a value that is not
+    positive.  ``table`` is the run's ``_window_table`` for ``models``,
+    or None when the run holds no window of ``min_window`` points, so a
+    ``min_window`` longer than the data builds nothing."""
     for model in models:
         _check_choice("model", model, sorted(_LAGS))
     _check_int("min_window", min_window, least=MIN_WINDOW)
@@ -167,17 +186,8 @@ def _layout(excess, models, window, min_window, one_sided):
     else:
         vals = excess.window_values(window)  # checks the window before its bounds are read
         lo, hi = window.start, window.end
-    runs = []
-    run0 = lo
-    while run0 <= hi:
-        bad = run0
-        while bad <= hi and vals[bad - lo] > 0:
-            bad += 1
-        table = None
-        if bad - run0 >= min_window:
-            table = _window_table(vals[run0 - lo : bad - lo], run0, models, min_window, one_sided)
-        runs.append((run0, bad, table))
-        run0 = max(bad, run0 + 1)
+    runs = [(lo + i, lo + j, _window_table(vals[i:j], lo + i, models, min_window, one_sided)
+             if j - i >= min_window else None) for i, j in _runs(vals)]
     return lo, hi, runs
 
 
@@ -187,21 +197,23 @@ def _starts(model, hi, runs, min_window):
     (see ``_layout``): how the windows from s are laid out, decided once
     for every sweep.
 
-    Let bad be the first t >= s whose value is not positive (hi + 1 when
-    none).  ``degenerate`` and ``blocked`` are ranges of window ends:
-    the windows from s that end in ``degenerate`` have a constant
-    regressor, and those that end in ``blocked`` reach bad and fail
-    there.  The windows that end between them, from ``degenerate.stop``
-    on, are fitted.  ``rows`` holds the moment rows of the pairs of
-    [s, bad - 1], scaled by 2**p, and ``tqs`` the t-quantiles by pair
-    count, from the run's window table (see ``_window_table``); ``rows``
-    is empty when s's run holds no window of ``min_window`` points.
-    ``spread`` is the pair count of the first fitted window: the least
-    n >= ``first``, the pair count of the shortest window, at which the
-    float regressors of rows[:n] are not degenerate, or len(rows) + 1
-    when there is none.
+    The window of n pairs from s ends at s + lag + n, with the model's
+    lag of ``regression._LAGS``: the one rule from pair counts to window
+    ends, which ``_cells`` and ``_filtered_summary`` apply too.  Let bad
+    be the first t >= s whose value is not positive (hi + 1 when none).
+    ``degenerate`` and ``blocked`` are ranges of window ends: the windows
+    from s that end in ``degenerate`` have a constant regressor, and
+    those that end in ``blocked`` reach bad and fail there.  The windows
+    that end between them, from ``degenerate.stop`` on, are fitted.
+    ``rows`` holds the moment rows of the pairs of [s, bad - 1], scaled
+    by 2**p, and ``tqs`` the t-quantiles by pair count, from the run's
+    window table (see ``_window_table``); ``rows`` is empty when s's run
+    holds no window of ``min_window`` points.  ``spread`` is the pair
+    count of the first fitted window: the least n at or above the pair
+    count of the shortest window at which the float regressors of
+    rows[:n] are not degenerate, or len(rows) + 1 when there is none.
     """
-    first = min_window - 1 - _LAGS[model]
+    lag = _LAGS[model]
     for run0, bad, table in runs:
         rows, p, tqs, spreads = (), 0, (), ()
         if table is not None:
@@ -209,11 +221,11 @@ def _starts(model, hi, runs, min_window):
             rows, spreads = by_model[model]
         # a start past the run's pairs has no rows, so its spread is 1
         for s, spread in zip_longest(range(run0, max(bad, run0 + 1)), spreads, fillvalue=1):
-            # pair s - run0 is the first pair of the windows that start at s
+            # pair s - run0 is the first pair of the windows that start at s;
+            # those from the shortest up to spread - 1 pairs are degenerate
             first_e = s + min_window - 1
-            # the windows of first up to spread - 1 pairs are degenerate
             yield (s, rows[s - run0 :], p, tqs, spread,
-                   range(first_e, first_e + spread - first), range(max(first_e, bad), hi + 1))
+                   range(first_e, s + lag + spread), range(max(first_e, bad), hi + 1))
 
 
 def _cells(model, hi, runs, min_window):
@@ -226,9 +238,9 @@ def _cells(model, hi, runs, min_window):
     The fitted windows grow one pair at a time, each adding its pair to
     the exact moments of the one before.
     """
+    lag = _LAGS[model]
     for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, hi, runs, min_window):
         row = [(e, _DEGENERATE) for e in degenerate]
-        shift = degenerate.stop - spread  # the window of n pairs ends at shift + n
         n = sx = sy = sxx = sxy = syy = 0
         for x, y, xx, xy, yy in rows:
             n += 1
@@ -238,7 +250,7 @@ def _cells(model, hi, runs, min_window):
             sxy += xy
             syy += yy
             if n >= spread:
-                row.append((shift + n, _fit_moments(n, sx, sy, sxx, sxy, syy, p, tqs[n])))
+                row.append((s + lag + n, _fit_moments(n, sx, sy, sxx, sxy, syy, p, tqs[n])))
         row += [(e, _BLOCKED) for e in blocked]
         yield s, row
 
@@ -364,6 +376,7 @@ def _filtered_summary(model, hi, runs, min_window, n_cells) -> dict:
     """``sweep_summary`` of ``model`` over the span that ends at ``hi``
     and holds ``n_cells`` cells, from its ``runs``: the float filter and
     its kernel fits, as ``sweep_summary`` describes them."""
+    lag = _LAGS[model]
     n_sig = 0
     errors: Dict[str, int] = {}
     floor = -math.inf
@@ -430,8 +443,8 @@ def _filtered_summary(model, hi, runs, min_window, n_cells) -> dict:
                 significant = numbers[4] > 0.0 and upper > 0.0  # a_lower
             if significant:
                 n_sig += 1
-            if upper >= floor:  # the window of spread pairs ends at degenerate.stop
-                kept.append((upper, (s, degenerate.stop + n - spread),
+            if upper >= floor:
+                kept.append((upper, (s, s + lag + n),
                              (n, sx, sy, sxx, sxy, syy, p, tq)))
                 if lower > floor:
                     floor = lower

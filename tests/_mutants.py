@@ -140,10 +140,10 @@ MUTANTS = [
            ("tests/test_properties.py::test_the_kernel_root_is_the_root_of_the_rounded_ratio",),
            "killed", "a ratio just below the least normal float that rounds up to it is "
                      "rounded at a finer scale, so its root is one ulp lower"),
-    Mutant("return-rows-at-the-wrong-lag", "sweep.py",
-           "ys_lag = ys[lag:]", "ys_lag = ys[2 * lag:]",
+    Mutant("return-rows-at-the-wrong-lag", "regression.py",
+           "], growth[lag:]", "], growth[2 * lag:]",
            ("tests/test_properties.py::test_every_sweep_cell_equals_the_standalone_fit",),
-           "killed", "a return row pairs g[t-1] with g[t], as the standalone fit does, not "
+           "killed", "the one pair rule pairs g[t-1] with g[t] for the return model, not "
                      "with g[t+1]"),
     Mutant("quantile-table-read-by-df", "sweep.py",
            "tq = tqs[n]", "tq = tqs[n - 2]",
@@ -155,19 +155,25 @@ MUTANTS = [
            ("tests/test_properties.py::test_every_sweep_cell_equals_the_standalone_fit",),
            "killed", "entry n of a window table's quantile list holds the quantile of n "
                      "pairs, not of n + 1"),
-    Mutant("layout-start-at-hi", "sweep.py",
-           "while run0 <= hi:", "while run0 < hi:",
-           SWEEP_PROPERTIES,
-           "equivalent", "min_window >= 5, so a start at hi holds no window and yields no "
-                         "cell"),
-    Mutant("detect-zero-opens-a-run", "classify.py",
-           "vals[i] <= 0", "vals[i] < 0",
+    Mutant("runs-scan-past-the-end", "sweep.py",
+           "    while i < size:\n", "    while i <= size:\n",
+           ("tests/test_properties.py::test_detection_equals_the_first_written_loop",),
+           "killed", "the layout lists the runs of its span and no more; a run that starts "
+                     "past the last value holds no window, so only that list can tell"),
+    Mutant("detect-zero-opens-a-run", "sweep.py",
+           "values[j] > 0", "values[j] >= 0",
            ("tests/test_classify.py::TestDetectBubbleWindow::test_a_zero_excess_opens_no_run",),
            "killed", "an excess of 0 is not positive, so no run starts there"),
-    Mutant("detect-zero-extends-a-run", "classify.py",
-           "vals[j + 1] > 0", "vals[j + 1] >= 0",
+    Mutant("detect-zero-extends-a-run", "sweep.py",
+           "values[j] > 0", "values[j] >= 0",
            ("tests/test_classify.py::TestDetectBubbleWindow::test_a_zero_excess_ends_a_run",),
            "killed", "an excess of 0 ends the run before it"),
+    Mutant("sweep-zero-ends-a-run", "sweep.py",
+           "values[j] > 0", "values[j] >= 0",
+           ("tests/test_sweep.py::TestSignificance::test_no_valid_cells_count_as_zero",
+            "tests/test_sweep.py::TestGridExport::test_summary_notes_errors_when_nothing_valid"),
+           "killed", "the sweeps read the runs detection reads: a window that reaches an "
+                     "excess of 0 is blocked, not fitted"),
     Mutant("theta-reached-by-price", "classify.py",
            "pf < theta", "pf <= theta",
            ("tests/test_classify.py::TestClassifySeries::"
