@@ -331,48 +331,31 @@ def load_csv(path, params: Optional[ExperimentParams] = None):
     if header != ["t", "price"] + [f"h{h}" for h in range(1, n_fc + 1)]:
         raise MalformedRow(1, "header must be t,price[,h1..hH]")
 
-    times, prices = [], []
-    forecasts = [[] for _ in range(n_fc)]
+    # each value's column, as the band check names it
+    names = ["price"] + [f"forecast h{h}" for h in range(1, n_fc + 1)]
+    rows = []  # (t, price, forecasts...) per data line
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         fields = [c.strip() for c in raw.split(",")]
         if len(fields) != len(header):
-            raise MalformedRow(
-                lineno, f"expected {len(header)} fields, found {len(fields)}"
-            )
+            raise MalformedRow(lineno, f"expected {len(header)} fields, found {len(fields)}")
         try:
             t = int(fields[0])
-            p = float(fields[1])
-            fvals = [float(v) for v in fields[2:]]
+            values = [float(v) for v in fields[1:]]
         except ValueError as exc:
             raise MalformedRow(lineno, str(exc)) from None
-        if times and t != times[-1] + 1:
-            raise NonContiguousTime(
-                lineno, f"time jumps from {times[-1]} to {t}"
-            )
-        if not (params.p_min <= p <= params.p_max):
-            raise OutOfRange(
-                lineno,
-                f"price {p} outside [{params.p_min}, {params.p_max}]",
-            )
-        for h, v in enumerate(fvals, start=1):
+        if rows and t != rows[-1][0] + 1:
+            raise NonContiguousTime(lineno, f"time jumps from {rows[-1][0]} to {t}")
+        for name, v in zip(names, values):
             if not (params.p_min <= v <= params.p_max):
-                raise OutOfRange(
-                    lineno,
-                    f"forecast h{h} {v} outside [{params.p_min}, {params.p_max}]",
-                )
-        times.append(t)
-        prices.append(p)
-        for col, v in zip(forecasts, fvals):
-            col.append(v)
+                raise OutOfRange(lineno, f"{name} {v} outside [{params.p_min}, {params.p_max}]")
+        rows.append((t, *values))
 
-    if not prices:
+    if not rows:
         raise MalformedRow(2, "no data rows")
-    series = PriceSeries(times[0], tuple(prices))
-    if n_fc:
-        return series, tuple(tuple(col) for col in forecasts)
-    return series, None
+    times, prices, *forecasts = zip(*rows)
+    return PriceSeries(times[0], prices), tuple(forecasts) or None
 
 
 def write_csv(path, series, forecasts=None, decimals: int = 2) -> None:

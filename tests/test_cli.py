@@ -19,7 +19,7 @@ from bubblelab import (
 )
 from bubblelab.cli import build_parser, main
 
-from _golden import GOLDEN_CASES, _read_golden, _run_golden_case, _write_golden
+from _golden import GOLDEN_CASES, _read_golden, _run_golden_case
 
 GOLDEN_TABLE2 = Path(__file__).parent / "data" / "table2_golden.csv"
 GOLDEN_INPUTS = Path(__file__).parent / "data" / "cli_golden" / "inputs"
@@ -801,10 +801,6 @@ class TestPipelineClosure:
             payload.pop("input")
             summaries.append(payload)
         assert summaries[0] == summaries[1]
-
-
-if __name__ == "__main__":
-    _write_golden()
 
 
 class TestExitCodeTable:

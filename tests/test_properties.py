@@ -2,7 +2,10 @@
 by hypothesis.
 
 Derandomized and without an example database, so every run checks the
-same examples and leaves no files behind.
+same examples.  The run still leaves files behind: hypothesis (as of 6.155)
+writes its caches ``.hypothesis/constants/`` and
+``.hypothesis/unicode_data/`` even without a database, and the repo's
+``.gitignore`` lists ``.hypothesis/``.
 """
 
 import contextlib
