@@ -233,9 +233,9 @@ def _pairs(model: str, levels: Sequence, growth: Sequence) -> Tuple[Sequence, Se
     ``_LAGS``.  For a window's values v and their log growth g[t] =
     log(v[t]/v[t-1]), levels is v[:-1], so the price model pairs g[t]
     with the level v[t-1] and the return model with g[t-1], one lag
-    further back, which yields one pair fewer.  Any columns aligned as
-    those are select alike: the sweep's window table passes their
-    integer images and the images' squares.
+    further back, which yields one pair fewer.  Columns aligned as
+    those are selected alike: the sweep's window table passes their
+    integer images and the images' squares too.
     """
     lag = _LAGS[model]
     return (growth if lag else levels)[: len(growth) - lag], growth[lag:]
