@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import groupby, zip_longest
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import Dict, Optional, Tuple, Union
 
 from .regression import (_LAGS, MODEL_PRICE, OlsFit, _apart, _fit_moments, _images, _pairs,
@@ -300,23 +300,36 @@ def sweep_summary(
     A float filter proves both of most cells in floats, from bounds on
     the kernel's b_lower and a_lower; the kernel fits at once the cells
     it cannot decide.  The floor is the greatest b_lower known to be
-    reached: a proven lower bound, or a fitted cell's b_lower.  A cell
-    whose upper bound lies below the floor is beaten by some cell, so
-    only the cells whose upper bound reaches the floor are kept, in key
-    order, and the kernel fits those that are left at the end; the first
-    strict maximum among them is the best window.  A kept cell carries
-    only the kernel's arguments, its exact moments, so the end is the one
-    place where a kept cell is fitted: a cell the floats cannot decide is
-    fitted in the loop, and once more at the end if it is still kept.
+    reached: a proven lower bound, or a fitted cell's b_lower.  It never
+    falls, and it never exceeds the greatest b_lower.  A cell is kept
+    when its upper bound reaches the floor as it is decided, and dropped
+    when the floor rises above that bound, so at the end the kept cells
+    are every decided cell whose upper bound reaches the final floor.
+    The best window's b_lower reaches that floor, so it is among them
+    (the sign rule below settles only cells that some cell beats), with
+    every cell that ties it.  The kernel fits the kept cells at the end
+    in key order, and the first strict maximum among them is the best
+    window.  A kept cell carries only the kernel's arguments, its exact
+    moments, so the end is the one place where a kept cell is fitted: a
+    cell the floats cannot decide is fitted as it is decided, and once
+    more at the end if it is still kept.
 
-    The sign rule settles a cell before any float work once the floor is
-    > 0.  The regressor is not constant, so cxx = n*Sxx - Sx**2 > 0, and
-    the kernel's slope b = cxy / cxx is correctly rounded, so it has the
-    sign of the exact int cxy = n*Sxy - Sx*Sy (or is 0).  Its b_lower =
-    b - t * se_b subtracts a non-negative float, and rounding is
-    monotone, so b_lower <= b.  A cell with cxy <= 0 thus has b_lower <=
-    0 < floor: it is not significant, and some cell beats it.  It is
-    counted as valid and not kept.
+    The sign rule settles a cell with no float work.  The regressor is
+    not constant, so cxx = n*Sxx - Sx**2 > 0, and the kernel's slope b =
+    cxy / cxx is correctly rounded, so it has the sign of the exact int
+    cxy = n*Sxy - Sx*Sy (or is 0).  Its b_lower = b - t * se_b subtracts
+    a non-negative float, and rounding is monotone, so b_lower <= b.  A
+    cell with cxy <= 0 thus has b_lower <= 0: it is not significant, and
+    once the floor is > 0 some cell beats it.  The rule reads the floor
+    at the end of the scan, which the cells met later may yet raise.  So
+    the scan settles a cell with cxy <= 0 at once when the floor is
+    already > 0, and sets it aside, with its exact moments alone, while
+    it is not.  When the scan ends with a floor > 0, every cell set aside
+    is settled too; a settled cell is counted as valid and not kept.
+    Else the cells set aside are decided after the scan, in key order,
+    as the scan decides a cell.  None of them raises the floor above 0,
+    as each b_lower is <= 0, and each joins the kept cells after cells
+    with later keys, which is why the end fits them in key order.
 
     Error analysis of the filter (u = 2**-53; X = x * 2**p and so on are
     the scaled data, and every quantity below is at that scale, where the
@@ -381,76 +394,93 @@ def _filtered_summary(model, hi, runs, min_window, n_cells) -> dict:
     errors: Dict[str, int] = {}
     floor = -math.inf
     # (upper bound of b_lower, key, the kernel's arguments) of each cell
-    # that may be the best window, in key order
+    # that may be the best window
     kept = []
-    for s, rows, p, tqs, spread, degenerate, blocked in _starts(model, hi, runs, min_window):
-        for kind, ends in ((_DEGENERATE.error_kind, degenerate), (_BLOCKED.error_kind, blocked)):
-            if ends:
-                errors[kind] = errors.get(kind, 0) + len(ends)
-        n = sx = sy = sxx = sxy = syy = 0
-        for x, y, xx, xy, yy in rows:
-            n += 1
-            sx += x
-            sy += y
-            sxx += xx
-            sxy += xy
-            syy += yy
-            if n < spread:
-                continue
-            cxy = n * sxy - sx * sy
-            if cxy <= 0 < floor:  # the sign rule: b_lower <= 0 < floor
-                continue
-            cxx = n * sxx - sx * sx
-            cyy = n * syy - sy * sy
-            tq = tqs[n]
-            # significant: False or True where floats decide it, None where
-            # the kernel must; upper and lower bound the kernel's b_lower
-            # (lower only where it is proven above the floor)
-            try:
-                fxx = float(cxx)
-                fdet = float(cxx * cyy - cxy * cxy)
-                b = float(cxy) / fxx
-                se_b = math.sqrt(fdet / (n - 2)) / fxx
-                tse = tq * se_b
-                b_lower = b - tse
-                db = _FILTER_TOLERANCE * ((b if b > 0.0 else -b) + tse)
-                upper = b_lower + db
-                lower = b_lower - db
-                significant = False
-                if not (se_b >= _FILTER_TINY and db < math.inf):
+    # the cells with cxy <= 0 that the scan meets while the floor is <= 0,
+    # in key order, each whole: (s, n, sx, sy, sxx, sxy, syy, p, tq, cxy)
+    aside = []
+    starts = _starts(model, hi, runs, min_window)
+    for replay in (False, True):
+        for s, rows, p, tqs, spread, degenerate, blocked in starts:
+            for kind, ends in ((_DEGENERATE.error_kind, degenerate),
+                               (_BLOCKED.error_kind, blocked)):
+                if ends:
+                    errors[kind] = errors.get(kind, 0) + len(ends)
+            n = sx = sy = sxx = sxy = syy = 0
+            for row in rows:
+                if replay:  # the row is a cell that the scan set aside
+                    s, n, sx, sy, sxx, sxy, syy, p, tq, cxy = row
+                else:  # the row is the moment row of the start's next pair
+                    x, y, xx, xy, yy = row
+                    n += 1
+                    sx += x
+                    sy += y
+                    sxx += xx
+                    sxy += xy
+                    syy += yy
+                    if n < spread:
+                        continue
+                    cxy = n * sxy - sx * sy
+                    if cxy <= 0:  # b_lower <= 0: the sign rule settles it once floor > 0
+                        if floor <= 0:  # not yet: it waits for the end of the scan
+                            aside.append((s, n, sx, sy, sxx, sxy, syy, p, tqs[n], cxy))
+                        continue
+                    tq = tqs[n]
+                cxx = n * sxx - sx * sx
+                cyy = n * syy - sy * sy
+                # significant: False or True where floats decide it, None where
+                # the kernel must; upper and lower bound the kernel's b_lower
+                # (lower only where it is proven above the floor)
+                try:
+                    fxx = float(cxx)
+                    fdet = float(cxx * cyy - cxy * cxy)
+                    b = float(cxy) / fxx
+                    se_b = math.sqrt(fdet / (n - 2)) / fxx
+                    tse = tq * se_b
+                    b_lower = b - tse
+                    db = _FILTER_TOLERANCE * ((b if b > 0.0 else -b) + tse)
+                    upper = b_lower + db
+                    lower = b_lower - db
+                    significant = False
+                    if not (se_b >= _FILTER_TINY and db < math.inf):
+                        significant = None
+                    elif upper >= 0.0 or lower > floor:  # else not significant, and no news
+                        fsy = float(sy)
+                        bsx = b * float(sx)
+                        m = (fsy if fsy > 0.0 else -fsy) + (bsx if bsx > 0.0 else -bsx)
+                        if upper >= 0.0:
+                            se_a = se_b * math.sqrt(float(sxx) / n)
+                            a_lower = (fsy - bsx) / n - tq * se_a
+                            da = _FILTER_TOLERANCE * (m / n + tq * se_a)
+                            if a_lower + da >= 0.0:  # None: a lower bound straddles 0
+                                significant = (lower > 0.0 and a_lower - da > 0.0) or None
+                        if significant is not None and (significant or lower > floor) and not (
+                            fxx * (float(cyy) + m * m) <= _FILTER_GUARD * fdet
+                        ):  # rho may be too large to prove lower or significance
+                            if significant:
+                                significant = None
+                            lower = -math.inf
+                except OverflowError:  # an int beyond the float range
                     significant = None
-                elif upper >= 0.0 or lower > floor:  # else not significant, and no news
-                    fsy = float(sy)
-                    bsx = b * float(sx)
-                    m = (fsy if fsy > 0.0 else -fsy) + (bsx if bsx > 0.0 else -bsx)
-                    if upper >= 0.0:
-                        se_a = se_b * math.sqrt(float(sxx) / n)
-                        a_lower = (fsy - bsx) / n - tq * se_a
-                        da = _FILTER_TOLERANCE * (m / n + tq * se_a)
-                        if a_lower + da >= 0.0:  # None: a lower bound straddles 0
-                            significant = (lower > 0.0 and a_lower - da > 0.0) or None
-                    if significant is not None and (significant or lower > floor) and not (
-                        fxx * (float(cyy) + m * m) <= _FILTER_GUARD * fdet
-                    ):  # rho may be too large to prove lower or significance
-                        if significant:
-                            significant = None
-                        lower = -math.inf
-            except OverflowError:  # an int beyond the float range
-                significant = None
-            if significant is None:
-                numbers = _fit_moments(n, sx, sy, sxx, sxy, syy, p, tq)
-                lower = upper = numbers[5]  # b_lower
-                significant = numbers[4] > 0.0 and upper > 0.0  # a_lower
-            if significant:
-                n_sig += 1
-            if upper >= floor:
-                kept.append((upper, (s, s + lag + n),
-                             (n, sx, sy, sxx, sxy, syy, p, tq)))
-                if lower > floor:
-                    floor = lower
-                    kept = [k for k in kept if k[0] >= floor]
+                if significant is None:
+                    numbers = _fit_moments(n, sx, sy, sxx, sxy, syy, p, tq)
+                    lower = upper = numbers[5]  # b_lower
+                    significant = numbers[4] > 0.0 and upper > 0.0  # a_lower
+                if significant:
+                    n_sig += 1
+                if upper >= floor:
+                    kept.append((upper, (s, s + lag + n),
+                                 (n, sx, sy, sxx, sxy, syy, p, tq)))
+                    if lower > floor:
+                        floor = lower
+                        kept = [k for k in kept if k[0] >= floor]
+        # after the scan a floor > 0 settles every cell set aside (the sign
+        # rule); else the replay decides them, as the rows of one more start
+        # whose rows carry their own start, moments and quantile
+        starts = [(None, aside, None, None, None, (), ())] if floor <= 0 else ()
     best = best_key = None
-    for _, key, moments in kept:
+    # the replay keeps cells after cells with later keys, so restore key order
+    for _, key, moments in sorted(kept, key=itemgetter(1)):
         numbers = _fit_moments(*moments)
         if best is None or numbers[5] > best[5]:
             best, best_key = numbers, key

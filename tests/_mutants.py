@@ -89,8 +89,20 @@ MUTANTS = [
     Mutant("filter-keep-on-ties", "sweep.py",
            "if upper >= floor:", "if upper > floor:",
            SWEEP_PROPERTIES,
-           "equivalent", "a cell whose upper bound ties the floor never beats the earlier "
-                         "cell that set it, so keeping it or not picks the same window"),
+           "killed", "a cell set aside by the scan and decided after it may tie the floor "
+                     "that a cell with a later key set, and then it is the best window"),
+    Mutant("filter-settle-set-aside-cells-whatever-the-floor", "sweep.py",
+           "if floor <= 0 else ()", "if False else ()",
+           ("tests/test_sweep.py::TestSweepSummary::"
+            "test_a_best_window_with_cxy_at_most_0_is_decided_after_the_scan",),
+           "killed", "with the floor <= 0 when the scan ends, a cell with cxy <= 0 may be "
+                     "the best window"),
+    Mutant("filter-kept-out-of-key-order", "sweep.py",
+           "sorted(kept, key=itemgetter(1))", "kept",
+           ("tests/test_sweep.py::TestSweepSummary::"
+            "test_a_cell_set_aside_wins_a_tie_with_a_later_cell",),
+           "killed", "a cell set aside and kept after the scan comes before a kept cell of "
+                     "the scan with a later key that it ties"),
     Mutant("tally-first-of-ties", "sweep.py",
            "if best is None or b_lower > best[5]:", "if best is None or b_lower >= best[5]:",
            ("tests/test_sweep.py::TestSweepSummary::test_tied_best_windows_go_to_the_first",),

@@ -289,9 +289,11 @@ def spread_start_loop(xs, first: int) -> int:
 
 
 # sweep_summary's filter, restated: the relative distance its docstring
-# proves between each float estimate and the kernel's lower bound (2**-40
-# of the estimate's scale), the guard's factor and the least standard
-# error it estimates in floats
+# proves between each float estimate and the kernel's lower bound (2**-48
+# of the estimate's scale), the distance the filter allows (2**-40, 256
+# times that), the guard's factor and the least standard error it
+# estimates in floats
+FILTER_PROVEN = Fraction(1, 2**48)
 FILTER_TOLERANCE = Fraction(1, 2**40)
 FILTER_GUARD = 2.0**58
 FILTER_TINY = 2.0**-1000

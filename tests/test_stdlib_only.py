@@ -1,12 +1,15 @@
 """The package runs on the standard library alone: every absolute import
 in ``src/bubblelab`` names a standard-library module or the package
-itself."""
+itself.  And it runs on the oldest Python that ``pyproject.toml``
+requires: every module parses with that version's grammar."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bubblelab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bubblelab"
 
 
 def _absolute_imports(path):
@@ -29,3 +32,15 @@ def test_imports_only_the_standard_library():
         if name.split(".")[0] not in allowed
     ]
     assert not foreign
+
+
+def test_every_module_parses_as_the_oldest_supported_python():
+    # a newer interpreter accepts newer syntax, so only the grammar of the
+    # version that requires-python names can tell
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths, f"no modules under {PACKAGE}"
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(int(major), int(minor)))
