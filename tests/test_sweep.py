@@ -342,8 +342,8 @@ class TestSweepSummary:
             return 0, tqs, {"price": (rows, spreads)}
 
         runs = [(0, 5, table([0, big, big, 0])), (5, 5, None), (6, 11, table([0, big, big, 1]))]
-        cells = dict(((s, e), cell) for s, row in sweep_module._cells("price", 10, runs, 5)
-                     for e, cell in row)
+        cells = {(s, e): cell for s, row in sweep_module._cells("price", 10, runs, 5)
+                 for e, cell in row}
         assert cells[0, 4][5] == cells[6, 10][5]  # b_lower
         assert cells[0, 4][1] == 0.0 < cells[6, 10][1]  # b
         want = sweep_module._tally("price", 5, sweep_module._cells("price", 10, runs, 5))
