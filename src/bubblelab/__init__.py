@@ -44,9 +44,7 @@ from .series import (
     Window,
     discrete_returns,
     excess_series,
-    fundamental_price,
     load_csv,
-    log_excess_returns,
     write_csv,
 )
 from .studentt import t_cdf, t_quantile
@@ -83,9 +81,7 @@ _LAZY = {
         "SimResult",
         "agent_forecast",
         "clearing_price",
-        "inject_mistrade",
         "run",
-        "score_forecast",
     ), "market"),
 }
 

@@ -257,52 +257,6 @@ def clearing_price(forecasts: Sequence[float], params: ExperimentParams) -> floa
     return params.clamp(raw)
 
 
-def score_forecast(realized: float, forecast: float) -> float:
-    """Points earned for a forecast once the target price is realized.
-
-    A price or forecast that is no int or float, an int past the float
-    range or a NaN raises InvalidConfig, and so do two infinities of one
-    sign, whose error is undefined, and two ints whose error lies past
-    the float range; any other infinite error scores 0.
-    """
-    _check_number("realized price", realized)
-    _check_number("forecast", forecast)
-    try:
-        err = realized - forecast
-        score = MAX_PAYOFF - PAYOFF_SCALE * err * err
-    except OverflowError:  # an int error that no float holds
-        raise InvalidConfig("forecast error is an int past the float range") from None
-    if err != err:
-        raise InvalidConfig(f"forecast error of {forecast} for {realized} is undefined")
-    return max(score, 0.0)
-
-
-def inject_mistrade(
-    forecast: float,
-    rng: random.Random,
-    prob: float,
-    params: ExperimentParams,
-) -> float:
-    """With probability ``prob`` shift the decimal point one place
-    (x10 or x0.1, equiprobable), then clip to the admissible band.
-
-    A forecast or ``prob`` that is no int or float, a NaN, a ``prob``
-    outside [0, 1] or an int forecast past the float range raises
-    InvalidConfig, before the random source is read; an infinite
-    forecast is kept or clipped to the band edge it points to.
-    """
-    _check_finite("mis-trade probability", prob, least=0, most=1)
-    _check_number("forecast", forecast)
-    if forecast != forecast:
-        raise InvalidConfig("forecast must not be NaN")
-    if prob == 0.0:
-        return forecast
-    if rng.random() >= prob:
-        return forecast
-    factor = 10.0 if rng.random() < 0.5 else 0.1
-    return params.clamp(forecast * factor)
-
-
 def _exp(x: float) -> float:
     """``math.exp``, with +inf past the float range instead of OverflowError."""
     try:
@@ -444,9 +398,13 @@ def run(config: SimConfig) -> SimResult:
     from one ``_normals`` source over the generator's uniforms, which
     yields ``gauss``'s values in ``gauss``'s order without a method call
     per draw.  Per trader the loops call only the rule and the random
-    draws: the band clip of ``ExperimentParams.clamp``, the mis-trade of
-    ``inject_mistrade`` and the payoff of ``score_forecast`` are written
-    out inline, and give the same floats as those helpers.
+    draws: the band clip, which gives ``ExperimentParams.clamp``'s float,
+    is written out inline.  So are the two rules whose one home is here.
+    A mis-trade, with probability ``mistrade_prob``, shifts the decimal
+    point one place (x10 or x0.1, equiprobable) and clips to the band.
+    The payoff of a forecast is the quadratic score
+    ``max(MAX_PAYOFF - PAYOFF_SCALE * err**2, 0.0)`` of its error once
+    the target price is realized.
     """
     params = config.params
     p_min, p_max = params.p_min, params.p_max
@@ -518,8 +476,8 @@ def run(config: SimConfig) -> SimResult:
         prev, last = last, p
 
     columns = tuple(zip(*rows))
-    # score_forecast of each realized price, as max(s, 0.0) picks it; the
-    # last forecast's target price is never realized in-run
+    # the quadratic score of each realized price, as max(s, 0.0) picks it;
+    # the last forecast's target price is never realized in-run
     realized = prices[1:]
     scored = [
         (*[0.0 if (s := MAX_PAYOFF - PAYOFF_SCALE * (e := p - f) * e) < 0.0 else s

@@ -173,11 +173,6 @@ class ExperimentParams:
         return price
 
 
-def fundamental_price(params: ExperimentParams) -> float:
-    """Equilibrium price dividend/r (60 under default parameters)."""
-    return params.fundamental
-
-
 @dataclass(frozen=True)
 class Series:
     """Finite values on a contiguous integer time index starting at t0.
@@ -292,14 +287,6 @@ def log_growth(values: Sequence[float], t0: int) -> list:
         math.log(q) if 0.0 < (q := v / prev) < math.inf else math.log(v) - math.log(prev)
         for prev, v in zip(values, values[1:])
     ]
-
-
-def log_excess_returns(excess: ExcessSeries) -> Series:
-    """Natural-log growth rates log(excess[t]/excess[t-1]) from t0 + 1,
-    finite for every positive series; see log_growth."""
-    if len(excess) < 2:
-        raise InvalidConfig("need at least two observations for returns")
-    return Series(excess.t0 + 1, log_growth(excess.values, excess.t0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ period loop (``sim_to_json_reference``, ``write_csv_reference`` and
 ``run_reference``), and its original forecast rules, one ``kind`` test
 after another over the whole history (``agent_forecast_reference``):
 they define the floats and bytes that ``run``, ``agent_forecast``,
-``SimResult.to_json`` and ``write_csv`` must reproduce.  So are
+``SimResult.to_json`` and ``write_csv`` must reproduce.  The mis-trade
+and the quadratic payoff live in the package only inside ``run``, so
+``run_reference`` restates their formulas trader by trader.  So are
 ``sweep_summary``'s float estimates (``filter_estimates``), restated so
 that an exact comparison with the kernel audits their error bound.
 """
@@ -42,15 +44,15 @@ from typing import List, Optional
 from bubblelab import InsufficientHistory, InvalidConfig, PriceSeries, SimResult, t_cdf
 from bubblelab.market import (
     FUNDAMENTALIST,
+    MAX_PAYOFF,
     NAIVE,
     NOISE,
+    PAYOFF_SCALE,
     PRICE_ANCHOR,
     RATIONAL_BUBBLE,
     RETURN_ANCHOR,
     RNG_ALGORITHM,
     clearing_price,
-    inject_mistrade,
-    score_forecast,
 )
 
 
@@ -345,6 +347,21 @@ def filter_estimates(n, sx, sy, sxx, sxy, syy, p, tq):
                                      a_lower + float(FILTER_TOLERANCE) * a_scale, guard)
 
 
+def filter_rho(n, sx, sy, sxx, sxy, syy):
+    """The exact relative excess rho = u**2 * cxx * (m**2 + cyy) / det
+    (u = 2**-53) of one cell whose det is positive, from the exact
+    moments of its scaled pairs, with m = |sy| + |b * sx| in floats as
+    the filter forms it: the share by which the kernel's rounded (a, b)
+    may raise the residual sum of squares, the one term of
+    ``sweep_summary``'s error analysis that its guard, not rounding,
+    holds to 2**-48."""
+    cxx = n * sxx - sx * sx
+    cxy = n * sxy - sx * sy
+    cyy = n * syy - sy * sy
+    m = Fraction(abs(float(sy)) + abs(float(cxy) / float(cxx) * float(sx)))
+    return cxx * (m * m + cyy) / (2**106 * (cxx * cyy - cxy * cxy))
+
+
 def t_quantile_reference(p: float, df: int) -> float:
     """The t quantile by plain bisection of the package's ``t_cdf``: the
     definition ``t_quantile`` reproduces bit for bit."""
@@ -522,7 +539,9 @@ def run_reference(config):
             f = agent_forecast_reference(spec, past, params, rng)
             if config.return_noise_sigma > 0 and f > 0:
                 f = params.clamp(f * math.exp(rng.gauss(0.0, config.return_noise_sigma)))
-            f = inject_mistrade(f, rng, config.mistrade_prob, params)
+            # a mis-trade shifts the decimal point one place, either way
+            if config.mistrade_prob > 0.0 and rng.random() < config.mistrade_prob:
+                f = params.clamp(f * (10.0 if rng.random() < 0.5 else 0.1))
             forecasts[h].append(f)
             period_forecasts.append(f)
         p = clearing_price(period_forecasts, params)
@@ -538,7 +557,8 @@ def run_reference(config):
         row: List[Optional[float]] = []
         for i in range(config.horizon):
             if i + 1 < config.horizon:
-                row.append(score_forecast(prices[i + 1], forecasts[h][i]))
+                err = prices[i + 1] - forecasts[h][i]
+                row.append(max(MAX_PAYOFF - PAYOFF_SCALE * err * err, 0.0))
             else:
                 row.append(None)  # target price never realized in-run
         payoffs.append(row)

@@ -23,7 +23,6 @@ from bubblelab import (
     fit_price_model,
     fit_rational_bubble,
     fit_return_model,
-    fundamental_price,
     iterate,
     iterate_noisy,
     ols2,
@@ -79,7 +78,7 @@ def test_criterion_1_table_reproduction(tmp_path):
 def test_criterion_2_clearing_anchors():
     exact_sixty = clearing_price([60.0] * 6, PARAMS) == 60.0
     deflated = abs(clearing_price([1000.0] * 6, PARAMS) - 955.238095) <= 1e-6
-    fundamental = fundamental_price(ExperimentParams(r=0.05, dividend=3.00)) == 60.0
+    fundamental = ExperimentParams(r=0.05, dividend=3.00).fundamental == 60.0
     _report(2, "clearing equation anchors (60 exact, 955.238095, fundamental 60)",
             exact_sixty and deflated and fundamental)
 

@@ -15,7 +15,6 @@ same examples and leaves no files behind.
 
 import math
 import os
-import random
 import sys
 import tempfile
 import tracemalloc
@@ -30,6 +29,7 @@ from hypothesis import strategies as st
 
 import bubblelab
 from bubblelab.errors import _text
+from bubblelab.series import log_growth
 from bubblelab.sweep import sweep_summary, write_grid
 from bubblelab import (
     AgentSpec,
@@ -65,17 +65,13 @@ from bubblelab import (
     fit_price_model,
     fit_rational_bubble,
     fit_return_model,
-    fundamental_price,
     grid_summary,
     grid_to_csv,
-    inject_mistrade,
     iterate,
     iterate_noisy,
     load_csv,
-    log_excess_returns,
     ols2,
     run,
-    score_forecast,
     sweep,
     t_cdf,
     t_quantile,
@@ -255,13 +251,6 @@ CONTRACTS = [
              lambda t0: discrete_returns(Series(t0, (1.0, -1.0))), NonPositiveExcess),
     Contract(discrete_returns, "return past the float range at an unprintable t", UNPRINTABLE,
              lambda t0: discrete_returns(Series(t0, (1e-320, 1e300))), ReturnOverflow),
-    Contract(log_excess_returns, "non-positive value", st.tuples(st.integers(0, 4), NON_POSITIVE),
-             lambda iv: log_excess_returns(Series(0, _replace((1.0,) * 5, *iv))),
-             NonPositiveExcess),
-    Contract(log_excess_returns, "one value", st.floats(1.0, 1e3),
-             lambda v: log_excess_returns(Series(0, (v,))), InvalidConfig),
-    Contract(log_excess_returns, "non-positive value at an unprintable t", UNPRINTABLE,
-             lambda t0: log_excess_returns(Series(t0, (1.0, -1.0))), NonPositiveExcess),
     Contract(excess_series, "excess past the float range", st.floats(-MAX, -0.8e308),
              lambda p: excess_series(
                  Series(0, (p,)),
@@ -427,37 +416,6 @@ CONTRACTS = [
     Contract(clearing_price, "forecast count other than n_traders",
              st.integers(0, 12).filter(lambda n: n != PARAMS.n_traders),
              lambda n: clearing_price((60.0,) * n, PARAMS), InvalidConfig),
-    Contract(score_forecast, "price or forecast NaN",
-             st.tuples(st.integers(0, 1), st.sampled_from([60.0, math.inf, math.nan])),
-             lambda iv: score_forecast(*_replace((iv[1], iv[1]), iv[0], math.nan)),
-             InvalidConfig),
-    Contract(score_forecast, "price and forecast at one infinity",
-             st.sampled_from([math.inf, -math.inf]),
-             lambda v: score_forecast(v, v), InvalidConfig),
-    Contract(score_forecast, "price or forecast not a number",
-             st.tuples(st.integers(0, 1), HOSTILE_NUMBER),
-             lambda iv: score_forecast(*_replace((60.0, 60.0), *iv)), InvalidConfig),
-    Contract(score_forecast, "price or forecast an int past the float range",
-             st.tuples(st.integers(0, 1), PAST_FLOAT_RANGE, st.sampled_from([60, 60.0])),
-             lambda ivo: score_forecast(*_replace((ivo[2], ivo[2]), ivo[0], ivo[1])),
-             InvalidConfig),
-    Contract(score_forecast, "two ints whose error is past the float range",
-             st.sampled_from([(int(MAX), -int(MAX)), (-int(MAX), int(MAX))]),
-             lambda pf: score_forecast(*pf), InvalidConfig),
-    Contract(inject_mistrade, "forecast NaN", st.sampled_from([0.0, 0.5, 1.0]),
-             lambda prob: inject_mistrade(math.nan, random.Random(0), prob, PARAMS),
-             InvalidConfig),
-    Contract(inject_mistrade, "probability NaN or outside [0, 1]", HOSTILE_PROBABILITY,
-             lambda prob: inject_mistrade(60.0, random.Random(0), prob, PARAMS),
-             InvalidConfig),
-    Contract(inject_mistrade, "forecast an int past the float range",
-             st.tuples(PAST_FLOAT_RANGE, st.sampled_from([0.0, 0.5, 1.0])),
-             lambda fp: inject_mistrade(fp[0], random.Random(1), fp[1], PARAMS), InvalidConfig),
-    Contract(inject_mistrade, "forecast not a number", HOSTILE_NUMBER,
-             lambda f: inject_mistrade(f, random.Random(0), 0.5, PARAMS), InvalidConfig),
-    Contract(inject_mistrade, "probability not a number", HOSTILE_NUMBER,
-             lambda prob: inject_mistrade(60.0, random.Random(0), prob, PARAMS),
-             InvalidConfig),
     # regression.py
     Contract(ols2, "data NaN or infinite",
              st.tuples(st.integers(0, 7), NON_FINITE),
@@ -582,10 +540,15 @@ CONTRACTS = [
              lambda f: classify_series(BUBBLE, PARAMS, one_sided=f), InvalidConfig),
 ]
 
-# The same contract for callables of bubblelab.sweep that the package does
-# not export: the summary of a sweep without its grid, and the grid written
-# as it is swept, which must refuse before it opens its file.
+# The same contract for callables that the package does not export: the
+# log growth that the fits and sweeps read, the summary of a sweep without
+# its grid, and the grid written as it is swept, which must refuse before
+# it opens its file.
 MODULE_CONTRACTS = [
+    Contract(log_growth, "non-positive value", st.tuples(st.integers(0, 4), NON_POSITIVE),
+             lambda iv: log_growth(_replace((1.0,) * 5, *iv), 0), NonPositiveExcess),
+    Contract(log_growth, "non-positive value at an unprintable t", UNPRINTABLE,
+             lambda t0: log_growth((1.0, -1.0), t0), NonPositiveExcess),
     Contract(sweep_summary, "one_sided not True or False", HOSTILE_FLAG,
              lambda f: sweep_summary(EXCESS, "price", one_sided=f), InvalidConfig),
     Contract(write_grid, "one_sided not True or False", HOSTILE_FLAG,
@@ -598,7 +561,7 @@ EVERY_CONTRACT = CONTRACTS + MODULE_CONTRACTS
 # input of their own.
 TAKE_CHECKED_OBJECTS = {
     BubbleVerdict, SimResult, OlsFit, RationalBubbleFit, SweepGrid, InvalidCell,
-    run, fundamental_price, table2_csv, grid_summary, grid_to_csv,
+    run, table2_csv, grid_summary, grid_to_csv,
 }
 
 
@@ -633,7 +596,6 @@ def test_bad_input_raises_its_typed_error(row, data):
 
 PROBABILITY_ROWS = [row for row in CONTRACTS if row.id in (
     "SimConfig-mis-trade probability NaN or outside [0, 1]",
-    "inject_mistrade-probability NaN or outside [0, 1]",
     "t_quantile-probability NaN, infinite or outside (0, 1)",
     "classify_series-theta NaN, infinite or outside (0, 1]",
 )]
@@ -642,7 +604,7 @@ PROBABILITY_ROWS = [row for row in CONTRACTS if row.id in (
 @pytest.mark.parametrize("value", PROBABILITY_EDGES)
 @pytest.mark.parametrize("row", PROBABILITY_ROWS, ids=[row.id for row in PROBABILITY_ROWS])
 def test_a_probability_at_each_edge_is_refused(row, value):
-    assert len(PROBABILITY_ROWS) == 4
+    assert len(PROBABILITY_ROWS) == 3
     with pytest.raises(row.error):
         row.call(value)
 
@@ -780,12 +742,10 @@ STR_REFUSES_HUGE = _str_refuses(HUGE)
     pytest.param(lambda: t_cdf([HUGE], 3), InvalidConfig, "a list", id="t_cdf x"),
     pytest.param(lambda: ExperimentParams(r=[HUGE]), InvalidConfig, "a list",
                  id="ExperimentParams r"),
-    pytest.param(lambda: score_forecast([HUGE], 1.0), InvalidConfig, "a list",
-                 id="score_forecast price"),
     pytest.param(lambda: SimConfig(PARAMS, HUGE, 5), InvalidConfig, "a 16610-bit int",
                  id="SimConfig agents"),
-    pytest.param(lambda: log_excess_returns(Series(HUGE, (1.0, -1.0))), NonPositiveExcess,
-                 "t=a 16610-bit int", id="log_excess_returns t"),
+    pytest.param(lambda: log_growth((1.0, -1.0), HUGE), NonPositiveExcess,
+                 "t=a 16610-bit int", id="log_growth t"),
     pytest.param(lambda: discrete_returns(Series(HUGE, (1e-320, 1e300))), ReturnOverflow,
                  "t=a 16610-bit int", id="discrete_returns overflow t"),
     pytest.param(lambda: discrete_returns(Series(-HUGE, (1.0, -1.0))), NonPositiveExcess,

@@ -8,10 +8,10 @@ from bubblelab import (
     InvalidConfig,
     iterate,
     iterate_noisy,
-    log_excess_returns,
     table2,
     table2_csv,
 )
+from bubblelab.series import log_growth
 
 from _expected import TABLE2_EXPECTED
 
@@ -82,17 +82,18 @@ class TestReductions:
 class TestShapeProperties:
     def test_price_feedback_log_returns_strictly_increase(self):
         series = iterate(GrowthModel.price_feedback(math.log(1.09), 1e-4, 60.0), 23)
-        g = log_excess_returns(series).values
+        g = log_growth(series.values, series.t0)
         assert all(g[i + 1] > g[i] for i in range(len(g) - 1))
 
     def test_exponential_log_returns_constant(self):
         series = iterate(GrowthModel.exponential(math.log(1.1), 60.0), 23)
-        g = log_excess_returns(series).values
+        g = log_growth(series.values, series.t0)
         assert max(g) - min(g) < 1e-14
 
     def test_return_feedback_converges_to_fixed_point(self):
         model = GrowthModel.return_feedback(0.02, 0.6, initial_log_return=0.002, start=60.0)
-        g = log_excess_returns(iterate(model, 40)).values
+        series = iterate(model, 40)
+        g = log_growth(series.values, series.t0)
         target = 0.02 / (1.0 - 0.6)
         gaps = [abs(v - target) for v in g]
         assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))

@@ -73,7 +73,7 @@ def test_every_public_name_is_its_submodules_object_and_star_imported():
 import importlib, sys
 import bubblelab
 names = set(bubblelab.__all__)
-assert len(bubblelab.__all__) == len(names) == 60
+assert len(bubblelab.__all__) == len(names) == 56
 star = {}
 exec("from bubblelab import *", star)
 assert set(star) - {"__builtins__"} == names, sorted(set(star) ^ names)

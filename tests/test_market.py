@@ -17,11 +17,9 @@ from bubblelab import (
     SimResult,
     agent_forecast,
     clearing_price,
-    inject_mistrade,
     iterate,
     load_csv,
     run,
-    score_forecast,
 )
 from bubblelab import market
 from bubblelab.cli import _build_agents
@@ -59,23 +57,34 @@ class TestClearingPrice:
         assert params.p_min <= p <= params.p_max
 
 
-class TestScoreForecast:
-    def test_perfect(self):
-        assert score_forecast(60.0, 60.0) == 1300.0
+def _constant(forecast):
+    """A rule whose forecast is ``forecast`` every period."""
+    return AgentSpec.rational_bubble(rate=0.0, scale=0.0, anchor=forecast)
 
-    def test_zero_at_seven_units(self):
-        assert score_forecast(67.0, 60.0) == 0.0
-        assert score_forecast(53.0, 60.0) == 0.0
-        assert score_forecast(70.0, 80.0) == 0.0  # beyond seven stays zero
 
-    def test_quarter_of_squared_error(self):
-        assert score_forecast(63.5, 60.0) == pytest.approx(975.0, abs=1e-9)
+class TestPayoff:
+    # eight constant forecasts with mean 60 clear at 60 every period, so
+    # each trader's error is its forecast's distance from 60
+    FORECASTS = (60.0, 63.5, 56.5, 67.0, 53.0, 70.0, 50.0, 60.0)
+    PAYS = (1300.0, 975.0, 975.0, 0.0, 0.0, 0.0, 0.0, 1300.0)
 
-    def test_bounds(self):
-        rng = random.Random(2)
-        for _ in range(200):
-            s = score_forecast(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            assert 0.0 <= s <= market.MAX_PAYOFF
+    def test_quadratic_scoring_table(self):
+        params = ExperimentParams(n_traders=len(self.FORECASTS))
+        config = SimConfig(params=params, agents=tuple(map(_constant, self.FORECASTS)),
+                           horizon=5)
+        result = run(config)
+        assert result.prices.values == (60.0,) * 5
+        for row, pay in zip(result.payoffs, self.PAYS):
+            # full marks at no error, 975 at 3.5, zero from seven units on
+            assert row[:-1] == pytest.approx((pay,) * 4, abs=1e-9)
+            assert row[-1] is None
+
+    def test_never_negative(self):
+        # errors of hundreds of units still score 0.0, never below
+        result = run(_config([AgentSpec.noise(300.0)] * 6, horizon=50, seed=2))
+        pays = [pay for row in result.payoffs for pay in row[:-1]]
+        assert all(0.0 <= pay <= market.MAX_PAYOFF for pay in pays)
+        assert 0.0 in pays
 
 
 class TestAgentForecast:
@@ -216,22 +225,24 @@ class TestAgentForecast:
         assert agent_forecast(spec, PriceSeries(t0, (65.0,)), PARAMS) == PARAMS.p_max
 
 
-class TestInjectMistrade:
-    def test_disabled(self):
-        rng = random.Random(0)
-        for v in (0.0, 12.3, 950.0):
-            assert inject_mistrade(v, rng, 0.0, PARAMS) == v
+class TestMistrade:
+    def test_shifts_the_decimal_point_either_way(self):
+        # every forecast of 60 becomes 600 or 6, and neither clears near
+        # the price, so every realized payoff is 0.0
+        result = run(_config([AgentSpec.fundamentalist()] * 6, seed=3, mistrade_prob=1.0))
+        shifted = {f for row in result.forecasts for f in row}
+        assert shifted == {6.0, 600.0}
+        for row in result.payoffs:
+            assert row[:-1] == (0.0,) * 49
+            assert row[-1] is None
 
-    def test_shift_directions_and_clamping(self):
-        rng = random.Random(0)
-        small = {inject_mistrade(95.0, rng, 1.0, PARAMS) for _ in range(200)}
-        assert small == {950.0, 9.5}
-        capped = {inject_mistrade(200.0, rng, 1.0, PARAMS) for _ in range(200)}
-        assert capped == {1000.0, 20.0}  # x10 hits the cap
+    def test_clips_a_shifted_forecast_to_the_band(self):
+        result = run(_config([_constant(200.0)] * 6, seed=3, mistrade_prob=1.0))
+        assert {f for row in result.forecasts for f in row} == {1000.0, 20.0}
 
-    def test_bad_probability(self):
-        with pytest.raises(InvalidConfig):
-            inject_mistrade(60.0, random.Random(0), 1.5, PARAMS)
+    def test_disabled_leaves_forecasts_alone(self):
+        result = run(_config([_constant(95.0)] * 6, seed=3))
+        assert {f for row in result.forecasts for f in row} == {95.0}
 
 
 def _config(agents, horizon=50, **kwargs):
@@ -365,10 +376,8 @@ class TestRun:
             assert row[-1] is None  # final target price never realized
             for i, pay in enumerate(row[:-1]):
                 assert 0.0 <= pay <= 1300.0
-                expected = score_forecast(
-                    result.prices.values[i + 1], result.forecasts[h][i]
-                )
-                assert pay == expected
+                err = result.prices.values[i + 1] - result.forecasts[h][i]
+                assert pay == max(market.MAX_PAYOFF - market.PAYOFF_SCALE * err * err, 0.0)
 
     def test_prices_stay_in_clearing_range(self):
         agents = [AgentSpec.price_anchor(0.5, 0.01)] * 6  # explosive: hits the cap

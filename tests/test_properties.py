@@ -61,7 +61,6 @@ from bubblelab import (
     iterate,
     iterate_noisy,
     load_csv,
-    log_excess_returns,
     ols2,
     run,
     sweep,
@@ -72,6 +71,7 @@ from bubblelab import (
 )
 from bubblelab.cli import main as cli_main
 from bubblelab.regression import _fit_moments, _sqrt_ratio
+from bubblelab.series import log_growth
 from bubblelab.sweep import (_FILTER_GUARD, _FILTER_TINY, _FILTER_TOLERANCE, _layout,
                              _spread_starts, _starts, sweep_summary, write_grid)
 
@@ -84,6 +84,7 @@ from _oracles import (
     bubble_window_loop,
     exact_fit_stats,
     filter_estimates,
+    filter_rho,
     sqrt_of_rounded,
     exact_ols,
     positive_runs_grouped,
@@ -657,13 +658,14 @@ def test_each_cell_is_significant_where_its_sub_span_tallies_say(
         assert got == want, (s, e)
 
 
-def filter_error_ratios(values, model, one_sided):
+def filter_errors(values, model, one_sided):
     """Yield, for every fitted cell of ``values`` (t0 = 0) whose float
-    estimates pass the guard, each estimate's distance from the kernel's
-    lower bound as a share of its scale, which ``sweep_summary``'s
-    docstring proves to be at most 2**-48; assert on the way that the
-    kernel's lower bounds never exceed the filter's upper bounds, which
-    hold without the guard.  All in exact arithmetic."""
+    estimates pass the guard, the larger distance of its two estimates
+    from the kernel's lower bounds, each as a share of its scale, and
+    the cell's ``filter_rho``: ``sweep_summary``'s docstring proves both
+    to be at most 2**-48.  Assert on the way that the kernel's lower
+    bounds never exceed the filter's upper bounds, which hold without
+    the guard.  All in exact arithmetic."""
     _, hi, runs = _layout(ExcessSeries(0, values), (model,), None, 5, one_sided)
     for s, rows, p, tqs, spread, _, _ in _starts(model, hi, runs, 5):
         n = sx = sy = sxx = sxy = syy = 0
@@ -683,8 +685,23 @@ def filter_error_ratios(values, model, one_sided):
             kernel_a = Fraction(kernel[4]) * 2**p  # at the estimate's scale
             assert kernel_a <= Fraction(a_upper), (s, n)
             if guard:
-                yield abs(Fraction(b_lower) - kernel_b) / Fraction(b_scale)
-                yield abs(Fraction(a_lower) - kernel_a) / Fraction(a_scale)
+                yield (max(abs(Fraction(b_lower) - kernel_b) / Fraction(b_scale),
+                           abs(Fraction(a_lower) - kernel_a) / Fraction(a_scale)),
+                       filter_rho(n, sx, sy, sxx, sxy, syy))
+
+
+def worst_filter_errors(values, model, one_sided):
+    """The largest error and the largest rho that ``filter_errors``
+    yields, each as a share of the proven 2**-48 (0 where no cell is
+    guarded), after asserting that neither exceeds it and that no error
+    exceeds the filter's tolerance, 256 times that."""
+    worst = worst_rho = 0
+    for error, rho in filter_errors(tuple(values), model, one_sided):
+        worst, worst_rho = max(worst, error), max(worst_rho, rho)
+    worst, worst_rho = worst / FILTER_PROVEN, worst_rho / FILTER_PROVEN
+    assert worst <= 1 and worst_rho <= 1, (worst, worst_rho)
+    assert worst * FILTER_PROVEN <= FILTER_TOLERANCE
+    return worst, worst_rho
 
 
 def test_the_filter_oracle_holds_the_production_constants():
@@ -693,21 +710,6 @@ def test_the_filter_oracle_holds_the_production_constants():
     assert FILTER_TOLERANCE == _FILTER_TOLERANCE
     assert FILTER_GUARD == _FILTER_GUARD
     assert FILTER_TINY == _FILTER_TINY
-
-
-@settings(PROPERTY, max_examples=300)
-@given(tally_series(), st.sampled_from(["price", "return"]), st.booleans())
-def test_filter_estimates_lie_within_their_bound_of_the_kernel(values, model, one_sided):
-    # the tally properties check only the filter's decisions, which a bound
-    # that is wrong but rarely reached would pass; this checks the bound the
-    # docstring proves, and the tolerance, 256 times it, that the filter
-    # allows.  Hypothesis steers the draws toward the largest error
-    worst = max(filter_error_ratios(tuple(values), model, one_sided), default=0) / FILTER_PROVEN
-    if worst:
-        hypothesis.target(math.log2(worst.numerator) - math.log2(worst.denominator),
-                          label="log2 of the worst error, as a share of the proven bound")
-    assert worst <= 1
-    assert worst * FILTER_PROVEN <= FILTER_TOLERANCE
 
 
 # the growth models of the boundary series: criterion 6's price scenario,
@@ -832,6 +834,39 @@ def test_filtered_tally_at_cells_split_by_0_equals_the_grid_summary(args):
         assert guard and b_lower - float(FILTER_TOLERANCE) * b_scale > 0.0
     excess = ExcessSeries(0, tuple(values))
     assert repr(sweep_summary(excess, model)) == repr(grid_summary(sweep(excess, model)))
+    worst_filter_errors(values, model, False)
+
+
+@pytest.mark.parametrize("model", ["price", "return"])
+def test_rho_stays_within_its_bound_up_to_the_guard(model):
+    # exponential growth with relative noise of 2**-k: near-perfect fits
+    # whose rho, about 2**(2k - 106), reaches the guard's 2**-48 near k = 29,
+    # where the random draws above stay far below it
+    worst_rho = 0
+    for k in range(26, 34):
+        for seed in range(4):
+            rng = random.Random(seed)
+            values = [60.0 * 1.1**t * (1.0 + rng.uniform(-1.0, 1.0) * 2.0**-k)
+                      for t in range(14)]
+            worst_rho = max(worst_rho, worst_filter_errors(values, model, False)[1])
+    assert worst_rho > Fraction(1, 2)  # the guard, not the draws, held rho
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(st.tuples(st.sampled_from(["price", "return"]), tally_series()),
+                 st.sampled_from(SPLIT_CELLS).map(lambda args: (args[0], boundary_values(*args))),
+                 boundary_series()),
+       st.booleans())
+def test_filter_estimates_lie_within_their_bound_of_the_kernel(series, one_sided):
+    # the tally properties check only the filter's decisions, which a bound
+    # that is wrong but rarely reached would pass; this checks the bound the
+    # docstring proves, and the tolerance, 256 times it, that the filter
+    # allows.  Hypothesis steers the draws toward the largest error
+    model, values = series
+    worst, _ = worst_filter_errors(values, model, one_sided)
+    if worst:
+        hypothesis.target(math.log2(worst.numerator) - math.log2(worst.denominator),
+                          label="log2 of the worst error, as a share of the proven bound")
 
 
 @settings(PROPERTY, max_examples=300)
@@ -1074,17 +1109,21 @@ def test_t_quantile_inverts_t_cdf(p, df):
         max_size=12,
     ),
     st.integers(min_value=-5, max_value=5),
-    st.sampled_from([discrete_returns, log_excess_returns]),
+    st.sampled_from([discrete_returns, log_growth]),
 )
 def test_returns_are_a_finite_series(values, t0, returns):
     # ratios of positive floats may underflow to 0 or overflow to inf
-    try:
-        rets = returns(Series(t0, tuple(values)))
-    except BubbleLabError:
-        return
-    assert isinstance(rets, Series)
-    assert rets.t0 == t0 + 1 and len(rets) == len(values) - 1
-    assert all(math.isfinite(v) for v in rets.values)
+    if returns is log_growth:
+        rets = log_growth(values, t0)
+    else:
+        try:
+            series = returns(Series(t0, tuple(values)))
+        except BubbleLabError:
+            return
+        assert isinstance(series, Series) and series.t0 == t0 + 1
+        rets = series.values
+    assert len(rets) == len(values) - 1
+    assert all(math.isfinite(v) for v in rets)
 
 
 def _signed(lo, hi):

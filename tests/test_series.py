@@ -17,11 +17,10 @@ from bubblelab import (
     Window,
     discrete_returns,
     excess_series,
-    fundamental_price,
     load_csv,
-    log_excess_returns,
     write_csv,
 )
+from bubblelab.series import log_growth
 
 
 class TestExperimentParams:
@@ -61,13 +60,13 @@ class TestExperimentParams:
 
 class TestFundamentalPrice:
     def test_default_is_sixty_exactly(self):
-        assert fundamental_price(ExperimentParams()) == 60.0
+        assert ExperimentParams().fundamental == 60.0
 
     def test_zero_dividend(self):
-        assert fundamental_price(ExperimentParams(dividend=0.0)) == 0.0
+        assert ExperimentParams(dividend=0.0).fundamental == 0.0
 
     def test_linear_in_dividend(self):
-        assert fundamental_price(ExperimentParams(dividend=5.0)) == 100.0
+        assert ExperimentParams(dividend=5.0).fundamental == 100.0
 
 
 class TestExcessSeries:
@@ -141,28 +140,26 @@ class TestDiscreteReturns:
         assert not isinstance(info.value, InvalidConfig)
 
 
-class TestLogExcessReturns:
+class TestLogGrowth:
     def test_no_growth(self):
-        rets = log_excess_returns(ExcessSeries(0, (60.0, 60.0)))
-        assert rets.values == (0.0,)
-        assert isinstance(rets, Series)
+        assert log_growth((60.0, 60.0), 0) == [0.0]
 
     def test_ln_one_point_one(self):
-        rets = log_excess_returns(ExcessSeries(0, (60.0, 66.0)))
-        assert rets.values[0] == pytest.approx(0.0953101798043249, abs=1e-12)
+        rets = log_growth((60.0, 66.0), 0)
+        assert rets[0] == pytest.approx(0.0953101798043249, abs=1e-12)
 
     def test_non_positive_reports_index(self):
         with pytest.raises(NonPositiveExcess) as exc:
-            log_excess_returns(ExcessSeries(0, (60.0, -5.0)))
+            log_growth((60.0, -5.0), 0)
         assert exc.value.index == 1
 
     def test_length_and_finiteness(self):
         rng = random.Random(11)
         for _ in range(20):
             vals = tuple(rng.uniform(0.5, 900.0) for _ in range(rng.randint(2, 40)))
-            rets = log_excess_returns(ExcessSeries(5, vals))
+            rets = log_growth(vals, 5)
             assert len(rets) == len(vals) - 1
-            assert all(math.isfinite(v) for v in rets.values)
+            assert all(math.isfinite(v) for v in rets)
 
 
 class TestGeometricProperty:
@@ -174,10 +171,10 @@ class TestGeometricProperty:
             vals = tuple(c * g**t for t in range(12))
             series = ExcessSeries(0, vals)
             disc = discrete_returns(series)
-            logs = log_excess_returns(series)
+            logs = log_growth(series.values, series.t0)
             for v in disc.values:
                 assert v == pytest.approx(g - 1.0, rel=1e-12, abs=1e-12)
-            for v in logs.values:
+            for v in logs:
                 assert v == pytest.approx(math.log(g), rel=1e-12, abs=1e-12)
 
 
