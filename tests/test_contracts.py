@@ -744,6 +744,18 @@ STR_REFUSES_HUGE = _str_refuses(HUGE)
                  id="ExperimentParams r"),
     pytest.param(lambda: SimConfig(PARAMS, HUGE, 5), InvalidConfig, "a 16610-bit int",
                  id="SimConfig agents"),
+    pytest.param(lambda: SimConfig(PARAMS, FUNDAMENTALISTS, [HUGE]), InvalidConfig, "a list",
+                 id="SimConfig horizon"),
+    pytest.param(lambda: SimConfig(PARAMS, FUNDAMENTALISTS, 5, mistrade_prob=[HUGE]),
+                 InvalidConfig, "a list", id="SimConfig mistrade_prob"),
+    pytest.param(lambda: SimConfig(PARAMS, FUNDAMENTALISTS, 5, return_noise_sigma=[HUGE]),
+                 InvalidConfig, "a list", id="SimConfig return_noise_sigma"),
+    pytest.param(lambda: SimConfig(PARAMS, FUNDAMENTALISTS, 5, initial_prices=([HUGE], 60.0)),
+                 InvalidConfig, "a list", id="SimConfig initial_prices"),
+    pytest.param(lambda: AgentSpec.price_anchor([HUGE], 0.1), InvalidConfig, "a list",
+                 id="AgentSpec a"),
+    pytest.param(lambda: clearing_price(([HUGE],) + (60.0,) * 5, PARAMS), InvalidConfig,
+                 "a list", id="clearing_price forecast"),
     pytest.param(lambda: log_growth((1.0, -1.0), HUGE), NonPositiveExcess,
                  "t=a 16610-bit int", id="log_growth t"),
     pytest.param(lambda: discrete_returns(Series(HUGE, (1e-320, 1e300))), ReturnOverflow,

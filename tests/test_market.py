@@ -79,6 +79,23 @@ class TestPayoff:
             assert row[:-1] == pytest.approx((pay,) * 4, abs=1e-9)
             assert row[-1] is None
 
+    @pytest.mark.parametrize("err, pay", [
+        (0.5, 1293.3673469387754), (1.0, 1273.469387755102), (2.0, 1193.8775510204082),
+        (5.0, 636.734693877551), (6.5, 179.08163265306123),
+        (7.5, 0.0), (30.0, 0.0), (60.0, 0.0),
+    ])
+    def test_a_pair_either_side_of_the_price_scores_alike(self, err, pay):
+        # forecasts 60 + err and 60 - err clear at 60; each scores
+        # 1300 * (49 - err**2) / 49, or 0.0 from seven units on
+        params = ExperimentParams(n_traders=2)
+        config = SimConfig(params=params, agents=(_constant(60.0 + err), _constant(60.0 - err)),
+                           horizon=5)
+        result = run(config)
+        assert result.prices.values == (60.0,) * 5
+        for row in result.payoffs:
+            assert row[:-1] == pytest.approx((pay,) * 4, abs=1e-9)
+            assert row[-1] is None
+
     def test_never_negative(self):
         # errors of hundreds of units still score 0.0, never below
         result = run(_config([AgentSpec.noise(300.0)] * 6, horizon=50, seed=2))
@@ -236,9 +253,15 @@ class TestMistrade:
             assert row[:-1] == (0.0,) * 49
             assert row[-1] is None
 
-    def test_clips_a_shifted_forecast_to_the_band(self):
-        result = run(_config([_constant(200.0)] * 6, seed=3, mistrade_prob=1.0))
-        assert {f for row in result.forecasts for f in row} == {1000.0, 20.0}
+    @pytest.mark.parametrize("forecast, shifted", [
+        (95.0, {950.0, 9.5}),
+        (200.0, {1000.0, 20.0}),  # x10 passes the cap and is clipped to it
+        (1000.0, {1000.0, 100.0}),
+        (0.0, {0.0}),
+    ], ids=["in the band", "x10 past the cap", "at the cap", "at the floor"])
+    def test_clips_a_shifted_forecast_to_the_band(self, forecast, shifted):
+        result = run(_config([_constant(forecast)] * 6, seed=3, mistrade_prob=1.0))
+        assert {f for row in result.forecasts for f in row} == shifted
 
     def test_disabled_leaves_forecasts_alone(self):
         result = run(_config([_constant(95.0)] * 6, seed=3))
